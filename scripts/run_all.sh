@@ -82,6 +82,23 @@ if ! grep -q '"ring_transport"' BENCH_hotpath.json; then
   exit 1
 fi
 
+# End-to-end host-cost benchmark (bench/e2e/README.md) at smoke length. It
+# builds itself into build-e2e/ and writes build-e2e/BENCH_e2e.json with an
+# end_to_end and a per_layer result per workload; a missing file or section
+# means a run failed or was skipped — fail loudly either way.
+rm -f build-e2e/BENCH_e2e.json
+python3 bench/e2e/run.py --smoke 2>&1 | tee -a bench_output.txt
+if [ ! -s build-e2e/BENCH_e2e.json ]; then
+  echo "ERROR: bench/e2e/run.py did not write build-e2e/BENCH_e2e.json" >&2
+  exit 1
+fi
+for section in end_to_end per_layer; do
+  if ! grep -q "\"$section\"" build-e2e/BENCH_e2e.json; then
+    echo "ERROR: build-e2e/BENCH_e2e.json has no $section section" >&2
+    exit 1
+  fi
+done
+
 echo "Done. See test_output.txt, bench_output.txt, fig*_*.csv, fleet.csv," \
-     "topology.csv, BENCH_hotpath.json and $TELEMETRY_DIR/*.prom /" \
-     "*.trace.json."
+     "topology.csv, BENCH_hotpath.json, build-e2e/BENCH_e2e.json and" \
+     "$TELEMETRY_DIR/*.prom / *.trace.json."

@@ -19,17 +19,80 @@ PageMover::PageMover(sim::System& system, const MoverConfig& config)
 
 std::vector<std::pair<PageKey, mem::PageSize>> PageMover::residents(
     mem::TierId tier) {
-  std::vector<std::pair<PageKey, mem::PageSize>> pages;
+  std::vector<Resident> pages;
+  collect_residents(tier, pages);
+  return pages;
+}
+
+void PageMover::collect_residents(mem::TierId tier,
+                                  std::vector<Resident>& out) {
+  out.clear();
   for (sim::Process* proc : system_.processes()) {
     const mem::Pid pid = proc->pid();
-    proc->page_table().walk(
+    proc->page_table().walk_fn(
         [&](mem::VirtAddr page_va, mem::PageSize size, mem::Pte& pte) {
           if (system_.phys().tier_of(pte.pfn()) == tier) {
-            pages.emplace_back(PageKey{pid, page_va}, size);
+            out.emplace_back(PageKey{pid, page_va}, size);
           }
         });
   }
-  return pages;
+}
+
+void PageMover::build_demotion_order(
+    const std::vector<core::PageRank>& ranking) {
+  rank_of_.clear();
+  for (const core::PageRank& pr : ranking) {
+    rank_of_.try_emplace(pr.key, pr.rank);
+  }
+  auto rank_of = [&](const PageKey& key) -> std::uint64_t {
+    const auto it = rank_of_.find(key);
+    return it == rank_of_.end() ? 0 : it->second;
+  };
+  collect_residents(0, t1_pages_);
+  ranked_.clear();
+  if (arbiter_ != nullptr) {
+    // QoS-aware reclaim (docs/CONSOLIDATION.md): batch (and unregistered)
+    // tenants' burst pages go first, latency tenants' pages last; within a
+    // class coldest first, ties on ascending key. A strict total order, so
+    // the reclaim sequence is bitwise thread-count invariant.
+    for (const Resident& page : t1_pages_) {
+      const std::uint32_t tenant = arbiter_->tenant_of(page.first.pid);
+      const bool latency = tenant != TenantArbiter::kNoTenant &&
+                           arbiter_->spec(tenant).qos == QosClass::Latency;
+      ranked_.push_back(
+          RankedResident{latency ? 1 : 0, rank_of(page.first), 0, page});
+    }
+    std::sort(ranked_.begin(), ranked_.end(),
+              [](const RankedResident& a, const RankedResident& b) {
+                if (a.qos_class != b.qos_class) {
+                  return a.qos_class < b.qos_class;
+                }
+                if (a.rank != b.rank) return a.rank < b.rank;
+                return a.page.first < b.page.first;
+              });
+    for (std::size_t i = 0; i < ranked_.size(); ++i) {
+      t1_pages_[i] = ranked_[i].page;
+    }
+    return;
+  }
+  // Coldest first and stable in walk order: unranked residents (rank 0)
+  // lead in walk order, then only the ranked ones are sorted — by rank,
+  // ties in walk order — so the sort is O(ranked residents), not O(R).
+  std::size_t next = 0;
+  for (const Resident& page : t1_pages_) {
+    const std::uint64_t rank = rank_of(page.first);
+    if (rank == 0) {
+      t1_pages_[next++] = page;
+    } else {
+      ranked_.push_back(RankedResident{0, rank, ranked_.size(), page});
+    }
+  }
+  std::sort(ranked_.begin(), ranked_.end(),
+            [](const RankedResident& a, const RankedResident& b) {
+              if (a.rank != b.rank) return a.rank < b.rank;
+              return a.seq < b.seq;
+            });
+  for (const RankedResident& r : ranked_) t1_pages_[next++] = r.page;
 }
 
 void PageMover::set_tenant_arbiter(TenantArbiter* arbiter) noexcept {
@@ -373,59 +436,8 @@ MoveStats PageMover::reconcile(const PlacementSet& desired,
   // Demote cold tier-1 residents so promotions have room — *coldest first*,
   // so a hot resident that merely escaped this epoch's sparse sample is the
   // last to go. Demotion is lazy: pages move out only when the desired set
-  // actually needs the space.
-  std::unordered_map<PageKey, std::uint64_t, PageKeyHash> rank_of;
-  rank_of.reserve(ranking.size());
-  for (const core::PageRank& pr : ranking) rank_of.emplace(pr.key, pr.rank);
-  auto t1_pages = residents(0);
-  if (arbiter_ != nullptr) {
-    // QoS-aware reclaim (docs/CONSOLIDATION.md): batch (and unregistered)
-    // tenants' burst pages go first, latency tenants' pages last; within a
-    // class coldest first, ties on ascending key. A strict total order, so
-    // the reclaim sequence is bitwise thread-count invariant.
-    auto protected_class = [&](const PageKey& key) -> int {
-      const std::uint32_t tenant = arbiter_->tenant_of(key.pid);
-      return tenant != TenantArbiter::kNoTenant &&
-                     arbiter_->spec(tenant).qos == QosClass::Latency
-                 ? 1
-                 : 0;
-    };
-    std::sort(t1_pages.begin(), t1_pages.end(),
-              [&](const auto& a, const auto& b) {
-                const int ca = protected_class(a.first);
-                const int cb = protected_class(b.first);
-                if (ca != cb) return ca < cb;
-                const auto ra = rank_of.find(a.first);
-                const auto rb = rank_of.find(b.first);
-                const std::uint64_t va = ra == rank_of.end() ? 0 : ra->second;
-                const std::uint64_t vb = rb == rank_of.end() ? 0 : rb->second;
-                if (va != vb) return va < vb;
-                return a.first < b.first;
-              });
-  } else {
-    std::stable_sort(t1_pages.begin(), t1_pages.end(),
-                     [&](const auto& a, const auto& b) {
-                       const auto ra = rank_of.find(a.first);
-                       const auto rb = rank_of.find(b.first);
-                       const std::uint64_t va =
-                           ra == rank_of.end() ? 0 : ra->second;
-                       const std::uint64_t vb =
-                           rb == rank_of.end() ? 0 : rb->second;
-                       return va < vb;
-                     });
-  }
-  // Per-tenant fast-tier occupancy, maintained through the demote loop so
-  // the floor guard sees live balances.
-  std::vector<std::uint64_t> occupancy;
-  if (arbiter_ != nullptr) {
-    occupancy.assign(arbiter_->size(), 0);
-    for (const auto& [key, size] : t1_pages) {
-      const std::uint32_t tenant = arbiter_->tenant_of(key.pid);
-      if (tenant != TenantArbiter::kNoTenant) {
-        occupancy[tenant] += mem::pages_in(size);
-      }
-    }
-  }
+  // actually needs the space, and the residents are not even enumerated
+  // while tier 0's free frames already cover it.
   std::uint64_t need_frames = 0;
   for (const PageKey& key : desired) {
     if (admission_rejected(key)) continue;  // will not move: reserve nothing
@@ -437,7 +449,24 @@ MoveStats PageMover::reconcile(const PlacementSet& desired,
     }
   }
   std::uint64_t free_t1 = system_.phys().free_frames(0);
-  for (const auto& [key, size] : t1_pages) {
+  if (need_frames > free_t1) {
+    build_demotion_order(ranking);
+  } else {
+    t1_pages_.clear();
+  }
+  // Per-tenant fast-tier occupancy, maintained through the demote loop so
+  // the floor guard sees live balances.
+  std::vector<std::uint64_t> occupancy;
+  if (arbiter_ != nullptr && !t1_pages_.empty()) {
+    occupancy.assign(arbiter_->size(), 0);
+    for (const auto& [key, size] : t1_pages_) {
+      const std::uint32_t tenant = arbiter_->tenant_of(key.pid);
+      if (tenant != TenantArbiter::kNoTenant) {
+        occupancy[tenant] += mem::pages_in(size);
+      }
+    }
+  }
+  for (const auto& [key, size] : t1_pages_) {
     if (need_frames <= free_t1) break;
     // Desired residents keep demotion protection — unless the arbiter
     // refused them quota this epoch, in which case they are exactly the
@@ -517,7 +546,8 @@ MoveStats PageMover::reconcile(const PlacementSet& desired,
     // Post-reconcile occupancy snapshot: what each tenant actually holds
     // after demotions, promotions and the deferred drain.
     std::vector<std::uint64_t> held(arbiter_->size(), 0);
-    for (const auto& [key, size] : residents(0)) {
+    collect_residents(0, t1_pages_);
+    for (const auto& [key, size] : t1_pages_) {
       const std::uint32_t tenant = arbiter_->tenant_of(key.pid);
       if (tenant != TenantArbiter::kNoTenant) {
         held[tenant] += mem::pages_in(size);

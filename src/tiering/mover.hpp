@@ -182,8 +182,16 @@ class PageMover {
  private:
   enum class MoveOutcome : std::uint8_t { Moved, NoRoom, Aborted };
 
+  using Resident = std::pair<PageKey, mem::PageSize>;
+
   MoveStats reconcile(const PlacementSet& desired,
                       const std::vector<core::PageRank>& ranking);
+  /// Replace `out` with the pages resident in `tier`, in page-table walk
+  /// order (processes in registration order).
+  void collect_residents(mem::TierId tier, std::vector<Resident>& out);
+  /// Fill t1_pages_ with every tier-0 resident in reclaim order. Only
+  /// called when the desired set needs more frames than tier 0 has free.
+  void build_demotion_order(const std::vector<core::PageRank>& ranking);
   /// One migration with retry/backoff; `budget` is the remaining per-apply
   /// retry budget. Increments retried/aborted/no_room; the caller accounts
   /// promoted/demoted and the per-page cost on Moved.
@@ -239,6 +247,18 @@ class PageMover {
   TenantArbiter* arbiter_ = nullptr;  ///< not owned; may be null
   /// Per-apply quota memo (key -> 1 granted / 0 denied).
   core::PageMap<std::uint8_t> quota_memo_;
+  /// Per-apply scratch, capacity retained across epochs: each ranked key's
+  /// first-seen rank, the tier-0 residents (in reclaim order once
+  /// build_demotion_order ran), and the residents being sorted.
+  struct RankedResident {
+    int qos_class = 0;       ///< arbiter only: 1 = latency tenant
+    std::uint64_t rank = 0;  ///< first-seen rank; 0 when unranked
+    std::uint64_t seq = 0;   ///< walk position among the sorted residents
+    Resident page;
+  };
+  core::PageMap<std::uint64_t> rank_of_;
+  std::vector<Resident> t1_pages_;
+  std::vector<RankedResident> ranked_;
   std::vector<DeferredMove> deferred_;  ///< FIFO, carried across epochs
   std::unordered_set<PageKey, PageKeyHash> deferred_set_;
   std::uint64_t move_seq_ = 0;  ///< distinguishes fault keys across epochs

@@ -36,7 +36,12 @@ using PageSizeMap = std::unordered_map<PageKey, mem::PageSize, PageKeyHash>;
 struct PolicyContext {
   /// Tier-1 capacity in 4 KiB frames.
   std::uint64_t capacity_frames = 0;
-  /// Pages currently resident in tier 1.
+  /// Pages currently resident in tier 1. Contract: a policy may only ask
+  /// about keys of `observed_ranking`, and must choose the same set
+  /// whether this holds every tier-1 resident or only the ranked ones —
+  /// except that with an empty `observed_ranking` it must hold the full
+  /// resident set, which History and WriteHistory return unchanged. The
+  /// runner relies on this to skip enumerating residents every epoch.
   const PlacementSet* current = nullptr;
   /// Profiler ranking of the epoch that just ended (History's input);
   /// descending hotness. May be empty at epoch 0.

@@ -361,6 +361,7 @@ RunnerResult run_impl(const WorkloadFactory& factory,
       filtered.clear();
       filtered.reserve(snapshot.ranking.size());
       sizes.clear();
+      current.clear();
       for (const core::PageRank& pr : snapshot.ranking) {
         if (pr.rank < options.mover.min_rank) break;  // descending
         sim::Process& proc = system.process(pr.key.pid);
@@ -368,10 +369,19 @@ RunnerResult run_impl(const WorkloadFactory& factory,
         if (!ref) continue;
         filtered.push_back(pr);
         sizes[pr.key] = ref.size;
+        // `current` only needs the candidates' residency (the
+        // PolicyContext contract). A key inside a larger mapping is not
+        // itself a resident page, as in the full resident enumeration.
+        if (ref.page_va == pr.key.page_va &&
+            system.phys().tier_of(ref.pte->pfn()) == 0) {
+          current.insert(pr.key);
+        }
       }
-      current.clear();
-      for (const auto& [key, size] : mover.residents(0)) {
-        current.insert(key);
+      // No candidates: the policy keeps the whole resident set in place.
+      if (filtered.empty()) {
+        for (const auto& [key, size] : mover.residents(0)) {
+          current.insert(key);
+        }
       }
       PolicyContext ctx;
       ctx.capacity_frames = config.tier1_frames;

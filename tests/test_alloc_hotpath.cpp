@@ -9,6 +9,7 @@
 /// collector + ranking epoch loop performs ZERO heap allocations — the
 /// flat maps retain their slot arrays across clear(), the swap-and-clear
 /// protocol recycles buffers, and build_ranking_into reuses its scratch.
+/// The same holds for a mover reconcile that needs no demotion.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,8 @@
 #include "monitors/event.hpp"
 #include "sim/system.hpp"
 #include "tiering/epoch.hpp"
+#include "tiering/mover.hpp"
+#include "workloads/synthetic.hpp"
 
 namespace {
 
@@ -190,6 +193,39 @@ TEST(AllocHotpath, ObservationSwapClearRecyclesCapacity) {
   });
   EXPECT_EQ(allocs, 0U);
   EXPECT_EQ(closed.abit.size(), kPages);
+}
+
+TEST(AllocHotpath, MoverReconcileWithoutDemotionAllocatesNothing) {
+  // Tier 0 holds every page, so no reconcile needs room: the mover must
+  // neither enumerate residents nor build a demotion order, and its
+  // per-apply memos retain capacity.
+  sim::System system(small_config());
+  const mem::Pid pid = system.add_process(
+      std::make_unique<workloads::UniformWorkload>(16 << 20, 0.0, 1));
+  sim::Process& proc = system.process(pid);
+  constexpr std::uint64_t kPages = 2048;
+  std::vector<core::PageRank> ranking;
+  tiering::PlacementSet desired;
+  for (std::uint64_t p = 0; p < kPages; ++p) {
+    const mem::VirtAddr va = proc.vaddr_of(p * mem::kPageSize);
+    system.access(proc, va, false, 1);
+    core::PageRank pr;
+    pr.key = core::PageKey{pid, va};
+    pr.rank = kPages - p;
+    ranking.push_back(pr);
+    if (p % 2 == 0) desired.insert(pr.key);
+  }
+  tiering::PageMover mover(system);
+  for (int i = 0; i < 3; ++i) (void)mover.apply_placement(desired, ranking);
+
+  tiering::MoveStats total;
+  const std::uint64_t allocs = allocations_in([&] {
+    for (int i = 0; i < 5; ++i) {
+      total.merge(mover.apply_placement(desired, ranking));
+    }
+  });
+  EXPECT_EQ(allocs, 0U);
+  EXPECT_EQ(total.promoted + total.demoted, 0U);
 }
 
 }  // namespace

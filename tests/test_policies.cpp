@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "util/rng.hpp"
+
 namespace tmprof::tiering {
 namespace {
 
@@ -223,6 +228,85 @@ TEST(HistoryDensity, HugePageWinsWhenActuallyDense) {
 
 TEST(HistoryDensity, FactoryName) {
   EXPECT_EQ(make_policy("history-density")->name(), "history-density");
+}
+
+}  // namespace
+}  // namespace tmprof::tiering
+
+namespace tmprof::tiering {
+namespace {
+
+/// PolicyContext::current contract: a policy asks only about ranked keys,
+/// so handing it the full tier-1 resident set or just the ranked residents
+/// must choose the same placement.
+struct ContractCase {
+  std::vector<core::PageRank> ranking;
+  PageSizeMap sizes;
+  PlacementSet all_residents;
+  PlacementSet ranked_residents;
+  std::uint64_t capacity = 0;
+};
+
+ContractCase random_contract_case(std::uint64_t seed) {
+  util::Rng rng(seed);
+  ContractCase c;
+  auto random_key = [&] {
+    return PageKey{static_cast<mem::Pid>(1 + rng.below(2)),
+                   rng.below(96) * mem::kPageSize};
+  };
+  const std::uint64_t n_ranked = 1 + rng.below(40);
+  for (std::uint64_t i = 0; i < n_ranked; ++i) {
+    core::PageRank pr;
+    pr.key = random_key();
+    pr.rank = 1 + rng.below(4);  // heavy ties: residency breaks them
+    pr.writes = rng.below(3);
+    c.ranking.push_back(pr);
+    c.sizes[pr.key] =
+        rng.below(8) == 0 ? mem::PageSize::k2M : mem::PageSize::k4K;
+  }
+  std::stable_sort(c.ranking.begin(), c.ranking.end(),
+                   [](const core::PageRank& a, const core::PageRank& b) {
+                     return a.rank > b.rank;
+                   });
+  for (int i = 0; i < 64; ++i) c.all_residents.insert(random_key());
+  for (const core::PageRank& pr : c.ranking) {
+    if (c.all_residents.count(pr.key) != 0) c.ranked_residents.insert(pr.key);
+  }
+  c.capacity = rng.below(4) == 0 ? 512 + rng.below(64) : 1 + rng.below(30);
+  return c;
+}
+
+PlacementSet choose_with(const std::string& name, const ContractCase& c,
+                         const PlacementSet& current) {
+  PolicyContext ctx;
+  ctx.capacity_frames = c.capacity;
+  ctx.current = &current;
+  ctx.observed_ranking = &c.ranking;
+  ctx.page_sizes = &c.sizes;
+  return make_policy(name)->choose(ctx);
+}
+
+TEST(PolicyContract, HistoryNeedsOnlyRankedResidency) {
+  for (const std::string name : {"history", "history-density"}) {
+    int residency_mattered = 0;
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      const ContractCase c = random_contract_case(seed);
+      const PlacementSet chosen = choose_with(name, c, c.all_residents);
+      EXPECT_EQ(chosen, choose_with(name, c, c.ranked_residents))
+          << name << " seed=" << seed;
+      if (chosen != choose_with(name, c, PlacementSet{})) ++residency_mattered;
+    }
+    // Non-vacuous: residency really breaks rank ties in these cases.
+    EXPECT_GT(residency_mattered, 0) << name;
+  }
+}
+
+TEST(PolicyContract, HistoryEmptyRankingKeepsFullResidentSet) {
+  for (const std::string name : {"history", "history-density"}) {
+    ContractCase c = random_contract_case(7);
+    c.ranking.clear();
+    EXPECT_EQ(choose_with(name, c, c.all_residents), c.all_residents) << name;
+  }
 }
 
 }  // namespace

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/driver.hpp"
 #include "tiering/policies.hpp"
+#include "util/rng.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace tmprof {
@@ -121,6 +124,53 @@ TEST(WriteHistory, ZeroWeightDegeneratesToHistory) {
 
 TEST(WriteHistory, FactoryKnowsIt) {
   EXPECT_EQ(tiering::make_policy("write-history")->name(), "write-history");
+}
+
+/// PolicyContext::current contract: write-history asks only about ranked
+/// keys, so the full tier-1 resident set and just the ranked residents
+/// choose the same placement; an empty ranking keeps the full set.
+TEST(WriteHistory, NeedsOnlyRankedResidency) {
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    util::Rng rng(seed);
+    auto random_key = [&] {
+      return tiering::PageKey{static_cast<mem::Pid>(1 + rng.below(2)),
+                              rng.below(96) * mem::kPageSize};
+    };
+    std::vector<core::PageRank> ranking;
+    tiering::PageSizeMap sizes;
+    const std::uint64_t n_ranked = 1 + rng.below(40);
+    for (std::uint64_t i = 0; i < n_ranked; ++i) {
+      core::PageRank pr;
+      pr.key = random_key();
+      pr.rank = 1 + rng.below(4);
+      pr.writes = rng.below(3);  // boosted ranks tie too
+      ranking.push_back(pr);
+      sizes[pr.key] = mem::PageSize::k4K;
+    }
+    std::stable_sort(ranking.begin(), ranking.end(),
+                     [](const core::PageRank& a, const core::PageRank& b) {
+                       return a.rank > b.rank;
+                     });
+    tiering::PlacementSet all_residents;
+    for (int i = 0; i < 64; ++i) all_residents.insert(random_key());
+    tiering::PlacementSet ranked_residents;
+    for (const core::PageRank& pr : ranking) {
+      if (all_residents.count(pr.key) != 0) ranked_residents.insert(pr.key);
+    }
+    tiering::PolicyContext ctx;
+    ctx.capacity_frames = 1 + rng.below(30);
+    ctx.observed_ranking = &ranking;
+    ctx.page_sizes = &sizes;
+    tiering::WriteHistoryPolicy policy(1.0);
+    ctx.current = &all_residents;
+    const tiering::PlacementSet from_all = policy.choose(ctx);
+    ctx.current = &ranked_residents;
+    EXPECT_EQ(from_all, policy.choose(ctx)) << "seed=" << seed;
+
+    ranking.clear();
+    ctx.current = &all_residents;
+    EXPECT_EQ(policy.choose(ctx), all_residents) << "seed=" << seed;
+  }
 }
 
 }  // namespace
