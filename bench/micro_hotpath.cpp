@@ -43,6 +43,13 @@
 /// `ring_transport` array with `ring_speedups` ratios. The acceptance bar
 /// is >= 1.5x at 8 lanes.
 ///
+/// A sixth section (`ckpt_crc`, always on) measures the checkpoint write
+/// stage in MB/s on a ~2 MiB image, the size of one fleet checkpoint:
+/// `crc32` alone (slicing-by-8, util/ckpt.cpp), and `Writer` serialization
+/// plus `finish`, which includes a CRC per section. Rows land in the JSON
+/// as a `ckpt_crc` array; the ledger stage they stand in for is
+/// `util.ckpt.save_ms_per_epoch` (docs/PERFORMANCE.md).
+///
 /// Usage: micro_hotpath [--engine=flat|std|both] [--epochs=N]
 ///        [--touches-per-page=N] [--step-ops=N] [--sketch-sweep=0|1]
 ///        [--ring-sweep=0|1] [--out=BENCH_hotpath.json]
@@ -66,8 +73,9 @@
 #include "core/stream.hpp"
 #include "monitors/event.hpp"
 #include "sim/system.hpp"
-#include "util/ring.hpp"
 #include "tiering/epoch.hpp"
+#include "util/ckpt.hpp"
+#include "util/ring.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/zipf.hpp"
@@ -581,10 +589,76 @@ RingRow run_ring_stream(std::uint64_t lanes, std::uint64_t pages,
 }
 
 // ---------------------------------------------------------------------------
+// Section 6: checkpoint write stage — CRC and serialization throughput.
+
+struct CkptRow {
+  std::string stage;  ///< "crc32" | "writer_finish"
+  std::uint64_t image_bytes = 0;
+  std::uint64_t reps = 0;
+  double seconds = 0.0;
+  double mb_per_s = 0.0;
+};
+
+/// `crc32` over a ~2 MiB buffer, and a ~2 MiB image built through the
+/// Writer in u64 fields across 16 sections, the shape of the `save_state`
+/// calls. Every rep's result is checked against the untimed first one.
+std::vector<CkptRow> run_ckpt_crc(std::uint64_t reps) {
+  constexpr std::size_t kImageBytes = 2u << 20;
+  constexpr std::size_t kSections = 16;
+  std::vector<std::uint8_t> buffer(kImageBytes);
+  util::Rng rng(0xc4c);
+  for (std::uint8_t& b : buffer) b = static_cast<std::uint8_t>(rng());
+  std::vector<CkptRow> rows;
+
+  const std::uint32_t first_crc =
+      util::ckpt::crc32(buffer.data(), buffer.size());
+  auto start = Clock::now();
+  for (std::uint64_t r = 0; r < reps; ++r) {
+    if (util::ckpt::crc32(buffer.data(), buffer.size()) != first_crc) {
+      std::cerr << "ckpt_crc: crc32 not deterministic\n";
+      std::exit(1);
+    }
+  }
+  rows.push_back({"crc32", kImageBytes, reps, seconds_since(start), 0.0});
+
+  const auto build = [&] {
+    util::ckpt::Writer w;
+    const std::size_t words = kImageBytes / sizeof(std::uint64_t) / kSections;
+    for (std::size_t sec = 0; sec < kSections; ++sec) {
+      w.begin_section("section" + std::to_string(sec));
+      for (std::size_t i = 0; i < words; ++i) {
+        w.put_u64(buffer[sec * words + i]);
+      }
+      w.end_section();
+    }
+    return w.finish();
+  };
+  const std::vector<std::uint8_t> first_image = build();  // untimed warmup
+  start = Clock::now();
+  for (std::uint64_t r = 0; r < reps; ++r) {
+    // The image's last four bytes are its final section's CRC.
+    const std::vector<std::uint8_t> image = build();
+    if (!std::equal(image.end() - 4, image.end(), first_image.end() - 4)) {
+      std::cerr << "ckpt_crc: Writer image not deterministic\n";
+      std::exit(1);
+    }
+  }
+  rows.push_back(
+      {"writer_finish", first_image.size(), reps, seconds_since(start), 0.0});
+
+  for (CkptRow& row : rows) {
+    row.mb_per_s = static_cast<double>(row.image_bytes * row.reps) / 1e6 /
+                   row.seconds;
+  }
+  return rows;
+}
+
+// ---------------------------------------------------------------------------
 
 void write_json(const std::string& path, const std::vector<Row>& rows,
                 const std::vector<AccuracyRow>& accuracy,
-                const std::vector<RingRow>& ring_rows) {
+                const std::vector<RingRow>& ring_rows,
+                const std::vector<CkptRow>& ckpt_rows) {
   std::ofstream os(path);
   if (!os) {
     std::cerr << "micro_hotpath: cannot open " << path << "\n";
@@ -654,7 +728,15 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
          << base.barrier_seconds / stream.barrier_seconds << "}";
     }
   }
-  os << "\n  ]\n}\n";
+  os << "\n  ],\n  \"ckpt_crc\": [\n";
+  for (std::size_t i = 0; i < ckpt_rows.size(); ++i) {
+    const CkptRow& r = ckpt_rows[i];
+    os << "    {\"stage\": \"" << r.stage
+       << "\", \"image_bytes\": " << r.image_bytes << ", \"reps\": " << r.reps
+       << ", \"seconds\": " << r.seconds << ", \"mb_per_s\": " << r.mb_per_s
+       << "}" << (i + 1 < ckpt_rows.size() ? "," : "") << "\n";
+  }
+  os << "  ]\n}\n";
 }
 
 }  // namespace
@@ -809,7 +891,17 @@ int main(int argc, char** argv) {
               << "x barrier-time reduction at 8 lanes (accept: >= 1.5)\n";
   }
 
-  write_json(out_path, rows, accuracy, ring_rows);
+  // Checkpoint write stage: one fleet-sized image per rep.
+  const std::vector<CkptRow> ckpt_rows = run_ckpt_crc(4 * epochs);
+  util::TextTable ckpt_table({"stage", "image bytes", "reps", "MB/s"});
+  for (const CkptRow& r : ckpt_rows) {
+    ckpt_table.add_row({r.stage, std::to_string(r.image_bytes),
+                        std::to_string(r.reps), std::to_string(r.mb_per_s)});
+  }
+  std::cout << "ckpt_crc: checkpoint write stage throughput:\n"
+            << ckpt_table.to_string() << "\n";
+
+  write_json(out_path, rows, accuracy, ring_rows, ckpt_rows);
   std::cout << "\nwrote " << out_path << "\n";
   return 0;
 }

@@ -69,6 +69,15 @@ mkdir -p "$TELEMETRY_DIR"
   echo
 } 2>&1 | tee bench_output.txt
 
+# Every telemetry export replaces its file through `<path>.tmp`
+# (docs/OBSERVABILITY.md); a leftover temporary means an export failed.
+leftover_tmp=$(find "$TELEMETRY_DIR" -name '*.tmp')
+if [ -n "$leftover_tmp" ]; then
+  echo "ERROR: telemetry exports left temporaries behind:" >&2
+  echo "$leftover_tmp" >&2
+  exit 1
+fi
+
 # micro_hotpath's default run includes the ring_transport sweep (streaming
 # vs swap-and-clear barrier merge, docs/STREAMING.md) and refreshes the
 # tracked BENCH_hotpath.json; a JSON without that section means the sweep

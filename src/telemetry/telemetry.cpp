@@ -1,7 +1,8 @@
 #include "telemetry/telemetry.hpp"
 
-#include <fstream>
+#include <cstdio>
 #include <ostream>
+#include <sstream>
 
 #include "telemetry/export.hpp"
 #include "util/ckpt.hpp"
@@ -44,27 +45,57 @@ void Telemetry::maybe_export(std::uint32_t completed_epochs) {
 
 void Telemetry::export_final() { export_files(); }
 
+namespace {
+
+/// Replace `path` with `contents`: write `<path>.tmp`, delete `path`, then
+/// rename the temporary into place. The existing file is never opened with
+/// O_TRUNC and never renamed onto: on ext4 (default `auto_da_alloc`) both
+/// force writeback of the previous export's still-dirty pages and stall
+/// the caller for tens of milliseconds per file (docs/OBSERVABILITY.md).
+/// A reader therefore sees the old complete file, briefly no file, or the
+/// new complete file — never a torn one. A `.tmp` left by a killed run is
+/// simply overwritten.
+void replace_file(const std::string& path, const std::string& contents,
+                  const char* what) {
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) {
+    TMPROF_LOG_WARN << "telemetry: cannot write " << what << " to '" << tmp
+                    << "'";
+    return;
+  }
+  const bool written =
+      std::fwrite(contents.data(), 1, contents.size(), f) == contents.size();
+  const bool closed = std::fclose(f) == 0;
+  if (!written || !closed) {
+    TMPROF_LOG_WARN << "telemetry: short write of " << what << " to '" << tmp
+                    << "'";
+    std::remove(tmp.c_str());
+    return;
+  }
+  std::remove(path.c_str());  // a missing file is fine
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    TMPROF_LOG_WARN << "telemetry: cannot rename '" << tmp << "' to '" << path
+                    << "'";
+    std::remove(tmp.c_str());
+  }
+}
+
+}  // namespace
+
 void Telemetry::export_files() {
   // The export counter observes itself being exported: increment first so
   // the written value counts this export too.
   exports_.inc();
   if (!config_.metrics_out.empty()) {
-    std::ofstream os(config_.metrics_out, std::ios::trunc);
-    if (!os) {
-      TMPROF_LOG_WARN << "telemetry: cannot write metrics to '"
-                      << config_.metrics_out << "'";
-    } else {
-      write_prometheus(os);
-    }
+    std::ostringstream os;
+    write_prometheus(os);
+    replace_file(config_.metrics_out, os.str(), "metrics");
   }
   if (!config_.trace_out.empty()) {
-    std::ofstream os(config_.trace_out, std::ios::trunc);
-    if (!os) {
-      TMPROF_LOG_WARN << "telemetry: cannot write trace to '"
-                      << config_.trace_out << "'";
-    } else {
-      write_chrome(os);
-    }
+    std::ostringstream os;
+    write_chrome(os);
+    replace_file(config_.trace_out, os.str(), "trace");
   }
 }
 

@@ -37,8 +37,8 @@ struct TelemetryConfig {
   /// Chrome trace-event JSON output path ("" = don't write).
   std::string trace_out;
   /// Re-export every N completed epochs (0 = only at run end). Each export
-  /// rewrites the output files in full, so the newest write always holds a
-  /// consistent snapshot.
+  /// replaces the output files whole (written to `<path>.tmp`, then
+  /// renamed into place), so a reader never sees a torn file.
   std::uint32_t export_every = 0;
   /// Span ring capacity; overflow overwrites the oldest span (counted).
   std::size_t span_capacity = 1 << 16;

@@ -11,19 +11,36 @@ namespace tmprof::util::ckpt {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: `t[0]` is the classic byte-at-a-time table for the
+/// reflected IEEE polynomial; `t[k][i]` is the CRC of byte `i` followed by
+/// `k` zero bytes, so eight table lookups advance the CRC by eight bytes.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1U) ? 0xedb88320U ^ (c >> 1) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffU];
+    }
+  }
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrcTables =
+    make_crc_tables();
+
+/// Little-endian u32 from four bytes, independent of host byte order.
+constexpr std::uint32_t load_le32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
 
 constexpr std::size_t kHeaderSize = sizeof(kMagic) + sizeof(std::uint32_t);
 constexpr const char* kHeaderSection = "<header>";
@@ -33,10 +50,18 @@ constexpr const char* kIoSection = "<io>";
 
 std::uint32_t crc32(const void* data, std::size_t size,
                     std::uint32_t seed) noexcept {
+  const auto& t = kCrcTables;
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   std::uint32_t c = seed ^ 0xffffffffU;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = kCrcTable[(c ^ bytes[i]) & 0xffU] ^ (c >> 8);
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const std::uint32_t lo = c ^ load_le32(bytes);
+    const std::uint32_t hi = load_le32(bytes + 4);
+    c = t[7][lo & 0xffU] ^ t[6][(lo >> 8) & 0xffU] ^
+        t[5][(lo >> 16) & 0xffU] ^ t[4][lo >> 24] ^ t[3][hi & 0xffU] ^
+        t[2][(hi >> 8) & 0xffU] ^ t[1][(hi >> 16) & 0xffU] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    c = t[0][(c ^ *bytes) & 0xffU] ^ (c >> 8);
   }
   return c ^ 0xffffffffU;
 }

@@ -552,6 +552,62 @@ TEST(CkptCorruption, VersionSkewRejectedAsHeader) {
 }
 
 // ---------------------------------------------------------------------------
+// CRC-32: the slicing-by-8 implementation must agree with the classic
+// byte-at-a-time definition everywhere, or old checkpoints stop loading.
+
+/// Byte-at-a-time reflected CRC-32 (polynomial 0xedb88320), bit by bit so
+/// it shares no table with the code under test.
+std::uint32_t reference_crc32(const std::uint8_t* bytes, std::size_t size,
+                              std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xffffffffU;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= bytes[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1U) ? 0xedb88320U ^ (c >> 1) : (c >> 1);
+    }
+  }
+  return c ^ 0xffffffffU;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::uint8_t> bytes(n);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng());
+  return bytes;
+}
+
+TEST(CkptCrc, MatchesByteAtATimeReference) {
+  // Every length across several 8-byte strides, at every alignment of the
+  // start pointer, with and without a chained seed.
+  const std::vector<std::uint8_t> bytes = random_bytes(1100 + 8, 0xc4c32);
+  for (const std::uint32_t seed : {0U, 0xdeadbeefU}) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (std::size_t len = 0; len <= 1100; ++len) {
+        const std::uint8_t* p = bytes.data() + offset;
+        ASSERT_EQ(crc32(p, len, seed), reference_crc32(p, len, seed))
+            << "seed " << seed << " offset " << offset << " len " << len;
+      }
+    }
+  }
+}
+
+TEST(CkptCrc, StandardCheckValue) {
+  const char check[] = "123456789";
+  EXPECT_EQ(crc32(check, 9), 0xCBF43926U);
+  EXPECT_EQ(crc32(check, 0), 0U);
+}
+
+TEST(CkptCrc, SeedChainsAcrossSplits) {
+  const std::vector<std::uint8_t> bytes = random_bytes(777, 42);
+  const std::uint32_t whole = crc32(bytes.data(), bytes.size());
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    const std::uint32_t head = crc32(bytes.data(), split);
+    ASSERT_EQ(crc32(bytes.data() + split, bytes.size() - split, head), whole)
+        << "split " << split;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Atomic writes, discovery and retention.
 
 TEST(CkptIo, SaveAtomicLeavesNoTempFile) {

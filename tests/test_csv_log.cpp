@@ -9,6 +9,14 @@
 namespace tmprof::util {
 namespace {
 
+/// A file private to the running test: ctest runs each test in its own
+/// process, concurrently, so a shared path would race.
+std::string test_path() {
+  return ::testing::TempDir() + "tmprof_csv_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ".csv";
+}
+
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
   std::stringstream ss;
@@ -17,7 +25,7 @@ std::string slurp(const std::string& path) {
 }
 
 TEST(Csv, WritesRows) {
-  const std::string path = "/tmp/tmprof_csv_test.csv";
+  const std::string path = test_path();
   {
     CsvWriter csv(path);
     csv.write_row({"a", "b", "c"});
@@ -28,7 +36,7 @@ TEST(Csv, WritesRows) {
 }
 
 TEST(Csv, EscapesSpecialCharacters) {
-  const std::string path = "/tmp/tmprof_csv_test.csv";
+  const std::string path = test_path();
   {
     CsvWriter csv(path);
     csv.write_row({"plain", "with,comma", "with\"quote", "with\nnewline"});

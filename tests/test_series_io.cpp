@@ -93,7 +93,8 @@ TEST(SeriesIo, RejectsGarbageLines) {
 
 TEST(SeriesIo, FileRoundTrip) {
   const EpochSeries original = sample_series();
-  const std::string path = "/tmp/tmprof_series_test.txt";
+  const std::string path =
+      ::testing::TempDir() + "tmprof_series_FileRoundTrip.txt";
   save_series_file(original, path);
   const EpochSeries loaded = load_series_file(path);
   EXPECT_EQ(loaded.epochs.size(), original.epochs.size());

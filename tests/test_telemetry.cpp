@@ -219,6 +219,125 @@ TEST(Telemetry, MaybeExportHonorsInterval) {
 }
 
 // ---------------------------------------------------------------------------
+// Export file replacement: every export replaces the files whole through
+// `<path>.tmp` (never truncating or renaming onto the old file).
+
+/// Fresh empty directory under the gtest temp root, named after the test.
+fs::path export_dir() {
+  const fs::path dir =
+      fs::path(::testing::TempDir()) /
+      (std::string("tmprof-export-") +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name());
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+TelemetryConfig export_config(const fs::path& dir) {
+  TelemetryConfig cfg;
+  cfg.metrics_out = (dir / "m.prom").string();
+  cfg.trace_out = (dir / "t.trace.json").string();
+  cfg.export_every = 1;
+  return cfg;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::stringstream buf;
+  buf << is.rdbuf();
+  return buf.str();
+}
+
+/// The two files on disk equal what `t` renders in memory, byte for byte.
+void expect_files_match(const Telemetry& t) {
+  std::ostringstream prom;
+  t.write_prometheus(prom);
+  std::ostringstream chrome;
+  t.write_chrome(chrome);
+  EXPECT_EQ(slurp(t.config().metrics_out), prom.str());
+  EXPECT_EQ(slurp(t.config().trace_out), chrome.str());
+  EXPECT_FALSE(fs::exists(t.config().metrics_out + ".tmp"));
+  EXPECT_FALSE(fs::exists(t.config().trace_out + ".tmp"));
+}
+
+TEST(TelemetryExport, SmallerExportLeavesNoStaleTail) {
+  const fs::path dir = export_dir();
+  Telemetry big(export_config(dir));
+  big.begin_run("big");
+  for (std::uint64_t i = 0; i < 500; ++i) {
+    big.metrics().counter("c" + std::to_string(i) + "_total").add(i);
+    big.span("s", i * 10, i * 10 + 5);
+  }
+  big.export_final();
+  expect_files_match(big);
+  const auto big_sizes = std::make_pair(fs::file_size(big.config().metrics_out),
+                                        fs::file_size(big.config().trace_out));
+
+  // A second sink exporting far less to the same paths: an in-place
+  // overwrite would leave the first export's tail behind.
+  Telemetry small(export_config(dir));
+  small.begin_run("small");
+  small.span("only", 0, 1);
+  small.export_final();
+  expect_files_match(small);
+  EXPECT_LT(fs::file_size(small.config().metrics_out), big_sizes.first);
+  EXPECT_LT(fs::file_size(small.config().trace_out), big_sizes.second);
+}
+
+TEST(TelemetryExport, NoTempFileRemains) {
+  const fs::path dir = export_dir();
+  Telemetry t(export_config(dir));
+  t.begin_run("run");
+  for (std::uint32_t epoch = 1; epoch <= 3; ++epoch) {
+    t.span("epoch", epoch * 100, epoch * 100 + 50);
+    t.maybe_export(epoch);
+    expect_files_match(t);
+  }
+  t.export_final();
+  expect_files_match(t);
+  std::size_t entries = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+    ++entries;
+  }
+  EXPECT_EQ(entries, 2U);
+}
+
+TEST(TelemetryExport, StaleTempFileFromKilledRunIsReplaced) {
+  const fs::path dir = export_dir();
+  Telemetry t(export_config(dir));
+  // A run killed between writing the temporary and renaming it leaves a
+  // (possibly larger, possibly torn) `.tmp` behind.
+  for (const std::string& path : {t.config().metrics_out,
+                                   t.config().trace_out}) {
+    std::ofstream(path + ".tmp") << std::string(8192, 'x');
+    std::ofstream(path) << "old export\n";
+  }
+  t.begin_run("resumed");
+  t.span("epoch", 0, 10);
+  t.export_final();
+  expect_files_match(t);
+}
+
+TEST(TelemetryExport, MissingDirectoryWarnsAndContinues) {
+  const fs::path dir = export_dir() / "does-not-exist";
+  Telemetry t(export_config(dir));
+  t.begin_run("run");
+  ::testing::internal::CaptureStderr();
+  t.maybe_export(1);
+  t.export_final();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("telemetry: cannot write metrics"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("telemetry: cannot write trace"), std::string::npos)
+      << err;
+  EXPECT_FALSE(fs::exists(dir));
+  // The run goes on: the sink still records and counts its exports.
+  t.span("after", 0, 1);
+  EXPECT_EQ(t.metrics().counter_value("telemetry_exports_total"), 2U);
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end determinism contract.
 
 sim::SimConfig e2e_config() {

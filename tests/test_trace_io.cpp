@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "monitors/ibs.hpp"
 #include "sim/system.hpp"
 #include "workloads/synthetic.hpp"
@@ -18,14 +20,21 @@ SimConfig small_config() {
   return cfg;
 }
 
-const char* kPath = "/tmp/tmprof_trace_test.bin";
+/// A trace file private to the running test: ctest runs each test in its
+/// own process, concurrently, so a shared path would race.
+std::string trace_path() {
+  return ::testing::TempDir() + "tmprof_trace_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ".bin";
+}
 
 TEST(TraceIo, RecordsEveryMemOp) {
+  const std::string path = trace_path();
   System sys(small_config());
   sys.add_process(
       std::make_unique<workloads::UniformWorkload>(2 << 20, 0.3, 1));
   {
-    TraceWriter writer(kPath);
+    TraceWriter writer(path);
     sys.add_observer(&writer);
     sys.step(5000);
     sys.remove_observer(&writer);
@@ -40,7 +49,7 @@ TEST(TraceIo, RecordsEveryMemOp) {
       stores += ev.is_store ? 1 : 0;
     }
   } counter;
-  TraceReplayer replayer(kPath);
+  TraceReplayer replayer(path);
   replayer.add_observer(&counter);
   EXPECT_EQ(replayer.replay(), 5000U);
   EXPECT_EQ(counter.ops, 5000U);
@@ -49,12 +58,13 @@ TEST(TraceIo, RecordsEveryMemOp) {
 }
 
 TEST(TraceIo, ReplayPreservesFields) {
+  const std::string path = trace_path();
   System sys(small_config());
   const mem::Pid pid = sys.add_process(
       std::make_unique<workloads::UniformWorkload>(1 << 16, 0.0, 1));
   Process& proc = sys.process(pid);
   {
-    TraceWriter writer(kPath);
+    TraceWriter writer(path);
     sys.add_observer(&writer);
     sys.access(proc, proc.vaddr_of(0x123), true, 7);
     sys.remove_observer(&writer);
@@ -65,7 +75,7 @@ TEST(TraceIo, ReplayPreservesFields) {
     void on_mem_op(const monitors::MemOpEvent& ev) override { *out = ev; }
   } grabber;
   grabber.out = &got;
-  TraceReplayer replayer(kPath);
+  TraceReplayer replayer(path);
   replayer.add_observer(&grabber);
   replayer.replay();
   EXPECT_EQ(got.pid, pid);
@@ -76,13 +86,14 @@ TEST(TraceIo, ReplayPreservesFields) {
 }
 
 TEST(TraceIo, IbsOverReplayMatchesLiveStatistically) {
+  const std::string path = trace_path();
   System sys(small_config());
   sys.add_process(
       std::make_unique<workloads::UniformWorkload>(4 << 20, 0.0, 1));
   monitors::IbsConfig ibs_cfg = monitors::IbsConfig::with_period(256);
   monitors::IbsMonitor live(ibs_cfg, sys.config().cores, 1);
   {
-    TraceWriter writer(kPath);
+    TraceWriter writer(path);
     sys.add_observer(&writer);
     sys.add_observer(&live);
     sys.step(50000);
@@ -90,7 +101,7 @@ TEST(TraceIo, IbsOverReplayMatchesLiveStatistically) {
     sys.remove_observer(&live);
   }
   monitors::IbsMonitor replayed(ibs_cfg, sys.config().cores, 1);
-  TraceReplayer replayer(kPath);
+  TraceReplayer replayer(path);
   replayer.add_observer(&replayed);
   replayer.replay(0, sys.config().uops_per_op);
   // Same seed, same retire stream => identical sample counts.
@@ -98,16 +109,17 @@ TEST(TraceIo, IbsOverReplayMatchesLiveStatistically) {
 }
 
 TEST(TraceIo, PartialReplayStopsEarly) {
+  const std::string path = trace_path();
   System sys(small_config());
   sys.add_process(
       std::make_unique<workloads::UniformWorkload>(1 << 18, 0.0, 1));
   {
-    TraceWriter writer(kPath);
+    TraceWriter writer(path);
     sys.add_observer(&writer);
     sys.step(1000);
     sys.remove_observer(&writer);
   }
-  TraceReplayer replayer(kPath);
+  TraceReplayer replayer(path);
   EXPECT_EQ(replayer.replay(250), 250U);
 }
 
