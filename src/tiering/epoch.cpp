@@ -1,23 +1,29 @@
 #include "tiering/epoch.hpp"
 
 #include <algorithm>
-#include <filesystem>
-#include <memory>
 
-#include "telemetry/telemetry.hpp"
 #include "util/assert.hpp"
-#include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tmprof::tiering {
 
 namespace {
 
+using core::PageKeyCodec;
+
+void save_keys(util::ckpt::Writer& w, const std::vector<PageKey>& keys) {
+  w.put_u64(keys.size());
+  for (const PageKey& key : keys) PageKeyCodec::save(w, key);
+}
+
+void load_keys(util::ckpt::Reader& r, std::vector<PageKey>& keys) {
+  keys.resize(r.get_u64());
+  for (PageKey& key : keys) key = PageKeyCodec::load(r);
+}
+
 void save_truth_map(util::ckpt::Writer& w, const core::TruthMap& map) {
   w.put_u64(map.size());
   map.fold_sorted([&w](const PageKey& key, std::uint64_t count) {
-    w.put_u64(key.pid);
-    w.put_u64(key.page_va);
+    PageKeyCodec::save(w, key);
     w.put_u64(count);
   });
 }
@@ -27,9 +33,7 @@ void load_truth_map(util::ckpt::Reader& r, core::TruthMap& map) {
   const std::uint64_t count = r.get_u64();
   map.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    PageKey key;
-    key.pid = static_cast<mem::Pid>(r.get_u64());
-    key.page_va = r.get_u64();
+    const PageKey key = PageKeyCodec::load(r);
     map[key] = r.get_u64();
   }
 }
@@ -41,8 +45,7 @@ void save_size_map(util::ckpt::Writer& w, const PageSizeMap& map) {
   std::sort(keys.begin(), keys.end());
   w.put_u64(keys.size());
   for (const PageKey& key : keys) {
-    w.put_u64(key.pid);
-    w.put_u64(key.page_va);
+    PageKeyCodec::save(w, key);
     w.put_u8(static_cast<std::uint8_t>(map.at(key)));
   }
 }
@@ -52,12 +55,16 @@ void load_size_map(util::ckpt::Reader& r, PageSizeMap& map) {
   const std::uint64_t count = r.get_u64();
   map.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    PageKey key;
-    key.pid = static_cast<mem::Pid>(r.get_u64());
-    key.page_va = r.get_u64();
+    const PageKey key = PageKeyCodec::load(r);
     map.emplace(key, static_cast<mem::PageSize>(r.get_u8()));
   }
 }
+
+/// The DegradeStats fields a series stores, in order.
+constexpr std::uint64_t core::DegradeStats::*kSeriesDegradeFields[] = {
+    &core::DegradeStats::hwpc_wraps,      &core::DegradeStats::scans_aborted,
+    &core::DegradeStats::trace_dropped,   &core::DegradeStats::rescaled_epochs,
+    &core::DegradeStats::fallback_epochs, &core::DegradeStats::pinned_epochs};
 
 }  // namespace
 
@@ -125,11 +132,7 @@ void TruthCollector::merge_shards() {
 void TruthCollector::save_state(util::ckpt::Writer& w) const {
   truth_.save_state(w, "truth");
   seen_.save_state(w, "truth");
-  w.put_u64(new_pages_.size());
-  for (const PageKey& key : new_pages_) {
-    w.put_u64(key.pid);
-    w.put_u64(key.page_va);
-  }
+  save_keys(w, new_pages_);
   save_size_map(w, page_sizes_);
   w.put_u64(shards_.size());
   for (const Shard& shard : shards_) {
@@ -137,8 +140,7 @@ void TruthCollector::save_state(util::ckpt::Writer& w) const {
     shard.seen.save_state(w, "truth");
     w.put_u64(shard.new_pages.size());
     for (const auto& [key, size] : shard.new_pages) {
-      w.put_u64(key.pid);
-      w.put_u64(key.page_va);
+      PageKeyCodec::save(w, key);
       w.put_u8(static_cast<std::uint8_t>(size));
     }
   }
@@ -147,15 +149,7 @@ void TruthCollector::save_state(util::ckpt::Writer& w) const {
 void TruthCollector::load_state(util::ckpt::Reader& r) {
   truth_.load_state(r, "truth");
   seen_.load_state(r, "truth");
-  new_pages_.clear();
-  const std::uint64_t n_new = r.get_u64();
-  new_pages_.reserve(n_new);
-  for (std::uint64_t i = 0; i < n_new; ++i) {
-    PageKey key;
-    key.pid = static_cast<mem::Pid>(r.get_u64());
-    key.page_va = r.get_u64();
-    new_pages_.push_back(key);
-  }
+  load_keys(r, new_pages_);
   load_size_map(r, page_sizes_);
   const std::uint64_t n_shards = r.get_u64();
   if (n_shards != shards_.size()) {
@@ -168,9 +162,7 @@ void TruthCollector::load_state(util::ckpt::Reader& r) {
     const std::uint64_t n_shard_new = r.get_u64();
     shard.new_pages.reserve(n_shard_new);
     for (std::uint64_t i = 0; i < n_shard_new; ++i) {
-      PageKey key;
-      key.pid = static_cast<mem::Pid>(r.get_u64());
-      key.page_va = r.get_u64();
+      const PageKey key = PageKeyCodec::load(r);
       shard.new_pages.emplace_back(key, static_cast<mem::PageSize>(r.get_u8()));
     }
   }
@@ -217,11 +209,7 @@ void save_epoch_data(util::ckpt::Writer& w, const EpochData& data) {
   save_truth_map(w, data.truth);
   w.put_u64(data.truth_total);
   core::save_observation(w, data.observed);
-  w.put_u64(data.new_pages.size());
-  for (const PageKey& key : data.new_pages) {
-    w.put_u64(key.pid);
-    w.put_u64(key.page_va);
-  }
+  save_keys(w, data.new_pages);
 }
 
 void load_epoch_data(util::ckpt::Reader& r, EpochData& data) {
@@ -229,15 +217,7 @@ void load_epoch_data(util::ckpt::Reader& r, EpochData& data) {
   load_truth_map(r, data.truth);
   data.truth_total = r.get_u64();
   core::load_observation(r, data.observed);
-  data.new_pages.clear();
-  const std::uint64_t n_new = r.get_u64();
-  data.new_pages.reserve(n_new);
-  for (std::uint64_t i = 0; i < n_new; ++i) {
-    PageKey key;
-    key.pid = static_cast<mem::Pid>(r.get_u64());
-    key.page_va = r.get_u64();
-    data.new_pages.push_back(key);
-  }
+  load_keys(r, data.new_pages);
 }
 
 void save_series(util::ckpt::Writer& w, const EpochSeries& series) {
@@ -245,12 +225,9 @@ void save_series(util::ckpt::Writer& w, const EpochSeries& series) {
   for (const EpochData& data : series.epochs) save_epoch_data(w, data);
   save_size_map(w, series.page_sizes);
   w.put_u64(series.footprint_frames);
-  w.put_u64(series.degrade.hwpc_wraps);
-  w.put_u64(series.degrade.scans_aborted);
-  w.put_u64(series.degrade.trace_dropped);
-  w.put_u64(series.degrade.rescaled_epochs);
-  w.put_u64(series.degrade.fallback_epochs);
-  w.put_u64(series.degrade.pinned_epochs);
+  for (const auto field : kSeriesDegradeFields) {
+    w.put_u64(series.degrade.*field);
+  }
 }
 
 void load_series(util::ckpt::Reader& r, EpochSeries& series) {
@@ -264,168 +241,64 @@ void load_series(util::ckpt::Reader& r, EpochSeries& series) {
   }
   load_size_map(r, series.page_sizes);
   series.footprint_frames = r.get_u64();
-  series.degrade.hwpc_wraps = r.get_u64();
-  series.degrade.scans_aborted = r.get_u64();
-  series.degrade.trace_dropped = r.get_u64();
-  series.degrade.rescaled_epochs = r.get_u64();
-  series.degrade.fallback_epochs = r.get_u64();
-  series.degrade.pinned_epochs = r.get_u64();
+  for (const auto field : kSeriesDegradeFields) {
+    series.degrade.*field = r.get_u64();
+  }
 }
 
 namespace {
 
-EpochSeries collect_series_impl(const WorkloadFactory& factory,
-                                const sim::SimConfig& sim_config,
-                                const CollectOptions& options,
-                                const std::string& resume_path) {
+EpochSeries collect_attempt(const WorkloadFactory& factory,
+                            const sim::SimConfig& sim_config,
+                            const CollectOptions& options,
+                            const std::vector<double>& process_weights,
+                            const std::string& resume_path) {
   TMPROF_EXPECTS(options.n_epochs >= 1);
-  if (options.checkpoint.enabled()) {
-    // Best-effort mkdir -p; a dir that still can't be written to surfaces
-    // as a CkptError("<io>") from the first save_atomic.
-    std::error_code ec;
-    std::filesystem::create_directories(options.checkpoint.dir, ec);
-  }
-  sim::SimConfig config = sim_config;
-  if (options.n_threads >= 1) config.sharded_engine = true;
-  sim::System system(config);
-  for (auto& generator : factory(options.seed)) {
-    system.add_process(std::move(generator));
-  }
-
+  EpochLoop loop(factory, sim_config, options, process_weights, "collect");
+  sim::System& system = loop.system();
   TruthCollector truth(system, options.daemon.driver.hotness);
   system.add_observer(&truth);
   core::TmpDaemon daemon(system, options.daemon);
-
-  telemetry::Telemetry* const telemetry = options.telemetry;
-  telemetry::Counter epochs_counter;
-  if (telemetry != nullptr) {
-    telemetry->begin_run(options.telemetry_label.empty()
-                             ? "collect"
-                             : options.telemetry_label);
-    system.set_telemetry(telemetry);
-    daemon.set_telemetry(telemetry);
-    epochs_counter = telemetry->metrics().counter("runner_epochs_total");
-  }
+  if (options.telemetry != nullptr) daemon.set_telemetry(options.telemetry);
 
   EpochSeries series;
   series.epochs.reserve(options.n_epochs);
-  std::uint32_t start_epoch = 0;
-
-  if (!resume_path.empty()) {
-    util::ckpt::Reader r = util::ckpt::Reader::from_file(resume_path);
-    r.enter_section("meta");
-    if (r.get_str() != "collect") {
-      throw util::ckpt::CkptError("meta", "checkpoint kind is not 'collect'");
-    }
-    if (r.get_u64() != options.seed) {
-      throw util::ckpt::CkptError("meta", "seed mismatch");
-    }
-    if (r.get_u32() != options.n_epochs) {
-      throw util::ckpt::CkptError("meta", "epoch count mismatch");
-    }
-    if (r.get_u64() != options.ops_per_epoch) {
-      throw util::ckpt::CkptError("meta", "ops-per-epoch mismatch");
-    }
-    if (r.get_bool() != config.sharded_engine) {
-      throw util::ckpt::CkptError("meta", "engine mode mismatch");
-    }
-    start_epoch = r.get_u32();
-    if (start_epoch == 0 || start_epoch >= options.n_epochs) {
-      throw util::ckpt::CkptError("meta", "resume epoch out of range");
-    }
-    r.end_section();
-    r.enter_section("system");
-    system.load_state(r);
-    r.end_section();
-    r.enter_section("daemon");
-    daemon.load_state(r);
-    r.end_section();
-    r.enter_section("truth");
-    truth.load_state(r);
-    r.end_section();
-    r.enter_section("series");
-    load_series(r, series);
-    r.end_section();
-    if (series.epochs.size() != start_epoch) {
-      throw util::ckpt::CkptError("series", "epoch record count mismatch");
-    }
-    r.enter_section("telemetry");
-    if (r.get_bool() != (telemetry != nullptr)) {
-      throw util::ckpt::CkptError("telemetry", "telemetry presence mismatch");
-    }
-    if (telemetry != nullptr) telemetry->load_state(r);
-    r.end_section();
-  }
-
-  std::unique_ptr<util::ThreadPool> pool;
-  if (options.n_threads > 1) {
-    pool = std::make_unique<util::ThreadPool>(options.n_threads);
-  }
+  loop.add(util::ckpt::participant_of("daemon", daemon));
+  loop.add(util::ckpt::participant_of("truth", truth));
+  loop.add({"series", {},
+            [&series](util::ckpt::Writer& w) { save_series(w, series); },
+            [&series, &loop](util::ckpt::Reader& r) {
+              load_series(r, series);
+              if (series.epochs.size() != loop.start_epoch()) {
+                throw util::ckpt::CkptError("series",
+                                            "epoch record count mismatch");
+              }
+            }});
 
   // Reused across epochs: each EpochData keeps its own maps (the series
   // retains them), but the snapshot's ranking vector and whatever buffers
   // the daemon hands back are recycled.
   core::ProfileSnapshot snapshot;
-
-  for (std::uint32_t e = start_epoch; e < options.n_epochs; ++e) {
-    const util::SimNs epoch_begin = system.now();
-    if (config.sharded_engine) {
-      system.step_parallel(options.ops_per_epoch, pool.get());
-    } else {
-      system.step(options.ops_per_epoch);
-    }
-    daemon.tick_into(snapshot);
-    EpochData data;
-    data.epoch = e;
-    // The returned total is exact in both hotness modes (sketch-mode maps
-    // hold one-sided estimates; the hitrate denominator must not).
-    data.truth_total = truth.end_epoch(data.truth, data.new_pages);
-    data.observed = std::move(snapshot.observation);
-    series.epochs.push_back(std::move(data));
-    // Telemetry is recorded before any checkpoint below so the saved span
-    // ring and counters include this epoch (resume → identical exports).
-    epochs_counter.inc();
-    if (telemetry != nullptr) {
-      telemetry->span("runner.epoch", epoch_begin, system.now(),
-                      telemetry::kTidRunner);
-      telemetry->maybe_export(e + 1);
-    }
-    if (options.checkpoint.enabled() &&
-        (e + 1) % options.checkpoint.every == 0) {
-      util::ckpt::Writer w;
-      w.begin_section("meta");
-      w.put_str("collect");
-      w.put_u64(options.seed);
-      w.put_u32(options.n_epochs);
-      w.put_u64(options.ops_per_epoch);
-      w.put_bool(config.sharded_engine);
-      w.put_u32(e + 1);
-      w.end_section();
-      w.begin_section("system");
-      system.save_state(w);
-      w.end_section();
-      w.begin_section("daemon");
-      daemon.save_state(w);
-      w.end_section();
-      w.begin_section("truth");
-      truth.save_state(w);
-      w.end_section();
-      w.begin_section("series");
-      save_series(w, series);
-      w.end_section();
-      w.begin_section("telemetry");
-      w.put_bool(telemetry != nullptr);
-      if (telemetry != nullptr) telemetry->save_state(w);
-      w.end_section();
-      util::ckpt::Writer::save_atomic(
-          util::ckpt::checkpoint_path(options.checkpoint.dir,
-                                      options.checkpoint.basename, e + 1),
-          w.finish());
-      util::ckpt::prune(options.checkpoint.dir, options.checkpoint.basename,
-                        options.checkpoint.keep_last);
-    }
-    if (options.on_epoch) options.on_epoch(e);
-  }
+  const bool sharded = loop.config().sharded_engine;
+  loop.run(
+      resume_path,
+      [&options, sharded](util::ckpt::Writer& w) {
+        w.put_str("collect");
+        w.put_u64(options.seed);
+        w.put_u32(options.n_epochs);
+        w.put_u64(options.ops_per_epoch);
+        w.put_bool(sharded);
+      },
+      [&](std::uint32_t e) {
+        daemon.tick_into(snapshot);
+        EpochData data;
+        data.epoch = e;
+        // The returned total is exact in both hotness modes (sketch-mode
+        // maps hold one-sided estimates; the hitrate denominator must not).
+        data.truth_total = truth.end_epoch(data.truth, data.new_pages);
+        data.observed = std::move(snapshot.observation);
+        series.epochs.push_back(std::move(data));
+      });
   series.page_sizes = truth.page_sizes();
   series.footprint_frames = 0;
   for (const auto& [key, size] : series.page_sizes) {
@@ -439,23 +312,20 @@ EpochSeries collect_series_impl(const WorkloadFactory& factory,
 
 EpochSeries collect_series(const WorkloadFactory& factory,
                            const sim::SimConfig& sim_config,
+                           const CollectOptions& options,
+                           const std::vector<double>& process_weights) {
+  EpochSeries series;
+  run_resumable(options, "collect", [&](const std::string& resume_path) {
+    series = collect_attempt(factory, sim_config, options, process_weights,
+                             resume_path);
+  });
+  return series;
+}
+
+EpochSeries collect_series(const WorkloadFactory& factory,
+                           const sim::SimConfig& sim_config,
                            const CollectOptions& options) {
-  std::string resume = options.checkpoint.resume_from;
-  if (resume.empty() && options.checkpoint.resume_latest &&
-      !options.checkpoint.dir.empty()) {
-    resume = util::ckpt::latest_in(options.checkpoint.dir,
-                                   options.checkpoint.basename);
-  }
-  if (!resume.empty()) {
-    try {
-      return collect_series_impl(factory, sim_config, options, resume);
-    } catch (const util::ckpt::CkptError& err) {
-      TMPROF_LOG_WARN << "collect: checkpoint '" << resume
-                      << "' rejected in section '" << err.section()
-                      << "': " << err.what() << "; starting cold";
-    }
-  }
-  return collect_series_impl(factory, sim_config, options, "");
+  return collect_series(factory, sim_config, options, {});
 }
 
 }  // namespace tmprof::tiering

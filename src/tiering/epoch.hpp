@@ -8,13 +8,13 @@
 /// as the paper computes policy results "based on the profiling data".
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/daemon.hpp"
 #include "core/hotness.hpp"
 #include "monitors/event.hpp"
 #include "sim/system.hpp"
+#include "tiering/loop.hpp"
 #include "tiering/policy.hpp"
 #include "util/ckpt.hpp"
 #include "workloads/registry.hpp"
@@ -97,33 +97,9 @@ struct EpochSeries {
   core::DegradeStats degrade{};
 };
 
-struct CollectOptions {
-  std::uint32_t n_epochs = 12;
-  std::uint64_t ops_per_epoch = 1'000'000;
-  std::uint64_t seed = 42;
+struct CollectOptions : LoopOptions {
   core::DaemonConfig daemon;
-  /// 0 (default) = legacy serial engine, bit-exact historical behavior.
-  /// >= 1 = deterministic sharded engine; 1 runs the shards inline, > 1
-  /// uses a worker pool. All values >= 1 produce identical results.
-  std::uint32_t n_threads = 0;
-  /// Periodic checkpointing and resume (docs/RECOVERY.md). A rejected
-  /// resume file logs the bad section and falls back to a cold start.
-  util::ckpt::Options checkpoint{};
-  /// Called after each completed epoch (chaos harness kill hook).
-  std::function<void(std::uint32_t)> on_epoch;
-  /// Telemetry sink for the collection run (docs/OBSERVABILITY.md); null
-  /// (default) disables telemetry at zero hot-path cost. Not owned. Do not
-  /// share one sink across concurrently-collecting Systems.
-  telemetry::Telemetry* telemetry = nullptr;
-  /// Chrome-trace process label ("" = "collect").
-  std::string telemetry_label;
 };
-
-/// Produces the processes' workload generators for one run. Must be
-/// deterministic: the Oracle pre-pass and the measured run each invoke it
-/// and rely on getting identical streams.
-using WorkloadFactory =
-    std::function<std::vector<workloads::WorkloadPtr>(std::uint64_t seed)>;
 
 /// Factory for a Table III spec (make_workload per process).
 [[nodiscard]] WorkloadFactory spec_factory(const workloads::WorkloadSpec& spec);
@@ -132,6 +108,12 @@ using WorkloadFactory =
 [[nodiscard]] EpochSeries collect_series(const WorkloadFactory& factory,
                                          const sim::SimConfig& sim_config,
                                          const CollectOptions& options);
+/// Same, with the i-th process at scheduler weight `process_weights[i]`
+/// (missing entries 1.0): the runner's Oracle pre-pass shadows a weighted
+/// run on that run's own schedule.
+[[nodiscard]] EpochSeries collect_series(
+    const WorkloadFactory& factory, const sim::SimConfig& sim_config,
+    const CollectOptions& options, const std::vector<double>& process_weights);
 [[nodiscard]] EpochSeries collect_series(const workloads::WorkloadSpec& spec,
                                          const sim::SimConfig& sim_config,
                                          const CollectOptions& options);

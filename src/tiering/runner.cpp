@@ -1,17 +1,14 @@
 #include "tiering/runner.hpp"
 
 #include <algorithm>
-#include <filesystem>
 #include <memory>
-#include <unordered_map>
 
 #include "pmu/events.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tiering/epoch.hpp"
+#include "tiering/loop.hpp"
 #include "util/assert.hpp"
 #include "util/ckpt.hpp"
-#include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tmprof::tiering {
 
@@ -40,87 +37,40 @@ void sync_poison(sim::System& system, monitors::BadgerTrap& trap,
   }
 }
 
-}  // namespace
+/// MoveStats' fields in the order the "runner" section stores them.
+constexpr std::uint64_t MoveStats::*kMoveStatFields[] = {
+    &MoveStats::promoted,    &MoveStats::demoted, &MoveStats::retried,
+    &MoveStats::deferred,    &MoveStats::aborted, &MoveStats::no_room,
+    &MoveStats::rejected,    &MoveStats::cooled,  &MoveStats::shed,
+    &MoveStats::moved_bytes, &MoveStats::cost_ns, &MoveStats::backoff_ns};
 
-RunnerResult EndToEndRunner::run(const workloads::WorkloadSpec& spec,
-                                 const sim::SimConfig& sim_config,
-                                 const RunnerOptions& options) {
-  return run(spec_factory(spec), sim_config, options);
-}
-
-namespace {
-
-void save_move_stats(util::ckpt::Writer& w, const MoveStats& stats) {
-  w.put_u64(stats.promoted);
-  w.put_u64(stats.demoted);
-  w.put_u64(stats.retried);
-  w.put_u64(stats.deferred);
-  w.put_u64(stats.aborted);
-  w.put_u64(stats.no_room);
-  w.put_u64(stats.rejected);
-  w.put_u64(stats.cooled);
-  w.put_u64(stats.shed);
-  w.put_u64(stats.moved_bytes);
-  w.put_u64(stats.cost_ns);
-  w.put_u64(stats.backoff_ns);
-}
-
-void load_move_stats(util::ckpt::Reader& r, MoveStats& stats) {
-  stats.promoted = r.get_u64();
-  stats.demoted = r.get_u64();
-  stats.retried = r.get_u64();
-  stats.deferred = r.get_u64();
-  stats.aborted = r.get_u64();
-  stats.no_room = r.get_u64();
-  stats.rejected = r.get_u64();
-  stats.cooled = r.get_u64();
-  stats.shed = r.get_u64();
-  stats.moved_bytes = r.get_u64();
-  stats.cost_ns = r.get_u64();
-  stats.backoff_ns = r.get_u64();
-}
-
-RunnerResult run_impl(const WorkloadFactory& factory,
-                      const sim::SimConfig& sim_config,
-                      const RunnerOptions& options,
-                      const std::string& resume_path) {
-  if (options.checkpoint.enabled()) {
-    // Best-effort mkdir -p; a dir that still can't be written to surfaces
-    // as a CkptError("<io>") from the first save_atomic.
-    std::error_code ec;
-    std::filesystem::create_directories(options.checkpoint.dir, ec);
-  }
-  sim::SimConfig config = sim_config;
-  if (options.slow_model == SlowMemoryModel::BadgerTrapEmulation) {
+RunnerResult run_attempt(const WorkloadFactory& factory,
+                         const sim::SimConfig& sim_config,
+                         const RunnerOptions& options,
+                         const std::string& resume_path) {
+  const bool emulation =
+      options.slow_model == SlowMemoryModel::BadgerTrapEmulation;
+  sim::SimConfig emulated = sim_config;
+  if (emulation) {
     // All tiers are physically DRAM; slowness comes from injected faults.
-    config.tier2_read_ns = config.tier1_read_ns;
-    config.tier2_write_ns = config.tier1_write_ns;
-    if (!config.tiers.empty()) {
-      const mem::TierSpec fastest = config.tiers.front();
-      for (mem::TierSpec& spec : config.tiers) {
+    emulated.tier2_read_ns = emulated.tier1_read_ns;
+    emulated.tier2_write_ns = emulated.tier1_write_ns;
+    if (!emulated.tiers.empty()) {
+      const mem::TierSpec fastest = emulated.tiers.front();
+      for (mem::TierSpec& spec : emulated.tiers) {
         spec.read_latency_ns = fastest.read_latency_ns;
         spec.write_latency_ns = fastest.write_latency_ns;
         spec.line_transfer_ns = fastest.line_transfer_ns;
       }
     }
   }
-  if (options.n_threads >= 1) config.sharded_engine = true;
-  sim::System system(config);
-  {
-    std::size_t i = 0;
-    for (auto& generator : factory(options.seed)) {
-      const double weight = i < options.process_weights.size()
-                                ? options.process_weights[i]
-                                : 1.0;
-      system.add_process(std::move(generator), weight);
-      ++i;
-    }
-  }
+  EpochLoop loop(factory, emulated, options, options.process_weights,
+                 options.policy);
+  sim::System& system = loop.system();
+  const sim::SimConfig& config = loop.config();
 
   monitors::BadgerTrap trap(options.badgertrap);
-  if (options.slow_model == SlowMemoryModel::BadgerTrapEmulation) {
-    system.set_badgertrap(&trap);
-  }
+  if (emulation) system.set_badgertrap(&trap);
 
   core::DaemonConfig daemon_config = options.daemon;
   daemon_config.fusion = options.fusion;
@@ -150,26 +100,16 @@ RunnerResult run_impl(const WorkloadFactory& factory,
     daemon.set_pinned_pids(std::move(pinned));
   }
 
-  // Telemetry attaches before any resume load: handles resolve registry
-  // cells in place, and load_state later overwrites those same cells, so
-  // resolution order never affects restored values.
-  telemetry::Telemetry* const telemetry = options.telemetry;
-  telemetry::Counter epochs_counter;
   // Per-tier occupancy / fill gauges, named from the chain's tier names
   // sanitized to the registry charset ("tier1-dram" -> tier_tier1_dram_*).
   // Updated once per epoch from deterministic epoch-barrier state, so the
   // exported values are byte-identical across thread counts and resumes.
   std::vector<telemetry::Gauge> tier_occupied_gauges;
   std::vector<telemetry::Gauge> tier_fill_gauges;
-  if (telemetry != nullptr) {
-    telemetry->begin_run(options.telemetry_label.empty()
-                             ? options.policy
-                             : options.telemetry_label);
-    system.set_telemetry(telemetry);
+  if (telemetry::Telemetry* const telemetry = options.telemetry) {
     daemon.set_telemetry(telemetry);
     mover.set_telemetry(telemetry);
     arbiter.set_telemetry(telemetry);
-    epochs_counter = telemetry->metrics().counter("runner_epochs_total");
     for (const mem::TierSpec& spec : sim::tier_specs(config)) {
       std::string name = spec.name;
       for (char& c : name) {
@@ -185,116 +125,73 @@ RunnerResult run_impl(const WorkloadFactory& factory,
 
   const bool migrate = options.policy != "first-touch";
   const bool oracle = options.policy == "oracle";
-  const bool emulation =
-      options.slow_model == SlowMemoryModel::BadgerTrapEmulation;
   std::unique_ptr<Policy> policy;
   if (migrate && !oracle) policy = make_policy(options.policy);
 
   std::vector<std::vector<core::PageRank>> oracle_rankings;
-  std::uint32_t start_epoch = 0;
   RunnerResult result;
 
-  if (!resume_path.empty()) {
-    util::ckpt::Reader r = util::ckpt::Reader::from_file(resume_path);
-    r.enter_section("meta");
-    if (r.get_str() != "runner") {
-      throw util::ckpt::CkptError("meta", "checkpoint kind is not 'runner'");
-    }
-    if (r.get_u64() != options.seed) {
-      throw util::ckpt::CkptError("meta", "seed mismatch");
-    }
-    if (r.get_str() != options.policy) {
-      throw util::ckpt::CkptError("meta", "policy mismatch");
-    }
-    if (r.get_u8() != static_cast<std::uint8_t>(options.fusion)) {
-      throw util::ckpt::CkptError("meta", "fusion mode mismatch");
-    }
-    if (r.get_u32() != options.n_epochs) {
-      throw util::ckpt::CkptError("meta", "epoch count mismatch");
-    }
-    if (r.get_u64() != options.ops_per_epoch) {
-      throw util::ckpt::CkptError("meta", "ops-per-epoch mismatch");
-    }
-    if (r.get_u8() != static_cast<std::uint8_t>(options.slow_model)) {
-      throw util::ckpt::CkptError("meta", "slow-memory model mismatch");
-    }
-    if (r.get_bool() != config.sharded_engine) {
-      throw util::ckpt::CkptError("meta", "engine mode mismatch");
-    }
-    start_epoch = r.get_u32();
-    if (start_epoch == 0 || start_epoch >= options.n_epochs) {
-      throw util::ckpt::CkptError("meta", "resume epoch out of range");
-    }
-    r.end_section();
-    r.enter_section("system");
-    system.load_state(r);
-    r.end_section();
-    r.enter_section("daemon");
-    daemon.load_state(r);
-    r.end_section();
-    r.enter_section("devmon");
-    daemon.driver().load_devmon_state(r);
-    r.end_section();
-    r.enter_section("stream");
-    daemon.driver().load_stream_state(r);
-    r.end_section();
-    r.enter_section("mover");
-    mover.load_state(r);
-    r.end_section();
-    r.enter_section("admission");
-    if (r.get_bool() != mover.admission().enabled()) {
-      throw util::ckpt::CkptError("admission", "admission presence mismatch");
-    }
-    if (r.get_u8() !=
-        static_cast<std::uint8_t>(mover.admission().config().mode)) {
-      throw util::ckpt::CkptError("admission", "admission mode mismatch");
-    }
-    if (mover.admission().enabled()) mover.admission().load_state(r);
-    r.end_section();
-    r.enter_section("tenant");
-    if (r.get_bool() != arbiter.enabled()) {
-      throw util::ckpt::CkptError("tenant",
-                                  "tenant arbitration presence mismatch");
-    }
-    if (arbiter.enabled()) arbiter.load_state(r);
-    r.end_section();
-    r.enter_section("policy");
-    if (r.get_bool() != (policy != nullptr)) {
-      throw util::ckpt::CkptError("policy", "policy presence mismatch");
-    }
-    if (policy) policy->load_state(r);
-    r.end_section();
-    r.enter_section("trap");
-    if (r.get_bool() != emulation) {
-      throw util::ckpt::CkptError("trap", "emulation mode mismatch");
-    }
-    if (emulation) trap.load_state(r);
-    r.end_section();
-    r.enter_section("oracle");
-    if (r.get_bool() != oracle) {
-      throw util::ckpt::CkptError("oracle", "oracle mode mismatch");
-    }
-    if (oracle) {
-      const std::uint64_t n_rankings = r.get_u64();
-      oracle_rankings.reserve(n_rankings);
-      for (std::uint64_t i = 0; i < n_rankings; ++i) {
-        std::vector<core::PageRank> ranking;
-        core::load_ranking(r, ranking);
-        oracle_rankings.push_back(std::move(ranking));
-      }
-    }
-    r.end_section();
-    r.enter_section("runner");
-    result.migrations = r.get_u64();
-    load_move_stats(r, result.moves);
-    r.end_section();
-    r.enter_section("telemetry");
-    if (r.get_bool() != (telemetry != nullptr)) {
-      throw util::ckpt::CkptError("telemetry", "telemetry presence mismatch");
-    }
-    if (telemetry != nullptr) telemetry->load_state(r);
-    r.end_section();
-  }
+  using util::ckpt::Reader;
+  using util::ckpt::Writer;
+  AdmissionController& admission = mover.admission();
+  loop.add(util::ckpt::participant_of("daemon", daemon));
+  // DevMon and the stream transport write their presence bytes themselves.
+  loop.add({"devmon", {},
+            [&](Writer& w) { daemon.driver().save_devmon_state(w); },
+            [&](Reader& r) { daemon.driver().load_devmon_state(r); }});
+  loop.add({"stream", {},
+            [&](Writer& w) { daemon.driver().save_stream_state(w); },
+            [&](Reader& r) { daemon.driver().load_stream_state(r); }});
+  loop.add(util::ckpt::participant_of("mover", mover));
+  // The gate's mode byte follows its presence byte even when it is off.
+  loop.add({"admission", {},
+            [&](Writer& w) {
+              w.put_bool(admission.enabled());
+              w.put_u8(static_cast<std::uint8_t>(admission.config().mode));
+              if (admission.enabled()) admission.save_state(w);
+            },
+            [&](Reader& r) {
+              const bool enabled = r.get_bool();
+              if (enabled != admission.enabled() ||
+                  r.get_u8() !=
+                      static_cast<std::uint8_t>(admission.config().mode)) {
+                throw util::ckpt::CkptError(
+                    "admission", "admission presence or mode mismatch");
+              }
+              if (enabled) admission.load_state(r);
+            }});
+  loop.add(util::ckpt::participant_of("tenant", arbiter,
+                                      [&] { return arbiter.enabled(); }));
+  loop.add(util::ckpt::participant_of("policy", policy.get()));
+  loop.add(util::ckpt::participant_of("trap", trap,
+                                      [emulation] { return emulation; }));
+  loop.add({"oracle", [oracle] { return oracle; },
+            [&](Writer& w) {
+              w.put_u64(oracle_rankings.size());
+              for (const std::vector<core::PageRank>& ranking :
+                   oracle_rankings) {
+                core::save_ranking(w, ranking);
+              }
+            },
+            [&](Reader& r) {
+              oracle_rankings.resize(r.get_u64());
+              for (std::vector<core::PageRank>& ranking : oracle_rankings) {
+                core::load_ranking(r, ranking);
+              }
+            }});
+  loop.add({"runner", {},
+            [&](Writer& w) {
+              w.put_u64(result.migrations);
+              for (const auto field : kMoveStatFields) {
+                w.put_u64(result.moves.*field);
+              }
+            },
+            [&](Reader& r) {
+              result.migrations = r.get_u64();
+              for (const auto field : kMoveStatFields) {
+                result.moves.*field = r.get_u64();
+              }
+            }});
 
   // Oracle pre-pass: record each epoch's true hottest pages on an identical
   // shadow run (workload streams are deterministic, so the shadow sees the
@@ -308,7 +205,8 @@ RunnerResult run_impl(const WorkloadFactory& factory,
     collect.daemon = options.daemon;
     collect.daemon.fault = options.fault;
     collect.n_threads = options.n_threads;
-    const EpochSeries series = collect_series(factory, config, collect);
+    const EpochSeries series =
+        collect_series(factory, config, collect, options.process_weights);
     for (const EpochData& data : series.epochs) {
       std::vector<core::PageRank> ranking;
       ranking.reserve(data.truth.size());
@@ -323,11 +221,6 @@ RunnerResult run_impl(const WorkloadFactory& factory,
     }
   }
 
-  std::unique_ptr<util::ThreadPool> pool;
-  if (options.n_threads > 1) {
-    pool = std::make_unique<util::ThreadPool>(options.n_threads);
-  }
-
   // Epoch-loop scratch, hoisted so steady-state iterations recycle the
   // snapshot's observation maps / ranking vector and the policy-side
   // buffers instead of reallocating them every epoch.
@@ -337,13 +230,17 @@ RunnerResult run_impl(const WorkloadFactory& factory,
   PlacementSet current;
   PlacementSet hot;
 
-  for (std::uint32_t e = start_epoch; e < options.n_epochs; ++e) {
-    const util::SimNs epoch_begin = system.now();
-    if (config.sharded_engine) {
-      system.step_parallel(options.ops_per_epoch, pool.get());
-    } else {
-      system.step(options.ops_per_epoch);
-    }
+  const auto identity = [&options, &config](Writer& w) {
+    w.put_str("runner");
+    w.put_u64(options.seed);
+    w.put_str(options.policy);
+    w.put_u8(static_cast<std::uint8_t>(options.fusion));
+    w.put_u32(options.n_epochs);
+    w.put_u64(options.ops_per_epoch);
+    w.put_u8(static_cast<std::uint8_t>(options.slow_model));
+    w.put_bool(config.sharded_engine);
+  };
+  loop.run(resume_path, identity, [&](std::uint32_t e) {
     daemon.tick_into(snapshot);
     if (migrate && oracle) {
       // Oracle places for the *coming* epoch using its truth.
@@ -393,7 +290,7 @@ RunnerResult run_impl(const WorkloadFactory& factory,
       result.migrations += moved.promoted + moved.demoted;
       result.moves.merge(moved);
     }
-    if (options.slow_model == SlowMemoryModel::BadgerTrapEmulation) {
+    if (emulation) {
       // The emulation framework refreshes protection each period. Hot =
       // profiler-ranked pages stuck in slow memory.
       hot.clear();
@@ -401,7 +298,7 @@ RunnerResult run_impl(const WorkloadFactory& factory,
       sync_poison(system, trap, hot);
     }
     if (arbiter.enabled()) {
-      // Feed per-tenant hitrates back before the checkpoint below, so the
+      // Feed per-tenant hitrates back before the loop's checkpoint, so the
       // arbiter's saved image — and its exported telemetry — includes this
       // epoch on a resume.
       for (std::uint32_t t = 0; t < arbiter.size(); ++t) {
@@ -420,87 +317,7 @@ RunnerResult run_impl(const WorkloadFactory& factory,
       }
       tier_fill_gauges[t].set(fills);
     }
-    // Record the epoch's telemetry before any checkpoint below, so the
-    // saved span ring and counters include this epoch — a resumed run
-    // replays the remaining epochs and exports identical artifacts.
-    epochs_counter.inc();
-    if (telemetry != nullptr) {
-      telemetry->span("runner.epoch", epoch_begin, system.now(),
-                      telemetry::kTidRunner);
-      telemetry->maybe_export(e + 1);
-    }
-    if (options.checkpoint.enabled() &&
-        (e + 1) % options.checkpoint.every == 0) {
-      util::ckpt::Writer w;
-      w.begin_section("meta");
-      w.put_str("runner");
-      w.put_u64(options.seed);
-      w.put_str(options.policy);
-      w.put_u8(static_cast<std::uint8_t>(options.fusion));
-      w.put_u32(options.n_epochs);
-      w.put_u64(options.ops_per_epoch);
-      w.put_u8(static_cast<std::uint8_t>(options.slow_model));
-      w.put_bool(config.sharded_engine);
-      w.put_u32(e + 1);
-      w.end_section();
-      w.begin_section("system");
-      system.save_state(w);
-      w.end_section();
-      w.begin_section("daemon");
-      daemon.save_state(w);
-      w.end_section();
-      w.begin_section("devmon");
-      daemon.driver().save_devmon_state(w);
-      w.end_section();
-      w.begin_section("stream");
-      daemon.driver().save_stream_state(w);
-      w.end_section();
-      w.begin_section("mover");
-      mover.save_state(w);
-      w.end_section();
-      w.begin_section("admission");
-      w.put_bool(mover.admission().enabled());
-      w.put_u8(static_cast<std::uint8_t>(mover.admission().config().mode));
-      if (mover.admission().enabled()) mover.admission().save_state(w);
-      w.end_section();
-      w.begin_section("tenant");
-      w.put_bool(arbiter.enabled());
-      if (arbiter.enabled()) arbiter.save_state(w);
-      w.end_section();
-      w.begin_section("policy");
-      w.put_bool(policy != nullptr);
-      if (policy) policy->save_state(w);
-      w.end_section();
-      w.begin_section("trap");
-      w.put_bool(emulation);
-      if (emulation) trap.save_state(w);
-      w.end_section();
-      w.begin_section("oracle");
-      w.put_bool(oracle);
-      if (oracle) {
-        w.put_u64(oracle_rankings.size());
-        for (const std::vector<core::PageRank>& ranking : oracle_rankings) {
-          core::save_ranking(w, ranking);
-        }
-      }
-      w.end_section();
-      w.begin_section("runner");
-      w.put_u64(result.migrations);
-      save_move_stats(w, result.moves);
-      w.end_section();
-      w.begin_section("telemetry");
-      w.put_bool(telemetry != nullptr);
-      if (telemetry != nullptr) telemetry->save_state(w);
-      w.end_section();
-      util::ckpt::Writer::save_atomic(
-          util::ckpt::checkpoint_path(options.checkpoint.dir,
-                                      options.checkpoint.basename, e + 1),
-          w.finish());
-      util::ckpt::prune(options.checkpoint.dir, options.checkpoint.basename,
-                        options.checkpoint.keep_last);
-    }
-    if (options.on_epoch) options.on_epoch(e);
-  }
+  });
 
   const std::uint64_t t1 = system.pmu().truth_total(pmu::Event::MemReadTier1);
   const std::uint64_t t2 = system.pmu().truth_total(pmu::Event::MemReadTier2);
@@ -512,7 +329,7 @@ RunnerResult run_impl(const WorkloadFactory& factory,
   result.degrade = daemon.degrade_stats();
   // The admission gate lives in the mover, not the daemon; fold its
   // throttle tally into the degradation report here.
-  result.degrade.throttled_epochs = mover.admission().throttled_epochs();
+  result.degrade.throttled_epochs = admission.throttled_epochs();
   result.process_hitrates.reserve(system.processes().size());
   for (const sim::Process* p : system.processes()) {
     result.process_hitrates.push_back(p->tier0_hitrate());
@@ -531,25 +348,20 @@ RunnerResult run_impl(const WorkloadFactory& factory,
 
 }  // namespace
 
+RunnerResult EndToEndRunner::run(const workloads::WorkloadSpec& spec,
+                                 const sim::SimConfig& sim_config,
+                                 const RunnerOptions& options) {
+  return run(spec_factory(spec), sim_config, options);
+}
+
 RunnerResult EndToEndRunner::run(const WorkloadFactory& factory,
                                  const sim::SimConfig& sim_config,
                                  const RunnerOptions& options) {
-  std::string resume = options.checkpoint.resume_from;
-  if (resume.empty() && options.checkpoint.resume_latest &&
-      !options.checkpoint.dir.empty()) {
-    resume = util::ckpt::latest_in(options.checkpoint.dir,
-                                   options.checkpoint.basename);
-  }
-  if (!resume.empty()) {
-    try {
-      return run_impl(factory, sim_config, options, resume);
-    } catch (const util::ckpt::CkptError& err) {
-      TMPROF_LOG_WARN << "runner: checkpoint '" << resume
-                      << "' rejected in section '" << err.section()
-                      << "': " << err.what() << "; starting cold";
-    }
-  }
-  return run_impl(factory, sim_config, options, "");
+  RunnerResult result;
+  run_resumable(options, "runner", [&](const std::string& resume_path) {
+    result = run_attempt(factory, sim_config, options, resume_path);
+  });
+  return result;
 }
 
 }  // namespace tmprof::tiering

@@ -14,7 +14,6 @@
 ///                 This reproduces the paper's emulation framework exactly.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -31,36 +30,17 @@ namespace tmprof::tiering {
 
 enum class SlowMemoryModel : std::uint8_t { Native, BadgerTrapEmulation };
 
-struct RunnerOptions {
+struct RunnerOptions : LoopOptions {
   std::string policy = "history";       ///< "first-touch" disables migration
   core::FusionMode fusion = core::FusionMode::Sum;
-  std::uint32_t n_epochs = 12;
-  std::uint64_t ops_per_epoch = 1'000'000;
-  std::uint64_t seed = 42;
   SlowMemoryModel slow_model = SlowMemoryModel::Native;
   MoverConfig mover;                      ///< migration cost + thresholds
   monitors::BadgerTrapConfig badgertrap;  ///< used in emulation mode
   core::DaemonConfig daemon;
-  /// 0 (default) = legacy serial engine, bit-exact historical behavior.
-  /// >= 1 = deterministic sharded engine; 1 runs the shards inline, > 1
-  /// uses a worker pool. All values >= 1 produce identical RunnerResults.
-  std::uint32_t n_threads = 0;
   /// Deterministic fault injection, shared by the mover and the daemon
   /// (docs/ROBUSTNESS.md). Disabled by default; see --fault-rate,
   /// --fault-seed and --fault-sites on the benches.
   util::FaultConfig fault{};
-  /// Periodic checkpointing and resume (docs/RECOVERY.md). A rejected
-  /// resume file logs the bad section and falls back to a cold start.
-  util::ckpt::Options checkpoint{};
-  /// Called after each completed epoch (chaos harness kill hook).
-  std::function<void(std::uint32_t)> on_epoch;
-  /// Telemetry sink wired through every layer (system, daemon, mover) for
-  /// the duration of the run; null (default) disables telemetry at zero
-  /// hot-path cost (docs/OBSERVABILITY.md). Not owned. Telemetry state
-  /// rides in the checkpoint, so a resumed run exports identical files.
-  telemetry::Telemetry* telemetry = nullptr;
-  /// Chrome-trace process label for this run ("" = use the policy name).
-  std::string telemetry_label;
   /// Fleet consolidation (docs/CONSOLIDATION.md): tenants[i] owns the i-th
   /// process the factory yields. Empty (default) disables arbitration and
   /// keeps every layer bitwise identical to its pre-fleet behavior. The

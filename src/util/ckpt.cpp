@@ -42,7 +42,6 @@ constexpr std::uint32_t load_le32(const std::uint8_t* p) noexcept {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-constexpr std::size_t kHeaderSize = sizeof(kMagic) + sizeof(std::uint32_t);
 constexpr const char* kHeaderSection = "<header>";
 constexpr const char* kIoSection = "<io>";
 
@@ -293,6 +292,45 @@ const Reader::Section* Reader::find(std::string_view name) const {
     if (s.name == name) return &s;
   }
   return nullptr;
+}
+
+// ---------------------------------------------------------------------------
+// Manifest
+
+void Manifest::add(Participant participant) {
+  TMPROF_EXPECTS(!participant.name.empty() && participant.save &&
+                 participant.load);
+  participants_.push_back(std::move(participant));
+}
+
+void Manifest::save(Writer& w) const {
+  for (const Participant& p : participants_) {
+    w.begin_section(p.name);
+    const bool present = !p.present || p.present();
+    if (p.present) w.put_bool(present);
+    if (present) p.save(w);
+    w.end_section();
+  }
+}
+
+void Manifest::load(Reader& r) const {
+  const std::vector<std::string> names = r.section_names();
+  for (std::size_t i = 0; i < participants_.size(); ++i) {
+    const Participant& p = participants_[i];
+    if (i >= names.size() || names[i] != p.name) {
+      throw CkptError(p.name, "section missing or out of order");
+    }
+    r.enter_section(p.name);
+    const bool present = !p.present || p.present();
+    if (p.present && r.get_bool() != present) {
+      throw CkptError(p.name, "presence mismatch");
+    }
+    if (present) p.load(r);
+    r.end_section();
+  }
+  if (names.size() > participants_.size()) {
+    throw CkptError(names[participants_.size()], "unexpected section");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -19,15 +19,20 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace tmprof::util::ckpt {
 
 inline constexpr char kMagic[8] = {'T', 'M', 'P', 'R', 'O', 'F', 'C', 'K'};
 inline constexpr std::uint32_t kFormatVersion = 1;
+/// Bytes before the first section frame: magic, then the format version.
+inline constexpr std::size_t kHeaderSize =
+    sizeof(kMagic) + sizeof(kFormatVersion);
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), computed slicing-by-8: eight
 /// bytes per step through eight 256-entry tables, then a byte-at-a-time
@@ -161,6 +166,53 @@ class Reader {
   std::size_t cursor_ = 0;
   std::size_t section_end_ = 0;
   std::string current_;  ///< name of the section being read
+};
+
+/// One stateful component's section in a Manifest.
+struct Participant {
+  std::string name;
+  /// Presence byte. When set, the section opens with put_bool(present())
+  /// and `save` / `load` run only when it is true; loading a checkpoint
+  /// whose byte differs from this run's throws. Unset: the section has no
+  /// presence byte and always holds `save`'s output.
+  std::function<bool()> present;
+  std::function<void(Writer&)> save;
+  std::function<void(Reader&)> load;
+};
+
+/// The participant for a component with save_state / load_state members.
+template <class Component>
+[[nodiscard]] Participant participant_of(std::string name,
+                                         Component& component,
+                                         std::function<bool()> present = {}) {
+  return {std::move(name), std::move(present),
+          [&component](Writer& w) { component.save_state(w); },
+          [&component](Reader& r) { component.load_state(r); }};
+}
+
+/// The participant for an optional component: present iff `component` is
+/// non-null.
+template <class Component>
+[[nodiscard]] Participant participant_of(std::string name,
+                                         Component* component) {
+  return {std::move(name), [component] { return component != nullptr; },
+          [component](Writer& w) { component->save_state(w); },
+          [component](Reader& r) { component->load_state(r); }};
+}
+
+/// The ordered sections of one checkpoint kind. Each component registers
+/// once; save() writes the sections in registration order, and load()
+/// requires exactly that order, checks each presence byte and that each
+/// section is read to its end. Every failure is a CkptError naming the
+/// section at fault.
+class Manifest {
+ public:
+  void add(Participant participant);
+  void save(Writer& w) const;
+  void load(Reader& r) const;
+
+ private:
+  std::vector<Participant> participants_;
 };
 
 /// Checkpoint scheduling/retention knobs shared by runner and benches.

@@ -6,12 +6,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "core/ranking.hpp"
 #include "monitors/devmon.hpp"
+#include "telemetry/telemetry.hpp"
 #include "tiering/admission.hpp"
 #include "tiering/epoch.hpp"
 #include "tiering/runner.hpp"
@@ -605,6 +608,122 @@ TEST(CkptCrc, SeedChainsAcrossSplits) {
     ASSERT_EQ(crc32(bytes.data() + split, bytes.size() - split, head), whole)
         << "split " << split;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Manifest: the one section walk every driver checkpoints through.
+
+/// A participant whose state is `words` u64s, the first held in `value`;
+/// with `on` set it carries a presence byte read from `*on`.
+Participant u64_participant(const std::string& name, std::uint64_t& value,
+                            int words = 1, const bool* on = nullptr) {
+  Participant p{name, {}, nullptr, nullptr};
+  if (on != nullptr) p.present = [on] { return *on; };
+  p.save = [&value, words](Writer& w) {
+    for (int i = 0; i < words; ++i) w.put_u64(value);
+  };
+  p.load = [&value, words](Reader& r) {
+    for (int i = 0; i < words; ++i) value = r.get_u64();
+  };
+  return p;
+}
+
+/// The section named by the CkptError `load` throws, or "" if none.
+std::string rejected_section(const Manifest& m,
+                             const std::vector<std::uint8_t>& image) {
+  try {
+    Reader r(image);
+    m.load(r);
+  } catch (const CkptError& e) {
+    return e.section();
+  }
+  return "";
+}
+
+TEST(CkptManifest, RoundTripsInRegistrationOrder) {
+  std::uint64_t a = 7, b = 9, c = 11;
+  bool c_on = false;
+  Manifest out;
+  out.add(u64_participant("alpha", a));
+  out.add(u64_participant("beta", b));
+  out.add(u64_participant("gamma", c, 1, &c_on));
+  Writer w;
+  out.save(w);
+  const std::vector<std::uint8_t> image = w.finish();
+  Reader names(image);
+  EXPECT_EQ(names.section_names(),
+            (std::vector<std::string>{"alpha", "beta", "gamma"}));
+
+  std::uint64_t a2 = 0, b2 = 0, c2 = 5;
+  Manifest in;
+  in.add(u64_participant("alpha", a2));
+  in.add(u64_participant("beta", b2));
+  in.add(u64_participant("gamma", c2, 1, &c_on));
+  Reader r(image);
+  in.load(r);
+  EXPECT_EQ(a2, 7U);
+  EXPECT_EQ(b2, 9U);
+  EXPECT_EQ(c2, 5U);  // absent: only its presence byte was written
+}
+
+TEST(CkptManifest, OrderIsEnforced) {
+  std::uint64_t a = 1, b = 2;
+  Manifest out;
+  out.add(u64_participant("alpha", a));
+  out.add(u64_participant("beta", b));
+  Writer w;
+  out.save(w);
+  Manifest swapped;
+  swapped.add(u64_participant("beta", b));
+  swapped.add(u64_participant("alpha", a));
+  EXPECT_EQ(rejected_section(swapped, w.finish()), "beta");
+}
+
+TEST(CkptManifest, PresenceMismatchNamesParticipant) {
+  // "beta" has no state of its own, so only the presence byte can tell a
+  // run that has it from one that does not.
+  std::uint64_t a = 1, b = 2;
+  for (const bool saved : {true, false}) {
+    bool on = saved;
+    Manifest m;
+    m.add(u64_participant("alpha", a));
+    m.add(u64_participant("beta", b, 0, &on));
+    Writer w;
+    m.save(w);
+    const std::vector<std::uint8_t> image = w.finish();
+    on = !saved;
+    EXPECT_EQ(rejected_section(m, image), "beta") << "saved " << saved;
+    on = saved;
+    EXPECT_EQ(rejected_section(m, image), "") << "saved " << saved;
+  }
+}
+
+TEST(CkptManifest, MissingAndUnexpectedSectionsAreNamed) {
+  std::uint64_t a = 1, b = 2;
+  Manifest one;
+  one.add(u64_participant("alpha", a));
+  Manifest two;
+  two.add(u64_participant("alpha", a));
+  two.add(u64_participant("beta", b));
+  Writer w1;
+  one.save(w1);
+  EXPECT_EQ(rejected_section(two, w1.finish()), "beta");
+  Writer w2;
+  two.save(w2);
+  EXPECT_EQ(rejected_section(one, w2.finish()), "beta");
+}
+
+TEST(CkptManifest, UnreadTrailingBytesAreNamed) {
+  std::uint64_t a = 1, b = 2;
+  Manifest out;
+  out.add(u64_participant("alpha", a));
+  out.add(u64_participant("beta", b, 2));
+  Writer w;
+  out.save(w);
+  Manifest in;
+  in.add(u64_participant("alpha", a));
+  in.add(u64_participant("beta", b));
+  EXPECT_EQ(rejected_section(in, w.finish()), "beta");
 }
 
 // ---------------------------------------------------------------------------
@@ -1367,6 +1486,248 @@ TEST(CkptResume, DevmonPresenceMismatchFallsBackToColdStart) {
   on_resume.checkpoint.resume_from = off_latest;
   expect_bitwise_equal(EndToEndRunner::run(spec, cfg, on_resume),
                        on_reference);
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint layout: the section lists of each driver and the bytes of
+// every section are part of the format. Resumes only prove that a build
+// reads what it writes; these tests pin what it writes.
+
+/// One section frame of a checkpoint file.
+struct Frame {
+  std::string name;
+  std::uint64_t size = 0;  ///< payload bytes
+  std::uint32_t crc = 0;   ///< stored CRC-32 of the payload
+  bool operator==(const Frame&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Frame& f) {
+  return os << "{\"" << f.name << "\", " << f.size << ", 0x" << std::hex
+            << f.crc << std::dec << "}";
+}
+
+std::vector<Frame> frames_of(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> image(std::istreambuf_iterator<char>(in),
+                                        {});
+  (void)Reader(image);  // validates framing and every CRC
+  const auto le = [&image](std::size_t at, std::size_t bytes) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < bytes; ++i) {
+      v |= static_cast<std::uint64_t>(image[at + i]) << (8 * i);
+    }
+    return v;
+  };
+  std::vector<Frame> frames;
+  std::size_t pos = util::ckpt::kHeaderSize;
+  while (pos < image.size()) {
+    Frame f;
+    const std::size_t name_len = le(pos, 4);
+    f.name.assign(reinterpret_cast<const char*>(image.data() + pos + 4),
+                  name_len);
+    pos += 4 + name_len;
+    f.size = le(pos, 8);
+    pos += 8 + f.size;
+    f.crc = static_cast<std::uint32_t>(le(pos, 4));
+    pos += 4;
+    frames.push_back(f);
+  }
+  return frames;
+}
+
+std::vector<std::string> names_of(const std::vector<Frame>& frames) {
+  std::vector<std::string> names;
+  for (const Frame& f : frames) names.push_back(f.name);
+  return names;
+}
+
+/// Runs a driver with one checkpoint, after its last epoch; returns the
+/// checkpoint's frames.
+template <class Options, class Run>
+std::vector<Frame> final_frames(const std::string& tag, Options opt, Run run) {
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / ("tmprof-layout-" + tag);
+  fs::remove_all(dir);
+  opt.checkpoint.every = opt.n_epochs;
+  opt.checkpoint.dir = dir.string();
+  (void)run(opt);
+  return frames_of(
+      util::ckpt::checkpoint_path(dir.string(), "ckpt", opt.n_epochs));
+}
+
+std::vector<Frame> default_runner_frames() {
+  RunnerOptions opt = tiny_runner("history");
+  opt.n_epochs = 3;
+  opt.ops_per_epoch = 20000;
+  return final_frames("runner-default", opt, [](const RunnerOptions& o) {
+    return EndToEndRunner::run(workloads::find_spec("gups", 0.05),
+                               tiny_config(), o);
+  });
+}
+
+/// Every layer on: sharded engine on a pool, stream, DevMon on a 3-tier
+/// chain, adaptive admission, a weighted tenant fleet and telemetry.
+std::vector<Frame> everything_runner_frames() {
+  telemetry::Telemetry tel{telemetry::TelemetryConfig{}};
+  RunnerOptions opt = devmon_runner("history");
+  opt.n_epochs = 3;
+  opt.ops_per_epoch = 20000;
+  opt.n_threads = 2;
+  opt.daemon.driver.stream.enabled = true;
+  opt.mover.admission.mode = AdmissionMode::Adaptive;
+  opt.tenants = small_fleet(2);
+  opt.process_weights = {2.0, 1.0, 1.0};
+  opt.mover.min_rank = 1;
+  opt.telemetry = &tel;
+  return final_frames("runner-everything", opt, [](const RunnerOptions& o) {
+    return EndToEndRunner::run(fleet_factory(), devmon_chain_config(), o);
+  });
+}
+
+/// The sections the everything run leaves absent: oracle rankings and the
+/// BadgerTrap emulation state, with a serial, non-streaming telemetry.
+std::vector<Frame> oracle_trap_runner_frames() {
+  telemetry::Telemetry tel{telemetry::TelemetryConfig{}};
+  RunnerOptions opt = tiny_runner("oracle");
+  opt.n_epochs = 3;
+  opt.ops_per_epoch = 20000;
+  opt.slow_model = SlowMemoryModel::BadgerTrapEmulation;
+  opt.telemetry = &tel;
+  return final_frames("runner-oracle-trap", opt, [](const RunnerOptions& o) {
+    return EndToEndRunner::run(workloads::find_spec("gups", 0.05),
+                               tiny_config(), o);
+  });
+}
+
+CollectOptions tiny_collect() {
+  CollectOptions opt;
+  opt.n_epochs = 3;
+  opt.ops_per_epoch = 20000;
+  opt.daemon.driver.ibs = monitors::IbsConfig::with_period(256);
+  return opt;
+}
+
+std::vector<Frame> default_collect_frames() {
+  return final_frames("collect-default", tiny_collect(),
+                      [](const CollectOptions& o) {
+                        return collect_series(
+                            workloads::find_spec("gups", 0.05), tiny_config(),
+                            o);
+                      });
+}
+
+/// Collect on a pool with DevMon on a 3-tier chain and telemetry;
+/// `stream` adds the streaming transport.
+std::vector<Frame> layered_collect_frames(bool stream) {
+  telemetry::Telemetry tel{telemetry::TelemetryConfig{}};
+  CollectOptions opt = tiny_collect();
+  opt.n_threads = 2;
+  opt.daemon.driver.stream.enabled = stream;
+  opt.daemon.driver.devmon.enabled = true;
+  opt.telemetry = &tel;
+  return final_frames(stream ? "collect-stream" : "collect-layered", opt,
+                      [](const CollectOptions& o) {
+                        return collect_series(
+                            workloads::find_spec("gups", 0.05),
+                            devmon_chain_config(), o);
+                      });
+}
+
+/// The backticked names of the "What is checkpointed" bullet for `driver`
+/// in docs/RECOVERY.md, in order.
+std::vector<std::string> documented_sections(const std::string& driver) {
+  std::ifstream in(std::string(TMPROF_SOURCE_DIR) + "/docs/RECOVERY.md");
+  EXPECT_TRUE(in) << "docs/RECOVERY.md not found";
+  std::string bullet;
+  for (std::string line; std::getline(in, line);) {
+    if (bullet.empty()) {
+      if (line.rfind("* `" + driver + "`", 0) == 0) bullet = line;
+    } else if (line.empty() || line[0] == '*') {
+      break;
+    } else {
+      bullet += " " + line;
+    }
+  }
+  const std::size_t list = bullet.find("sections");
+  EXPECT_NE(list, std::string::npos) << "no section list for " << driver;
+  std::vector<std::string> names;
+  for (std::size_t open = bullet.find('`', list); open != std::string::npos;
+       open = bullet.find('`', open)) {
+    const std::size_t close = bullet.find('`', open + 1);
+    names.push_back(bullet.substr(open + 1, close - open - 1));
+    open = close + 1;
+  }
+  return names;
+}
+
+TEST(CkptLayout, SectionListsMatchRecoveryDoc) {
+  const std::vector<std::string> runner =
+      documented_sections("tiering::EndToEndRunner::run");
+  const std::vector<std::string> collect =
+      documented_sections("tiering::collect_series");
+  ASSERT_EQ(runner.size(), 13U);
+  ASSERT_EQ(collect.size(), 6U);
+  EXPECT_EQ(names_of(default_runner_frames()), runner);
+  EXPECT_EQ(names_of(everything_runner_frames()), runner);
+  EXPECT_EQ(names_of(default_collect_frames()), collect);
+  EXPECT_EQ(names_of(layered_collect_frames(true)), collect);
+}
+
+/// Expects `got` to equal `want` frame for frame; `skip_payload` names a
+/// section whose payload is host-dependent, so only its name is compared.
+void expect_frames(const std::vector<Frame>& got,
+                   const std::vector<Frame>& want,
+                   const std::string& skip_payload = "") {
+  ASSERT_EQ(got.size(), want.size()) << ::testing::PrintToString(got);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (want[i].name == skip_payload) {
+      EXPECT_EQ(got[i].name, want[i].name);
+    } else {
+      EXPECT_EQ(got[i], want[i]) << "section " << i;
+    }
+  }
+}
+
+TEST(CkptLayout, SectionBytesAreGolden) {
+  // Recorded from the hand-written section lists the manifest replaced;
+  // any change to a section's payload bytes is a format change. The
+  // streaming run's telemetry carries the host-clock stream_seal_ns gauge.
+  expect_frames(everything_runner_frames(),
+                {{"meta", 48, 0x41982e3d},
+                 {"system", 620793, 0xdaf46c6d},
+                 {"daemon", 35923, 0x327b6822},
+                 {"devmon", 6758, 0xb16161e0},
+                 {"stream", 2569, 0x4d08765c},
+                 {"mover", 181, 0x9ebf56c1},
+                 {"admission", 27784, 0x20624187},
+                 {"tenant", 322, 0xf9c9e563},
+                 {"policy", 1, 0xa505df1b},
+                 {"trap", 1, 0xd202ef8d},
+                 {"oracle", 1, 0xd202ef8d},
+                 {"runner", 104, 0x5f89cdba},
+                 {"telemetry", 3814, 0x0}},
+                "telemetry");
+  expect_frames(oracle_trap_runner_frames(),
+                {{"meta", 47, 0xe91cf81e},
+                 {"system", 752749, 0x7869a688},
+                 {"daemon", 6387, 0x0aa13dff},
+                 {"devmon", 1, 0xd202ef8d},
+                 {"stream", 1, 0xd202ef8d},
+                 {"mover", 96, 0x7c9b6c29},
+                 {"admission", 2, 0x41d912ff},
+                 {"tenant", 1, 0xd202ef8d},
+                 {"policy", 1, 0xd202ef8d},
+                 {"trap", 311, 0x669bb7e4},
+                 {"oracle", 1473, 0xc8051967},
+                 {"runner", 104, 0x5c874080},
+                 {"telemetry", 2501, 0xa7a045e1}});
+  expect_frames(layered_collect_frames(false),
+                {{"meta", 36, 0xae48b0dc},
+                 {"system", 753377, 0x96b53e08},
+                 {"daemon", 5887, 0xda57b629},
+                 {"truth", 514, 0x7d9111e2},
+                 {"series", 2520, 0x81549fe2},
+                 {"telemetry", 2302, 0x0741cbc1}});
 }
 
 }  // namespace

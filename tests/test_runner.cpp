@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+
+#include "core/ranking.hpp"
+#include "util/ckpt.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace tmprof::tiering {
@@ -70,6 +75,101 @@ TEST(Runner, OraclePrePassWorks) {
   const RunnerResult baseline =
       EndToEndRunner::run(spec, small_config(), fast_options("first-touch"));
   EXPECT_GE(oracle.tier1_hitrate, baseline.tier1_hitrate);
+}
+
+/// Two Zipf services of different sizes, so the scheduler's share of each
+/// shows up in the per-page truth.
+WorkloadFactory two_services() {
+  return [](std::uint64_t seed) {
+    std::vector<workloads::WorkloadPtr> procs;
+    procs.push_back(std::make_unique<workloads::ZipfWorkload>(
+        4 << 20, 4096, 0.9, 0.05, seed));
+    procs.push_back(std::make_unique<workloads::ZipfWorkload>(
+        2 << 20, 4096, 0.9, 0.05, seed + 1));
+    return procs;
+  };
+}
+
+/// The oracle rankings an oracle run's last checkpoint carries.
+std::vector<std::vector<core::PageRank>> checkpointed_oracle(
+    RunnerOptions opt, const std::string& tag) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / ("tmprof-oracle-" + tag);
+  std::filesystem::remove_all(dir);
+  opt.checkpoint.every = opt.n_epochs;
+  opt.checkpoint.dir = dir.string();
+  (void)EndToEndRunner::run(two_services(), small_config(), opt);
+  util::ckpt::Reader r = util::ckpt::Reader::from_file(
+      util::ckpt::checkpoint_path(dir.string(), "ckpt", opt.n_epochs));
+  r.enter_section("oracle");
+  EXPECT_TRUE(r.get_bool());
+  std::vector<std::vector<core::PageRank>> rankings(r.get_u64());
+  for (std::vector<core::PageRank>& ranking : rankings) {
+    core::load_ranking(r, ranking);
+  }
+  r.end_section();
+  return rankings;
+}
+
+TEST(Runner, OraclePrePassUsesProcessWeights) {
+  // The oracle places by the truth of a shadow run; that run must schedule
+  // the processes exactly as the measured run does.
+  RunnerOptions opt = fast_options("oracle");
+  opt.n_epochs = 3;
+  opt.ops_per_epoch = 20000;
+  opt.process_weights = {4.0, 1.0};
+  const auto weighted = checkpointed_oracle(opt, "weighted");
+  opt.process_weights = {1.0, 1.0};
+  const auto uniform = checkpointed_oracle(opt, "uniform");
+
+  // Reference: the truth of a System built with the weights and wired the
+  // way collect_series wires it.
+  sim::System system(small_config());
+  const std::vector<double> weights{4.0, 1.0};
+  std::size_t i = 0;
+  for (workloads::WorkloadPtr& generator : two_services()(opt.seed)) {
+    system.add_process(std::move(generator), weights[i++]);
+  }
+  TruthCollector truth(system, opt.daemon.driver.hotness);
+  system.add_observer(&truth);
+  core::DaemonConfig daemon_config = opt.daemon;
+  daemon_config.fault = opt.fault;
+  core::TmpDaemon daemon(system, daemon_config);
+  core::ProfileSnapshot snapshot;
+  std::vector<std::vector<core::PageRank>> expected;
+  for (std::uint32_t e = 0; e < opt.n_epochs; ++e) {
+    system.step(opt.ops_per_epoch);
+    daemon.tick_into(snapshot);
+    core::TruthMap counts;
+    std::vector<PageKey> new_pages;
+    (void)truth.end_epoch(counts, new_pages);
+    std::vector<core::PageRank> ranking;
+    for (const auto& [key, count] : counts) {
+      core::PageRank pr;
+      pr.key = key;
+      pr.rank = count;
+      ranking.push_back(pr);
+    }
+    std::sort(ranking.begin(), ranking.end(), core::RankOrder{});
+    expected.push_back(std::move(ranking));
+  }
+
+  const auto same = [](const std::vector<std::vector<core::PageRank>>& a,
+                       const std::vector<std::vector<core::PageRank>>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t e = 0; e < a.size(); ++e) {
+      if (a[e].size() != b[e].size()) return false;
+      for (std::size_t j = 0; j < a[e].size(); ++j) {
+        if (a[e][j].key != b[e][j].key || a[e][j].rank != b[e][j].rank) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  ASSERT_EQ(weighted.size(), opt.n_epochs);
+  EXPECT_FALSE(same(weighted, uniform));
+  EXPECT_TRUE(same(weighted, expected));
 }
 
 TEST(Runner, BadgerTrapEmulationInjectsFaults) {
