@@ -50,6 +50,13 @@
 /// as a `ckpt_crc` array; the ledger stage they stand in for is
 /// `util.ckpt.save_ms_per_epoch` (docs/PERFORMANCE.md).
 ///
+/// A seventh section (`access_path`, always on) times serial `System::step`
+/// on web_serving at the `bench/e2e` testbed geometry (1 MiB 16-way LLC,
+/// 256 KiB L2, instruction fetch on) with no observers attached: the
+/// cache, TLB and PMU work every simulated access pays. Its row lands in
+/// `rows` (engine "serial"); with `step_parallel` it stands in for the
+/// ledger metric `sim.step_ns_per_op` (docs/PERFORMANCE.md).
+///
 /// Usage: micro_hotpath [--engine=flat|std|both] [--epochs=N]
 ///        [--touches-per-page=N] [--step-ops=N] [--sketch-sweep=0|1]
 ///        [--ring-sweep=0|1] [--out=BENCH_hotpath.json]
@@ -79,6 +86,7 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/zipf.hpp"
+#include "workloads/registry.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace {
@@ -275,6 +283,26 @@ Row run_step_parallel(std::uint64_t footprint_pages, std::uint64_t step_ops) {
   row.seconds = seconds_since(start);
   row.ops_per_sec = static_cast<double>(row.ops) / row.seconds;
   system.remove_observer(&collector);
+  return row;
+}
+
+// ---------------------------------------------------------------------------
+// Section 7: the serial access path, no observers.
+
+Row run_access_path(std::uint64_t step_ops) {
+  const workloads::WorkloadSpec spec = workloads::find_spec("web_serving");
+  sim::System system(bench::testbed_config(spec.total_bytes));
+  for (std::uint32_t i = 0; i < spec.processes; ++i) {
+    system.add_process(workloads::make_workload(spec, i, 42));
+  }
+  // Warm the caches, TLBs and page tables (first touches fault).
+  system.step(step_ops / 2);
+  const auto start = Clock::now();
+  system.step(step_ops);
+  Row row{"access_path", spec.total_bytes >> mem::kPageShift, "serial",
+          step_ops, 0.0, 0.0};
+  row.seconds = seconds_since(start);
+  row.ops_per_sec = static_cast<double>(row.ops) / row.seconds;
   return row;
 }
 
@@ -784,6 +812,7 @@ int main(int argc, char** argv) {
   }
   // One end-to-end datapoint at the middle footprint.
   rows.push_back(run_step_parallel(16384, step_ops));
+  rows.push_back(run_access_path(step_ops));
 
   util::TextTable table({"section", "pages", "engine", "ops", "Mops/s"});
   for (const Row& r : rows) {

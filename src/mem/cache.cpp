@@ -21,41 +21,75 @@ CacheLevel::CacheLevel(std::uint64_t size_bytes, std::uint32_t ways)
   ways_storage_.resize(static_cast<std::size_t>(sets_) * ways_);
 }
 
-bool CacheLevel::access(PhysAddr paddr, bool is_store) {
+CacheLevel::Probe CacheLevel::probe(PhysAddr paddr, bool is_store) {
   const std::uint64_t line = line_of(paddr);
-  Way* base = &ways_storage_[set_of(line) * ways_];
+  Way* base = set_base(line);
+  // Track fill()'s victim while looking for the line, so a miss needs no
+  // second scan. Keying invalid ways 0 and valid ways lru + 1 makes "first
+  // invalid, else first LRU minimum" the first strict minimum of the key
+  // (valid stamps come from ++tick_, so lru + 1 cannot wrap).
+  std::uint32_t victim = 0;
+  std::uint64_t victim_key = ~0ULL;
   for (std::uint32_t w = 0; w < ways_; ++w) {
     Way& way = base[w];
     if (way.valid && way.tag == line) {
       way.lru = ++tick_;
       way.dirty = way.dirty || is_store;
-      return true;
+      return {true, w};
     }
+    const std::uint64_t key = way.valid ? way.lru + 1 : 0;
+    const bool better = key < victim_key;
+    victim = better ? w : victim;
+    victim_key = better ? key : victim_key;
   }
-  return false;
+  return {false, victim};
+}
+
+bool CacheLevel::install(PhysAddr paddr, Probe miss, std::uint32_t owner) {
+  TMPROF_ASSERT(!miss.hit && miss.victim < ways_);
+  const std::uint64_t line = line_of(paddr);
+  return install_way(set_base(line)[miss.victim], line, owner);
+}
+
+CacheLevel::Way* CacheLevel::fill_victim(std::uint64_t line) noexcept {
+  Way* base = set_base(line);
+  std::uint32_t victim = 0;
+  std::uint64_t victim_lru = ~0ULL;
+  for (std::uint32_t w = 0; w < ways_; ++w) {
+    Way& way = base[w];
+    if (!way.valid) return &way;
+    if (way.tag == line) return nullptr;  // already resident
+    const bool older = way.lru < victim_lru;  // select, don't branch
+    victim = older ? w : victim;
+    victim_lru = older ? way.lru : victim_lru;
+  }
+  return &base[victim];
+}
+
+bool CacheLevel::install_way(Way& victim, std::uint64_t line,
+                             std::uint32_t owner) {
+  const bool evicted = victim.valid;
+  if (evicted && victim.dirty) ++dirty_evictions_;
+  victim.tag = line;
+  victim.valid = true;
+  victim.dirty = false;
+  victim.owner = owner;
+  victim.lru = ++tick_;
+  return evicted;
 }
 
 bool CacheLevel::fill(PhysAddr paddr, std::uint32_t owner) {
   const std::uint64_t line = line_of(paddr);
-  Way* base = &ways_storage_[set_of(line) * ways_];
-  Way* victim = &base[0];
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == line) return false;  // already resident
-    if (!way.valid) {
-      victim = &way;
-      break;
-    }
-    if (way.lru < victim->lru) victim = &way;
-  }
-  const bool evicted = victim->valid;
-  if (evicted && victim->dirty) ++dirty_evictions_;
-  victim->tag = line;
-  victim->valid = true;
-  victim->dirty = false;
-  victim->owner = owner;
-  victim->lru = ++tick_;
-  return evicted;
+  Way* victim = fill_victim(line);
+  return victim != nullptr && install_way(*victim, line, owner);
+}
+
+bool CacheLevel::fill_if_absent(PhysAddr paddr, std::uint32_t owner) {
+  const std::uint64_t line = line_of(paddr);
+  Way* victim = fill_victim(line);
+  if (victim == nullptr) return false;
+  install_way(*victim, line, owner);
+  return true;
 }
 
 std::uint64_t CacheLevel::occupancy_lines(std::uint32_t owner) const {
@@ -96,28 +130,33 @@ CacheHierarchy CacheHierarchy::make_default(CacheLevel* llc,
 
 CacheAccess CacheHierarchy::access(PhysAddr paddr, bool is_store,
                                    std::uint32_t owner) {
+  // One scan per level: each miss probe carries the victim its fill uses,
+  // and no level's set changes between its probe and its install.
   CacheAccess result;
-  if (l1_.access(paddr, is_store)) {
+  const CacheLevel::Probe l1 = l1_.probe(paddr, is_store);
+  if (l1.hit) {
     result.source = DataSource::L1;
     return result;
   }
-  if (l2_.access(paddr, is_store)) {
-    l1_.fill(paddr);
+  const CacheLevel::Probe l2 = l2_.probe(paddr, is_store);
+  if (l2.hit) {
+    l1_.install(paddr, l1);
     result.source = DataSource::L2;
     return result;
   }
-  if (llc_->access(paddr, is_store)) {
-    l2_.fill(paddr);
-    l1_.fill(paddr);
+  const CacheLevel::Probe llc = llc_->probe(paddr, is_store);
+  if (llc.hit) {
+    l2_.install(paddr, l2);
+    l1_.install(paddr, l1);
     result.source = DataSource::LLC;
     return result;
   }
   // Demand miss all the way to memory: fill every level.
   result.llc_miss = true;
   result.source = DataSource::MemTier1;  // caller refines the tier
-  llc_->fill(paddr, owner);
-  l2_.fill(paddr);
-  l1_.fill(paddr);
+  llc_->install(paddr, llc, owner);
+  l2_.install(paddr, l2);
+  l1_.install(paddr, l1);
   if (prefetch_) {
     // Sequential next-line prefetch into the LLC. Only trigger on a
     // different demand line than last time to avoid self-feeding on
@@ -125,9 +164,8 @@ CacheAccess CacheHierarchy::access(PhysAddr paddr, bool is_store,
     const std::uint64_t line = line_of(paddr);
     if (line != last_demand_line_) {
       last_demand_line_ = line;
-      const PhysAddr next = paddr + kLineSize;
-      if (!llc_->contains(next)) {
-        llc_->fill(next, owner);  // prefetches bill the triggering RMID
+      // Prefetches bill the triggering RMID.
+      if (llc_->fill_if_absent(paddr + kLineSize, owner)) {
         ++prefetch_fills_;
         result.prefetch_issued = true;
       }

@@ -37,19 +37,50 @@ enum class DataSource : std::uint8_t { L1, L2, LLC, MemTier1, MemTier2 };
 
 /// One set-associative, write-allocate cache level with LRU replacement.
 /// Tags are physical line addresses.
+///
+/// Victim rule: a fill takes the first invalid way of the set, or else the
+/// first way with the strictly smallest LRU stamp.
 class CacheLevel {
  public:
   CacheLevel(std::uint64_t size_bytes, std::uint32_t ways);
 
+  /// Outcome of probe(): whether the line hit and, on a miss, the victim
+  /// way a fill of that line would use.
+  struct Probe {
+    bool hit = false;
+    std::uint32_t victim = 0;  ///< way index within the set (miss only)
+  };
+
+  /// One scan of the line's set. A hit updates LRU and the dirty bit
+  /// exactly like access(). A miss changes nothing and names the victim per
+  /// the rule above.
+  ///
+  /// Probe→install contract: a miss probe stays valid for install() of the
+  /// same line until this level's set is next modified (any access hit,
+  /// fill, install, flush or load_state on this level). Probing or filling
+  /// *other* levels in between is fine.
+  Probe probe(PhysAddr paddr, bool is_store);
+
+  /// Install the line into the way a miss probe() named; same effects and
+  /// return value as fill() of a line that is not resident.
+  bool install(PhysAddr paddr, Probe miss, std::uint32_t owner = 0);
+
   /// True if the line holding `paddr` is resident (updates LRU).
-  bool access(PhysAddr paddr, bool is_store);
+  bool access(PhysAddr paddr, bool is_store) {
+    return probe(paddr, is_store).hit;
+  }
 
   /// Install the line; returns true if a valid line was evicted.
   /// `owner` tags the line with an RMID-like id (resource-monitoring
   /// support, cf. Intel CMT / AMD QoS); 0 = untracked.
   bool fill(PhysAddr paddr, std::uint32_t owner = 0);
 
-  /// Is the line present (no LRU update)? Used by tests and the prefetcher.
+  /// Prefetch fill: one scan that installs the line unless it is already
+  /// resident, stopping at the first invalid way like fill(). Returns true
+  /// if the line was installed.
+  bool fill_if_absent(PhysAddr paddr, std::uint32_t owner = 0);
+
+  /// Is the line present (no LRU update)? Used by tests.
   [[nodiscard]] bool contains(PhysAddr paddr) const;
 
   /// Resident lines tagged with `owner` (cache-occupancy monitoring).
@@ -83,6 +114,13 @@ class CacheLevel {
   [[nodiscard]] std::size_t set_of(std::uint64_t line) const noexcept {
     return static_cast<std::size_t>(line & (sets_ - 1));
   }
+  [[nodiscard]] Way* set_base(std::uint64_t line) noexcept {
+    return &ways_storage_[set_of(line) * ways_];
+  }
+  /// fill()'s scan: the resident way's match ends it with nullptr, the
+  /// first invalid way ends it as the victim, else the first LRU minimum.
+  [[nodiscard]] Way* fill_victim(std::uint64_t line) noexcept;
+  bool install_way(Way& victim, std::uint64_t line, std::uint32_t owner);
 
   std::uint32_t sets_;
   std::uint32_t ways_;

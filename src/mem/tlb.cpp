@@ -34,7 +34,8 @@ TlbArray::Entry* TlbArray::lookup(Pid pid, Vpn vpn) {
   return nullptr;
 }
 
-TlbArray::Entry TlbArray::insert(Pid pid, Vpn vpn, Pte* pte, bool dirty) {
+TlbArray::Entry& TlbArray::install(Pid pid, Vpn vpn, Pte* pte, bool dirty,
+                                   Entry* evicted) {
   Entry* base = &entries_[set_of(pid, vpn) * ways_];
   Entry* victim = &base[0];
   for (std::uint32_t w = 0; w < ways_; ++w) {
@@ -47,16 +48,31 @@ TlbArray::Entry TlbArray::insert(Pid pid, Vpn vpn, Pte* pte, bool dirty) {
       victim = &e;
       break;
     }
-    if (e.lru < victim->lru) victim = &e;
+    victim = e.lru < victim->lru ? &e : victim;  // select, don't branch
   }
-  const Entry evicted = victim->valid ? *victim : Entry{};
+  if (evicted != nullptr && victim->valid) *evicted = *victim;
   victim->pid = pid;
   victim->vpn = vpn;
   victim->pte = pte;
   victim->dirty_cached = dirty;
   victim->valid = true;
-  victim->lru = ++tick_;
+  return *victim;
+}
+
+TlbArray::Entry TlbArray::insert(Pid pid, Vpn vpn, Pte* pte, bool dirty) {
+  Entry evicted;
+  install(pid, vpn, pte, dirty, &evicted).lru = ++tick_;
   return evicted;
+}
+
+TlbArray::Entry* TlbArray::insert_and_lookup(Pid pid, Vpn vpn, Pte* pte,
+                                             bool dirty) {
+  // No valid match precedes the installed way (the scan stops at the first
+  // one), so the lookup would find this entry and stamp it again.
+  Entry& e = install(pid, vpn, pte, dirty, nullptr);
+  tick_ += 2;
+  e.lru = tick_;
+  return &e;
 }
 
 void TlbArray::invalidate_page(Pid pid, Vpn vpn) {
@@ -111,12 +127,14 @@ Tlb::LookupResult Tlb::lookup(Pid pid, VirtAddr vaddr) {
     return {TlbHit::L1, e, PageSize::k2M};
   }
   if (TlbArray::Entry* e = l2_4k_.lookup(pid, v4)) {
-    l1_4k_.insert(pid, v4, e->pte, e->dirty_cached);
-    return {TlbHit::L2, l1_4k_.lookup(pid, v4), PageSize::k4K};
+    return {TlbHit::L2,
+            l1_4k_.insert_and_lookup(pid, v4, e->pte, e->dirty_cached),
+            PageSize::k4K};
   }
   if (TlbArray::Entry* e = l2_2m_.lookup(pid, v2)) {
-    l1_2m_.insert(pid, v2, e->pte, e->dirty_cached);
-    return {TlbHit::L2, l1_2m_.lookup(pid, v2), PageSize::k2M};
+    return {TlbHit::L2,
+            l1_2m_.insert_and_lookup(pid, v2, e->pte, e->dirty_cached),
+            PageSize::k2M};
   }
   return {TlbHit::Miss, nullptr, PageSize::k4K};
 }
@@ -126,12 +144,10 @@ TlbArray::Entry* Tlb::fill(Pid pid, VirtAddr page_va, PageSize size, Pte* pte,
   const Vpn vpn = size_vpn(page_va, size);
   if (size == PageSize::k4K) {
     l2_4k_.insert(pid, vpn, pte, dirty);
-    l1_4k_.insert(pid, vpn, pte, dirty);
-    return l1_4k_.lookup(pid, vpn);
+    return l1_4k_.insert_and_lookup(pid, vpn, pte, dirty);
   }
   l2_2m_.insert(pid, vpn, pte, dirty);
-  l1_2m_.insert(pid, vpn, pte, dirty);
-  return l1_2m_.lookup(pid, vpn);
+  return l1_2m_.insert_and_lookup(pid, vpn, pte, dirty);
 }
 
 void Tlb::invalidate_page(Pid pid, VirtAddr page_va, PageSize size) {

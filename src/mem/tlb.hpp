@@ -47,7 +47,18 @@ class TlbArray {
   /// Find a valid entry; updates LRU on hit.
   Entry* lookup(Pid pid, Vpn vpn);
   /// Insert (possibly evicting LRU); returns the evicted entry if any.
+  ///
+  /// Victim rule, scanning the set in way order: the first valid entry for
+  /// (pid, vpn) is refilled in place; otherwise the first invalid way is
+  /// taken; if neither ends the scan, the first way with the strictly
+  /// smallest LRU stamp. The scan stops at the first match or invalid way,
+  /// so after invalidate_page() leaves a hole a stale duplicate further
+  /// along the set can survive; lookup() returns the first match.
   Entry insert(Pid pid, Vpn vpn, Pte* pte, bool dirty);
+  /// insert() followed by lookup() of the same translation, in one scan:
+  /// the entry lands where insert() puts it, the LRU clock advances twice
+  /// and the entry keeps the second stamp. Returns the installed entry.
+  Entry* insert_and_lookup(Pid pid, Vpn vpn, Pte* pte, bool dirty);
 
   void invalidate_page(Pid pid, Vpn vpn);
   void invalidate_pid(Pid pid);
@@ -68,6 +79,8 @@ class TlbArray {
 
  private:
   [[nodiscard]] std::size_t set_of(Pid pid, Vpn vpn) const noexcept;
+  /// insert()'s scan and write, less the LRU stamp.
+  Entry& install(Pid pid, Vpn vpn, Pte* pte, bool dirty, Entry* evicted);
 
   std::uint32_t sets_;
   std::uint32_t ways_;

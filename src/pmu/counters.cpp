@@ -1,5 +1,7 @@
 #include "pmu/counters.hpp"
 
+#include <string>
+
 #include "util/assert.hpp"
 #include "util/ckpt.hpp"
 
@@ -8,15 +10,19 @@ namespace tmprof::pmu {
 PmuCore::PmuCore(std::uint32_t programmable_registers)
     : registers_(programmable_registers) {
   TMPROF_EXPECTS(programmable_registers >= 1);
+  clear_slots();
 }
 
 void PmuCore::program(std::vector<Event> events) {
   programmed_.clear();
+  clear_slots();
   programmed_.reserve(events.size());
   for (Event e : events) {
     TMPROF_EXPECTS(find(e) == nullptr);  // no duplicate programming
     Observation obs;
     obs.event = e;
+    slot_[static_cast<std::size_t>(e)] =
+        static_cast<std::int16_t>(programmed_.size());
     programmed_.push_back(obs);
   }
   rotation_head_ = 0;
@@ -27,32 +33,7 @@ void PmuCore::program(std::vector<Event> events) {
   for (std::size_t i = 0; i < live_n; ++i) programmed_[i].live = true;
 }
 
-PmuCore::Observation* PmuCore::find(Event e) {
-  for (auto& obs : programmed_) {
-    if (obs.event == e) return &obs;
-  }
-  return nullptr;
-}
-
-const PmuCore::Observation* PmuCore::find(Event e) const {
-  for (const auto& obs : programmed_) {
-    if (obs.event == e) return &obs;
-  }
-  return nullptr;
-}
-
-void PmuCore::record(Event e, util::SimNs now, std::uint64_t n) {
-  tick(now);
-  at(true_, e) += n;
-  if (Observation* obs = find(e); obs != nullptr && obs->live) {
-    obs->raw += n;
-  }
-}
-
-void PmuCore::tick(util::SimNs now) {
-  if (now < last_now_) return;  // out-of-order hook; ignore
-  last_now_ = now;
-  if (!multiplexing()) return;
+void PmuCore::rotate_to(util::SimNs now) {
   while (now - slice_start_ >= kSliceNs) {
     rotate(slice_start_ + kSliceNs);
   }
@@ -145,13 +126,28 @@ void PmuCore::save_state(util::ckpt::Writer& w) const {
 
 void PmuCore::load_state(util::ckpt::Reader& r) {
   for (std::uint64_t& count : true_) count = r.get_u64();
-  programmed_.resize(r.get_u64());
-  for (Observation& obs : programmed_) {
+  const std::uint64_t n_programmed = r.get_u64();
+  if (n_programmed > kEventCount) {
+    throw util::ckpt::CkptError(
+        "pmu", "programmed event count " + std::to_string(n_programmed) +
+                   " exceeds the " + std::to_string(kEventCount) +
+                   " known events");
+  }
+  programmed_.resize(static_cast<std::size_t>(n_programmed));
+  clear_slots();
+  for (std::size_t i = 0; i < programmed_.size(); ++i) {
+    Observation& obs = programmed_[i];
     const std::uint8_t e = r.get_u8();
     if (e >= kEventCount) {
       throw util::ckpt::CkptError("pmu", "unknown event id " +
                                              std::to_string(e));
     }
+    if (slot_[e] != kNoSlot) {
+      throw util::ckpt::CkptError(
+          "pmu", "event " + std::string(event_name(static_cast<Event>(e))) +
+                     " programmed twice");
+    }
+    slot_[e] = static_cast<std::int16_t>(i);
     obs.event = static_cast<Event>(e);
     obs.raw = r.get_u64();
     obs.live_ns = r.get_u64();

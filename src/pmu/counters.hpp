@@ -7,6 +7,7 @@
 /// for a slice and its count is scaled by observed/live time — exactly the
 /// verbosity loss Table I lists as the HWPC disadvantage.
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -29,7 +30,14 @@ class PmuCore {
   explicit PmuCore(std::uint32_t programmable_registers = 6);
 
   /// Hardware side: record `n` occurrences of `e` at sim time `now`.
-  void record(Event e, util::SimNs now, std::uint64_t n = 1);
+  /// Inline and O(1): the access path records several events per op.
+  void record(Event e, util::SimNs now, std::uint64_t n = 1) {
+    tick(now);
+    at(true_, e) += n;
+    if (Observation* obs = find(e); obs != nullptr && obs->live) {
+      obs->raw += n;
+    }
+  }
 
   /// Software side: program the set of events to observe. Re-programming
   /// resets observation state but not the true counts.
@@ -37,7 +45,11 @@ class PmuCore {
 
   /// Advance the multiplexing rotation to `now`. Called by the system clock;
   /// harmless to call often.
-  void tick(util::SimNs now);
+  void tick(util::SimNs now) {
+    if (now < last_now_) return;  // out-of-order hook; ignore
+    last_now_ = now;
+    if (multiplexing()) rotate_to(now);
+  }
 
   /// Observed (possibly multiplex-scaled) estimate of an event's count.
   /// Events that were never programmed read as 0 — software is blind to
@@ -70,13 +82,28 @@ class PmuCore {
     bool live = false;
   };
 
-  void rotate(util::SimNs now);
-  [[nodiscard]] Observation* find(Event e);
-  [[nodiscard]] const Observation* find(Event e) const;
+  void rotate_to(util::SimNs now);
+  void rotate(util::SimNs slice_end);
+  [[nodiscard]] Observation* find(Event e) {
+    const std::int16_t slot = slot_[static_cast<std::size_t>(e)];
+    return slot == kNoSlot ? nullptr
+                           : &programmed_[static_cast<std::size_t>(slot)];
+  }
+  [[nodiscard]] const Observation* find(Event e) const {
+    const std::int16_t slot = slot_[static_cast<std::size_t>(e)];
+    return slot == kNoSlot ? nullptr
+                           : &programmed_[static_cast<std::size_t>(slot)];
+  }
+  void clear_slots() noexcept { slot_.fill(kNoSlot); }
+
+  static constexpr std::int16_t kNoSlot = -1;
 
   std::uint32_t registers_;
   EventCounts true_{};
   std::vector<Observation> programmed_;
+  /// Event → index into programmed_ (kNoSlot if not programmed). Derived
+  /// from programmed_, so not checkpointed.
+  std::array<std::int16_t, kEventCount> slot_{};
   std::size_t rotation_head_ = 0;   ///< first live observation index
   util::SimNs slice_start_ = 0;
   util::SimNs observe_start_ = 0;   ///< when program() was last called

@@ -229,7 +229,7 @@ util::SimNs System::step(std::uint64_t ops) {
   const util::SimNs start = now_;
   for (std::uint64_t i = 0; i < ops; ++i) {
     const std::uint32_t proc_idx = schedule_[schedule_cursor_];
-    schedule_cursor_ = (schedule_cursor_ + 1) % schedule_.size();
+    if (++schedule_cursor_ == schedule_.size()) schedule_cursor_ = 0;
     Process& proc = *processes_[proc_idx];
     const workloads::MemRef ref = proc.workload().next();
     access(proc, proc.vaddr_of(ref.offset), ref.is_store, ref.ip);
@@ -647,7 +647,7 @@ void System::save_state(util::ckpt::Writer& w) {
 void System::load_state(util::ckpt::Reader& r) {
   now_ = r.get_u64();
   total_ops_ = r.get_u64();
-  schedule_cursor_ = r.get_u64();
+  const std::uint64_t cursor = r.get_u64();
   first_touch_tier_ = static_cast<mem::TierId>(r.get_u8());
   const auto next_pid = static_cast<mem::Pid>(r.get_u64());
   const std::uint32_t n_procs = r.get_u32();
@@ -658,6 +658,14 @@ void System::load_state(util::ckpt::Reader& r) {
                       std::to_string(next_pid) + "), system has " +
                       std::to_string(processes_.size()));
   }
+  // step() and step_parallel() index the schedule with the cursor unchecked.
+  if (cursor >= std::max<std::size_t>(schedule_.size(), 1)) {
+    throw util::ckpt::CkptError(
+        "system", "schedule cursor " + std::to_string(cursor) +
+                      " out of range for a schedule of " +
+                      std::to_string(schedule_.size()) + " slots");
+  }
+  schedule_cursor_ = static_cast<std::size_t>(cursor);
   for (const auto& proc : processes_) {
     const auto pid = static_cast<mem::Pid>(r.get_u64());
     if (pid != proc->pid()) {

@@ -8,12 +8,16 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "core/ranking.hpp"
 #include "monitors/devmon.hpp"
+#include "pmu/counters.hpp"
+#include "sim/system.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tiering/admission.hpp"
 #include "tiering/epoch.hpp"
@@ -441,6 +445,143 @@ TEST(CkptCorruption, DevmonGeometryMismatchRejected) {
   Reader r3(image);
   r3.enter_section("devmon");
   EXPECT_THROW(more_lanes.load_state(r3), CkptError);
+}
+
+/// Single-section image `name` whose payload is `payload`.
+std::vector<std::uint8_t> framed(const std::string& name,
+                                 const std::vector<std::uint8_t>& payload) {
+  Writer w;
+  w.begin_section(name);
+  w.put_bytes(payload.data(), payload.size());
+  w.end_section();
+  return w.finish();
+}
+
+/// The payload of a single-section image written by Writer.
+std::vector<std::uint8_t> payload_of(const std::vector<std::uint8_t>& image,
+                                     const std::string& name) {
+  const std::size_t len_at = kHeaderSize + sizeof(std::uint32_t) + name.size();
+  std::uint64_t len = 0;
+  for (std::size_t i = 0; i < sizeof len; ++i) {
+    len |= static_cast<std::uint64_t>(image[len_at + i]) << (8 * i);
+  }
+  const auto begin = image.begin() + static_cast<std::ptrdiff_t>(
+                                         len_at + sizeof(std::uint64_t));
+  return {begin, begin + static_cast<std::ptrdiff_t>(len)};
+}
+
+TEST(CkptCorruption, SystemScheduleCursorOutOfRangeRejected) {
+  // step() and step_parallel() index the process schedule with the saved
+  // cursor, so a cursor past the schedule must be refused at load.
+  sim::SimConfig cfg;
+  cfg.cores = 2;
+  cfg.llc_bytes = 1 << 18;
+  cfg.tier1_frames = 256;
+  cfg.tier2_frames = 4096;
+  const auto make = [&cfg] {
+    auto sys = std::make_unique<sim::System>(cfg);
+    // Weights 2:1 make a three-slot schedule.
+    sys->add_process(
+        std::make_unique<workloads::UniformWorkload>(1 << 16, 0.2, 1), 2.0);
+    sys->add_process(
+        std::make_unique<workloads::UniformWorkload>(1 << 16, 0.2, 2));
+    return sys;
+  };
+  auto source = make();
+  source->step(1001);
+  Writer w;
+  w.begin_section("system");
+  source->save_state(w);
+  w.end_section();
+  const std::vector<std::uint8_t> payload = payload_of(w.finish(), "system");
+
+  // The cursor is the payload's third u64, after now and total_ops.
+  const auto load_with_cursor = [&](std::uint64_t cursor) {
+    std::vector<std::uint8_t> bytes = payload;
+    for (std::size_t i = 0; i < sizeof cursor; ++i) {
+      bytes[16 + i] = static_cast<std::uint8_t>(cursor >> (8 * i));
+    }
+    Reader r(framed("system", bytes));
+    r.enter_section("system");
+    auto target = make();
+    target->load_state(r);
+    r.end_section();
+  };
+  EXPECT_NO_THROW(load_with_cursor(2));
+  for (const std::uint64_t bad : {std::uint64_t{3}, std::uint64_t{1} << 40,
+                                  ~std::uint64_t{0}}) {
+    try {
+      load_with_cursor(bad);
+      ADD_FAILURE() << "cursor " << bad << " accepted";
+    } catch (const CkptError& e) {
+      EXPECT_EQ(e.section(), "system");
+      EXPECT_NE(std::string(e.what()).find("schedule cursor"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// A PmuCore image (PmuCore::save_state's layout) declaring `count`
+/// programmed events and carrying `events`.
+std::vector<std::uint8_t> pmu_core_image(std::uint64_t count,
+                                         const std::vector<pmu::Event>& events) {
+  Writer w;
+  w.begin_section("system");  // the PMU rides in the system section
+  for (std::size_t i = 0; i < pmu::kEventCount; ++i) w.put_u64(i);
+  w.put_u64(count);
+  for (const pmu::Event e : events) {
+    w.put_u8(static_cast<std::uint8_t>(e));
+    w.put_u64(5);      // raw
+    w.put_u64(0);      // live_ns
+    w.put_bool(true);  // live
+  }
+  for (int i = 0; i < 4; ++i) w.put_u64(0);  // rotation and clocks
+  w.end_section();
+  return w.finish();
+}
+
+/// Loads `image` into a fresh PmuCore; returns the CkptError, if any.
+std::optional<CkptError> load_pmu_core(const std::vector<std::uint8_t>& image) {
+  Reader r(image);
+  r.enter_section("system");
+  pmu::PmuCore core(4);
+  try {
+    core.load_state(r);
+    r.end_section();
+  } catch (const CkptError& e) {
+    return e;
+  }
+  EXPECT_EQ(core.read(pmu::Event::LlcMiss), 5U);
+  return std::nullopt;
+}
+
+TEST(CkptCorruption, PmuProgrammedCountAndDuplicatesRejected) {
+  using pmu::Event;
+  // Intact: two distinct events load and read back.
+  EXPECT_FALSE(
+      load_pmu_core(pmu_core_image(2, {Event::LlcMiss, Event::DtlbWalk})));
+
+  // A count above the number of events is refused before any allocation,
+  // including one the old unbounded resize would have tried to honour.
+  for (const std::uint64_t count :
+       {std::uint64_t{pmu::kEventCount} + 1, std::uint64_t{1} << 40}) {
+    const auto err = load_pmu_core(pmu_core_image(count, {}));
+    ASSERT_TRUE(err) << "count " << count << " accepted";
+    EXPECT_EQ(err->section(), "pmu");
+    EXPECT_NE(std::string(err->what()).find("exceeds"), std::string::npos)
+        << err->what();
+  }
+
+  // The slot index maps each event to one observation: duplicates are
+  // refused, as program() refuses them.
+  const auto dup = load_pmu_core(
+      pmu_core_image(3, {Event::LlcMiss, Event::DtlbWalk, Event::LlcMiss}));
+  ASSERT_TRUE(dup);
+  EXPECT_EQ(dup->section(), "pmu");
+  EXPECT_NE(std::string(dup->what()).find("programmed twice"),
+            std::string::npos)
+      << dup->what();
 }
 
 /// A checkpoint image holding a populated TenantArbiter (decayed benefit,
