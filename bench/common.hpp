@@ -290,7 +290,8 @@ inline FleetArgs fleet_from_args(const util::ArgParser& args) {
 /// e.g. --tiers=dram:8192:80:80,cxl:16384:150:200:32,nvm:262144:300:600:8
 /// The optional bandwidth term (GB/s) adds a per-cache-line transfer cost
 /// of ~64/bw ns to every fill the tier serves. Returns an empty vector
-/// when --tiers is absent (the SimConfig shim fields stay in charge).
+/// when --tiers is absent (the tier1_frames/tier2_frames shorthand stays
+/// in charge).
 /// Rejects malformed specs, empty names, zero-frame tiers, chains shorter
 /// than 2 or longer than mem::kMaxTiers tiers, and chains whose read
 /// latency descends (the chain must be ordered fastest first).

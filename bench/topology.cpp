@@ -7,7 +7,7 @@
 /// the baseline rows rank from IBS + A-bit alone.
 ///
 /// Usage: topology [--workload=<name>] [--scale=F] [--epochs=N]
-///        [--ops-per-epoch=N] [--seed=N]
+///        [--ops-per-epoch=N] [--seed=N] [--ibs-rate=N]
 ///        [--tiers=name:frames:read_ns:write_ns[:bw_gbps],...]
 ///        [--devmon-slots=N] [--devmon-topk=N] [--devmon-weight=F]
 ///        [--csv-out=F] [--check=1]

@@ -53,15 +53,12 @@ RunnerResult run_attempt(const WorkloadFactory& factory,
   sim::SimConfig emulated = sim_config;
   if (emulation) {
     // All tiers are physically DRAM; slowness comes from injected faults.
-    emulated.tier2_read_ns = emulated.tier1_read_ns;
-    emulated.tier2_write_ns = emulated.tier1_write_ns;
-    if (!emulated.tiers.empty()) {
-      const mem::TierSpec fastest = emulated.tiers.front();
-      for (mem::TierSpec& spec : emulated.tiers) {
-        spec.read_latency_ns = fastest.read_latency_ns;
-        spec.write_latency_ns = fastest.write_latency_ns;
-        spec.line_transfer_ns = fastest.line_transfer_ns;
-      }
+    emulated.tiers = sim::tier_specs(emulated);
+    const mem::TierSpec fastest = emulated.tiers.front();
+    for (mem::TierSpec& spec : emulated.tiers) {
+      spec.read_latency_ns = fastest.read_latency_ns;
+      spec.write_latency_ns = fastest.write_latency_ns;
+      spec.line_transfer_ns = fastest.line_transfer_ns;
     }
   }
   EpochLoop loop(factory, emulated, options, options.process_weights,

@@ -49,7 +49,7 @@ TEST(Cli, BooleanSpellings) {
 
 TEST(Cli, BadBooleanThrows) {
   const auto p = parse({"--a=maybe"});
-  EXPECT_THROW(p.get_bool("a", false), std::invalid_argument);
+  EXPECT_THROW((void)p.get_bool("a", false), std::invalid_argument);
 }
 
 TEST(Cli, DoubleParsing) {

@@ -133,7 +133,9 @@ TEST_P(PhysMemoryFuzz, NoOverlapAndExactAccounting) {
       const auto head = pm.alloc_exact(tier, 1, 0x1000, size);
       if (head) {
         const std::uint64_t span = mem::pages_in(size);
-        if (huge) ASSERT_EQ(*head % mem::kPagesPerHuge, 0U);
+        if (huge) {
+          ASSERT_EQ(*head % mem::kPagesPerHuge, 0U);
+        }
         for (std::uint64_t i = 0; i < span; ++i) {
           // No frame may ever be handed out twice.
           ASSERT_TRUE(owned_frames.insert(*head + i).second);

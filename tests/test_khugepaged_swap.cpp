@@ -87,7 +87,7 @@ TEST(Khugepaged, CollapseShrinksAbitVisibility) {
     std::uint64_t n = 0;
     proc.page_table().walk(
         [&](mem::VirtAddr va, mem::PageSize, mem::Pte&) {
-          n += va >= proc.heap_base() ? 1 : 0;  // ignore code pages
+          n += va >= proc.heap_base() ? 1U : 0U;  // ignore code pages
         });
     return n;
   };
@@ -150,7 +150,7 @@ TEST(Swap, DetachRestoresNormalFaults) {
     // Drain the poison by touching every page once (FIFO churns, but each
     // fault unpoisons its page).
     sim::Process& proc = sys.process(pid);
-    for (int i = 0; i < 16; ++i) {
+    for (std::uint64_t i = 0; i < 16; ++i) {
       sys.access(proc, proc.vaddr_of(i * mem::kPageSize), false, 1);
     }
   }
@@ -159,7 +159,7 @@ TEST(Swap, DetachRestoresNormalFaults) {
   sim::Process& proc = sys.process(pid);
   std::uint64_t poisoned = 0;
   proc.page_table().walk([&](mem::VirtAddr, mem::PageSize, mem::Pte& pte) {
-    poisoned += pte.poisoned() ? 1 : 0;
+    poisoned += pte.poisoned() ? 1U : 0U;
   });
   // Pages evicted by the FIFO during the sweep may be re-poisoned; they
   // are the only ones allowed to remain.

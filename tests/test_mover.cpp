@@ -60,7 +60,7 @@ TEST(Mover, PromotesHotPagesIntoTier1) {
   EXPECT_EQ(stats.promoted, 4U);
   EXPECT_EQ(stats.demoted, 4U);  // the old residents made room
   sim::Process& proc = sys.process(pid);
-  for (std::uint64_t idx : {6, 7, 8, 9}) {
+  for (std::uint64_t idx : {6ULL, 7ULL, 8ULL, 9ULL}) {
     const auto ref =
         proc.page_table().resolve(proc.vaddr_of(idx * mem::kPageSize));
     EXPECT_EQ(sys.phys().tier_of(ref.pte->pfn()), 0) << idx;
@@ -86,7 +86,9 @@ TEST(Mover, ChargesMigrationCostToClock) {
       std::make_unique<workloads::UniformWorkload>(1 << 20, 0.0, 1));
   touch_pages(sys, pid, 6);
   const util::SimNs cost = 50 * util::kMicrosecond;
-  PageMover mover(sys, cost);
+  MoverConfig mcfg;
+  mcfg.per_page_cost_ns = cost;
+  PageMover mover(sys, mcfg);
   const util::SimNs before = sys.now();
   const auto ranking = rank_pages(sys, pid, {4, 5});
   const MoveStats stats = mover.apply(ranking, 2);
@@ -155,9 +157,9 @@ TEST(MoverTiers, FullLadderFailsGracefullyAndDefers) {
   sim::SimConfig cfg;
   cfg.cores = 2;
   cfg.llc_bytes = 1 << 18;
-  cfg.tier1_frames = 2;
-  cfg.tier2_frames = 4;
-  cfg.tier3_frames = 4;
+  cfg.tiers = {mem::TierSpec{"tier1-dram", 2, 80, 80, 0},
+               mem::TierSpec{"tier2-nvm", 4, 300, 600, 0},
+               mem::TierSpec{"tier3-cold", 4, 900, 1800, 0}};
   sim::System sys(cfg);
   const mem::Pid pid = sys.add_process(
       std::make_unique<workloads::UniformWorkload>(1 << 20, 0.0, 1));
@@ -189,9 +191,9 @@ sim::SimConfig three_tier_config() {
   sim::SimConfig cfg;
   cfg.cores = 2;
   cfg.llc_bytes = 1 << 18;
-  cfg.tier1_frames = 2;
-  cfg.tier2_frames = 4;
-  cfg.tier3_frames = 1 << 14;
+  cfg.tiers = {mem::TierSpec{"tier1-dram", 2, 80, 80, 0},
+               mem::TierSpec{"tier2-nvm", 4, 300, 600, 0},
+               mem::TierSpec{"tier3-cold", 1 << 14, 900, 1800, 0}};
   return cfg;
 }
 
@@ -223,8 +225,8 @@ TEST(MoverTiers, WaterfallPlacesByRankAcrossThreeTiers) {
 
 TEST(MoverTiers, TwoTierWaterfallMatchesApply) {
   sim::SimConfig cfg = three_tier_config();
-  cfg.tier3_frames = 0;  // plain two tiers
-  cfg.tier2_frames = 8;  // slack below: exchanges need staging room
+  cfg.tiers.pop_back();     // plain two tiers
+  cfg.tiers[1].frames = 8;  // slack below: exchanges need staging room
   sim::System sys(cfg);
   const mem::Pid pid = sys.add_process(
       std::make_unique<workloads::UniformWorkload>(1 << 20, 0.0, 1));
@@ -243,7 +245,7 @@ TEST(MoverTiers, TwoTierWaterfallMatchesApply) {
 
 TEST(MoverTiers, RequiresEnoughTiers) {
   sim::SimConfig cfg = three_tier_config();
-  cfg.tier3_frames = 0;
+  cfg.tiers.pop_back();
   sim::System sys(cfg);
   const mem::Pid pid = sys.add_process(
       std::make_unique<workloads::UniformWorkload>(1 << 20, 0.0, 1));

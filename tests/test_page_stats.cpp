@@ -69,7 +69,7 @@ TEST(PageStats, ResetClearsEverything) {
 TEST(PageStats, BoundsChecked) {
   PageStatsStore store(4);
   EXPECT_THROW(store.record_abit(4, 0), util::AssertionError);
-  EXPECT_THROW(store.desc(4), util::AssertionError);
+  EXPECT_THROW((void)store.desc(4), util::AssertionError);
 }
 
 }  // namespace

@@ -79,7 +79,7 @@ TEST(Pmu, AggregatesAcrossCores) {
 
 TEST(Pmu, CoreIndexValidated) {
   Pmu pmu(2);
-  EXPECT_THROW(pmu.core(2), util::AssertionError);
+  EXPECT_THROW((void)pmu.core(2), util::AssertionError);
 }
 
 TEST(Events, NamesAreUnique) {

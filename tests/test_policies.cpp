@@ -259,7 +259,7 @@ ContractCase random_contract_case(std::uint64_t seed) {
     core::PageRank pr;
     pr.key = random_key();
     pr.rank = 1 + rng.below(4);  // heavy ties: residency breaks them
-    pr.writes = rng.below(3);
+    pr.writes = static_cast<std::uint32_t>(rng.below(3));
     c.ranking.push_back(pr);
     c.sizes[pr.key] =
         rng.below(8) == 0 ? mem::PageSize::k2M : mem::PageSize::k4K;

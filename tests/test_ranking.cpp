@@ -125,7 +125,7 @@ TEST(Ranking, TopKPrefixWithRankTies) {
   // group, so only the key tie-break keeps the prefix deterministic.
   EpochObservation obs;
   for (std::uint64_t i = 0; i < 64; ++i) {
-    obs.abit[PageKey{1 + (i % 3), (64 - i) * 0x1000}] =
+    obs.abit[PageKey{static_cast<mem::Pid>(1 + i % 3), (64 - i) * 0x1000}] =
         static_cast<std::uint32_t>(i % 4);  // only 4 distinct ranks
   }
   for (const FusionMode mode : {FusionMode::Sum, FusionMode::AbitOnly}) {
@@ -139,7 +139,8 @@ TEST(Ranking, TopKPrefixRandomized) {
     EpochObservation obs;
     const std::size_t n = 20 + rng.below(200);
     for (std::size_t i = 0; i < n; ++i) {
-      const PageKey k{1 + rng.below(4), rng.below(512) * 0x1000};
+      const PageKey k{static_cast<mem::Pid>(1 + rng.below(4)),
+                      rng.below(512) * 0x1000};
       if (rng.below(2) != 0U) {
         obs.abit[k] = static_cast<std::uint32_t>(rng.below(8));
       }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 
 #include "core/ranking.hpp"
@@ -198,6 +199,44 @@ TEST(Runner, BadgerTrapEmulationPreservesOrdering) {
   const RunnerResult h = EndToEndRunner::run(init_then_serve(), cfg, hist);
   const RunnerResult f = EndToEndRunner::run(init_then_serve(), cfg, ft);
   EXPECT_GT(h.tier1_hitrate, f.tier1_hitrate);
+}
+
+/// Emulation runs every tier at DRAM speed, so an explicit chain is
+/// flattened the same way as the two-tier shorthand, down to its last tier.
+TEST(Runner, BadgerTrapEmulationFlattensExplicitChain) {
+  const auto spec = workloads::find_spec("data_caching", 0.1);
+  RunnerOptions opt = fast_options("history");
+  opt.slow_model = SlowMemoryModel::BadgerTrapEmulation;
+  const auto same = [](const RunnerResult& a, const RunnerResult& b) {
+    EXPECT_EQ(a.runtime_ns, b.runtime_ns);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.tier1_hitrate),
+              std::bit_cast<std::uint64_t>(b.tier1_hitrate));
+    EXPECT_EQ(a.migrations, b.migrations);
+    EXPECT_EQ(a.protection_faults, b.protection_faults);
+    EXPECT_EQ(a.profiling_overhead_ns, b.profiling_overhead_ns);
+    EXPECT_EQ(a.moves.moved_bytes, b.moves.moved_bytes);
+    EXPECT_EQ(a.process_hitrates, b.process_hitrates);
+  };
+
+  sim::SimConfig shorthand = small_config();
+  shorthand.tier1_frames = 1 << 9;  // force spill so slow pages exist
+  sim::SimConfig chain = shorthand;
+  chain.tiers = {mem::TierSpec{"tier1-dram", 1 << 9, 80, 80, 0},
+                 mem::TierSpec{"tier2-nvm", 1 << 16, 300, 600, 0}};
+  const RunnerResult two = EndToEndRunner::run(spec, shorthand, opt);
+  EXPECT_GT(two.protection_faults, 0U);
+  same(two, EndToEndRunner::run(spec, chain, opt));
+
+  // Three tiers with a small middle one, so pages spill to the bottom.
+  chain.tiers = {mem::TierSpec{"dram", 1 << 9, 80, 80, 0},
+                 mem::TierSpec{"cxl", 1 << 9, 300, 600, 0},
+                 mem::TierSpec{"nvm", 1 << 16, 300, 600, 0}};
+  const RunnerResult near = EndToEndRunner::run(spec, chain, opt);
+  chain.tiers[1].read_latency_ns = chain.tiers[2].read_latency_ns = 900;
+  chain.tiers[1].write_latency_ns = chain.tiers[2].write_latency_ns = 1800;
+  const RunnerResult far = EndToEndRunner::run(spec, chain, opt);
+  EXPECT_GT(near.protection_faults, 0U);
+  EXPECT_EQ(near.runtime_ns, far.runtime_ns);
 }
 
 TEST(Runner, DeterministicUnderSeed) {

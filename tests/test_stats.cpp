@@ -81,9 +81,9 @@ TEST(Percentile, U64Overload) {
 
 TEST(Percentile, RejectsEmptyAndBadQ) {
   const std::vector<double> empty;
-  EXPECT_THROW(percentile(empty, 0.5), AssertionError);
+  EXPECT_THROW((void)percentile(empty, 0.5), AssertionError);
   const std::vector<double> xs{1.0};
-  EXPECT_THROW(percentile(xs, 1.5), AssertionError);
+  EXPECT_THROW((void)percentile(xs, 1.5), AssertionError);
 }
 
 TEST(Geomean, KnownValues) {
@@ -95,7 +95,7 @@ TEST(Geomean, KnownValues) {
 
 TEST(Geomean, RejectsNonPositive) {
   const std::vector<double> xs{1.0, 0.0};
-  EXPECT_THROW(geomean(xs), AssertionError);
+  EXPECT_THROW((void)geomean(xs), AssertionError);
 }
 
 }  // namespace

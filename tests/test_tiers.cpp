@@ -24,7 +24,7 @@ TEST(PhysMemory, TierBoundaries) {
 
 TEST(PhysMemory, Alloc4kFillsPreferredTierFirst) {
   PhysMemory pm = make_two_tier(4, 4);
-  for (int i = 0; i < 4; ++i) {
+  for (std::uint64_t i = 0; i < 4; ++i) {
     const auto pfn = pm.alloc(0, 1, 0x1000 * i, PageSize::k4K);
     ASSERT_TRUE(pfn.has_value());
     EXPECT_EQ(pm.tier_of(*pfn), 0);

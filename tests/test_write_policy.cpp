@@ -143,7 +143,8 @@ TEST(WriteHistory, NeedsOnlyRankedResidency) {
       core::PageRank pr;
       pr.key = random_key();
       pr.rank = 1 + rng.below(4);
-      pr.writes = rng.below(3);  // boosted ranks tie too
+      // Boosted ranks tie too.
+      pr.writes = static_cast<std::uint32_t>(rng.below(3));
       ranking.push_back(pr);
       sizes[pr.key] = mem::PageSize::k4K;
     }
