@@ -159,10 +159,10 @@ void fill_observation(core::EpochObservation& obs,
   }
 }
 
-/// `ranking_build` is the production path: flat merge + top-K selection at
-/// a capacity-sized k (the DaemonConfig::ranking_top_k path), so ops is
-/// consumable entries produced — the prefix a placement policy actually
-/// consumes. `ranking_full` (k == 0) runs the full sort instead.
+/// `ranking_build` is flat merge + top-K selection at a capacity-sized k
+/// (core::build_ranking_topk), so ops is consumable entries produced — the
+/// prefix a placement policy actually consumes. `ranking_full` (k == 0)
+/// runs the full sort instead.
 Row run_ranking_build(std::uint64_t pages, std::uint64_t epochs,
                       const std::vector<core::PageKey>& keys, std::size_t k) {
   const bool full = k == 0;

@@ -42,8 +42,7 @@ struct StreamConfig {
   /// rings spill (counted, never lossy) until the consumer catches up.
   std::uint32_t ring_capacity = 1024;
   /// Size of the incrementally-maintained advisory top-K (RankOrder
-  /// semantics, like DaemonConfig::ranking_top_k but never 0/full: the
-  /// point is a bounded mid-epoch heap).
+  /// semantics, never 0/full: the point is a bounded mid-epoch heap).
   std::uint32_t top_k = 256;
   /// Heat carried across epochs decays by `heat >> decay_shift` at each
   /// seal; >= 64 clears all history (per-epoch top-K only).

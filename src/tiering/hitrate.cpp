@@ -1,6 +1,5 @@
 #include "tiering/hitrate.hpp"
 
-#include "mem/tiers.hpp"
 #include "util/assert.hpp"
 
 namespace tmprof::tiering {
@@ -72,69 +71,6 @@ HitrateResult evaluate_policy(Policy& policy, const EpochSeries& series,
                        ? 1.0
                        : static_cast<double>(result.tier1_accesses) /
                              static_cast<double>(result.total_accesses);
-  return result;
-}
-
-TierHitrateResult evaluate_waterfall(
-    const EpochSeries& series, const std::vector<std::uint64_t>& capacities,
-    const core::FusionParams& fusion) {
-  TMPROF_EXPECTS(!capacities.empty());
-  for (const std::uint64_t frames : capacities) TMPROF_EXPECTS(frames > 0);
-  const std::size_t n_tiers = capacities.size() + 1;
-  const mem::TierId bottom = static_cast<mem::TierId>(n_tiers - 1);
-
-  TierHitrateResult result;
-  result.tier_accesses.assign(n_tiers, 0);
-
-  std::vector<core::PageRank> prev_ranking;
-  std::vector<core::PageRank> epoch_ranking;
-  core::RankingScratch scratch;
-  core::PageMap<mem::TierId> assigned;  // pages above the bottom tier
-
-  const auto frames_of = [&series](const PageKey& key) -> std::uint64_t {
-    const auto it = series.page_sizes.find(key);
-    if (it != series.page_sizes.end()) return mem::pages_in(it->second);
-    return 1;
-  };
-
-  for (const EpochData& data : series.epochs) {
-    // Waterfall the previous epoch's ranking (hottest first) down the
-    // ladder: tier t takes pages until capacities[t] frames are spent,
-    // then the next page spills to tier t+1. Anything unranked — or past
-    // every bounded tier — belongs to the (unbounded) bottom tier.
-    assigned.clear();
-    mem::TierId tier = 0;
-    std::uint64_t used = 0;
-    for (const core::PageRank& pr : prev_ranking) {
-      const std::uint64_t frames = frames_of(pr.key);
-      while (tier < bottom && used + frames > capacities[tier]) {
-        ++tier;
-        used = 0;
-      }
-      if (tier >= bottom) break;
-      assigned[pr.key] = tier;
-      used += frames;
-    }
-
-    core::build_ranking_into(data.observed, fusion, scratch, epoch_ranking);
-
-    for (const auto& [key, count] : data.truth) {
-      const auto it = assigned.find(key);
-      const mem::TierId where = it == assigned.end() ? bottom : it->second;
-      result.tier_accesses[where] += count;
-    }
-    result.total_accesses += data.truth_total;
-
-    prev_ranking.swap(epoch_ranking);
-  }
-
-  result.tier_fraction.assign(n_tiers, 0.0);
-  if (result.total_accesses != 0) {
-    for (std::size_t t = 0; t < n_tiers; ++t) {
-      result.tier_fraction[t] = static_cast<double>(result.tier_accesses[t]) /
-                                static_cast<double>(result.total_accesses);
-    }
-  }
   return result;
 }
 

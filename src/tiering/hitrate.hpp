@@ -41,23 +41,4 @@ struct HitrateResult {
                                             const EpochSeries& series,
                                             const HitrateOptions& options);
 
-/// Per-tier access breakdown from an N-tier waterfall replay
-/// (docs/TOPOLOGY.md): index 0 is the fastest tier.
-struct TierHitrateResult {
-  std::vector<std::uint64_t> tier_accesses;  ///< truth accesses per tier
-  std::vector<double> tier_fraction;         ///< tier_accesses / total
-  std::uint64_t total_accesses = 0;
-};
-
-/// Waterfall placement over an arbitrary tier ladder: each epoch, the
-/// previous epoch's ranking (built from `series` observations under
-/// `fusion`) fills tier 0 up to capacities[0] frames, the next-hottest
-/// pages fill tier 1, and so on; unranked or overflowing pages land in the
-/// bottom tier. One capacity per tier above the bottom — an N-tier chain
-/// passes N-1 capacities. Accesses are charged to the tier holding the
-/// page when the epoch's truth is replayed.
-[[nodiscard]] TierHitrateResult evaluate_waterfall(
-    const EpochSeries& series, const std::vector<std::uint64_t>& capacities,
-    const core::FusionParams& fusion);
-
 }  // namespace tmprof::tiering

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 #include "telemetry/telemetry.hpp"
 #include "tiering/tenant.hpp"
@@ -38,24 +37,19 @@ void PageMover::collect_residents(mem::TierId tier,
   }
 }
 
-void PageMover::build_demotion_order(
-    const std::vector<core::PageRank>& ranking) {
-  rank_of_.clear();
-  for (const core::PageRank& pr : ranking) {
-    rank_of_.try_emplace(pr.key, pr.rank);
-  }
+void PageMover::build_demotion_order(mem::TierId tier) {
   auto rank_of = [&](const PageKey& key) -> std::uint64_t {
     const auto it = rank_of_.find(key);
     return it == rank_of_.end() ? 0 : it->second;
   };
-  collect_residents(0, t1_pages_);
+  collect_residents(tier, demote_order_);
   ranked_.clear();
-  if (arbiter_ != nullptr) {
+  if (arbiter_ != nullptr && tier == 0) {
     // QoS-aware reclaim (docs/CONSOLIDATION.md): batch (and unregistered)
     // tenants' burst pages go first, latency tenants' pages last; within a
     // class coldest first, ties on ascending key. A strict total order, so
     // the reclaim sequence is bitwise thread-count invariant.
-    for (const Resident& page : t1_pages_) {
+    for (const Resident& page : demote_order_) {
       const std::uint32_t tenant = arbiter_->tenant_of(page.first.pid);
       const bool latency = tenant != TenantArbiter::kNoTenant &&
                            arbiter_->spec(tenant).qos == QosClass::Latency;
@@ -71,7 +65,7 @@ void PageMover::build_demotion_order(
                 return a.page.first < b.page.first;
               });
     for (std::size_t i = 0; i < ranked_.size(); ++i) {
-      t1_pages_[i] = ranked_[i].page;
+      demote_order_[i] = ranked_[i].page;
     }
     return;
   }
@@ -79,10 +73,10 @@ void PageMover::build_demotion_order(
   // lead in walk order, then only the ranked ones are sorted — by rank,
   // ties in walk order — so the sort is O(ranked residents), not O(R).
   std::size_t next = 0;
-  for (const Resident& page : t1_pages_) {
+  for (const Resident& page : demote_order_) {
     const std::uint64_t rank = rank_of(page.first);
     if (rank == 0) {
-      t1_pages_[next++] = page;
+      demote_order_[next++] = page;
     } else {
       ranked_.push_back(RankedResident{0, rank, ranked_.size(), page});
     }
@@ -92,7 +86,7 @@ void PageMover::build_demotion_order(
               if (a.rank != b.rank) return a.rank < b.rank;
               return a.seq < b.seq;
             });
-  for (const RankedResident& r : ranked_) t1_pages_[next++] = r.page;
+  for (const RankedResident& r : ranked_) demote_order_[next++] = r.page;
 }
 
 void PageMover::set_tenant_arbiter(TenantArbiter* arbiter) noexcept {
@@ -283,7 +277,9 @@ void PageMover::arbitrate_quotas(const PlacementSet& desired,
   for (const core::PageRank& pr : ranking) {
     if (desired.count(pr.key) != 0) charge(pr.key);
   }
-  for (const PageKey& key : desired) charge(key);
+  for (const PageKey& key : desired) {
+    if (!rank_of_.contains(key)) charge(key);
+  }
 }
 
 void PageMover::defer_promotion(const PageKey& key, mem::TierId dest,
@@ -315,7 +311,7 @@ void PageMover::drain_deferred(MoveStats& stats, std::uint64_t& budget) {
       deferred_set_.erase(d.key);
       continue;
     }
-    if (arbiter_ != nullptr &&
+    if (arbiter_ != nullptr && d.dest == 0 &&
         !quota_charge_once(d.key, mem::pages_in(ref.size))) {
       keep.push_back(d);  // over quota this epoch; re-arbitrated next epoch
       continue;
@@ -371,45 +367,82 @@ void PageMover::drain_deferred(MoveStats& stats, std::uint64_t& budget) {
 }
 
 MoveStats PageMover::apply(const std::vector<core::PageRank>& ranking,
-                           std::uint64_t capacity_frames) {
+                           const std::vector<std::uint64_t>& capacities) {
+  TMPROF_EXPECTS(!capacities.empty());
+  TMPROF_EXPECTS(capacities.size() < system_.phys().tier_count());
   if (ranking.empty()) return MoveStats{};
 
-  // Desired resident set: hottest pages first until capacity is filled.
-  // Pages below the noise floor are not worth a migration; the residents
-  // they would have displaced simply stay put.
-  PlacementSet desired;
-  std::uint64_t used = 0;
+  // One placement set per bounded tier, filled hottest first: each page
+  // takes the fastest tier that still has room for all its frames. Pages
+  // below the noise floor are not worth a migration; the residents they
+  // would have displaced simply stay put.
+  std::vector<PlacementSet> sets(capacities.size());
+  std::vector<std::uint64_t> used(capacities.size(), 0);
+  std::uint64_t room = 0;
+  for (const std::uint64_t frames : capacities) room += frames;
   for (const core::PageRank& pr : ranking) {
+    if (room == 0) break;
     if (pr.rank < config_.min_rank) break;  // ranking is descending
     sim::Process& proc = system_.process(pr.key.pid);
     const mem::PteRef ref = proc.page_table().resolve(pr.key.page_va);
     if (!ref) continue;  // page vanished
     const std::uint64_t frames = mem::pages_in(ref.size);
-    if (used + frames > capacity_frames) continue;
-    desired.insert(pr.key);
-    used += frames;
-    if (used >= capacity_frames) break;
+    for (std::size_t t = 0; t < capacities.size(); ++t) {
+      if (used[t] + frames > capacities[t]) continue;
+      sets[t].insert(pr.key);
+      used[t] += frames;
+      room -= frames;
+      break;
+    }
   }
-  return reconcile(desired, ranking);
+  std::vector<const PlacementSet*> placed;
+  placed.reserve(sets.size());
+  for (const PlacementSet& set : sets) placed.push_back(&set);
+  return reconcile(placed, ranking);
 }
 
 MoveStats PageMover::apply_placement(
     const PlacementSet& desired, const std::vector<core::PageRank>& ranking) {
-  return reconcile(desired, ranking);
+  const PlacementSet* const placed[] = {&desired};
+  return reconcile(placed, ranking);
 }
 
-MoveStats PageMover::reconcile(const PlacementSet& desired,
+MoveStats PageMover::reconcile(std::span<const PlacementSet* const> placed,
                                const std::vector<core::PageRank>& ranking) {
   MoveStats stats;
   const util::SimNs apply_begin = system_.now();
   std::uint64_t budget = budget_for_apply();
+  const auto rest = static_cast<mem::TierId>(placed.size());
+  auto target_of = [&](const PageKey& key) {
+    mem::TierId t = 0;
+    while (t < rest && placed[t]->count(key) == 0) ++t;
+    return t;
+  };
+  rank_of_.clear();
+  for (const core::PageRank& pr : ranking) {
+    rank_of_.try_emplace(pr.key, pr.rank);
+  }
+  // Every placed page with its target, in promote order: ranking order,
+  // then each set's never-ranked pages (e.g., a sticky policy's carried-over
+  // residents) in set order. `visit` returns false to stop.
+  auto for_each_placed = [&](auto&& visit) {
+    for (const core::PageRank& pr : ranking) {
+      const mem::TierId target = target_of(pr.key);
+      if (target < rest && !visit(pr.key, target)) return;
+    }
+    for (mem::TierId t = 0; t < rest; ++t) {
+      for (const PageKey& key : *placed[t]) {
+        if (rank_of_.contains(key) || target_of(key) != t) continue;
+        if (!visit(key, t)) return;
+      }
+    }
+  };
 
-  // Admission pre-pass (docs/ADMISSION.md): score every promotion
-  // candidate *before* demotions are sized, so residents are never evicted
-  // to make room for a move the gate then refuses. Candidates are visited
-  // in ranking order, then leftover-desired order — the exact promote
-  // order below — so the storm brake sheds the lowest-benefit moves first
-  // under the same total RankOrder.
+  // Admission pre-pass (docs/ADMISSION.md): score every upward move
+  // *before* demotions are sized, so residents are never evicted to make
+  // room for a move the gate then refuses. Candidates are visited in the
+  // exact promote order below, so the storm brake sheds the
+  // lowest-benefit moves first under the same total RankOrder.
   if (admission_.enabled()) {
     admission_.begin_epoch(system_.now(), ranking);
     admission_memo_.clear();
@@ -417,137 +450,129 @@ MoveStats PageMover::reconcile(const PlacementSet& desired,
   // Tenant quota arbitration (docs/CONSOLIDATION.md) runs after the bucket
   // refill above — the bandwidth carve splits post-refill tokens — and
   // before admission verdicts, so quota-denied pages are never scored.
-  if (arbiter_ != nullptr) arbitrate_quotas(desired, ranking);
+  if (arbiter_ != nullptr) arbitrate_quotas(*placed[0], ranking);
   if (admission_.enabled()) {
-    auto consider = [&](const PageKey& key) {
-      if (quota_denied(key)) return;
+    for_each_placed([&](const PageKey& key, mem::TierId target) {
+      if (quota_denied(key)) return true;
       sim::Process& proc = system_.process(key.pid);
       const mem::PteRef ref = proc.page_table().resolve(key.page_va);
-      if (!ref) return;
-      if (system_.phys().tier_of(ref.pte->pfn()) == 0) return;  // resident
+      if (!ref) return true;
+      if (system_.phys().tier_of(ref.pte->pfn()) <= target) return true;
       (void)admit_once(key, ref.size, stats);
-    };
-    for (const core::PageRank& pr : ranking) {
-      if (desired.count(pr.key) != 0) consider(pr.key);
-    }
-    for (const PageKey& key : desired) consider(key);
+      return true;
+    });
   }
 
-  // Demote cold tier-1 residents so promotions have room — *coldest first*,
-  // so a hot resident that merely escaped this epoch's sparse sample is the
-  // last to go. Demotion is lazy: pages move out only when the desired set
-  // actually needs the space, and the residents are not even enumerated
-  // while tier 0's free frames already cover it.
-  std::uint64_t need_frames = 0;
-  for (const PageKey& key : desired) {
-    if (admission_rejected(key)) continue;  // will not move: reserve nothing
-    if (quota_denied(key)) continue;        // over quota: reserves nothing
-    sim::Process& proc = system_.process(key.pid);
-    const mem::PteRef ref = proc.page_table().resolve(key.page_va);
-    if (ref && system_.phys().tier_of(ref.pte->pfn()) != 0) {
-      need_frames += mem::pages_in(ref.size);
-    }
-  }
-  std::uint64_t free_t1 = system_.phys().free_frames(0);
-  if (need_frames > free_t1) {
-    build_demotion_order(ranking);
-  } else {
-    t1_pages_.clear();
-  }
-  // Per-tenant fast-tier occupancy, maintained through the demote loop so
-  // the floor guard sees live balances.
-  std::vector<std::uint64_t> occupancy;
-  if (arbiter_ != nullptr && !t1_pages_.empty()) {
-    occupancy.assign(arbiter_->size(), 0);
-    for (const auto& [key, size] : t1_pages_) {
-      const std::uint32_t tenant = arbiter_->tenant_of(key.pid);
-      if (tenant != TenantArbiter::kNoTenant) {
-        occupancy[tenant] += mem::pages_in(size);
+  // Demote bottom-up: a tier can only shed pages into the tiers below it,
+  // so room must open at the bottom before the top can drain. Residents
+  // leave *coldest first*, so a hot resident that merely escaped this
+  // epoch's sparse sample is the last to go. Demotion is lazy: pages move
+  // out only when the pages placed at a tier actually need the space, and
+  // its residents are not even enumerated while its free frames already
+  // cover them.
+  for (mem::TierId tier = rest; tier-- > 0;) {
+    std::uint64_t need_frames = 0;
+    for (const PageKey& key : *placed[tier]) {
+      if (target_of(key) != tier) continue;   // placed higher up
+      if (admission_rejected(key)) continue;  // will not move: reserve nothing
+      if (quota_denied(key)) continue;        // over quota: reserves nothing
+      sim::Process& proc = system_.process(key.pid);
+      const mem::PteRef ref = proc.page_table().resolve(key.page_va);
+      if (ref && system_.phys().tier_of(ref.pte->pfn()) != tier) {
+        need_frames += mem::pages_in(ref.size);
       }
     }
-  }
-  for (const auto& [key, size] : t1_pages_) {
-    if (need_frames <= free_t1) break;
-    // Desired residents keep demotion protection — unless the arbiter
-    // refused them quota this epoch, in which case they are exactly the
-    // over-quota burst pages reclaim exists to take back.
-    if (desired.count(key) != 0 && !quota_denied(key)) continue;
-    const std::uint64_t frames = mem::pages_in(size);
-    std::uint32_t tenant = TenantArbiter::kNoTenant;
-    if (arbiter_ != nullptr) {
-      tenant = arbiter_->tenant_of(key.pid);
-      if (tenant != TenantArbiter::kNoTenant &&
-          occupancy[tenant] < arbiter_->floor_of(tenant) + frames) {
-        continue;  // the floor is inviolable: only burst is reclaimable
+    std::uint64_t free_frames = system_.phys().free_frames(tier);
+    if (need_frames <= free_frames) continue;
+    build_demotion_order(tier);
+    // Per-tenant fast-tier occupancy, maintained through the demote loop
+    // so the floor guard sees live balances.
+    const bool arbitrated = arbiter_ != nullptr && tier == 0;
+    std::vector<std::uint64_t> occupancy;
+    if (arbitrated) {
+      occupancy.assign(arbiter_->size(), 0);
+      for (const auto& [key, size] : demote_order_) {
+        const std::uint32_t tenant = arbiter_->tenant_of(key.pid);
+        if (tenant != TenantArbiter::kNoTenant) {
+          occupancy[tenant] += mem::pages_in(size);
+        }
       }
     }
-    if (try_move(key, 1, stats, budget) == MoveOutcome::Moved) {
-      ++stats.demoted;
-      stats.cost_ns += hop_cost(0, 1);
-      stats.moved_bytes += frames << mem::kPageShift;
-      free_t1 += frames;
-      admission_.note_demoted(key);
-      if (tenant != TenantArbiter::kNoTenant) {
-        occupancy[tenant] -= frames;
-        arbiter_->note_reclaimed(key.pid, frames);
+    for (const auto& [key, size] : demote_order_) {
+      if (need_frames <= free_frames) break;
+      // Pages placed at this tier or above keep demotion protection —
+      // unless the arbiter refused them quota this epoch, in which case
+      // they are exactly the over-quota burst pages reclaim exists to take
+      // back.
+      const mem::TierId target = target_of(key);
+      if (target <= tier && !(arbitrated && quota_denied(key))) continue;
+      const std::uint64_t frames = mem::pages_in(size);
+      std::uint32_t tenant = TenantArbiter::kNoTenant;
+      if (arbitrated) {
+        tenant = arbiter_->tenant_of(key.pid);
+        if (tenant != TenantArbiter::kNoTenant &&
+            occupancy[tenant] < arbiter_->floor_of(tenant) + frames) {
+          continue;  // the floor is inviolable: only burst is reclaimable
+        }
       }
+      const auto dest = std::max(target, static_cast<mem::TierId>(tier + 1));
+      if (try_move(key, dest, stats, budget) == MoveOutcome::Moved) {
+        ++stats.demoted;
+        stats.cost_ns += hop_cost(tier, dest);
+        stats.moved_bytes += frames << mem::kPageShift;
+        free_frames += frames;
+        admission_.note_demoted(key);
+        if (tenant != TenantArbiter::kNoTenant) {
+          occupancy[tenant] -= frames;
+          arbiter_->note_reclaimed(key.pid, frames);
+        }
+      }
+      // Failed demotions are not deferred: the resident stays put and is
+      // naturally reconsidered next epoch.
     }
-    // Failed demotions are not deferred: the resident stays in tier 1 and
-    // is naturally reconsidered next epoch.
   }
 
-  // Promote the desired pages that still live in tier 2, hottest first.
-  auto promote = [&](const PageKey& key) {
-    if (quota_denied(key)) return;
-    if (admission_rejected(key)) return;
+  // Promote the placed pages that still live below their target, hottest
+  // first.
+  for_each_placed([&](const PageKey& key, mem::TierId target) {
+    if (config_.max_promotions != 0 &&
+        stats.promoted >= config_.max_promotions) {
+      return false;
+    }
+    if (quota_denied(key)) return true;
+    if (admission_rejected(key)) return true;
     sim::Process& proc = system_.process(key.pid);
     const mem::PteRef ref = proc.page_table().resolve(key.page_va);
-    if (!ref) return;
+    if (!ref) return true;
     const mem::TierId src = system_.phys().tier_of(ref.pte->pfn());
-    if (src == 0) return;
-    if (mem::pages_in(ref.size) > system_.phys().free_frames(0)) {
+    if (src <= target) return true;
+    if (mem::pages_in(ref.size) > system_.phys().free_frames(target)) {
       ++stats.no_room;
-      defer_promotion(key, 0, stats);
-      return;
+      defer_promotion(key, target, stats);
+      return true;
     }
-    switch (try_move(key, 0, stats, budget)) {
+    switch (try_move(key, target, stats, budget)) {
       case MoveOutcome::Moved:
         ++stats.promoted;
-        stats.cost_ns += hop_cost(src, 0);
+        stats.cost_ns += hop_cost(src, target);
         stats.moved_bytes += mem::pages_in(ref.size) << mem::kPageShift;
         break;
       case MoveOutcome::NoRoom:
-        defer_promotion(key, 0, stats);
+        defer_promotion(key, target, stats);
         break;
       case MoveOutcome::Aborted:
         break;  // retry budget exhausted: dropped for this epoch
     }
-  };
-  for (const core::PageRank& pr : ranking) {
-    if (config_.max_promotions != 0 &&
-        stats.promoted >= config_.max_promotions) {
-      break;
-    }
-    if (desired.count(pr.key) == 0) continue;
-    promote(pr.key);
-  }
-  // Desired pages the ranking never mentioned (e.g., a sticky policy's
-  // carried-over residents) are promoted last, in set order.
-  for (const PageKey& key : desired) {
-    if (config_.max_promotions != 0 &&
-        stats.promoted >= config_.max_promotions) {
-      break;
-    }
-    promote(key);
-  }
+    return true;
+  });
 
   drain_deferred(stats, budget);
   if (arbiter_ != nullptr) {
     // Post-reconcile occupancy snapshot: what each tenant actually holds
     // after demotions, promotions and the deferred drain.
     std::vector<std::uint64_t> held(arbiter_->size(), 0);
-    collect_residents(0, t1_pages_);
-    for (const auto& [key, size] : t1_pages_) {
+    collect_residents(0, demote_order_);
+    for (const auto& [key, size] : demote_order_) {
       const std::uint32_t tenant = arbiter_->tenant_of(key.pid);
       if (tenant != TenantArbiter::kNoTenant) {
         held[tenant] += mem::pages_in(size);
@@ -557,120 +582,6 @@ MoveStats PageMover::reconcile(const PlacementSet& desired,
       arbiter_->set_occupancy(t, held[t]);
     }
   }
-  system_.advance_time(stats.cost_ns + stats.backoff_ns);
-  note_apply(stats, apply_begin);
-  return stats;
-}
-
-MoveStats PageMover::apply_tiers(const std::vector<core::PageRank>& ranking,
-                                 const std::vector<std::uint64_t>& capacities) {
-  TMPROF_EXPECTS(!capacities.empty());
-  TMPROF_EXPECTS(capacities.size() + 1 <= system_.phys().tier_count());
-  MoveStats stats;
-  if (ranking.empty()) return stats;
-  const util::SimNs apply_begin = system_.now();
-  std::uint64_t budget = budget_for_apply();
-  const auto bottom = static_cast<mem::TierId>(capacities.size());
-
-  // Assign each ranked page a target tier in rank order: hottest pages
-  // fill the fastest tier first, spilling down the ladder.
-  std::unordered_map<PageKey, mem::TierId, PageKeyHash> target;
-  target.reserve(ranking.size());
-  std::vector<std::uint64_t> used(capacities.size(), 0);
-  for (const core::PageRank& pr : ranking) {
-    if (pr.rank < config_.min_rank) break;
-    sim::Process& proc = system_.process(pr.key.pid);
-    const mem::PteRef ref = proc.page_table().resolve(pr.key.page_va);
-    if (!ref) continue;
-    const std::uint64_t frames = mem::pages_in(ref.size);
-    mem::TierId assigned = bottom;
-    for (std::size_t t = 0; t < capacities.size(); ++t) {
-      if (used[t] + frames <= capacities[t]) {
-        used[t] += frames;
-        assigned = static_cast<mem::TierId>(t);
-        break;
-      }
-    }
-    if (assigned != bottom) target.emplace(pr.key, assigned);
-  }
-
-  // Admission pre-pass: score upward moves in ranking order before any
-  // demotion is sized (same rationale as reconcile()). Rejected pages keep
-  // their target entry, so the demote loop's `it->second <= tier` check
-  // still protects residents the gate refused to re-promote.
-  if (admission_.enabled()) {
-    admission_.begin_epoch(system_.now(), ranking);
-    admission_memo_.clear();
-    for (const core::PageRank& pr : ranking) {
-      const auto it = target.find(pr.key);
-      if (it == target.end()) continue;
-      sim::Process& proc = system_.process(pr.key.pid);
-      const mem::PteRef ref = proc.page_table().resolve(pr.key.page_va);
-      if (!ref) continue;
-      if (system_.phys().tier_of(ref.pte->pfn()) <= it->second) continue;
-      (void)admit_once(pr.key, ref.size, stats);
-    }
-  }
-
-  // Demote first, working the ladder bottom-up: a tier can only shed pages
-  // into the tiers below it, so space must open at the bottom before the
-  // top can drain. Residents with no (or a slower) target leave when the
-  // incoming set needs their space; unranked pages sink to the bottom tier
-  // so they never squat on a middle tier another page was assigned.
-  for (mem::TierId tier = bottom; tier-- > 0;) {
-    std::uint64_t need = 0;
-    for (const auto& [key, t] : target) {
-      if (t != tier) continue;
-      if (admission_rejected(key)) continue;  // will not move in
-      sim::Process& proc = system_.process(key.pid);
-      const mem::PteRef ref = proc.page_table().resolve(key.page_va);
-      if (ref && system_.phys().tier_of(ref.pte->pfn()) != tier) {
-        need += mem::pages_in(ref.size);
-      }
-    }
-    std::uint64_t free_frames = system_.phys().free_frames(tier);
-    for (const auto& [key, size] : residents(tier)) {
-      if (need <= free_frames) break;
-      const auto it = target.find(key);
-      if (it != target.end() && it->second <= tier) continue;
-      const mem::TierId dest = it == target.end() ? bottom : it->second;
-      if (try_move(key, dest, stats, budget) == MoveOutcome::Moved) {
-        ++stats.demoted;
-        stats.cost_ns += hop_cost(tier, dest);
-        stats.moved_bytes += mem::pages_in(size) << mem::kPageShift;
-        free_frames += mem::pages_in(size);
-        admission_.note_demoted(key);
-      }
-    }
-  }
-  for (const core::PageRank& pr : ranking) {
-    const auto it = target.find(pr.key);
-    if (it == target.end()) continue;
-    sim::Process& proc = system_.process(pr.key.pid);
-    const mem::PteRef ref = proc.page_table().resolve(pr.key.page_va);
-    if (!ref) continue;
-    const mem::TierId current = system_.phys().tier_of(ref.pte->pfn());
-    if (current <= it->second) continue;  // already fast enough
-    if (admission_rejected(pr.key)) continue;
-    if (mem::pages_in(ref.size) > system_.phys().free_frames(it->second)) {
-      ++stats.no_room;
-      defer_promotion(pr.key, it->second, stats);
-      continue;
-    }
-    switch (try_move(pr.key, it->second, stats, budget)) {
-      case MoveOutcome::Moved:
-        ++stats.promoted;
-        stats.cost_ns += hop_cost(current, it->second);
-        stats.moved_bytes += mem::pages_in(ref.size) << mem::kPageShift;
-        break;
-      case MoveOutcome::NoRoom:
-        defer_promotion(pr.key, it->second, stats);
-        break;
-      case MoveOutcome::Aborted:
-        break;
-    }
-  }
-  drain_deferred(stats, budget);
   system_.advance_time(stats.cost_ns + stats.backoff_ns);
   note_apply(stats, apply_begin);
   return stats;

@@ -1,10 +1,12 @@
 #pragma once
 /// \file mover.hpp
-/// The page mover (Section IV, Step 3): reconciles tier-1 residency with
-/// the policy's decision at each epoch horizon. Demotions free room first,
-/// then promotions fill it; each page move performs the remap + shootdown
-/// through the System and charges the configured per-page migration cost
-/// (the paper's emulation uses 50 µs per page).
+/// The page mover (Section IV, Step 3): reconciles residency with the
+/// placement decision at each epoch horizon. Every entry point feeds one
+/// reconcile: one placement set per bounded tier, fastest first, and every
+/// page outside them belongs in the first tier past them. Demotions free
+/// room first, then promotions fill it; each page move performs the remap +
+/// shootdown through the System and charges the configured per-page
+/// migration cost (the paper's emulation uses 50 µs per page).
 ///
 /// Robustness layer (docs/ROBUSTNESS.md): migrations can fail the way
 /// `move_pages()` fails on real kernels. Transient -EBUSY-style failures
@@ -21,6 +23,7 @@
 /// nor migrate this epoch.
 
 #include <cstdint>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -104,32 +107,28 @@ class PageMover {
  public:
   explicit PageMover(sim::System& system, const MoverConfig& config = {});
 
-  /// Make tier 1 hold (as nearly as possible) the hottest ranked pages that
-  /// fit in `capacity_frames`. Charges migration time to the system clock.
-  MoveStats apply(const std::vector<core::PageRank>& ranking,
-                  std::uint64_t capacity_frames);
-
-  /// Reconcile tier-1 residency with an explicit placement decision (the
-  /// output of any tiering::Policy). `ranking` orders promotions and
-  /// identifies cold residents for demotion; pages in `desired` are moved
-  /// in regardless of the min_rank noise floor (the policy already chose).
-  MoveStats apply_placement(const PlacementSet& desired,
-                            const std::vector<core::PageRank>& ranking);
-
-  /// Waterfall placement across an arbitrary tier ladder: the hottest
-  /// ranked pages fill tier 0 up to capacities[0], the next-hottest fill
-  /// tier 1 up to capacities[1], and so on; pages below the noise floor
-  /// (or beyond every capacity) belong in the last tier. One capacity per
-  /// tier above the bottom; requires the System to have
-  /// capacities.size() + 1 tiers.
+  /// Waterfall placement over the tier ladder: the hottest ranked pages
+  /// (at or above min_rank) fill tier 0 up to capacities[0] frames, the
+  /// next-hottest fill tier 1 up to capacities[1], and so on; every other
+  /// page belongs in tier capacities.size(). One capacity per bounded
+  /// tier (a two-tier system passes one); requires fewer capacities than
+  /// the System has tiers. Charges migration time to the system clock.
   ///
   /// Like real tiering kernels, reconciliation needs a few spare frames in
   /// the destination tiers to stage exchanges: if every tier is 100% full,
   /// demotions (and therefore the promotions waiting on them) fail
   /// gracefully — reported in MoveStats::no_room — and the blocked
   /// promotions are parked on the deferred queue for later epochs.
-  MoveStats apply_tiers(const std::vector<core::PageRank>& ranking,
-                        const std::vector<std::uint64_t>& capacities);
+  MoveStats apply(const std::vector<core::PageRank>& ranking,
+                  const std::vector<std::uint64_t>& capacities);
+
+  /// Reconcile tier-0 residency with an explicit placement decision (the
+  /// output of any tiering::Policy); every other page belongs in tier 1.
+  /// `ranking` orders promotions and identifies cold residents for
+  /// demotion; pages in `desired` are moved in regardless of the min_rank
+  /// noise floor (the policy already chose).
+  MoveStats apply_placement(const PlacementSet& desired,
+                            const std::vector<core::PageRank>& ranking);
 
   /// Enumerate pages currently resident in tier `tier` with their sizes.
   [[nodiscard]] std::vector<std::pair<PageKey, mem::PageSize>> residents(
@@ -176,14 +175,20 @@ class PageMover {
 
   using Resident = std::pair<PageKey, mem::PageSize>;
 
-  MoveStats reconcile(const PlacementSet& desired,
+  /// The one reconcile behind apply() and apply_placement(). A page's
+  /// target tier is the index of the first set in `placed` naming it, or
+  /// placed.size() when none does; a move is upward when the page sits
+  /// below its target. The tenant arbiter charges placed[0] only (quotas
+  /// are fast-tier frames).
+  MoveStats reconcile(std::span<const PlacementSet* const> placed,
                       const std::vector<core::PageRank>& ranking);
   /// Replace `out` with the pages resident in `tier`, in page-table walk
   /// order (processes in registration order).
   void collect_residents(mem::TierId tier, std::vector<Resident>& out);
-  /// Fill t1_pages_ with every tier-0 resident in reclaim order. Only
-  /// called when the desired set needs more frames than tier 0 has free.
-  void build_demotion_order(const std::vector<core::PageRank>& ranking);
+  /// Fill demote_order_ with every resident of `tier` in reclaim order,
+  /// coldest first by rank_of_. Only called when the pages placed at
+  /// `tier` need more frames than it has free.
+  void build_demotion_order(mem::TierId tier);
   /// One migration with retry/backoff; `budget` is the remaining per-apply
   /// retry budget. Increments retried/aborted/no_room; the caller accounts
   /// promoted/demoted and the per-page cost on Moved.
@@ -216,7 +221,8 @@ class PageMover {
   [[nodiscard]] bool quota_charge_once(const PageKey& key,
                                        std::uint64_t frames);
   /// Tenant arbitration pre-pass: decay benefits, grant quotas and charge
-  /// every desired page in promote order (hottest first).
+  /// every desired page in promote order (hottest first; rank_of_ must
+  /// already hold this apply's ranking).
   void arbitrate_quotas(const PlacementSet& desired,
                         const std::vector<core::PageRank>& ranking);
   [[nodiscard]] std::uint64_t budget_for_apply() const noexcept;
@@ -239,7 +245,7 @@ class PageMover {
   /// Per-apply quota memo (key -> 1 granted / 0 denied).
   core::PageMap<std::uint8_t> quota_memo_;
   /// Per-apply scratch, capacity retained across epochs: each ranked key's
-  /// first-seen rank, the tier-0 residents (in reclaim order once
+  /// first-seen rank, one tier's residents (in reclaim order once
   /// build_demotion_order ran), and the residents being sorted.
   struct RankedResident {
     int qos_class = 0;       ///< arbiter only: 1 = latency tenant
@@ -248,7 +254,7 @@ class PageMover {
     Resident page;
   };
   core::PageMap<std::uint64_t> rank_of_;
-  std::vector<Resident> t1_pages_;
+  std::vector<Resident> demote_order_;
   std::vector<RankedResident> ranked_;
   std::vector<DeferredMove> deferred_;  ///< FIFO, carried across epochs
   std::unordered_set<PageKey, PageKeyHash> deferred_set_;

@@ -65,6 +65,9 @@ RunnerResult run_attempt(const WorkloadFactory& factory,
                  options.policy);
   sim::System& system = loop.system();
   const sim::SimConfig& config = loop.config();
+  // The fast tier is the chain's first, whether the config spells the chain
+  // out or uses the two-tier shorthand.
+  const std::uint64_t fast_frames = sim::tier_specs(config).front().frames;
 
   monitors::BadgerTrap trap(options.badgertrap);
   if (emulation) system.set_badgertrap(&trap);
@@ -84,7 +87,7 @@ RunnerResult run_attempt(const WorkloadFactory& factory,
   TenantArbiter arbiter;
   if (!options.tenants.empty()) {
     TMPROF_EXPECTS(options.tenants.size() <= system.processes().size());
-    arbiter.set_capacity(config.tier1_frames);
+    arbiter.set_capacity(fast_frames);
     std::vector<mem::Pid> pinned;
     for (std::size_t i = 0; i < options.tenants.size(); ++i) {
       const mem::Pid pid = system.processes()[i]->pid();
@@ -245,7 +248,7 @@ RunnerResult run_attempt(const WorkloadFactory& factory,
       const std::vector<core::PageRank>* ranking =
           next < oracle_rankings.size() ? &oracle_rankings[next]
                                         : &snapshot.ranking;
-      const MoveStats moved = mover.apply(*ranking, config.tier1_frames);
+      const MoveStats moved = mover.apply(*ranking, {fast_frames});
       result.migrations += moved.promoted + moved.demoted;
       result.moves.merge(moved);
     } else if (migrate) {
@@ -278,7 +281,7 @@ RunnerResult run_attempt(const WorkloadFactory& factory,
         }
       }
       PolicyContext ctx;
-      ctx.capacity_frames = config.tier1_frames;
+      ctx.capacity_frames = fast_frames;
       ctx.current = &current;
       ctx.observed_ranking = &filtered;
       ctx.page_sizes = &sizes;

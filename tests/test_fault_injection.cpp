@@ -180,7 +180,7 @@ TEST(FaultInjectionMover, BusyFaultsRetryWithBackoffThenAbort) {
   PageMover mover(sys, mcfg);
   const util::SimNs before = sys.now();
   const auto ranking = rank_pages(sys, pid, {6, 7, 8, 9});
-  const MoveStats stats = mover.apply(ranking, 4);
+  const MoveStats stats = mover.apply(ranking, {4});
   // Every demotion retried max_retries times then aborted; with no room
   // freed, every promotion parked on the deferred queue.
   EXPECT_EQ(stats.promoted, 0U);
@@ -205,9 +205,31 @@ TEST(FaultInjectionMover, RetryBudgetBoundsRetriesPerApply) {
   mcfg.retry_budget = 5;
   PageMover mover(sys, mcfg);
   const auto ranking = rank_pages(sys, pid, {6, 7, 8, 9});
-  const MoveStats stats = mover.apply(ranking, 4);
+  const MoveStats stats = mover.apply(ranking, {4});
   EXPECT_EQ(stats.retried, 5U);  // budget exhausted mid-epoch
   EXPECT_GT(stats.aborted, 0U);
+}
+
+TEST(FaultInjectionMover, AbortedPromotionIsDroppedForTheEpoch) {
+  sim::System sys(small_config(8));
+  const mem::Pid pid = sys.add_process(
+      std::make_unique<workloads::UniformWorkload>(1 << 20, 0.0, 1));
+  touch_pages(sys, pid, 10);  // 8 in t1, pages 8-9 in t2
+  // Open one tier-1 frame: the promotion has room and no demotion runs.
+  sim::Process& proc = sys.process(pid);
+  const mem::Pte freed = proc.page_table().unmap(proc.vaddr_of(0));
+  sys.phys().free(freed.pfn());
+  MoverConfig mcfg;
+  mcfg.fault.rate = 1.0;
+  mcfg.fault.restrict_to({util::FaultSite::MigrationBusy});
+  PageMover mover(sys, mcfg);
+  const MoveStats stats = mover.apply(rank_pages(sys, pid, {8}), {8});
+  // One attempt, its retries, one abort: the move is not tried again.
+  EXPECT_EQ(stats.promoted, 0U);
+  EXPECT_EQ(stats.retried, mcfg.max_retries);
+  EXPECT_EQ(stats.aborted, 1U);
+  EXPECT_EQ(stats.deferred, 0U);
+  EXPECT_EQ(mover.deferred_pending(), 0U);
 }
 
 TEST(FaultInjectionMover, NoMemFaultDefersPromotion) {
@@ -225,7 +247,7 @@ TEST(FaultInjectionMover, NoMemFaultDefersPromotion) {
   mcfg.fault.restrict_to({util::FaultSite::MigrationNoMem});
   PageMover mover(sys, mcfg);
   const auto ranking = rank_pages(sys, pid, {8});
-  const MoveStats stats = mover.apply(ranking, 8);
+  const MoveStats stats = mover.apply(ranking, {8});
   EXPECT_EQ(stats.promoted, 0U);
   EXPECT_GE(stats.no_room, 1U);
   EXPECT_EQ(stats.deferred, 1U);

@@ -56,7 +56,7 @@ TEST(Mover, PromotesHotPagesIntoTier1) {
   PageMover mover(sys);
   // Declare pages 6..9 (currently in t2) the hottest.
   const auto ranking = rank_pages(sys, pid, {6, 7, 8, 9});
-  const MoveStats stats = mover.apply(ranking, 4);
+  const MoveStats stats = mover.apply(ranking, {4});
   EXPECT_EQ(stats.promoted, 4U);
   EXPECT_EQ(stats.demoted, 4U);  // the old residents made room
   sim::Process& proc = sys.process(pid);
@@ -74,7 +74,7 @@ TEST(Mover, AlreadyPlacedPagesNotMoved) {
   touch_pages(sys, pid, 4);  // all fit in t1
   PageMover mover(sys);
   const auto ranking = rank_pages(sys, pid, {0, 1, 2, 3});
-  const MoveStats stats = mover.apply(ranking, 4);
+  const MoveStats stats = mover.apply(ranking, {4});
   EXPECT_EQ(stats.promoted, 0U);
   EXPECT_EQ(stats.demoted, 0U);
   EXPECT_EQ(stats.cost_ns, 0U);
@@ -91,7 +91,7 @@ TEST(Mover, ChargesMigrationCostToClock) {
   PageMover mover(sys, mcfg);
   const util::SimNs before = sys.now();
   const auto ranking = rank_pages(sys, pid, {4, 5});
-  const MoveStats stats = mover.apply(ranking, 2);
+  const MoveStats stats = mover.apply(ranking, {2});
   EXPECT_EQ(stats.promoted + stats.demoted,
             (sys.now() - before) / cost);
 }
@@ -112,7 +112,7 @@ TEST(Mover, EmptyRankingIsNoop) {
       std::make_unique<workloads::UniformWorkload>(1 << 20, 0.0, 1));
   touch_pages(sys, pid, 4);
   PageMover mover(sys);
-  const MoveStats stats = mover.apply({}, 2);
+  const MoveStats stats = mover.apply({}, {2});
   EXPECT_EQ(stats.promoted + stats.demoted + stats.failed(), 0U);
 }
 
@@ -126,7 +126,7 @@ TEST(Mover, CapacitySmallerThanTierRespected) {
   // other t1 residents only as needed — pages 6,7 are already resident, so
   // no demotions are required to satisfy the desired set.
   const auto ranking = rank_pages(sys, pid, {6, 7});
-  const MoveStats stats = mover.apply(ranking, 2);
+  const MoveStats stats = mover.apply(ranking, {2});
   EXPECT_EQ(stats.promoted, 0U);
   EXPECT_EQ(stats.demoted, 0U);
 }
@@ -140,7 +140,7 @@ TEST(Mover, FailsGracefullyWhenTier2Full) {
   touch_pages(sys, pid, 2 + 512);  // fills both tiers completely
   PageMover mover(sys);
   const auto ranking = rank_pages(sys, pid, {100, 101});
-  const MoveStats stats = mover.apply(ranking, 2);
+  const MoveStats stats = mover.apply(ranking, {2});
   // Demotions cannot find room (t2 full) -> promotions fail, no crash.
   EXPECT_GT(stats.failed(), 0U);
   EXPECT_GT(stats.no_room, 0U);
@@ -148,6 +148,25 @@ TEST(Mover, FailsGracefullyWhenTier2Full) {
   EXPECT_EQ(stats.retried, 0U);
   // The blocked promotions wait on the deferred queue for a later epoch.
   EXPECT_GT(mover.deferred_pending(), 0U);
+}
+
+TEST(Mover, RankedPromotionWithoutRoomCountsOnce) {
+  sim::System sys(small_config(2));
+  const mem::Pid pid = sys.add_process(
+      std::make_unique<workloads::UniformWorkload>(1 << 20, 0.0, 1));
+  touch_pages(sys, pid, 4);  // 0, 1 in t1; 2, 3 in t2
+  PageMover mover(sys);
+  // Every tier-1 resident is desired, so nothing is demoted and page 2
+  // finds no room: one no_room, one deferral.
+  const auto ranking = rank_pages(sys, pid, {0, 1, 2});
+  PlacementSet desired;
+  for (const core::PageRank& pr : ranking) desired.insert(pr.key);
+  const MoveStats stats = mover.apply_placement(desired, ranking);
+  EXPECT_EQ(stats.promoted, 0U);
+  EXPECT_EQ(stats.demoted, 0U);
+  EXPECT_EQ(stats.no_room, 1U);
+  EXPECT_EQ(stats.deferred, 1U);
+  EXPECT_EQ(mover.deferred_pending(), 1U);
 }
 
 TEST(MoverTiers, FullLadderFailsGracefullyAndDefers) {
@@ -167,7 +186,7 @@ TEST(MoverTiers, FullLadderFailsGracefullyAndDefers) {
   PageMover mover(sys);
   // The hottest pages live at the bottom: promotion pressure everywhere.
   const auto ranking = rank_pages(sys, pid, {9, 8, 7, 6});
-  const MoveStats stats = mover.apply_tiers(ranking, {2, 4});
+  const MoveStats stats = mover.apply(ranking, {2, 4});
   EXPECT_EQ(stats.promoted, 0U);
   EXPECT_EQ(stats.demoted, 0U);
   EXPECT_GT(stats.no_room, 0U);
@@ -177,7 +196,7 @@ TEST(MoverTiers, FullLadderFailsGracefullyAndDefers) {
   sim::Process& proc = sys.process(pid);
   const mem::Pte freed = proc.page_table().unmap(proc.vaddr_of(0));
   sys.phys().free(freed.pfn());
-  const MoveStats again = mover.apply_tiers(ranking, {2, 4});
+  const MoveStats again = mover.apply(ranking, {2, 4});
   EXPECT_GT(again.promoted + again.demoted, 0U);
 }
 
@@ -205,7 +224,7 @@ TEST(MoverTiers, WaterfallPlacesByRankAcrossThreeTiers) {
   PageMover mover(sys);
   // Hottest: pages 9, 8 (currently t2); then 7, 6, 5, 4.
   const auto ranking = rank_pages(sys, pid, {9, 8, 7, 6, 5, 4});
-  const MoveStats stats = mover.apply_tiers(ranking, {2, 4});
+  const MoveStats stats = mover.apply(ranking, {2, 4});
   EXPECT_GT(stats.promoted, 0U);
   sim::Process& proc = sys.process(pid);
   auto tier_of_page = [&](std::uint64_t idx) {
@@ -223,24 +242,32 @@ TEST(MoverTiers, WaterfallPlacesByRankAcrossThreeTiers) {
   EXPECT_EQ(tier_of_page(0), 2);
 }
 
-TEST(MoverTiers, TwoTierWaterfallMatchesApply) {
+TEST(MoverTiers, MiddleTierDemotesColdestFirst) {
   sim::SimConfig cfg = three_tier_config();
-  cfg.tiers.pop_back();     // plain two tiers
-  cfg.tiers[1].frames = 8;  // slack below: exchanges need staging room
+  cfg.tiers[1].frames = 2;
   sim::System sys(cfg);
   const mem::Pid pid = sys.add_process(
       std::make_unique<workloads::UniformWorkload>(1 << 20, 0.0, 1));
-  touch_pages(sys, pid, 6);
+  touch_pages(sys, pid, 6);  // 0, 1 in t0; 2, 3 in t1; 4, 5 in t2
   PageMover mover(sys);
-  const auto ranking = rank_pages(sys, pid, {5, 4});
-  const MoveStats stats = mover.apply_tiers(ranking, {2});
-  EXPECT_EQ(stats.promoted, 2U);
+  // Pages 0 and 1 fill tier 0 and page 4 is placed in tier 1, which is
+  // full. Page 2 is ranked below the noise floor and page 3 not at all:
+  // neither is placed, and the colder one, page 3, makes the room although
+  // page 2 comes first in the page walk.
+  auto ranking = rank_pages(sys, pid, {0, 1, 4, 2});
+  ranking.back().rank = 1;
+  const MoveStats stats = mover.apply(ranking, {2, 2});
+  EXPECT_EQ(stats.demoted, 1U);
+  EXPECT_EQ(stats.promoted, 1U);
   sim::Process& proc = sys.process(pid);
-  for (std::uint64_t idx : {5ULL, 4ULL}) {
+  auto tier_of_page = [&](std::uint64_t idx) {
     const auto ref =
         proc.page_table().resolve(proc.vaddr_of(idx * mem::kPageSize));
-    EXPECT_EQ(sys.phys().tier_of(ref.pte->pfn()), 0) << idx;
-  }
+    return sys.phys().tier_of(ref.pte->pfn());
+  };
+  EXPECT_EQ(tier_of_page(4), 1);
+  EXPECT_EQ(tier_of_page(2), 1);
+  EXPECT_EQ(tier_of_page(3), 2);
 }
 
 TEST(MoverTiers, RequiresEnoughTiers) {
@@ -252,8 +279,8 @@ TEST(MoverTiers, RequiresEnoughTiers) {
   touch_pages(sys, pid, 2);
   PageMover mover(sys);
   const auto ranking = rank_pages(sys, pid, {0});
-  EXPECT_THROW(mover.apply_tiers(ranking, {1, 1}), util::AssertionError);
-  EXPECT_THROW(mover.apply_tiers(ranking, {}), util::AssertionError);
+  EXPECT_THROW(mover.apply(ranking, {1, 1}), util::AssertionError);
+  EXPECT_THROW(mover.apply(ranking, {}), util::AssertionError);
 }
 
 }  // namespace
@@ -408,7 +435,7 @@ class ReferenceMover {
     }
     for (const PageKey& key : desired) {
       if (capped()) break;
-      promote(key);
+      if (rank_of.count(key) == 0) promote(key);  // never-ranked pages only
     }
     drain_deferred(stats);
     if (arbiter_ != nullptr) {
@@ -626,16 +653,39 @@ void expect_same_stats(const MoveStats& a, const MoveStats& b) {
   EXPECT_EQ(a.backoff_ns, b.backoff_ns);
 }
 
+/// The one-tier waterfall written out: the hottest ranked pages at or
+/// above `min_rank` that still fit in `capacity` frames.
+PlacementSet greedy_fill(sim::System& sys,
+                         const std::vector<core::PageRank>& ranking,
+                         std::uint64_t capacity, std::uint64_t min_rank) {
+  PlacementSet desired;
+  std::uint64_t used = 0;
+  for (const core::PageRank& pr : ranking) {
+    if (pr.rank < min_rank) break;
+    const mem::PteRef ref =
+        sys.process(pr.key.pid).page_table().resolve(pr.key.page_va);
+    if (!ref) continue;
+    const std::uint64_t frames = mem::pages_in(ref.size);
+    if (used + frames > capacity) continue;
+    desired.insert(pr.key);
+    used += frames;
+  }
+  return desired;
+}
+
 /// One seeded scenario: two identical systems, one reconciled by
 /// PageMover and one by ReferenceMover, over several epochs of random
 /// rankings (rank ties, rank-0 entries, duplicate and unmapped keys) and
-/// desired sets (ranked picks plus unranked sticky residents).
-/// Returns the PageMover's stats summed over the epochs.
+/// desired sets (ranked picks plus unranked sticky residents). With
+/// `waterfall`, PageMover::apply(ranking, {t1_frames}) runs instead and the
+/// reference reconciles greedy_fill's set. Returns the PageMover's stats
+/// summed over the epochs.
 MoveStats run_differential(std::uint64_t seed, bool with_arbiter,
-                           bool with_admission) {
+                           bool with_admission, bool waterfall = false) {
   SCOPED_TRACE(::testing::Message() << "seed=" << seed << " arbiter="
                                     << with_arbiter
-                                    << " admission=" << with_admission);
+                                    << " admission=" << with_admission
+                                    << " waterfall=" << waterfall);
   util::Rng rng(seed);
   constexpr std::uint64_t kPagesPerProc = 64;
   const std::uint64_t t1_frames = 16 + rng.below(48);
@@ -762,8 +812,18 @@ MoveStats run_differential(std::uint64_t seed, bool with_arbiter,
       desired.insert(random_key(kPagesPerProc));
     }
 
-    const MoveStats got = mover.apply_placement(desired, ranking);
-    const MoveStats want = reference.apply_placement(desired, ranking);
+    MoveStats got;
+    MoveStats want;
+    if (!waterfall) {
+      got = mover.apply_placement(desired, ranking);
+      want = reference.apply_placement(desired, ranking);
+    } else {
+      got = mover.apply(ranking, {t1_frames});
+      if (!ranking.empty()) {  // an empty ranking leaves apply a no-op
+        want = reference.apply_placement(
+            greedy_fill(sys_b, ranking, t1_frames, config.min_rank), ranking);
+      }
+    }
     total.merge(got);
     SCOPED_TRACE(::testing::Message() << "epoch=" << epoch);
     expect_same_stats(got, want);
@@ -809,6 +869,22 @@ TEST(MoverDifferential, DemotionOrderMatchesFullSortReference) {
                                  /*with_admission=*/true));
   }
   expect_exercised(plain, gated);
+}
+
+TEST(MoverDifferential, ApplyMatchesGreedyFillReference) {
+  for (const bool with_arbiter : {false, true}) {
+    MoveStats plain;
+    MoveStats gated;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      plain.merge(run_differential(seed, with_arbiter,
+                                   /*with_admission=*/false,
+                                   /*waterfall=*/true));
+      gated.merge(run_differential(seed, with_arbiter,
+                                   /*with_admission=*/true,
+                                   /*waterfall=*/true));
+    }
+    expect_exercised(plain, gated);
+  }
 }
 
 TEST(MoverDifferential, ArbiterReclaimOrderMatchesFullSortReference) {

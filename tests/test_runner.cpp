@@ -201,22 +201,44 @@ TEST(Runner, BadgerTrapEmulationPreservesOrdering) {
   EXPECT_GT(h.tier1_hitrate, f.tier1_hitrate);
 }
 
+void expect_same_result(const RunnerResult& a, const RunnerResult& b) {
+  EXPECT_EQ(a.runtime_ns, b.runtime_ns);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.tier1_hitrate),
+            std::bit_cast<std::uint64_t>(b.tier1_hitrate));
+  EXPECT_EQ(a.migrations, b.migrations);
+  EXPECT_EQ(a.protection_faults, b.protection_faults);
+  EXPECT_EQ(a.profiling_overhead_ns, b.profiling_overhead_ns);
+  EXPECT_EQ(a.moves.moved_bytes, b.moves.moved_bytes);
+  EXPECT_EQ(a.moves.no_room, b.moves.no_room);
+  EXPECT_EQ(a.process_hitrates, b.process_hitrates);
+}
+
+/// The policy's capacity and the oracle's waterfall come from the chain's
+/// first tier, so an explicit chain that leaves the tier1_frames shorthand
+/// at its default runs exactly like the shorthand with the same frames.
+TEST(Runner, ExplicitChainSizesFastTierFromChain) {
+  const auto spec = workloads::find_spec("data_caching", 0.1);
+  sim::SimConfig shorthand = small_config();
+  shorthand.tier1_frames = 1 << 9;  // far below the shorthand default
+  sim::SimConfig chain = small_config();
+  chain.tier1_frames = sim::SimConfig{}.tier1_frames;
+  chain.tiers = {mem::TierSpec{"tier1-dram", 1 << 9, 80, 80, 0},
+                 mem::TierSpec{"tier2-nvm", 1 << 16, 300, 600, 0}};
+  for (const char* policy : {"history", "oracle"}) {
+    SCOPED_TRACE(policy);
+    const RunnerOptions opt = fast_options(policy);
+    const RunnerResult two = EndToEndRunner::run(spec, shorthand, opt);
+    EXPECT_GT(two.migrations, 0U);
+    expect_same_result(two, EndToEndRunner::run(spec, chain, opt));
+  }
+}
+
 /// Emulation runs every tier at DRAM speed, so an explicit chain is
 /// flattened the same way as the two-tier shorthand, down to its last tier.
 TEST(Runner, BadgerTrapEmulationFlattensExplicitChain) {
   const auto spec = workloads::find_spec("data_caching", 0.1);
   RunnerOptions opt = fast_options("history");
   opt.slow_model = SlowMemoryModel::BadgerTrapEmulation;
-  const auto same = [](const RunnerResult& a, const RunnerResult& b) {
-    EXPECT_EQ(a.runtime_ns, b.runtime_ns);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.tier1_hitrate),
-              std::bit_cast<std::uint64_t>(b.tier1_hitrate));
-    EXPECT_EQ(a.migrations, b.migrations);
-    EXPECT_EQ(a.protection_faults, b.protection_faults);
-    EXPECT_EQ(a.profiling_overhead_ns, b.profiling_overhead_ns);
-    EXPECT_EQ(a.moves.moved_bytes, b.moves.moved_bytes);
-    EXPECT_EQ(a.process_hitrates, b.process_hitrates);
-  };
 
   sim::SimConfig shorthand = small_config();
   shorthand.tier1_frames = 1 << 9;  // force spill so slow pages exist
@@ -225,7 +247,7 @@ TEST(Runner, BadgerTrapEmulationFlattensExplicitChain) {
                  mem::TierSpec{"tier2-nvm", 1 << 16, 300, 600, 0}};
   const RunnerResult two = EndToEndRunner::run(spec, shorthand, opt);
   EXPECT_GT(two.protection_faults, 0U);
-  same(two, EndToEndRunner::run(spec, chain, opt));
+  expect_same_result(two, EndToEndRunner::run(spec, chain, opt));
 
   // Three tiers with a small middle one, so pages spill to the bottom.
   chain.tiers = {mem::TierSpec{"dram", 1 << 9, 80, 80, 0},

@@ -1,8 +1,7 @@
 /// N-tier topology tests (docs/TOPOLOGY.md): the SimConfig tier-chain
-/// model (two-tier shorthand vs explicit chains), the waterfall hitrate
-/// evaluator, and per-hop migration-cost scaling over a three-tier chain.
-
-#include "tiering/hitrate.hpp"
+/// model (two-tier shorthand vs explicit chains), and the mover's waterfall
+/// over a three-tier chain: huge-page capacity charging and per-hop
+/// migration cost.
 
 #include <gtest/gtest.h>
 
@@ -62,81 +61,7 @@ TEST(Topology, ExplicitChainDrivesSystemGeometry) {
 }
 
 // ---------------------------------------------------------------------------
-// Waterfall hitrate evaluation
-
-PageKey key(std::uint64_t n) { return PageKey{1, n * mem::kPageSize}; }
-
-/// Two identical epochs: page 0 hot (5 accesses), page 1 warm (3),
-/// page 2 cold (1); the profiler observes the truth exactly.
-EpochSeries waterfall_series() {
-  EpochSeries series;
-  for (std::uint32_t e = 0; e < 2; ++e) {
-    EpochData data;
-    data.epoch = e;
-    const std::uint64_t counts[] = {5, 3, 1};
-    for (std::uint64_t p = 0; p < 3; ++p) {
-      data.truth[key(p)] = counts[p];
-      data.truth_total += counts[p];
-      data.observed.trace[key(p)] = static_cast<std::uint32_t>(counts[p]);
-    }
-    series.epochs.push_back(std::move(data));
-  }
-  for (std::uint64_t p = 0; p < 3; ++p) {
-    series.page_sizes[key(p)] = mem::PageSize::k4K;
-  }
-  series.footprint_frames = 3;
-  return series;
-}
-
-TEST(Topology, WaterfallSpillsRankingDownTheLadder) {
-  const EpochSeries series = waterfall_series();
-  core::FusionParams fusion;  // Sum: ranks 5/3/1
-  const TierHitrateResult r =
-      evaluate_waterfall(series, {1, 1}, fusion);
-  ASSERT_EQ(r.tier_accesses.size(), 3U);
-  // Epoch 0 has no prior ranking: all 9 accesses hit the bottom tier.
-  // Epoch 1 waterfalls epoch 0's ranking: page 0 -> tier 0 (5 accesses),
-  // page 1 -> tier 1 (3), page 2 spills to the bottom (1).
-  EXPECT_EQ(r.tier_accesses[0], 5U);
-  EXPECT_EQ(r.tier_accesses[1], 3U);
-  EXPECT_EQ(r.tier_accesses[2], 9U + 1U);
-  EXPECT_EQ(r.total_accesses, 18U);
-  double sum = 0.0;
-  for (const double f : r.tier_fraction) sum += f;
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-}
-
-TEST(Topology, WaterfallChargesFrameCountsOfLargePages) {
-  EpochSeries series = waterfall_series();
-  series.page_sizes[key(0)] = mem::PageSize::k2M;  // hot page is now huge
-  core::FusionParams fusion;
-  // Tier 0 holds exactly the 512 frames of the huge page; page 1 no longer
-  // fits beside it and spills to tier 1, page 2 to the bottom.
-  const TierHitrateResult r =
-      evaluate_waterfall(series, {512, 1}, fusion);
-  EXPECT_EQ(r.tier_accesses[0], 5U);
-  EXPECT_EQ(r.tier_accesses[1], 3U);
-  EXPECT_EQ(r.tier_accesses[2], 9U + 1U);
-  // Squeeze the fast tier below the huge page: it can never be placed, so
-  // the waterfall stops at it and everything lands on the bottom tier.
-  const TierHitrateResult tight =
-      evaluate_waterfall(series, {1, 1}, fusion);
-  EXPECT_EQ(tight.tier_accesses[0], 0U);
-  EXPECT_EQ(tight.tier_accesses[1], 0U);
-  EXPECT_EQ(tight.tier_accesses[2], 18U);
-}
-
-TEST(Topology, WaterfallEmptySeriesYieldsZeroTotals) {
-  const EpochSeries series;
-  core::FusionParams fusion;
-  const TierHitrateResult r = evaluate_waterfall(series, {4}, fusion);
-  EXPECT_EQ(r.total_accesses, 0U);
-  ASSERT_EQ(r.tier_fraction.size(), 2U);
-  EXPECT_EQ(r.tier_fraction[0], 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Per-hop migration cost over a chain
+// The mover's waterfall over a chain
 
 /// Touch `pages` distinct 4 KiB pages so first-touch fills the ladder
 /// fastest tier first.
@@ -145,6 +70,59 @@ void touch_pages(sim::System& sys, mem::Pid pid, std::uint64_t pages) {
   for (std::uint64_t i = 0; i < pages; ++i) {
     sys.access(proc, proc.vaddr_of(i * mem::kPageSize), false, 1);
   }
+}
+
+/// A hot huge page, then a warm and a cold 4 KiB page, all mapped on the
+/// bottom of a three-tier chain, waterfalled once over `capacities`.
+/// Returns the three pages' tiers after the move.
+std::vector<mem::TierId> waterfall_huge_warm_cold(
+    const std::vector<std::uint64_t>& capacities) {
+  sim::SimConfig cfg;
+  cfg.cores = 2;
+  cfg.llc_bytes = 1 << 18;
+  cfg.tiers = {mem::TierSpec{"a", 1024, 80, 80, 0},
+               mem::TierSpec{"b", 512, 150, 200, 0},
+               mem::TierSpec{"c", 4096, 300, 600, 0}};
+  sim::System sys(cfg);
+  const mem::Pid pid = sys.add_process(
+      std::make_unique<workloads::UniformWorkload>(8 << 20, 0.0, 1));
+  sim::Process& proc = sys.process(pid);
+  const mem::VirtAddr huge = proc.vaddr_of(0);
+  const mem::VirtAddr warm = proc.vaddr_of(mem::kHugePageSize);
+  const mem::VirtAddr cold = warm + mem::kPageSize;
+  std::vector<core::PageRank> ranking;
+  std::uint64_t rank = 1000;
+  for (const mem::VirtAddr va : {huge, warm, cold}) {
+    const mem::PageSize size =
+        va == huge ? mem::PageSize::k2M : mem::PageSize::k4K;
+    const auto pfn = sys.phys().alloc_exact(2, pid, va, size);
+    EXPECT_TRUE(pfn.has_value());
+    if (pfn) proc.page_table().map(va, *pfn, size);
+    core::PageRank pr;
+    pr.key = PageKey{pid, va};
+    pr.rank = rank--;
+    ranking.push_back(pr);
+  }
+  PageMover mover(sys);
+  (void)mover.apply(ranking, capacities);
+  std::vector<mem::TierId> tiers;
+  for (const mem::VirtAddr va : {huge, warm, cold}) {
+    tiers.push_back(
+        sys.phys().tier_of(proc.page_table().resolve(va).pte->pfn()));
+  }
+  return tiers;
+}
+
+TEST(Topology, WaterfallChargesFrameCountsOfLargePages) {
+  // Exactly the huge page's 512 frames: it fills tier a, the warm page no
+  // longer fits beside it and spills to tier b, the cold one stays on the
+  // bottom.
+  EXPECT_EQ(waterfall_huge_warm_cold({512, 1}),
+            (std::vector<mem::TierId>{0, 1, 2}));
+  // One frame short: the huge page fits no bounded tier and stays on the
+  // bottom, while both 4 KiB pages fit in tier a.
+  EXPECT_EQ(waterfall_huge_warm_cold({511, 1}),
+            (std::vector<mem::TierId>{2, 0, 0}));
 }
 
 TEST(Topology, ApplyTiersChargesPerHopMigrationCost) {
@@ -175,8 +153,9 @@ TEST(Topology, ApplyTiersChargesPerHopMigrationCost) {
 
   // Rank page 10 (bottom tier) hottest, then the eight tier-a residents,
   // then page 8. Targets with capacities {8, 2}: tier a = {10, 0..6},
-  // tier b = {7, 8}. Expected moves: demote 9 b->c (1 hop, makes room for
-  // 7), demote 7 a->b (1 hop), promote 10 c->a (2 hops).
+  // tier b = {7, 8}. Expected moves: demote the unranked 9 b->c (1 hop,
+  // makes room for 7), demote the coldest a resident 7 a->b (1 hop),
+  // promote 10 c->a (2 hops).
   std::vector<core::PageRank> ranking;
   std::uint64_t rank = 1000;
   for (const std::uint64_t idx : {10U, 0U, 1U, 2U, 3U, 4U, 5U, 6U, 7U, 8U}) {
@@ -186,7 +165,7 @@ TEST(Topology, ApplyTiersChargesPerHopMigrationCost) {
     ranking.push_back(pr);
   }
   const util::SimNs before = sys.now();
-  const MoveStats stats = mover.apply_tiers(ranking, {8, 2});
+  const MoveStats stats = mover.apply(ranking, {8, 2});
   EXPECT_EQ(stats.promoted, 1U);
   EXPECT_EQ(stats.demoted, 2U);
   // 1 + 1 + 2 hops: a flat per-move charge would only account 3 moves.
