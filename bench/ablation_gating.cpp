@@ -62,8 +62,7 @@ GateOutcome run(double threshold, bool enabled, std::uint32_t bursts,
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
-  const std::uint32_t bursts =
-      static_cast<std::uint32_t>(args.get_u64("bursts", 5));
+  const std::uint32_t bursts = args.get_u32("bursts", 5);
   const std::uint64_t ops_per_phase = args.get_u64("ops-per-phase", 400'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
 

@@ -96,8 +96,7 @@ int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   const std::string workload = args.get("workload", "gups");
   const double scale = args.get_double("scale", 0.5);
-  const std::uint32_t epochs =
-      static_cast<std::uint32_t>(args.get_u64("epochs", 8));
+  const std::uint32_t epochs = args.get_u32("epochs", 8);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 120'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const std::uint64_t kill_seed = args.get_u64("kill-seed", 0xdead);
@@ -107,8 +106,7 @@ int main(int argc, char** argv) {
       split_list(args.get("threads-list", "1,8"));
   const std::vector<std::string> rates = split_list(args.get("rates", "0,0.2"));
   const std::string model = args.get("model", "native");
-  const std::uint32_t every =
-      static_cast<std::uint32_t>(args.get_u64("checkpoint-every", 2));
+  const std::uint32_t every = args.get_u32("checkpoint-every", 2);
   const std::string dir = args.get("dir", "chaos-ckpt");
   const bool write_csv = args.get_bool("csv", true);
   // The telemetry sink rides along on every run: reference, doomed child

@@ -72,7 +72,7 @@ inline std::vector<workloads::WorkloadSpec> selected_specs(
 /// legacy serial engine; --threads=N >= 1 switches to the deterministic
 /// sharded engine with N workers (results are identical for every N >= 1).
 inline std::uint32_t selected_threads(const util::ArgParser& args) {
-  return static_cast<std::uint32_t>(args.get_u64("threads", 0));
+  return args.get_u32("threads", 0);
 }
 
 /// Hotness front-end selection shared by the benches (docs/SKETCH.md):
@@ -86,23 +86,18 @@ inline std::uint32_t selected_threads(const util::ArgParser& args) {
 inline core::HotnessConfig hotness_from_args(const util::ArgParser& args) {
   core::HotnessConfig hotness;
   hotness.mode = core::parse_hotness_mode(args.get("hotness", "exact"));
-  hotness.sketch.width = static_cast<std::uint32_t>(
-      args.get_u64("sketch-width", hotness.sketch.width));
-  hotness.sketch.depth = static_cast<std::uint32_t>(
-      args.get_u64("sketch-depth", hotness.sketch.depth));
+  hotness.sketch.width = args.get_u32("sketch-width", hotness.sketch.width);
+  hotness.sketch.depth = args.get_u32("sketch-depth", hotness.sketch.depth);
   hotness.sketch.seed = args.get_u64("sketch-seed", hotness.sketch.seed);
   hotness.sketch.bloom_bits =
       args.get_u64("bloom-bits", hotness.sketch.bloom_bits);
-  hotness.candidates = static_cast<std::uint32_t>(
-      args.get_u64("sketch-candidates", hotness.candidates));
+  hotness.candidates = args.get_u32("sketch-candidates", hotness.candidates);
   return hotness;
 }
 
 /// Streaming-transport selection shared by the benches (docs/STREAMING.md):
 ///   --stream=0|1        lock-free streaming sample transport (default off)
 ///   --stream-ring=N     per-lane ring capacity (power of two >= 2)
-///   --stream-topk=N     advisory top-K maintained between barriers (>= 1)
-///   --stream-decay=N    heat decay shift at each epoch seal (>= 64 clears)
 /// Streaming requires the sharded engine and the exact hotness front-end;
 /// invalid combinations are rejected here, naming the flag, instead of
 /// surfacing as a precondition failure deep in the driver.
@@ -111,21 +106,12 @@ inline core::StreamConfig stream_from_args(const util::ArgParser& args,
                                            const core::HotnessConfig& hotness) {
   core::StreamConfig stream;
   stream.enabled = args.get_bool("stream", false);
-  stream.ring_capacity = static_cast<std::uint32_t>(
-      args.get_u64("stream-ring", stream.ring_capacity));
+  stream.ring_capacity = args.get_u32("stream-ring", stream.ring_capacity);
   if (stream.ring_capacity < 2 ||
       (stream.ring_capacity & (stream.ring_capacity - 1)) != 0) {
     throw std::invalid_argument(
         "--stream-ring: ring capacity must be a power of two >= 2");
   }
-  stream.top_k =
-      static_cast<std::uint32_t>(args.get_u64("stream-topk", stream.top_k));
-  if (stream.top_k == 0) {
-    throw std::invalid_argument(
-        "--stream-topk: the advisory top-K must be >= 1");
-  }
-  stream.decay_shift = static_cast<std::uint32_t>(
-      args.get_u64("stream-decay", stream.decay_shift));
   if (stream.enabled && n_threads == 0) {
     throw std::invalid_argument(
         "--stream: streaming needs the sharded engine's per-core lanes; "
@@ -165,11 +151,11 @@ inline util::FaultConfig fault_from_args(const util::ArgParser& args) {
 /// directory never clobber each other.
 inline util::ckpt::Options checkpoint_from_args(const util::ArgParser& args) {
   util::ckpt::Options ck;
-  ck.every = static_cast<std::uint32_t>(args.get_u64("checkpoint-every", 0));
+  ck.every = args.get_u32("checkpoint-every", 0);
   ck.dir = args.get("checkpoint-dir", "");
   ck.resume_from = args.get("resume-from", "");
   ck.resume_latest = args.get_bool("resume-latest", false);
-  ck.keep_last = static_cast<std::uint32_t>(args.get_u64("keep-last", 3));
+  ck.keep_last = args.get_u32("keep-last", 3);
   return ck;
 }
 
@@ -185,8 +171,7 @@ inline std::unique_ptr<telemetry::Telemetry> telemetry_from_args(
   telemetry::TelemetryConfig cfg;
   cfg.metrics_out = args.get("metrics-out", "");
   cfg.trace_out = args.get("trace-out", "");
-  cfg.export_every =
-      static_cast<std::uint32_t>(args.get_u64("telemetry-every", 0));
+  cfg.export_every = args.get_u32("telemetry-every", 0);
   if (cfg.metrics_out.empty() && cfg.trace_out.empty()) return nullptr;
   return std::make_unique<telemetry::Telemetry>(cfg);
 }
@@ -213,15 +198,13 @@ inline tiering::AdmissionConfig admission_from_args(
   const double burst_mb = args.get_checked_double(
       "mig-burst", static_cast<double>(adm.burst_bytes) / 1e6, 1e-6, 1e9);
   adm.burst_bytes = static_cast<std::uint64_t>(burst_mb * 1e6);
-  adm.cooldown_epochs = static_cast<std::uint32_t>(
-      args.get_u64("cooldown-epochs", adm.cooldown_epochs));
+  adm.cooldown_epochs = args.get_u32("cooldown-epochs", adm.cooldown_epochs);
   if (adm.cooldown_epochs == 0) {
     throw std::invalid_argument(
         "--cooldown-epochs: the ping-pong window must be >= 1 epoch");
   }
   adm.min_benefit = args.get_u64("min-benefit", adm.min_benefit);
-  adm.min_history = static_cast<std::uint32_t>(
-      args.get_u64("min-history", adm.min_history));
+  adm.min_history = args.get_u32("min-history", adm.min_history);
   adm.max_moves_per_epoch = args.get_u64("max-moves", adm.max_moves_per_epoch);
   return adm;
 }
@@ -250,8 +233,7 @@ struct FleetArgs {
 
 inline FleetArgs fleet_from_args(const util::ArgParser& args) {
   FleetArgs fleet;
-  fleet.n_tenants =
-      static_cast<std::uint32_t>(args.get_u64("tenants", fleet.n_tenants));
+  fleet.n_tenants = args.get_u32("tenants", fleet.n_tenants);
   if (fleet.n_tenants < 2) {
     throw std::invalid_argument(
         "--tenants: a fleet needs at least 2 tenants (one service, one "
@@ -392,14 +374,12 @@ inline std::vector<mem::TierSpec> tiers_from_args(const util::ArgParser& args) {
 inline monitors::DevMonConfig devmon_from_args(const util::ArgParser& args) {
   monitors::DevMonConfig dm;
   dm.enabled = args.get_bool("devmon", false);
-  dm.slots =
-      static_cast<std::uint32_t>(args.get_u64("devmon-slots", dm.slots));
+  dm.slots = args.get_u32("devmon-slots", dm.slots);
   if (dm.slots == 0) {
     throw std::invalid_argument(
         "--devmon-slots: a device needs at least 1 counter slot");
   }
-  dm.top_k =
-      static_cast<std::uint32_t>(args.get_u64("devmon-topk", dm.top_k));
+  dm.top_k = args.get_u32("devmon-topk", dm.top_k);
   if (dm.top_k == 0 || dm.top_k > dm.slots) {
     throw std::invalid_argument(
         "--devmon-topk: the per-epoch report size must lie in [1, slots]");

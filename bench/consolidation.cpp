@@ -183,8 +183,7 @@ tiering::WorkloadFactory fleet_factory(const bench::FleetArgs& fleet,
 
 int fleet_main(const util::ArgParser& args) {
   const bench::FleetArgs fleet = bench::fleet_from_args(args);
-  const std::uint32_t epochs =
-      static_cast<std::uint32_t>(args.get_u64("epochs", 10));
+  const std::uint32_t epochs = args.get_u32("epochs", 10);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 120'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const bool write_csv = args.get_bool("csv", true);
@@ -338,8 +337,7 @@ int fleet_main(const util::ArgParser& args) {
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   if (args.get_bool("fleet", false)) return fleet_main(args);
-  const std::uint32_t epochs =
-      static_cast<std::uint32_t>(args.get_u64("epochs", 10));
+  const std::uint32_t epochs = args.get_u32("epochs", 10);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 600'000);
   const double scale = args.get_double("scale", 0.5);
   const std::uint64_t seed = args.get_u64("seed", 42);

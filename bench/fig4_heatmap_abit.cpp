@@ -22,8 +22,7 @@
 int main(int argc, char** argv) {
   using namespace tmprof;
   const util::ArgParser args(argc, argv);
-  const std::uint32_t epochs =
-      static_cast<std::uint32_t>(args.get_u64("epochs", 48));
+  const std::uint32_t epochs = args.get_u32("epochs", 48);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 100'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const bool write_csv = args.get_bool("csv", true);

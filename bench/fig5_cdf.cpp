@@ -55,8 +55,7 @@ std::vector<std::string> quantile_row(const std::string& label,
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
-  const std::uint32_t epochs =
-      static_cast<std::uint32_t>(args.get_u64("epochs", 8));
+  const std::uint32_t epochs = args.get_u32("epochs", 8);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 1'000'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const bool write_csv = args.get_bool("csv", true);

@@ -18,8 +18,7 @@
 ///        [--metrics-out=F] [--trace-out=F] [--telemetry-every=N]
 ///        [--hotness=exact|sketch] [--sketch-width=N] [--sketch-depth=N]
 ///        [--sketch-seed=N] [--sketch-candidates=N] [--bloom-bits=N]
-///        [--stream=0|1] [--stream-ring=N] [--stream-topk=N]
-///        [--stream-decay=N]
+///        [--stream=0|1] [--stream-ring=N]
 
 #include <array>
 #include <fstream>
@@ -58,8 +57,7 @@ double run_case(const tiering::EpochSeries& series, const std::string& policy,
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
-  const std::uint32_t epochs =
-      static_cast<std::uint32_t>(args.get_u64("epochs", 10));
+  const std::uint32_t epochs = args.get_u32("epochs", 10);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 800'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const core::FusionMode combined =

@@ -7,9 +7,8 @@
 ///  * collector_merge — insert-or-increment a page-counter map with a
 ///    skewed key stream and close the epoch (the TruthCollector /
 ///    EpochObservation accumulation pattern),
-///  * ranking_build — produce the ranking prefix policies consume each
-///    epoch (flat merge + top-K selection). ranking_full pins the full
-///    sort instead,
+///  * ranking_full — build the epoch's full ranking (flat merge + fuse +
+///    sort), what the daemon runs at every barrier,
 ///  * step_parallel — end-to-end simulator steps with a TruthCollector
 ///    attached.
 ///
@@ -30,10 +29,10 @@
 /// buffers merge + top-K build inside the barrier), `stream` pushes the
 /// same records through per-lane SpscRings with an interleaved pump (the
 /// work that overlaps shard execution in the real engine, so it is
-/// untimed) and times only the drain-and-seal residue. Both engines
-/// produce the identical top-K (checksummed); rows land in the JSON as a
-/// `ring_transport` array with `ring_speedups` ratios. The acceptance bar
-/// is >= 1.5x at 8 lanes.
+/// untimed) and times only the residual pump plus the same top-K build.
+/// Both engines produce the identical top-K (checksummed); rows land in
+/// the JSON as a `ring_transport` array with `ring_speedups` ratios. The
+/// acceptance bar is >= 1.5x at 8 lanes.
 ///
 /// A sixth section (`ckpt_crc`, always on) measures the checkpoint write
 /// stage in MB/s on a ~2 MiB image, the size of one fleet checkpoint:
@@ -68,7 +67,6 @@
 #include "common.hpp"
 #include "core/hotness.hpp"
 #include "core/ranking.hpp"
-#include "core/stream.hpp"
 #include "monitors/event.hpp"
 #include "sim/system.hpp"
 #include "tiering/epoch.hpp"
@@ -159,25 +157,17 @@ void fill_observation(core::EpochObservation& obs,
   }
 }
 
-/// `ranking_build` is flat merge + top-K selection at a capacity-sized k
-/// (core::build_ranking_topk), so ops is consumable entries produced — the
-/// prefix a placement policy actually consumes. `ranking_full` (k == 0)
-/// runs the full sort instead.
-Row run_ranking_build(std::uint64_t pages, std::uint64_t epochs,
-                      const std::vector<core::PageKey>& keys, std::size_t k) {
-  const bool full = k == 0;
+/// `ranking_full` is core::build_ranking_into, the ranking every policy,
+/// mover and watchdog reads; ops is ranked entries produced.
+Row run_ranking_full(std::uint64_t pages, std::uint64_t epochs,
+                     const std::vector<core::PageKey>& keys) {
   core::EpochObservation obs;
   fill_observation(obs, keys);
   std::vector<core::PageRank> out;
   std::uint64_t checksum = 0;
   core::RankingScratch scratch;
   auto build = [&] {
-    if (full) {
-      core::build_ranking_into(obs, core::FusionMode::Sum, 1.0, scratch, out);
-    } else {
-      core::build_ranking_topk_into(obs, core::FusionMode::Sum, 1.0, k,
-                                    scratch, out);
-    }
+    core::build_ranking_into(obs, core::FusionMode::Sum, 1.0, scratch, out);
   };
   build();  // untimed warmup: size every reused buffer first
   const auto start = Clock::now();
@@ -185,14 +175,10 @@ Row run_ranking_build(std::uint64_t pages, std::uint64_t epochs,
     build();
     checksum += out.empty() ? 0 : out.front().rank;
   }
-  const double elapsed = seconds_since(start);
-  const std::uint64_t consumable =
-      full ? out.size() : std::min<std::uint64_t>(k, out.size());
-  Row row{full ? "ranking_full" : "ranking_build", pages, "flat",
-          epochs * consumable, 0.0, 0.0};
-  row.seconds = elapsed;
+  Row row{"ranking_full", pages, "flat", epochs * out.size(), 0.0, 0.0};
+  row.seconds = seconds_since(start);
   row.ops_per_sec = static_cast<double>(row.ops) / row.seconds;
-  if (checksum == 0) std::cerr << "ranking_build: zero checksum?\n";
+  if (checksum == 0) std::cerr << "ranking_full: zero checksum?\n";
   return row;
 }
 
@@ -426,8 +412,9 @@ std::vector<std::vector<core::PageKey>> make_lane_streams(
   return streams;
 }
 
-/// Top-K of the merged counts under (count desc, key asc) — the barrier
-/// model of build_ranking_topk_into — folded into a content checksum.
+/// Top-K of the merged counts under (count desc, key asc) — the ranking
+/// both transports build from the sealed maps — folded into a content
+/// checksum.
 std::uint64_t topk_checksum(
     const core::PageCountMap& counts, std::size_t k,
     std::vector<std::pair<std::uint64_t, core::PageKey>>& scratch) {
@@ -453,8 +440,8 @@ std::uint64_t topk_checksum(
 /// Swap-and-clear baseline: production appends to per-lane buffers (cheap,
 /// overlapped with shard execution — untimed); the barrier then does ALL
 /// the merge work: drain every lane in ascending order into the count map
-/// and build the top-K. That serial span is what the streaming transport
-/// removes.
+/// and build the top-K. The merge half of that serial span is what the
+/// streaming transport moves off the barrier.
 RingRow run_ring_barrier(std::uint64_t lanes, std::uint64_t pages,
                          std::uint64_t epochs,
                          const std::vector<std::vector<core::PageKey>>& streams,
@@ -482,12 +469,11 @@ RingRow run_ring_barrier(std::uint64_t lanes, std::uint64_t pages,
 }
 
 /// Streaming transport: the same records flow through per-lane SpscRings
-/// with the consumer pumping every half-capacity round — map merge and
-/// incremental top-K maintenance happen during production, which in the
-/// real engine runs on the main thread while worker shards execute
-/// (System::set_step_pump), so that span is untimed here. The timed span
-/// is the drain-and-seal: residual ring tail, ranking read, decay + heap
-/// rebuild, swap-and-clear.
+/// with the consumer pumping every half-capacity round — the map merge
+/// happens during production, which in the real engine runs on the main
+/// thread while worker shards execute (System::set_step_pump), so that
+/// span is untimed here. The timed span is the drain-and-seal: residual
+/// ring tail, the top-K build from the sealed map, swap-and-clear.
 RingRow run_ring_stream(std::uint64_t lanes, std::uint64_t pages,
                         std::uint64_t epochs,
                         const std::vector<std::vector<core::PageKey>>& streams,
@@ -499,11 +485,9 @@ RingRow run_ring_stream(std::uint64_t lanes, std::uint64_t pages,
     rings.push_back(std::make_unique<util::SpscRing<monitors::StreamRecord>>(
         kRingCapacity));
   }
-  // decay_shift 64: per-epoch top-K only, matching the barrier model.
-  core::StreamRanker ranker(static_cast<std::uint32_t>(k), 64);
   core::PageCountMap current;
   core::PageCountMap closed;
-  std::vector<core::PageRank> rank_out;
+  std::vector<std::pair<std::uint64_t, core::PageKey>> scratch;
 
   std::uint64_t per_lane = 0;
   for (const auto& s : streams) per_lane = std::max(per_lane, s.size());
@@ -511,7 +495,6 @@ RingRow run_ring_stream(std::uint64_t lanes, std::uint64_t pages,
   const auto consume = [&](const monitors::StreamRecord& rec) {
     const core::PageKey key{static_cast<mem::Pid>(rec.c), rec.a};
     current[key] += 1;
-    ranker.add(key, 1);
   };
   const auto pump = [&] {
     for (auto& ring : rings) ring->drain(consume);
@@ -535,13 +518,11 @@ RingRow run_ring_stream(std::uint64_t lanes, std::uint64_t pages,
       ++seq;
       if (seq % (kRingCapacity / 2) == 0) pump();
     }
-    // Drain-and-seal: the only work left on the barrier critical path.
+    // Drain-and-seal plus the top-K build: the only work left on the
+    // barrier critical path.
     const auto start = Clock::now();
     pump();
-    ranker.ranking_into(rank_out);
-    std::uint64_t sum = 0;
-    for (const core::PageRank& r : rank_out) sum += r.rank * (r.key.page_va | 1);
-    ranker.seal();
+    const std::uint64_t sum = topk_checksum(current, k, scratch);
     closed.swap(current);
     current.clear();
     if (e == 0) continue;
@@ -706,12 +687,8 @@ int main(int argc, char** argv) {
 
   for (const std::uint64_t pages : footprints) {
     const std::vector<core::PageKey> keys = make_key_stream(pages, touches);
-    // Capacity-sized k: policies consume at most the tier-1 frame count,
-    // typically a quarter-ish of the footprint in the paper's configs.
-    const std::size_t k = pages / 4;
     rows.push_back(run_collector_merge(pages, epochs, keys));
-    rows.push_back(run_ranking_build(pages, epochs, keys, k));
-    rows.push_back(run_ranking_build(pages, epochs, keys, 0));
+    rows.push_back(run_ranking_full(pages, epochs, keys));
   }
   // One end-to-end datapoint at the middle footprint.
   rows.push_back(run_step_parallel(16384, step_ops));
@@ -759,8 +736,8 @@ int main(int argc, char** argv) {
 
   std::vector<RingRow> ring_rows;
   if (ring_sweep) {
-    // Lanes x pages grid; K and the per-lane record count follow the
-    // streaming defaults (StreamConfig::top_k, a few ring-fills per lane).
+    // Lanes x pages grid; a fixed K-entry ranking prefix and a few
+    // ring-fills per lane.
     constexpr std::size_t kTopK = 256;
     constexpr std::uint64_t kPerLane = 16384;
     for (const std::uint64_t lanes : {2ULL, 4ULL, 8ULL}) {

@@ -100,8 +100,7 @@ std::vector<StormScenario> storm_scenarios(std::uint64_t ops_per_epoch) {
 
 int storm_main(const tmprof::util::ArgParser& args) {
   using namespace tmprof;
-  const std::uint32_t epochs =
-      static_cast<std::uint32_t>(args.get_u64("epochs", 12));
+  const std::uint32_t epochs = args.get_u32("epochs", 12);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 200'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const double time_scale = args.get_double("time-scale", 20.0);
@@ -214,8 +213,7 @@ int main(int argc, char** argv) {
   using namespace tmprof;
   const util::ArgParser args(argc, argv);
   if (args.get_bool("storm", false)) return storm_main(args);
-  const std::uint32_t epochs =
-      static_cast<std::uint32_t>(args.get_u64("epochs", 8));
+  const std::uint32_t epochs = args.get_u32("epochs", 8);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 400'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const double time_scale = args.get_double("time-scale", 20.0);

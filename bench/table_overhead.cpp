@@ -106,8 +106,7 @@ double timed_run(const workloads::WorkloadSpec& spec, std::uint32_t epochs,
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
-  const std::uint32_t epochs =
-      static_cast<std::uint32_t>(args.get_u64("epochs", 6));
+  const std::uint32_t epochs = args.get_u32("epochs", 6);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 800'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const double time_scale = args.get_double("time-scale", 20.0);
@@ -147,8 +146,7 @@ int main(int argc, char** argv) {
   // Best-of-N wall-clock timings smooth scheduler noise; with --metrics-out
   // or --trace-out the instrumented runs also feed the exported files,
   // otherwise a file-less sink isolates pure collection cost.
-  const std::uint32_t self_reps =
-      static_cast<std::uint32_t>(args.get_u64("self-reps", 3));
+  const std::uint32_t self_reps = args.get_u32("self-reps", 3);
   std::unique_ptr<telemetry::Telemetry> exported =
       bench::telemetry_from_args(args);
   telemetry::Telemetry local{telemetry::TelemetryConfig{}};

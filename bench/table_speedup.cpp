@@ -25,7 +25,6 @@
 ///        [--checkpoint-dir=D] [--resume-from=F] [--resume-latest=0|1]
 ///        [--keep-last=K] [--metrics-out=F] [--trace-out=F]
 ///        [--telemetry-every=N] [--stream=0|1] [--stream-ring=N]
-///        [--stream-topk=N] [--stream-decay=N]
 
 #include <iostream>
 #include <memory>
@@ -40,8 +39,7 @@
 int main(int argc, char** argv) {
   using namespace tmprof;
   const util::ArgParser args(argc, argv);
-  const std::uint32_t epochs =
-      static_cast<std::uint32_t>(args.get_u64("epochs", 10));
+  const std::uint32_t epochs = args.get_u32("epochs", 10);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 600'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const std::string model = args.get("model", "native");

@@ -51,7 +51,7 @@ std::string fills_label(const bench::ChainRun& run) {
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   bench::ChainOptions base;
-  base.epochs = static_cast<std::uint32_t>(args.get_u64("epochs", 8));
+  base.epochs = args.get_u32("epochs", 8);
   base.ops_per_epoch = args.get_u64("ops-per-epoch", 500'000);
   base.seed = args.get_u64("seed", 42);
   base.ibs_rate = args.get_u64("ibs-rate", 1);

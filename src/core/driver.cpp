@@ -65,7 +65,6 @@ TmpDriver::TmpDriver(sim::System& system, const DriverConfig& config)
     TMPROF_EXPECTS(config_.hotness.mode == HotnessMode::Exact);
     stream_ = std::make_unique<StreamTransport>(config_.stream,
                                                 system.config().cores);
-    stream_ranker_.configure(config_.stream.top_k, config_.stream.decay_shift);
     std::vector<util::SpscRing<monitors::StreamRecord>*> rings;
     rings.reserve(stream_->trace_lanes());
     for (std::uint32_t c = 0; c < stream_->trace_lanes(); ++c) {
@@ -226,7 +225,6 @@ void TmpDriver::consume_record(const monitors::StreamRecord& rec) {
       cumulative_trace_4k_.add(pfn);
       ++trace_samples_kept_;
       t_kept_.inc();
-      stream_ranker_.add(key, 1);
       return;
     }
     case monitors::StreamKind::Abit: {
@@ -234,7 +232,6 @@ void TmpDriver::consume_record(const monitors::StreamRecord& rec) {
       cur_abit_.add(key);
       store_.record_abit(rec.b, epoch_);
       cumulative_abit_.add(key);
-      stream_ranker_.add(key, 1);
       return;
     }
     case monitors::StreamKind::Dev: {
@@ -244,7 +241,6 @@ void TmpDriver::consume_record(const monitors::StreamRecord& rec) {
       if (!frame.allocated) return;
       const PageKey key{frame.pid, frame.page_va};
       cur_devmon_[key] += static_cast<std::uint32_t>(rec.b);
-      stream_ranker_.add(key, rec.b);
       return;
     }
   }
@@ -373,7 +369,6 @@ void TmpDriver::end_epoch_into(EpochObservation& out) {
   if (devmon_) devmon_->drain();
   if (stream_) {
     pump_stream();  // the device lane (and any A-bit tail) just filled
-    stream_ranker_.seal();
     if (ibs_) ibs_->stream_epoch_reset();
     if (pebs_) pebs_->stream_epoch_reset();
     abit_seq_ = 0;
@@ -482,28 +477,17 @@ void TmpDriver::load_state(util::ckpt::Reader& r) {
   cumulative_abit_.load_state(r, "driver");
 }
 
-void TmpDriver::stream_ranking(std::vector<PageRank>& out) const {
-  if (!stream_) {
-    out.clear();
-    return;
-  }
-  stream_ranker_.ranking_into(out);
-}
-
 void TmpDriver::save_stream_state(util::ckpt::Writer& w) const {
   w.put_bool(stream_ != nullptr);
   if (!stream_) return;
   w.put_u32(stream_->config().ring_capacity);
   w.put_u32(stream_->trace_lanes());
-  w.put_u32(stream_->config().top_k);
-  w.put_u32(stream_->config().decay_shift);
   w.put_u64(stream_records_);
   w.put_u64(stream_->drops_total());
   w.put_u64(stream_drops_exported_);
   w.put_u64(stream_records_exported_);
   w.put_u32(abit_seq_);
   w.put_u32(dev_seq_);
-  stream_ranker_.save_state(w);
 }
 
 void TmpDriver::load_stream_state(util::ckpt::Reader& r) {
@@ -518,12 +502,6 @@ void TmpDriver::load_stream_state(util::ckpt::Reader& r) {
       lanes != stream_->trace_lanes()) {
     throw util::ckpt::CkptError("stream", "transport geometry mismatch");
   }
-  const std::uint32_t top_k = r.get_u32();
-  const std::uint32_t decay_shift = r.get_u32();
-  if (top_k != stream_->config().top_k ||
-      decay_shift != stream_->config().decay_shift) {
-    throw util::ckpt::CkptError("stream", "ranker geometry mismatch");
-  }
   stream_records_ = r.get_u64();
   // Checkpoints land at sealed barriers, so live rings are empty; the drop
   // tally carries over as a base the fresh (zeroed) ring counters add to.
@@ -532,7 +510,6 @@ void TmpDriver::load_stream_state(util::ckpt::Reader& r) {
   stream_records_exported_ = r.get_u64();
   abit_seq_ = r.get_u32();
   dev_seq_ = r.get_u32();
-  stream_ranker_.load_state(r);
 }
 
 void TmpDriver::save_devmon_state(util::ckpt::Writer& w) const {

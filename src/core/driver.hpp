@@ -59,7 +59,7 @@ struct DriverConfig {
   /// bit-exact behavior) or the count-min-sketch store (docs/SKETCH.md).
   /// Selected per run through DaemonConfig::driver.
   HotnessConfig hotness{};
-  /// Streaming sample transport + incremental top-K (docs/STREAMING.md).
+  /// Streaming sample transport (docs/STREAMING.md).
   /// Off by default; `stream.enabled` gates construction, so disabled runs
   /// are bitwise unchanged. Requires the sharded engine and the exact
   /// hotness front-end (conservative-update sketches are add-order
@@ -99,8 +99,7 @@ class TmpDriver {
 
   /// Cumulative per-4KiB-frame trace sample counts (Fig. 5 CDF input).
   /// Exact counts by definition, so this throws std::logic_error when the
-  /// driver runs the sketch front-end — consumers that can tolerate
-  /// one-sided estimates should use trace_store() instead.
+  /// driver runs the sketch front-end.
   [[nodiscard]] const PfnCountMap& trace_counts_4k() const {
     return cumulative_trace_4k_.exact_counts();
   }
@@ -108,13 +107,6 @@ class TmpDriver {
   /// Throws std::logic_error in sketch mode; see trace_counts_4k().
   [[nodiscard]] const PageCountMap& abit_counts() const {
     return cumulative_abit_.exact_counts();
-  }
-  /// Mode-agnostic cumulative stores (counts or one-sided estimates).
-  [[nodiscard]] const PfnHotnessCounts& trace_store() const noexcept {
-    return cumulative_trace_4k_;
-  }
-  [[nodiscard]] const HotnessCounts& abit_store() const noexcept {
-    return cumulative_abit_;
   }
 
   /// Modeled software overhead of collection so far (trace + scans).
@@ -167,26 +159,12 @@ class TmpDriver {
 
   // --- streaming transport (docs/STREAMING.md) --------------------------
   [[nodiscard]] bool streaming() const noexcept { return stream_ != nullptr; }
-  /// Advisory mid-epoch top-K over the records consumed so far, sorted
-  /// under RankOrder (streaming mode only; empty otherwise). Exact for the
-  /// consumed prefix; how far that prefix reaches depends on the pump.
-  void stream_ranking(std::vector<PageRank>& out) const;
-  /// Records folded by the consumer so far (all kinds, pre-filter).
-  [[nodiscard]] std::uint64_t stream_records_consumed() const noexcept {
-    return stream_records_;
-  }
-  /// Ring-full back-pressure events (records that took the spill path).
-  [[nodiscard]] std::uint64_t stream_ring_drops() const noexcept {
-    return stream_ ? stream_->drops_total() : 0;
-  }
-  [[nodiscard]] const StreamTransport* stream_transport() const noexcept {
-    return stream_.get();
-  }
 
   /// Streaming checkpoint state (transport geometry, cumulative record and
-  /// drop tallies, ranker heat). Framed by the runner in its own "stream"
-  /// section; presence/geometry mismatches throw CkptError("stream", ...)
-  /// so a resume with a different stream config cold-starts.
+  /// drop tallies, export baselines, lane seq cursors). Framed by the
+  /// runner in its own "stream" section; presence/geometry mismatches
+  /// throw CkptError("stream", ...) so a resume with a different stream
+  /// config cold-starts.
   void save_stream_state(util::ckpt::Writer& w) const;
   void load_stream_state(util::ckpt::Reader& r);
 
@@ -243,7 +221,6 @@ class TmpDriver {
   HotnessCounts cumulative_abit_;
   /// Streaming transport (null unless DriverConfig::stream.enabled).
   std::unique_ptr<StreamTransport> stream_;
-  StreamRanker stream_ranker_;
   std::uint64_t stream_records_ = 0;
   std::uint32_t abit_seq_ = 0;  ///< next A-bit lane record seq this epoch
   std::uint32_t dev_seq_ = 0;   ///< next DevMon lane record seq this epoch

@@ -224,8 +224,7 @@ class BasicHotnessStore {
 
   /// Exact-mode accessor for consumers that assume true counts
   /// (fold_sorted checkpoint serialization, Fig. 5 CDF inputs). Throws
-  /// std::logic_error in sketch mode: such callers must use
-  /// fold_sorted_estimates() and tolerate one-sided error instead.
+  /// std::logic_error in sketch mode.
   [[nodiscard]] const MapType& exact_counts() const {
     if (cfg_.mode != HotnessMode::Exact) {
       throw std::logic_error(
@@ -240,21 +239,6 @@ class BasicHotnessStore {
       throw std::logic_error("HotnessStore: sketch() called in exact mode");
     }
     return cms_;
-  }
-
-  /// Visit tracked keys in ascending order: fn(key, count-or-estimate).
-  /// Cold path (allocates); used for checkpoint bytes and diagnostics.
-  template <typename Fn>
-  void fold_sorted_estimates(Fn&& fn) const {
-    if (cfg_.mode == HotnessMode::Exact) {
-      exact_.fold_sorted([&fn](const Key& key, Count count) {
-        fn(key, static_cast<std::uint64_t>(count));
-      });
-      return;
-    }
-    candidates_.fold_sorted([this, &fn](const Key& key) {
-      fn(key, cms_.estimate(Codec::fingerprint(key)));
-    });
   }
 
   friend bool operator==(const BasicHotnessStore& a,

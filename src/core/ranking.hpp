@@ -45,7 +45,7 @@ using PageKeySet = util::FlatHashSet<PageKey, PageKeyHash>;
 /// hold the candidate pages' one-sided count-min estimates instead of
 /// exact tallies: a page's value is >= its true count, and pages below the
 /// candidate admission floor are absent. Every consumer in this header —
-/// ranking fusion, top-K selection, checkpoint serialization — is
+/// ranking fusion and checkpoint serialization — is
 /// order/byte-stable over whatever counts it is given and makes no
 /// exactness assumption; consumers that do (Fig. 5 CDFs) must go through
 /// TmpDriver::trace_counts_4k()/abit_counts(), which enforce exact mode.
@@ -128,8 +128,9 @@ struct FusionParams {
 };
 
 /// The strict total order rankings are sorted by: descending rank, ties
-/// broken by ascending key. Total over distinct pages, which is what makes
-/// the top-K prefix of a partial sort bitwise identical to the full sort.
+/// broken by ascending key. Total over distinct pages, so the sorted
+/// ranking is a pure function of the fused counts, independent of the
+/// merge table's slot order.
 /// (A functor rather than a free function so std::sort can inline it.)
 struct RankOrder {
   [[nodiscard]] bool operator()(const PageRank& a,
@@ -139,7 +140,7 @@ struct RankOrder {
   }
 };
 
-/// Reusable merge buffer for build_ranking_into / build_ranking_topk_into.
+/// Reusable merge buffer for build_ranking_into.
 /// Holds its capacity across calls; one per daemon/evaluator is enough.
 /// Maps each page to its index in the output vector under construction —
 /// a u32 payload keeps the probe table at half the footprint of mapping
@@ -165,25 +166,6 @@ void build_ranking_into(const EpochObservation& obs, FusionMode mode,
 void build_ranking_into(const EpochObservation& obs,
                         const FusionParams& params, RankingScratch& scratch,
                         std::vector<PageRank>& out);
-void build_ranking_topk_into(const EpochObservation& obs,
-                             const FusionParams& params, std::size_t k,
-                             RankingScratch& scratch,
-                             std::vector<PageRank>& out);
-
-/// Top-K selection ranking: the first min(k, n) entries of the full
-/// ranking, bitwise identical to `build_ranking(...)` truncated to k, via
-/// std::nth_element + sort of the prefix (O(n + k log k) instead of
-/// O(n log n)). k = 0 yields an empty ranking; k >= n degenerates to the
-/// full sort. Callers that consume the *whole* ranking (BadgerTrap poison
-/// sync, the daemon watchdog) must keep using build_ranking.
-[[nodiscard]] std::vector<PageRank> build_ranking_topk(
-    const EpochObservation& obs, FusionMode mode, double trace_weight,
-    std::size_t k);
-
-void build_ranking_topk_into(const EpochObservation& obs, FusionMode mode,
-                             double trace_weight, std::size_t k,
-                             RankingScratch& scratch,
-                             std::vector<PageRank>& out);
 
 /// Checkpoint serialization helpers. Maps are written in ascending PageKey
 /// order so the byte stream is independent of in-memory slot order. These

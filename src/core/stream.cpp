@@ -1,173 +1,10 @@
 #include "core/stream.hpp"
 
 #include <algorithm>
-#include <utility>
 
-#include "core/hotness.hpp"
 #include "util/assert.hpp"
-#include "util/ckpt.hpp"
 
 namespace tmprof::core {
-
-// --- StreamRanker ----------------------------------------------------------
-
-void StreamRanker::configure(std::uint32_t top_k, std::uint32_t decay_shift) {
-  TMPROF_EXPECTS(top_k >= 1);
-  k_ = top_k;
-  decay_shift_ = decay_shift;
-  clear();
-  heap_.reserve(k_);
-}
-
-void StreamRanker::clear() {
-  heat_.clear();
-  pos_.clear();
-  heap_.clear();
-}
-
-void StreamRanker::set_pos(std::size_t i) {
-  pos_[heap_[i].key] = static_cast<std::uint32_t>(i);
-}
-
-void StreamRanker::sift_up(std::size_t i) {
-  // Min-heap on "strength": a parent must be weaker-or-equal than its
-  // children, so the root is the eviction candidate.
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!stronger(heap_[parent], heap_[i])) break;
-    std::swap(heap_[i], heap_[parent]);
-    set_pos(i);
-    i = parent;
-  }
-  set_pos(i);
-}
-
-void StreamRanker::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  for (;;) {
-    const std::size_t left = 2 * i + 1;
-    const std::size_t right = left + 1;
-    std::size_t weakest = i;
-    if (left < n && stronger(heap_[weakest], heap_[left])) weakest = left;
-    if (right < n && stronger(heap_[weakest], heap_[right])) weakest = right;
-    if (weakest == i) break;
-    std::swap(heap_[i], heap_[weakest]);
-    set_pos(i);
-    i = weakest;
-  }
-  set_pos(i);
-}
-
-void StreamRanker::add(const PageKey& key, std::uint64_t weight) {
-  if (weight == 0) return;
-  const std::uint64_t heat = (heat_[key] += weight);
-
-  const auto it = pos_.find(key);
-  if (it != pos_.end() && it->second != kNotInHeap) {
-    // Already a member: its strength only grew, so it can only move toward
-    // the leaves of the weakest-at-root heap.
-    const std::size_t i = it->second;
-    heap_[i].heat = heat;
-    sift_down(i);
-    return;
-  }
-  if (heap_.size() < k_) {
-    heap_.push_back(Entry{key, heat});
-    sift_up(heap_.size() - 1);
-    return;
-  }
-  // Full heap: displace the root iff the candidate now outranks it. Heat is
-  // monotone within an epoch, so a page rejected here simply retries on its
-  // next add — exactness needs no revisit queue.
-  if (stronger(Entry{key, heat}, heap_[0])) {
-    pos_[heap_[0].key] = kNotInHeap;
-    heap_[0] = Entry{key, heat};
-    sift_down(0);
-  }
-}
-
-std::uint64_t StreamRanker::heat_of(const PageKey& key) const {
-  const auto it = heat_.find(key);
-  return it != heat_.end() ? it->second : 0;
-}
-
-void StreamRanker::ranking_into(std::vector<PageRank>& out) const {
-  out.clear();
-  out.reserve(heap_.size());
-  for (const Entry& e : heap_) {
-    PageRank r;
-    r.key = e.key;
-    r.rank = e.heat;
-    out.push_back(r);
-  }
-  std::sort(out.begin(), out.end(), RankOrder{});
-}
-
-void StreamRanker::rebuild_heap() {
-  // Canonical heap from map content: collect in ascending key order, take
-  // the strongest K deterministically, then heapify. Every path that
-  // crosses an epoch or checkpoint boundary funnels through here, so the
-  // sealed heap never depends on the add order that grew the map.
-  scratch_.clear();
-  scratch_.reserve(heat_.size());
-  heat_.fold_sorted([this](const PageKey& key, std::uint64_t heat) {
-    scratch_.push_back(Entry{key, heat});
-  });
-  if (scratch_.size() > k_) {
-    std::nth_element(scratch_.begin(), scratch_.begin() + k_, scratch_.end(),
-                     &StreamRanker::stronger);
-    scratch_.resize(k_);
-  }
-  heap_.assign(scratch_.begin(), scratch_.end());
-  const std::size_t n = heap_.size();
-  for (std::size_t i = n; i-- > 0;) sift_down(i);
-
-  pos_.clear();
-  for (std::size_t i = 0; i < n; ++i) set_pos(i);
-}
-
-void StreamRanker::seal() {
-  scratch_.clear();
-  scratch_.reserve(heat_.size());
-  if (decay_shift_ < 64) {
-    heat_.fold_sorted([this](const PageKey& key, std::uint64_t heat) {
-      const std::uint64_t decayed = heat >> decay_shift_;
-      if (decayed != 0) scratch_.push_back(Entry{key, decayed});
-    });
-  }
-  heat_.clear();
-  for (const Entry& e : scratch_) heat_[e.key] = e.heat;
-  rebuild_heap();
-}
-
-void StreamRanker::save_state(util::ckpt::Writer& w) const {
-  w.put_u32(k_);
-  w.put_u32(decay_shift_);
-  w.put_u64(heat_.size());
-  heat_.fold_sorted([&w](const PageKey& key, std::uint64_t heat) {
-    PageKeyCodec::save(w, key);
-    w.put_u64(heat);
-  });
-}
-
-void StreamRanker::load_state(util::ckpt::Reader& r) {
-  const std::uint32_t k = r.get_u32();
-  const std::uint32_t shift = r.get_u32();
-  if (k != k_ || shift != decay_shift_) {
-    throw util::ckpt::CkptError(
-        "stream", "ranker geometry mismatch (top_k/decay_shift)");
-  }
-  clear();
-  const std::uint64_t n = r.get_u64();
-  heat_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const PageKey key = PageKeyCodec::load(r);
-    heat_[key] = r.get_u64();
-  }
-  rebuild_heap();
-}
-
-// --- StreamTransport -------------------------------------------------------
 
 StreamTransport::StreamTransport(const StreamConfig& config,
                                  std::uint32_t cores)

@@ -88,10 +88,6 @@ void Pmu::program_all(const std::vector<Event>& events) {
   for (auto& core : cores_) core.program(events);
 }
 
-void Pmu::tick_all(util::SimNs now) {
-  for (auto& core : cores_) core.tick(now);
-}
-
 std::uint64_t Pmu::read_total(Event e) const {
   reads_.inc();
   std::uint64_t sum = 0;

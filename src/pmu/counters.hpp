@@ -121,7 +121,6 @@ class Pmu {
   }
 
   void program_all(const std::vector<Event>& events);
-  void tick_all(util::SimNs now);
 
   /// Sum of observed counts across cores. Each call models one software
   /// MSR-read sweep and is counted in telemetry (`pmu_reads_total`).

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 namespace tmprof::util {
@@ -51,6 +52,16 @@ std::uint64_t ArgParser::get_u64(const std::string& key,
                                 " expects an unsigned integer, got '" + v +
                                 "'");
   }
+}
+
+std::uint32_t ArgParser::get_u32(const std::string& key,
+                                 std::uint32_t fallback) const {
+  const std::uint64_t value = get_u64(key, fallback);
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("--" + key + " must be <= 4294967295, got " +
+                                std::to_string(value));
+  }
+  return static_cast<std::uint32_t>(value);
 }
 
 double ArgParser::get_double(const std::string& key, double fallback) const {

@@ -22,6 +22,10 @@ class ArgParser {
   /// input (std::stoull would silently wrap "-3" to a huge value).
   [[nodiscard]] std::uint64_t get_u64(const std::string& key,
                                       std::uint64_t fallback) const;
+  /// get_u64 restricted to u32: values above UINT32_MAX throw
+  /// std::invalid_argument naming the flag instead of wrapping.
+  [[nodiscard]] std::uint32_t get_u32(const std::string& key,
+                                      std::uint32_t fallback) const;
   /// Throws std::invalid_argument naming the flag on malformed input.
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;

@@ -1842,7 +1842,7 @@ TEST(CkptLayout, SectionBytesAreGolden) {
                  {"system", 620793, 0xdaf46c6d},
                  {"daemon", 35923, 0x327b6822},
                  {"devmon", 6758, 0xb16161e0},
-                 {"stream", 2569, 0x4d08765c},
+                 {"stream", 49, 0xb1ed5ed7},
                  {"mover", 181, 0xd65f58a5},
                  {"admission", 27784, 0x882db85c},
                  {"tenant", 322, 0x09cc20fd},

@@ -75,6 +75,23 @@ TEST(Cli, GarbageU64Throws) {
   EXPECT_THROW((void)p.get_u64("ops", 0), std::invalid_argument);
 }
 
+TEST(Cli, U32RejectsValuesAboveRange) {
+  // A u32 flag must not wrap modulo 2^32: --threads=4294967297 would
+  // otherwise run one worker.
+  for (const char* flag : {"--threads=4294967296", "--threads=4294967297"}) {
+    try {
+      (void)parse({flag}).get_u32("threads", 0);
+      FAIL() << "expected std::invalid_argument for " << flag;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--threads"), std::string::npos)
+          << flag;
+    }
+  }
+  EXPECT_EQ(parse({"--threads=4294967295"}).get_u32("threads", 0),
+            4294967295U);
+  EXPECT_EQ(parse({}).get_u32("threads", 7), 7U);
+}
+
 TEST(Cli, GarbageDoubleThrows) {
   const auto p = parse({"--rate=0.5x"});
   EXPECT_THROW((void)p.get_double("rate", 0.0), std::invalid_argument);
@@ -444,6 +461,49 @@ TEST(DevMonCli, TopKMustFitTheSlotArray) {
   EXPECT_THROW((void)bench::devmon_from_args(
                    parse({"--devmon-slots=64", "--devmon-topk=65"})),
                std::invalid_argument);
+}
+
+/// Parses `args` through bench::stream_from_args with `threads` workers
+/// and the hotness front-end `args` selects.
+core::StreamConfig stream_config_of(std::initializer_list<const char*> args,
+                                    std::uint32_t threads) {
+  const ArgParser p = parse(args);
+  return bench::stream_from_args(p, threads, bench::hotness_from_args(p));
+}
+
+/// Expects stream_from_args to reject `args` with a message naming `flag`.
+void expect_stream_rejected(std::initializer_list<const char*> args,
+                            std::uint32_t threads, const std::string& flag) {
+  try {
+    (void)stream_config_of(args, threads);
+    FAIL() << "expected std::invalid_argument naming " << flag;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(StreamCli, DefaultIsOff) {
+  const core::StreamConfig stream = stream_config_of({}, 4);
+  EXPECT_FALSE(stream.enabled);
+  EXPECT_EQ(stream.ring_capacity, core::StreamConfig{}.ring_capacity);
+  const core::StreamConfig on =
+      stream_config_of({"--stream=1", "--stream-ring=64"}, 4);
+  EXPECT_TRUE(on.enabled);
+  EXPECT_EQ(on.ring_capacity, 64U);
+}
+
+TEST(StreamCli, RingMustBeAPowerOfTwoAtLeastTwo) {
+  expect_stream_rejected({"--stream-ring=3"}, 4, "--stream-ring");
+  expect_stream_rejected({"--stream-ring=1"}, 4, "--stream-ring");
+}
+
+TEST(StreamCli, StreamingNeedsTheShardedEngine) {
+  expect_stream_rejected({"--stream=1"}, 0, "--stream");
+}
+
+TEST(StreamCli, StreamingNeedsExactHotness) {
+  expect_stream_rejected({"--stream=1", "--hotness=sketch"}, 4, "--stream");
 }
 
 TEST(GoldenSchema, TopologyCsvHeader) {

@@ -1,21 +1,20 @@
-/// Streaming sample-transport tests (docs/STREAMING.md): StreamRanker's
-/// incremental top-K against a brute-force reference, seal decay,
-/// checkpoint round-trips and geometry rejection, end-to-end bitwise
-/// equivalence of streaming vs. barrier mode, thread-count invariance
-/// ({1,8} threads, with and without fault injection), kill/resume
-/// consistency through the "stream" checkpoint section, and conditional
-/// telemetry registration. Suite names carry the `Stream` prefix so the CI
+/// Streaming sample-transport tests (docs/STREAMING.md): lane layout and
+/// drop accounting, end-to-end bitwise equivalence of streaming vs.
+/// barrier mode, thread-count invariance ({1,8} threads, with and without
+/// fault injection), kill/resume consistency through the "stream"
+/// checkpoint section and its rejection paths, and conditional telemetry
+/// registration. Suite names carry the `Stream` prefix so the CI
 /// fault matrix and the TSan preset pick them up.
 
 #include "core/stream.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
-#include <map>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,217 +29,6 @@ namespace tmprof {
 namespace {
 
 namespace fs = std::filesystem;
-
-// ---------------------------------------------------------------------------
-// StreamRanker unit tests.
-
-core::PageKey page(std::uint32_t pid, std::uint64_t va) {
-  core::PageKey key;
-  key.pid = static_cast<mem::Pid>(pid);
-  key.page_va = va << 12;
-  return key;
-}
-
-/// Brute-force RankOrder top-K of a reference heat map: heat descending,
-/// ties by ascending key — what the incremental heap must match exactly.
-std::vector<core::PageRank> reference_topk(
-    const std::map<core::PageKey, std::uint64_t>& heat, std::uint32_t k) {
-  std::vector<core::PageRank> out;
-  out.reserve(heat.size());
-  for (const auto& [key, h] : heat) {
-    core::PageRank r;
-    r.key = key;
-    r.rank = h;
-    out.push_back(r);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const core::PageRank& a, const core::PageRank& b) {
-              if (a.rank != b.rank) return a.rank > b.rank;
-              return a.key < b.key;
-            });
-  if (out.size() > k) out.resize(k);
-  return out;
-}
-
-void expect_same_ranking(const std::vector<core::PageRank>& got,
-                         const std::vector<core::PageRank>& want,
-                         const std::string& label) {
-  ASSERT_EQ(got.size(), want.size()) << label;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].key, want[i].key) << label << " index " << i;
-    EXPECT_EQ(got[i].rank, want[i].rank) << label << " index " << i;
-  }
-}
-
-TEST(StreamRanker, MatchesBruteForceReferenceAfterEveryAdd) {
-  // Random weighted adds over a small page population; because heat only
-  // grows between seals, the heap must be the *exact* RankOrder top-K of
-  // the map after every single add — not just at the seal.
-  core::StreamRanker ranker(8, 1);
-  std::map<core::PageKey, std::uint64_t> reference;
-  std::uint64_t x = 0x5eed5eed5eedULL;
-  const auto next = [&x] {
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    return x >> 16;
-  };
-  std::vector<core::PageRank> got;
-  for (int i = 0; i < 4000; ++i) {
-    const core::PageKey key =
-        page(1000 + static_cast<std::uint32_t>(next() % 3), next() % 48);
-    const std::uint64_t weight = 1 + next() % 7;
-    ranker.add(key, weight);
-    reference[key] += weight;
-    if (i % 97 == 0) {
-      ranker.ranking_into(got);
-      expect_same_ranking(got, reference_topk(reference, 8),
-                          "add " + std::to_string(i));
-    }
-  }
-  ranker.ranking_into(got);
-  expect_same_ranking(got, reference_topk(reference, 8), "final");
-  EXPECT_EQ(ranker.tracked(), reference.size());
-  for (const auto& [key, h] : reference) EXPECT_EQ(ranker.heat_of(key), h);
-}
-
-TEST(StreamRanker, TopKIsAddOrderInvariant) {
-  // Same multiset of (key, weight) folds in two different orders: counts
-  // commute, so the advisory ranking must agree record-for-record.
-  std::vector<std::pair<core::PageKey, std::uint64_t>> adds;
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    adds.emplace_back(page(1000 + static_cast<std::uint32_t>(i % 2), i % 31),
-                      1 + (i * 7) % 5);
-  }
-  core::StreamRanker forward(6, 1), backward(6, 1);
-  for (const auto& [key, w] : adds) forward.add(key, w);
-  for (auto it = adds.rbegin(); it != adds.rend(); ++it) {
-    backward.add(it->first, it->second);
-  }
-  std::vector<core::PageRank> a, b;
-  forward.ranking_into(a);
-  backward.ranking_into(b);
-  expect_same_ranking(a, b, "forward vs backward");
-}
-
-TEST(StreamRanker, TiesBreakByAscendingKey) {
-  core::StreamRanker ranker(3, 1);
-  // Four pages, all at heat 5: only the three lowest keys may survive.
-  for (std::uint64_t va : {9U, 3U, 7U, 5U}) ranker.add(page(1000, va), 5);
-  std::vector<core::PageRank> got;
-  ranker.ranking_into(got);
-  ASSERT_EQ(got.size(), 3U);
-  EXPECT_EQ(got[0].key, page(1000, 3));
-  EXPECT_EQ(got[1].key, page(1000, 5));
-  EXPECT_EQ(got[2].key, page(1000, 7));
-}
-
-TEST(StreamRanker, EvictedPageCanReenterTheHeap) {
-  core::StreamRanker ranker(2, 1);
-  ranker.add(page(1000, 1), 10);
-  ranker.add(page(1000, 2), 20);
-  ranker.add(page(1000, 3), 30);  // evicts page 1 from the heap
-  std::vector<core::PageRank> got;
-  ranker.ranking_into(got);
-  ASSERT_EQ(got.size(), 2U);
-  EXPECT_EQ(got[0].key, page(1000, 3));
-  EXPECT_EQ(got[1].key, page(1000, 2));
-  // Its heat keeps accumulating off-heap; pushing past the current root
-  // must bring it back (the evict-then-reenter path through the position
-  // sentinel).
-  ranker.add(page(1000, 1), 15);  // heat 25 > root heat 20
-  ranker.ranking_into(got);
-  ASSERT_EQ(got.size(), 2U);
-  EXPECT_EQ(got[0].key, page(1000, 3));
-  EXPECT_EQ(got[1].key, page(1000, 1));
-  EXPECT_EQ(got[1].rank, 25U);
-}
-
-TEST(StreamRanker, SealDecaysHeatAndDropsCooledPages) {
-  core::StreamRanker ranker(8, 1);  // halve at each seal
-  ranker.add(page(1000, 1), 4);
-  ranker.add(page(1000, 2), 1);  // 1 >> ... decays to zero below
-  ranker.seal();
-  EXPECT_EQ(ranker.heat_of(page(1000, 1)), 2U);
-  EXPECT_EQ(ranker.heat_of(page(1000, 2)), 0U);
-  EXPECT_EQ(ranker.tracked(), 1U);
-  std::vector<core::PageRank> got;
-  ranker.ranking_into(got);
-  ASSERT_EQ(got.size(), 1U);
-  EXPECT_EQ(got[0].key, page(1000, 1));
-  EXPECT_EQ(got[0].rank, 2U);
-  ranker.seal();  // 2 -> 1
-  ranker.seal();  // 1 -> 0: everything cooled away
-  EXPECT_EQ(ranker.tracked(), 0U);
-  ranker.ranking_into(got);
-  EXPECT_TRUE(got.empty());
-}
-
-TEST(StreamRanker, DecayShift64KeepsPerEpochTopKOnly) {
-  core::StreamRanker ranker(8, 64);
-  ranker.add(page(1000, 1), 1000);
-  ranker.seal();  // shift >= 64 clears all history
-  EXPECT_EQ(ranker.tracked(), 0U);
-  ranker.add(page(1000, 2), 1);
-  std::vector<core::PageRank> got;
-  ranker.ranking_into(got);
-  ASSERT_EQ(got.size(), 1U);  // last epoch's giant is gone
-  EXPECT_EQ(got[0].key, page(1000, 2));
-}
-
-TEST(StreamRanker, CheckpointRoundTripsExactly) {
-  core::StreamRanker ranker(4, 2);
-  std::uint64_t x = 0xc0ffee;
-  const auto next = [&x] {
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    return x >> 16;
-  };
-  for (int i = 0; i < 500; ++i) ranker.add(page(1000, next() % 64), 1);
-  ranker.seal();  // decayed state is what checkpoints
-  for (int i = 0; i < 100; ++i) ranker.add(page(1001, next() % 16), 3);
-
-  util::ckpt::Writer w;
-  w.begin_section("s");
-  ranker.save_state(w);
-  w.end_section();
-  util::ckpt::Reader r(w.finish());
-  r.enter_section("s");
-  core::StreamRanker restored(4, 2);
-  restored.load_state(r);
-  r.end_section();
-
-  EXPECT_EQ(restored.tracked(), ranker.tracked());
-  std::vector<core::PageRank> a, b;
-  ranker.ranking_into(a);
-  restored.ranking_into(b);
-  expect_same_ranking(b, a, "restored");
-  // The restored ranker keeps ranking incrementally, exactly in step.
-  ranker.add(page(1000, 5), 9);
-  restored.add(page(1000, 5), 9);
-  ranker.ranking_into(a);
-  restored.ranking_into(b);
-  expect_same_ranking(b, a, "restored+add");
-}
-
-TEST(StreamRanker, CheckpointGeometryMismatchThrows) {
-  core::StreamRanker ranker(4, 2);
-  ranker.add(page(1000, 1), 1);
-  util::ckpt::Writer w;
-  w.begin_section("s");
-  ranker.save_state(w);
-  w.end_section();
-  const auto image = w.finish();
-  {
-    util::ckpt::Reader r(image);
-    r.enter_section("s");
-    core::StreamRanker wrong_k(8, 2);
-    EXPECT_THROW(wrong_k.load_state(r), util::ckpt::CkptError);
-  }
-  {
-    util::ckpt::Reader r(image);
-    r.enter_section("s");
-    core::StreamRanker wrong_decay(4, 3);
-    EXPECT_THROW(wrong_decay.load_state(r), util::ckpt::CkptError);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // StreamTransport lane plumbing.
@@ -370,7 +158,7 @@ TEST(StreamDeterminism, RequiresShardedEngineAndExactHotness) {
 }
 
 TEST(StreamResume, KillResumeIsBitwiseConsistent) {
-  // Ring + ranker state rides in the "stream" checkpoint section: a run
+  // Transport tallies ride in the "stream" checkpoint section: a run
   // killed after epoch 3 and resumed must finish bitwise identical to the
   // uninterrupted streaming run.
   const auto spec = workloads::find_spec("gups", 0.05);
@@ -423,6 +211,128 @@ TEST(StreamResume, PresenceMismatchFallsBackToColdStart) {
   const tiering::RunnerResult resumed =
       tiering::EndToEndRunner::run(spec, cfg, resume);
   expect_identical(resumed, reference, "presence mismatch cold start");
+}
+
+/// Writes a streaming checkpoint every epoch into a fresh `tag` directory
+/// and returns the path of the epoch-2 image.
+std::string streaming_checkpoint(const std::string& tag,
+                                 const tiering::RunnerOptions& base) {
+  const fs::path dir = fs::path(::testing::TempDir()) / tag;
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  tiering::RunnerOptions ck = base;
+  ck.checkpoint.every = 1;
+  ck.checkpoint.dir = dir.string();
+  ck.checkpoint.keep_last = 16;
+  (void)tiering::EndToEndRunner::run(workloads::find_spec("gups", 0.05),
+                                     stream_config(), ck);
+  const std::string path = util::ckpt::checkpoint_path(dir.string(), "ckpt", 2);
+  EXPECT_TRUE(fs::exists(path));
+  return path;
+}
+
+/// Resumes `options` from `path` and returns the run's result; `warning`
+/// receives stderr, where a rejected resume names its section.
+tiering::RunnerResult resume_capturing(const std::string& path,
+                                       tiering::RunnerOptions options,
+                                       std::string& warning) {
+  options.checkpoint.resume_from = path;
+  ::testing::internal::CaptureStderr();
+  const tiering::RunnerResult result = tiering::EndToEndRunner::run(
+      workloads::find_spec("gups", 0.05), stream_config(), options);
+  warning = ::testing::internal::GetCapturedStderr();
+  return result;
+}
+
+TEST(StreamResume, RingCapacityMismatchFallsBackToColdStart) {
+  // Ring capacity is transport geometry: a resume with a different one
+  // rejects the "stream" section and still yields the cold-run result.
+  tiering::RunnerOptions other_ring = stream_options("history", 1, true);
+  other_ring.daemon.driver.stream.ring_capacity = 128;
+  const tiering::RunnerResult reference = tiering::EndToEndRunner::run(
+      workloads::find_spec("gups", 0.05), stream_config(), other_ring);
+
+  const std::string path = streaming_checkpoint(
+      "tmprof-stream-ring", stream_options("history", 1, true));
+  std::string warning;
+  const tiering::RunnerResult resumed =
+      resume_capturing(path, other_ring, warning);
+  EXPECT_NE(warning.find("rejected in section 'stream'"), std::string::npos)
+      << warning;
+  expect_identical(resumed, reference, "ring capacity mismatch cold start");
+}
+
+/// Re-frames `image` with its "stream" payload in the older layout that
+/// also carried the advisory ranker: a top-K/decay-shift echo after the
+/// transport geometry, and the ranker's heat map at the end. Every other
+/// section is copied verbatim; the Writer recomputes each CRC.
+std::vector<std::uint8_t> with_ranker_stream_payload(
+    const std::vector<std::uint8_t>& image) {
+  const auto le = [&image](std::size_t at, std::size_t bytes) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < bytes; ++i) {
+      v |= static_cast<std::uint64_t>(image[at + i]) << (8 * i);
+    }
+    return v;
+  };
+  util::ckpt::Writer w;
+  std::size_t pos = util::ckpt::kHeaderSize;
+  while (pos < image.size()) {
+    const std::size_t name_len = le(pos, 4);
+    const std::string name(
+        reinterpret_cast<const char*>(image.data() + pos + 4), name_len);
+    pos += 4 + name_len;
+    const std::size_t size = le(pos, 8);
+    const std::uint8_t* payload = image.data() + pos + 8;
+    pos += 8 + size + 4;
+    w.begin_section(name);
+    if (name != "stream") {
+      w.put_bytes(payload, size);
+      w.end_section();
+      continue;
+    }
+    // presence byte + ring capacity + trace lanes
+    constexpr std::size_t kGeometry = 1 + 4 + 4;
+    EXPECT_GT(size, kGeometry);
+    w.put_bytes(payload, kGeometry);
+    w.put_u32(256);  // top-K echo
+    w.put_u32(1);    // decay-shift echo
+    w.put_bytes(payload + kGeometry, size - kGeometry);
+    w.put_u32(256);  // ranker top-K
+    w.put_u32(1);    // ranker decay shift
+    w.put_u64(1);    // one tracked page: pid, page_va, heat
+    w.put_u64(1);
+    w.put_u64(0x1000);
+    w.put_u64(7);
+    w.end_section();
+  }
+  return w.finish();
+}
+
+TEST(StreamResume, ParentLayoutImageColdStarts) {
+  // An image from before the ranker was removed carries extra "stream"
+  // bytes; the manifest's full-consumption check rejects the section and
+  // the run cold-starts instead of misreading the tallies.
+  const tiering::RunnerOptions options = stream_options("history", 1, true);
+  const tiering::RunnerResult reference = tiering::EndToEndRunner::run(
+      workloads::find_spec("gups", 0.05), stream_config(), options);
+
+  const std::string path =
+      streaming_checkpoint("tmprof-stream-parent", options);
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> image(std::istreambuf_iterator<char>(in),
+                                        {});
+  in.close();
+  const std::string parent = path + ".parent";
+  util::ckpt::Writer::save_atomic(parent, with_ranker_stream_payload(image));
+  (void)util::ckpt::Reader::from_file(parent);  // framing and CRCs are valid
+
+  std::string warning;
+  const tiering::RunnerResult resumed =
+      resume_capturing(parent, options, warning);
+  EXPECT_NE(warning.find("rejected in section 'stream'"), std::string::npos)
+      << warning;
+  expect_identical(resumed, reference, "parent-layout image cold start");
 }
 
 // ---------------------------------------------------------------------------
