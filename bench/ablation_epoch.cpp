@@ -13,7 +13,7 @@
 #include "tiering/policies.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace tmprof;
   const util::ArgParser args(argc, argv);
   const std::uint64_t total_ops = args.get_u64("total-ops", 4'800'000);
@@ -73,4 +73,8 @@ int main(int argc, char** argv) {
                "long epochs rank confidently but adapt rarely. Churning "
                "workloads favor short epochs, stationary ones the knee.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

@@ -15,7 +15,7 @@
 #include "tiering/policies.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace tmprof;
   const util::ArgParser args(argc, argv);
   const std::uint32_t epochs = args.get_u32("epochs", 8);
@@ -71,4 +71,8 @@ int main(int argc, char** argv) {
                "workload; single-source modes lose where their blind spot "
                "dominates.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

@@ -60,7 +60,7 @@ GateOutcome run(double threshold, bool enabled, std::uint32_t bursts,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   const std::uint32_t bursts = args.get_u32("bursts", 5);
   const std::uint64_t ops_per_phase = args.get_u64("ops-per-phase", 400'000);
@@ -90,4 +90,8 @@ int main(int argc, char** argv) {
                "scans at no visibility loss (idle scans observe nothing "
                "anyway); higher thresholds start skipping busy scans.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

@@ -52,7 +52,7 @@ ScanOutcome run(const workloads::WorkloadSpec& spec, bool shootdown,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   const std::uint32_t epochs = args.get_u32("epochs", 6);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 500'000);
@@ -88,4 +88,8 @@ int main(int argc, char** argv) {
                "cost — the trade the paper resolves in favor of lazy "
                "clearing.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

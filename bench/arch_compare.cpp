@@ -81,7 +81,7 @@ ArchResult run(Arch arch, const workloads::WorkloadSpec& spec,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   const std::uint32_t epochs = args.get_u32("epochs", 8);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 400'000);
@@ -116,4 +116,8 @@ int main(int argc, char** argv) {
                "multiples slower than in-place tiering — the paper's core "
                "architectural argument. Cache-resident workloads tie.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

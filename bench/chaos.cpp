@@ -92,7 +92,7 @@ std::string fingerprint(const tiering::RunnerResult& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   const std::string workload = args.get("workload", "gups");
   const double scale = args.get_double("scale", 0.5);
@@ -228,4 +228,8 @@ int main(int argc, char** argv) {
   if (csv) std::cout << "Rows written to chaos.csv\n";
   if (telemetry) telemetry->export_final();
   return failures;
+}
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

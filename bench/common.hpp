@@ -8,7 +8,9 @@
 /// results is preserved. See DESIGN.md §2 for the substitution table.
 
 #include <cstdint>
+#include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -429,6 +431,20 @@ inline const std::vector<std::string>& storm_csv_header() {
       "rejected",         "cooled",          "shed",
       "throttled_epochs", "bytes_saved_pct", "hitrate_delta"};
   return header;
+}
+
+/// Runs a bench's body and turns a bad flag into a usage error: the
+/// std::invalid_argument that util::ArgParser and the *_from_args helpers
+/// throw is printed to stderr and the bench exits with 2, instead of
+/// escaping main and aborting. Every bench's main is
+/// `return tmprof::bench::run_main(argc, argv, bench_main);`.
+inline int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << argv[0] << ": " << e.what() << '\n';
+    return 2;
+  }
 }
 
 }  // namespace tmprof::bench

@@ -334,7 +334,7 @@ int fleet_main(const util::ArgParser& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   if (args.get_bool("fleet", false)) return fleet_main(args);
   const std::uint32_t epochs = args.get_u32("epochs", 10);
@@ -368,4 +368,8 @@ int main(int argc, char** argv) {
                "capacity-allocation subtlety the paper's 4 KiB-centric "
                "evaluation never hits.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

@@ -25,7 +25,7 @@
 #include "tiering/epoch.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace tmprof;
   const util::ArgParser args(argc, argv);
   const std::uint32_t epochs = args.get_u32("epochs", 6);
@@ -98,4 +98,8 @@ int main(int argc, char** argv) {
                "magnitude, so TMP ranks by the plain sum of A-bit and trace "
                "samples without underestimating either.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

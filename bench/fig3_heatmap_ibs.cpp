@@ -20,7 +20,7 @@
 #include "tiering/epoch.hpp"
 #include "util/histogram.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace tmprof;
   const util::ArgParser args(argc, argv);
   const std::uint64_t ops = args.get_u64("ops", 4'000'000);
@@ -64,4 +64,8 @@ int main(int argc, char** argv) {
   }
   if (write_csv) std::cout << "Full grids written to fig3_<workload>.csv\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

@@ -19,7 +19,7 @@
 #include "tiering/epoch.hpp"
 #include "util/histogram.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace tmprof;
   const util::ArgParser args(argc, argv);
   const std::uint32_t epochs = args.get_u32("epochs", 48);
@@ -63,4 +63,8 @@ int main(int argc, char** argv) {
   }
   if (write_csv) std::cout << "Full grids written to fig4_<workload>.csv\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

@@ -53,7 +53,7 @@ std::vector<std::string> quantile_row(const std::string& label,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   const std::uint32_t epochs = args.get_u32("epochs", 8);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 1'000'000);
@@ -132,4 +132,8 @@ int main(int argc, char** argv) {
   }
   if (write_csv) std::cout << "Full curves written to fig5_<workload>.csv\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

@@ -55,7 +55,7 @@ double run_case(const tiering::EpochSeries& series, const std::string& policy,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   const std::uint32_t epochs = args.get_u32("epochs", 10);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 800'000);
@@ -190,4 +190,8 @@ int main(int argc, char** argv) {
   if (write_csv) std::cout << "Series written to fig6_hitrate.csv\n";
   if (telemetry) telemetry->export_final();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

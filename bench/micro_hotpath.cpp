@@ -670,7 +670,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   const std::uint64_t epochs = args.get_u64("epochs", 8);
   const std::uint64_t touches = args.get_u64("touches-per-page", 4);
@@ -798,4 +798,8 @@ int main(int argc, char** argv) {
   write_json(out_path, rows, accuracy, ring_rows, ckpt_rows);
   std::cout << "\nwrote " << out_path << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

@@ -76,7 +76,7 @@ double scaled(double time_scale, util::SimNs ns) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   const std::uint32_t epochs = args.get_u32("epochs", 6);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 500'000);
@@ -225,4 +225,8 @@ int main(int argc, char** argv) {
                "AutoNUMA pays a fault per observation; Thermostat sees "
                "only its sampled fraction.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

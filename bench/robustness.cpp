@@ -209,7 +209,7 @@ int storm_main(const tmprof::util::ArgParser& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace tmprof;
   const util::ArgParser args(argc, argv);
   if (args.get_bool("storm", false)) return storm_main(args);
@@ -329,4 +329,8 @@ int main(int argc, char** argv) {
   if (csv) std::cout << "Rows written to robustness.csv\n";
   if (telemetry) telemetry->export_final();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

@@ -97,7 +97,7 @@ std::array<RateResult, 3> run_workload(const workloads::WorkloadSpec& spec,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   const std::uint32_t epochs = args.get_u32("epochs", 8);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 1'000'000);
@@ -142,4 +142,8 @@ int main(int argc, char** argv) {
               << util::TextTable::fixed(sum_8x_gain / counted, 2) << "x\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

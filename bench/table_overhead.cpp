@@ -104,7 +104,7 @@ double timed_run(const workloads::WorkloadSpec& spec, std::uint32_t epochs,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   const std::uint32_t epochs = args.get_u32("epochs", 6);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 800'000);
@@ -176,4 +176,8 @@ int main(int argc, char** argv) {
             << (within_budget ? "within" : "EXCEEDED") << '\n';
   if (exported) exported->export_final();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

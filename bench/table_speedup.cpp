@@ -36,7 +36,7 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace tmprof;
   const util::ArgParser args(argc, argv);
   const std::uint32_t epochs = args.get_u32("epochs", 10);
@@ -172,4 +172,8 @@ int main(int argc, char** argv) {
               << "\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

@@ -48,7 +48,7 @@ std::string fills_label(const bench::ChainRun& run) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   bench::ChainOptions base;
   base.epochs = args.get_u32("epochs", 8);
@@ -163,4 +163,8 @@ int main(int argc, char** argv) {
     std::cout << "check OK\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

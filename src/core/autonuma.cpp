@@ -6,6 +6,12 @@
 
 namespace tmprof::core {
 
+namespace {
+/// Cost of rewriting one PTE to no-access during the protect pass
+/// (includes its share of the batched flush).
+constexpr util::SimNs kProtectCostPerPageNs = 30;
+}  // namespace
+
 AutoNumaProfiler::AutoNumaProfiler(sim::System& system,
                                    const AutoNumaConfig& config)
     : system_(system), config_(config),
@@ -52,7 +58,7 @@ util::SimNs AutoNumaProfiler::protect_pass() {
       const auto& [page_va, size] = pages[cursor % pages.size()];
       cursor = (cursor + 1) % pages.size();
       trap_.poison(pid, proc->page_table(), system_.tlb(core), page_va);
-      cost += config_.protect_cost_per_page_ns;
+      cost += kProtectCostPerPageNs;
       if (config_.window_pages >= pages.size() && i + 1 >= pages.size()) {
         break;  // whole table covered; don't loop within one pass
       }

@@ -25,9 +25,6 @@ struct AutoNumaConfig {
   /// Pages protected per process per pass (a "page portion"; Linux uses
   /// 256 MB ≈ 65536 pages — scale with footprints).
   std::uint64_t window_pages = 4096;
-  /// Cost of rewriting one PTE to no-access during the protect pass
-  /// (includes its share of the batched flush).
-  util::SimNs protect_cost_per_page_ns = 30;
   /// Hint-fault handler cost (full fault + task accounting; this is the
   /// overhead the paper contrasts with TMP's monitors).
   util::SimNs fault_cost_ns = 2 * util::kMicrosecond;

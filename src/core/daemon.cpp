@@ -11,13 +11,20 @@
 
 namespace tmprof::core {
 
+namespace {
+/// QoS-aware rung (docs/CONSOLIDATION.md): with a QoS lookup attached,
+/// losses in [trace_fallback_threshold, this) degrade only *batch* tenants
+/// to A-bit-only ranking while latency tenants keep the rescaled mixed
+/// ranking; at or above this fraction everyone falls back.
+constexpr double kQosFullFallbackThreshold = 0.9;
+}  // namespace
+
 TmpDaemon::TmpDaemon(sim::System& system, const DaemonConfig& config)
     : system_(system),
       config_(config),
       driver_(system, config.driver),
       abit_gate_(config.gate_threshold),
       trace_gate_(config.gate_threshold),
-      pid_filter_(config.pid_filter),
       fault_(config.fault) {
   // Program the cheap always-on counters the daemon polls. These fit in the
   // PMU's registers, so no multiplexing distortion affects the gates.
@@ -181,12 +188,12 @@ void TmpDaemon::tick_into(ProfileSnapshot& snapshot) {
     double weight = config_.trace_weight;
     if (loss >= config_.trace_fallback_threshold &&
         fusion != FusionMode::AbitOnly) {
-      if (qos_is_batch_ && loss < config_.qos_full_fallback_threshold &&
+      if (qos_is_batch_ && loss < kQosFullFallbackThreshold &&
           (fusion == FusionMode::Sum || fusion == FusionMode::Weighted)) {
         // QoS-selective rung (docs/CONSOLIDATION.md): batch tenants shed
         // their trace signal first — their pages get re-ranked on A bits
         // alone below — while latency tenants keep the rescaled mixed
-        // ranking until loss reaches qos_full_fallback_threshold.
+        // ranking until loss reaches kQosFullFallbackThreshold.
         weight = (fusion == FusionMode::Sum ? 1.0 : weight) / (1.0 - loss);
         fusion = FusionMode::Weighted;
         snapshot.qos_fallback = true;

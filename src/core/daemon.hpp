@@ -21,13 +21,9 @@ namespace tmprof::core {
 
 struct DaemonConfig {
   DriverConfig driver;
-  /// Epoch/scan period. The paper uses 1 s epochs on real hardware; the
-  /// simulator default is shorter since simulated time is denser.
-  util::SimNs period_ns = 100 * util::kMillisecond;
   bool gating_enabled = true;
   double gate_threshold = 0.2;
   bool pid_filter_enabled = true;
-  PidFilterConfig pid_filter;
   /// How often the PID filter re-evaluates (paper: once per second). 0
   /// re-evaluates every tick. Between evaluations the previous tracked
   /// set is reused, bounding filter overhead independent of tick rate.
@@ -51,11 +47,6 @@ struct DaemonConfig {
   /// Epochs losing at least this fraction abandon the trace source and fall
   /// back to A-bit-only fusion (the scan evidence is still trustworthy).
   double trace_fallback_threshold = 0.5;
-  /// QoS-aware rung (docs/CONSOLIDATION.md): with a QoS lookup attached,
-  /// losses in [trace_fallback_threshold, this) degrade only *batch*
-  /// tenants to A-bit-only ranking while latency tenants keep the rescaled
-  /// mixed ranking; at or above this fraction everyone falls back.
-  double qos_full_fallback_threshold = 0.9;
   /// Pin the last good ranking after this many consecutive bad scans
   /// (aborted or empty). 0 disables the watchdog.
   std::uint32_t watchdog_threshold = 3;
@@ -107,13 +98,6 @@ class TmpDaemon {
   void tick_into(ProfileSnapshot& out);
 
   [[nodiscard]] TmpDriver& driver() noexcept { return driver_; }
-  [[nodiscard]] const DaemonConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const ActivityGate& abit_gate() const noexcept {
-    return abit_gate_;
-  }
-  [[nodiscard]] const ActivityGate& trace_gate() const noexcept {
-    return trace_gate_;
-  }
   /// PIDs selected by the most recent tick's filter evaluation.
   [[nodiscard]] const std::vector<mem::Pid>& tracked_pids() const noexcept {
     return tracked_pids_;
@@ -123,10 +107,6 @@ class TmpDaemon {
   /// scans too).
   [[nodiscard]] const DegradeStats& degrade_stats() const noexcept {
     return degrade_;
-  }
-  /// Injection tallies for the daemon-side fault sites.
-  [[nodiscard]] const util::FaultStats& fault_stats() const noexcept {
-    return fault_.stats();
   }
 
   /// Attach (or with null, detach) the telemetry sink for the daemon's

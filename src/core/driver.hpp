@@ -78,7 +78,6 @@ class TmpDriver {
 
   /// Pause/resume trace-based collection (activity gating actuator).
   void set_trace_enabled(bool enabled);
-  [[nodiscard]] bool trace_enabled() const noexcept { return trace_enabled_; }
 
   /// Run one A-bit scan pass over the given processes; returns the summed
   /// scan statistics. Honors the paper's no-shootdown optimization via
@@ -158,7 +157,6 @@ class TmpDriver {
   void load_devmon_state(util::ckpt::Reader& r);
 
   // --- streaming transport (docs/STREAMING.md) --------------------------
-  [[nodiscard]] bool streaming() const noexcept { return stream_ != nullptr; }
 
   /// Streaming checkpoint state (transport geometry, cumulative record and
   /// drop tallies, export baselines, lane seq cursors). Framed by the

@@ -27,7 +27,6 @@ class ActivityGate {
 
   [[nodiscard]] bool active() const noexcept { return active_; }
   [[nodiscard]] std::uint64_t max_seen() const noexcept { return max_seen_; }
-  [[nodiscard]] double threshold() const noexcept { return threshold_; }
 
   void reset();
 

@@ -114,8 +114,6 @@ class BasicHotnessStore {
     }
   }
 
-  [[nodiscard]] const HotnessConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] HotnessMode mode() const noexcept { return cfg_.mode; }
   /// Exact running total of everything added since the last epoch close —
   /// a plain u64 accumulator in both modes, never a sum of estimates.
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
@@ -370,9 +368,6 @@ class BasicHotnessSet {
     }
   }
 
-  [[nodiscard]] const HotnessConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] HotnessMode mode() const noexcept { return cfg_.mode; }
-
   /// True when the key was definitely not seen before.
   bool insert(const Key& key) {
     if (cfg_.mode == HotnessMode::Exact) return exact_.insert(key);
@@ -392,16 +387,6 @@ class BasicHotnessSet {
   [[nodiscard]] std::uint64_t size() const noexcept {
     return cfg_.mode == HotnessMode::Exact ? exact_.size() : approx_size_;
   }
-  [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return exact_.memory_bytes() + bloom_.memory_bytes();
-  }
-
-  void clear() {
-    exact_.clear();
-    if (cfg_.mode == HotnessMode::Sketch) bloom_.clear();
-    approx_size_ = 0;
-  }
-
   friend bool operator==(const BasicHotnessSet& a, const BasicHotnessSet& b) {
     return a.cfg_ == b.cfg_ && a.approx_size_ == b.approx_size_ &&
            a.exact_ == b.exact_ && a.bloom_ == b.bloom_;

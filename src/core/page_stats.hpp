@@ -41,9 +41,6 @@ class PageStatsStore {
   void record_trace(mem::Pfn pfn, std::uint32_t epoch);
 
   [[nodiscard]] const PageDesc& desc(mem::Pfn pfn) const;
-  [[nodiscard]] std::uint64_t frames() const noexcept {
-    return descs_.size();
-  }
 
   /// Frames with at least one observation from the given method.
   [[nodiscard]] std::uint64_t frames_with_abit() const noexcept {

@@ -7,10 +7,14 @@
 
 namespace tmprof::core {
 
-PidFilter::PidFilter(const PidFilterConfig& config) : config_(config) {
-  TMPROF_EXPECTS(config.cpu_threshold >= 0.0 && config.cpu_threshold <= 1.0);
-  TMPROF_EXPECTS(config.mem_threshold >= 0.0 && config.mem_threshold <= 1.0);
-}
+namespace {
+/// Tracked processes use at least this share of recent CPU (issued ops)
+/// or of resident memory (Section III-B4).
+constexpr double kCpuThreshold = 0.05;
+constexpr double kMemThreshold = 0.10;
+}  // namespace
+
+PidFilter::PidFilter(const PidFilterConfig& config) : config_(config) {}
 
 std::vector<mem::Pid> PidFilter::select(
     const std::vector<sim::Process*>& processes) {
@@ -47,8 +51,7 @@ std::vector<mem::Pid> PidFilter::select(
                            : static_cast<double>(p->rss_pages()) /
                                  static_cast<double>(total_rss);
     const bool pinned = is_pinned(p->pid());
-    if (pinned || cpu >= config_.cpu_threshold ||
-        mem >= config_.mem_threshold) {
+    if (pinned || cpu >= kCpuThreshold || mem >= kMemThreshold) {
       kept.push_back(Candidate{p->pid(), cpu + mem, pinned});
       if (pinned) ++n_pinned;
     }

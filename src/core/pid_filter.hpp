@@ -19,8 +19,6 @@ class Writer;
 namespace tmprof::core {
 
 struct PidFilterConfig {
-  double cpu_threshold = 0.05;  ///< min share of recent CPU (issued ops)
-  double mem_threshold = 0.10;  ///< min share of resident memory
   /// Restrictive mode keeps only the top-N processes by combined share,
   /// bounding overhead regardless of how many qualify (0 = unlimited).
   std::uint32_t restrict_top_n = 0;
@@ -34,10 +32,6 @@ class PidFilter {
   /// process's ops issued since the previous call; memory share from RSS.
   [[nodiscard]] std::vector<mem::Pid> select(
       const std::vector<sim::Process*>& processes);
-
-  [[nodiscard]] const PidFilterConfig& config() const noexcept {
-    return config_;
-  }
 
   /// PIDs always selected regardless of CPU/memory share, and kept through
   /// the restrictive top-N trim (latency tenants in a consolidated fleet,

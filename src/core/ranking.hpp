@@ -36,8 +36,6 @@ using PageMap = util::FlatHashMap<PageKey, V, PageKeyHash>;
 using PageCountMap = PageMap<std::uint32_t>;
 /// Per-page ground-truth access counts (can exceed 2^32 over long runs).
 using TruthMap = PageMap<std::uint64_t>;
-/// Set of page identities (first-touch tracking, seen-page dedup).
-using PageKeySet = util::FlatHashSet<PageKey, PageKeyHash>;
 
 /// Per-page observations of one epoch, as collected by the TMP driver.
 ///

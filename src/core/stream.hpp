@@ -56,9 +56,6 @@ class StreamTransport {
   [[nodiscard]] std::uint32_t abit_lane() const noexcept { return cores_; }
   [[nodiscard]] std::uint32_t dev_lane() const noexcept { return cores_ + 1; }
   [[nodiscard]] Ring& ring(std::uint32_t lane) { return *rings_[lane]; }
-  [[nodiscard]] const Ring& ring(std::uint32_t lane) const {
-    return *rings_[lane];
-  }
 
   /// Ring-full events since construction or checkpoint restore (records
   /// that took the spill path; no evidence is lost). Scheduling-dependent:

@@ -40,7 +40,6 @@ constexpr std::uint64_t pages_in(PageSize size) noexcept {
   return size == PageSize::k4K ? 1 : kPagesPerHuge;
 }
 
-constexpr Vpn vpn_of(VirtAddr vaddr) noexcept { return vaddr >> kPageShift; }
 constexpr Pfn pfn_of(PhysAddr paddr) noexcept { return paddr >> kPageShift; }
 
 constexpr VirtAddr page_base(VirtAddr vaddr, PageSize size) noexcept {
@@ -53,10 +52,6 @@ constexpr std::uint64_t page_offset(VirtAddr vaddr, PageSize size) noexcept {
 
 constexpr std::uint64_t line_of(PhysAddr paddr) noexcept {
   return paddr >> kLineShift;
-}
-
-constexpr bool is_huge_aligned(VirtAddr vaddr) noexcept {
-  return (vaddr & (kHugePageSize - 1)) == 0;
 }
 
 }  // namespace tmprof::mem

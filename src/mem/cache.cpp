@@ -45,10 +45,10 @@ CacheLevel::Probe CacheLevel::probe(PhysAddr paddr, bool is_store) {
   return {false, victim};
 }
 
-bool CacheLevel::install(PhysAddr paddr, Probe miss, std::uint32_t owner) {
+bool CacheLevel::install(PhysAddr paddr, Probe miss) {
   TMPROF_ASSERT(!miss.hit && miss.victim < ways_);
   const std::uint64_t line = line_of(paddr);
-  return install_way(set_base(line)[miss.victim], line, owner);
+  return install_way(set_base(line)[miss.victim], line);
 }
 
 CacheLevel::Way* CacheLevel::fill_victim(std::uint64_t line) noexcept {
@@ -66,38 +66,28 @@ CacheLevel::Way* CacheLevel::fill_victim(std::uint64_t line) noexcept {
   return &base[victim];
 }
 
-bool CacheLevel::install_way(Way& victim, std::uint64_t line,
-                             std::uint32_t owner) {
+bool CacheLevel::install_way(Way& victim, std::uint64_t line) {
   const bool evicted = victim.valid;
   if (evicted && victim.dirty) ++dirty_evictions_;
   victim.tag = line;
   victim.valid = true;
   victim.dirty = false;
-  victim.owner = owner;
   victim.lru = ++tick_;
   return evicted;
 }
 
-bool CacheLevel::fill(PhysAddr paddr, std::uint32_t owner) {
+bool CacheLevel::fill(PhysAddr paddr) {
   const std::uint64_t line = line_of(paddr);
   Way* victim = fill_victim(line);
-  return victim != nullptr && install_way(*victim, line, owner);
+  return victim != nullptr && install_way(*victim, line);
 }
 
-bool CacheLevel::fill_if_absent(PhysAddr paddr, std::uint32_t owner) {
+bool CacheLevel::fill_if_absent(PhysAddr paddr) {
   const std::uint64_t line = line_of(paddr);
   Way* victim = fill_victim(line);
   if (victim == nullptr) return false;
-  install_way(*victim, line, owner);
+  install_way(*victim, line);
   return true;
-}
-
-std::uint64_t CacheLevel::occupancy_lines(std::uint32_t owner) const {
-  std::uint64_t lines = 0;
-  for (const Way& way : ways_storage_) {
-    if (way.valid && way.owner == owner) ++lines;
-  }
-  return lines;
 }
 
 bool CacheLevel::contains(PhysAddr paddr) const {
@@ -128,8 +118,7 @@ CacheHierarchy CacheHierarchy::make_default(CacheLevel* llc,
   return CacheHierarchy(32ULL << 10, 8, 512ULL << 10, 8, llc, enable_prefetch);
 }
 
-CacheAccess CacheHierarchy::access(PhysAddr paddr, bool is_store,
-                                   std::uint32_t owner) {
+CacheAccess CacheHierarchy::access(PhysAddr paddr, bool is_store) {
   // One scan per level: each miss probe carries the victim its fill uses,
   // and no level's set changes between its probe and its install.
   CacheAccess result;
@@ -154,7 +143,7 @@ CacheAccess CacheHierarchy::access(PhysAddr paddr, bool is_store,
   // Demand miss all the way to memory: fill every level.
   result.llc_miss = true;
   result.source = DataSource::MemTier1;  // caller refines the tier
-  llc_->install(paddr, llc, owner);
+  llc_->install(paddr, llc);
   l2_.install(paddr, l2);
   l1_.install(paddr, l1);
   if (prefetch_) {
@@ -164,8 +153,7 @@ CacheAccess CacheHierarchy::access(PhysAddr paddr, bool is_store,
     const std::uint64_t line = line_of(paddr);
     if (line != last_demand_line_) {
       last_demand_line_ = line;
-      // Prefetches bill the triggering RMID.
-      if (llc_->fill_if_absent(paddr + kLineSize, owner)) {
+      if (llc_->fill_if_absent(paddr + kLineSize)) {
         ++prefetch_fills_;
         result.prefetch_issued = true;
       }
@@ -191,7 +179,6 @@ void CacheLevel::save_state(util::ckpt::Writer& w) const {
   for (const Way& way : ways_storage_) {
     w.put_u64(way.tag);
     w.put_u64(way.lru);
-    w.put_u32(way.owner);
     w.put_bool(way.valid);
     w.put_bool(way.dirty);
   }
@@ -211,7 +198,6 @@ void CacheLevel::load_state(util::ckpt::Reader& r) {
   for (Way& way : ways_storage_) {
     way.tag = r.get_u64();
     way.lru = r.get_u64();
-    way.owner = r.get_u32();
     way.valid = r.get_bool();
     way.dirty = r.get_bool();
   }

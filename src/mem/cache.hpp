@@ -24,17 +24,6 @@ enum class DataSource : std::uint8_t { L1, L2, LLC, MemTier1, MemTier2 };
   return src == DataSource::MemTier1 || src == DataSource::MemTier2;
 }
 
-[[nodiscard]] constexpr const char* to_string(DataSource src) noexcept {
-  switch (src) {
-    case DataSource::L1: return "L1";
-    case DataSource::L2: return "L2";
-    case DataSource::LLC: return "LLC";
-    case DataSource::MemTier1: return "MemT1";
-    case DataSource::MemTier2: return "MemT2";
-  }
-  return "?";
-}
-
 /// One set-associative, write-allocate cache level with LRU replacement.
 /// Tags are physical line addresses.
 ///
@@ -63,7 +52,7 @@ class CacheLevel {
 
   /// Install the line into the way a miss probe() named; same effects and
   /// return value as fill() of a line that is not resident.
-  bool install(PhysAddr paddr, Probe miss, std::uint32_t owner = 0);
+  bool install(PhysAddr paddr, Probe miss);
 
   /// True if the line holding `paddr` is resident (updates LRU).
   bool access(PhysAddr paddr, bool is_store) {
@@ -71,20 +60,15 @@ class CacheLevel {
   }
 
   /// Install the line; returns true if a valid line was evicted.
-  /// `owner` tags the line with an RMID-like id (resource-monitoring
-  /// support, cf. Intel CMT / AMD QoS); 0 = untracked.
-  bool fill(PhysAddr paddr, std::uint32_t owner = 0);
+  bool fill(PhysAddr paddr);
 
   /// Prefetch fill: one scan that installs the line unless it is already
   /// resident, stopping at the first invalid way like fill(). Returns true
   /// if the line was installed.
-  bool fill_if_absent(PhysAddr paddr, std::uint32_t owner = 0);
+  bool fill_if_absent(PhysAddr paddr);
 
   /// Is the line present (no LRU update)? Used by tests.
   [[nodiscard]] bool contains(PhysAddr paddr) const;
-
-  /// Resident lines tagged with `owner` (cache-occupancy monitoring).
-  [[nodiscard]] std::uint64_t occupancy_lines(std::uint32_t owner) const;
 
   void flush();
 
@@ -106,7 +90,6 @@ class CacheLevel {
   struct Way {
     std::uint64_t tag = 0;
     std::uint64_t lru = 0;
-    std::uint32_t owner = 0;  ///< RMID-like tag for occupancy monitoring
     bool valid = false;
     bool dirty = false;
   };
@@ -120,7 +103,7 @@ class CacheLevel {
   /// fill()'s scan: the resident way's match ends it with nullptr, the
   /// first invalid way ends it as the victim, else the first LRU minimum.
   [[nodiscard]] Way* fill_victim(std::uint64_t line) noexcept;
-  bool install_way(Way& victim, std::uint64_t line, std::uint32_t owner);
+  bool install_way(Way& victim, std::uint64_t line);
 
   std::uint32_t sets_;
   std::uint32_t ways_;
@@ -153,8 +136,7 @@ class CacheHierarchy {
   /// filled into all levels and, if enabled, the next line is prefetched
   /// into the LLC (so a subsequent demand access to it is an LLC *hit* —
   /// this is why TMP deliberately profiles demand loads only).
-  /// `owner` tags LLC fills for occupancy monitoring.
-  CacheAccess access(PhysAddr paddr, bool is_store, std::uint32_t owner = 0);
+  CacheAccess access(PhysAddr paddr, bool is_store);
 
   void flush();
 

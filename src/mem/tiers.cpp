@@ -81,10 +81,9 @@ std::optional<Pfn> PhysMemory::take(ArenaState& arena, PageSize size) {
   return std::nullopt;
 }
 
-std::optional<Pfn> PhysMemory::alloc(TierId preferred, Pid pid,
-                                     VirtAddr page_va, PageSize size,
-                                     std::uint32_t arena) {
-  for (std::size_t i = preferred; i < tiers_.size(); ++i) {
+std::optional<Pfn> PhysMemory::alloc(Pid pid, VirtAddr page_va,
+                                     PageSize size, std::uint32_t arena) {
+  for (std::size_t i = 0; i < tiers_.size(); ++i) {
     if (auto pfn =
             alloc_exact(static_cast<TierId>(i), pid, page_va, size, arena)) {
       return pfn;

@@ -79,13 +79,13 @@ class PhysMemory {
   /// Which tier a frame belongs to.
   [[nodiscard]] TierId tier_of(Pfn pfn) const;
 
-  /// Allocate a page of `size` from `preferred` tier, falling back to the
-  /// next slower tiers if full (first-touch behavior). Returns the head PFN,
+  /// Allocate a page of `size` from the fastest tier with room, falling
+  /// back down the chain (first-touch behavior). Returns the head PFN,
   /// or nullopt if all tiers are exhausted. With multiple arenas only the
   /// given arena of each tier is considered (keeps parallel faults
   /// race-free and deterministic); callers pick the arena by core.
-  std::optional<Pfn> alloc(TierId preferred, Pid pid, VirtAddr page_va,
-                           PageSize size, std::uint32_t arena = 0);
+  std::optional<Pfn> alloc(Pid pid, VirtAddr page_va, PageSize size,
+                           std::uint32_t arena = 0);
 
   /// Allocate strictly from `tier` (no fallback); used by the page mover.
   std::optional<Pfn> alloc_exact(TierId tier, Pid pid, VirtAddr page_va,

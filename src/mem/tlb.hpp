@@ -74,7 +74,6 @@ class TlbArray {
   [[nodiscard]] std::uint32_t capacity() const noexcept {
     return sets_ * ways_;
   }
-  [[nodiscard]] PageSize page_size() const noexcept { return size_; }
   [[nodiscard]] std::uint64_t valid_entries() const noexcept;
 
  private:

@@ -98,12 +98,8 @@ class AbitScanner {
     return result;
   }
 
-  [[nodiscard]] const AbitConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::uint64_t total_ptes_visited() const noexcept {
     return total_ptes_visited_;
-  }
-  [[nodiscard]] std::uint64_t total_pages_accessed() const noexcept {
-    return total_pages_accessed_;
   }
   [[nodiscard]] util::SimNs overhead_ns() const noexcept {
     return overhead_ns_;

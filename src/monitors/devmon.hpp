@@ -58,7 +58,6 @@ class DevMonitor final : public AccessObserver {
   /// Switch to sharded operation: lanes are already per-core, so this only
   /// opts into running on_mem_op from shard threads. Call before events.
   void enable_sharded() { sharded_ = true; }
-  [[nodiscard]] bool sharded() const noexcept { return sharded_; }
 
   void on_mem_op(const MemOpEvent& event) override;
 
@@ -72,7 +71,6 @@ class DevMonitor final : public AccessObserver {
   /// the drain callback and apply decay. Called at the epoch horizon.
   void drain();
 
-  [[nodiscard]] const DevMonConfig& config() const noexcept { return config_; }
   /// Device accesses counted (line fills on non-fastest tiers).
   [[nodiscard]] std::uint64_t observed() const noexcept;
   /// Counter-slot replacements forced by full arrays.

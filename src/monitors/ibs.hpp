@@ -62,7 +62,6 @@ class IbsMonitor final : public AccessObserver {
   /// driver is deferred to the epoch barrier, where buffers empty in
   /// ascending core order. Call before the first event is delivered.
   void enable_sharded();
-  [[nodiscard]] bool sharded() const noexcept { return sharded_; }
 
   /// Streaming handoff (docs/STREAMING.md): instead of accumulating samples
   /// in the per-core buffer until the barrier, each core encodes a
@@ -73,7 +72,6 @@ class IbsMonitor final : public AccessObserver {
   using StreamSpillFn = std::function<void(std::span<const StreamRecord>)>;
   void enable_streaming(std::vector<util::SpscRing<StreamRecord>*> rings,
                         StreamSpillFn spill);
-  [[nodiscard]] bool streaming() const noexcept { return streaming_; }
 
   /// Restart per-core record sequence numbers (epoch seal, after every
   /// lane's records have been consumed).
@@ -92,7 +90,6 @@ class IbsMonitor final : public AccessObserver {
   /// mode, drains every core's buffer in ascending core order.
   void drain();
 
-  [[nodiscard]] const IbsConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::uint64_t samples_taken() const noexcept;
   [[nodiscard]] std::uint64_t tags_lost() const noexcept;
   [[nodiscard]] std::uint64_t interrupts() const noexcept;

@@ -50,7 +50,6 @@ class PebsMonitor final : public AccessObserver {
   /// are counted per core; the actual drain to the driver happens at the
   /// epoch barrier in ascending core order. Call before the first event.
   void enable_sharded();
-  [[nodiscard]] bool sharded() const noexcept { return sharded_; }
 
   /// Streaming handoff, identical protocol to IbsMonitor::enable_streaming:
   /// per-core (core, seq)-tagged StreamRecords into caller-owned SPSC
@@ -58,7 +57,6 @@ class PebsMonitor final : public AccessObserver {
   using StreamSpillFn = std::function<void(std::span<const StreamRecord>)>;
   void enable_streaming(std::vector<util::SpscRing<StreamRecord>*> rings,
                         StreamSpillFn spill);
-  [[nodiscard]] bool streaming() const noexcept { return streaming_; }
 
   /// Restart per-core record sequence numbers (epoch seal).
   void stream_epoch_reset();
@@ -73,7 +71,6 @@ class PebsMonitor final : public AccessObserver {
   /// In sharded mode, drains every core's buffer in ascending core order.
   void drain();
 
-  [[nodiscard]] const PebsConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::uint64_t samples_taken() const noexcept;
   [[nodiscard]] std::uint64_t events_seen() const noexcept;
   [[nodiscard]] std::uint64_t interrupts() const noexcept;

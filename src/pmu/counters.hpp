@@ -64,7 +64,6 @@ class PmuCore {
   [[nodiscard]] bool multiplexing() const noexcept {
     return programmed_.size() > registers_;
   }
-  [[nodiscard]] std::uint32_t registers() const noexcept { return registers_; }
 
   /// Length of one multiplexing slice.
   static constexpr util::SimNs kSliceNs = 4 * util::kMillisecond;
@@ -116,9 +115,6 @@ class Pmu {
   explicit Pmu(std::uint32_t cores, std::uint32_t registers_per_core = 6);
 
   [[nodiscard]] PmuCore& core(std::uint32_t idx);
-  [[nodiscard]] std::uint32_t cores() const noexcept {
-    return static_cast<std::uint32_t>(cores_.size());
-  }
 
   void program_all(const std::vector<Event>& events);
 

@@ -30,9 +30,6 @@ class Process {
 
   [[nodiscard]] mem::Pid pid() const noexcept { return pid_; }
   [[nodiscard]] mem::PageTable& page_table() noexcept { return table_; }
-  [[nodiscard]] const mem::PageTable& page_table() const noexcept {
-    return table_;
-  }
   [[nodiscard]] workloads::Workload& workload() noexcept { return *workload_; }
   [[nodiscard]] double weight() const noexcept { return weight_; }
 
@@ -62,10 +59,6 @@ class Process {
     return ops_issued_;
   }
   [[nodiscard]] std::uint64_t rss_pages() const noexcept { return rss_pages_; }
-  [[nodiscard]] std::uint64_t mem_fills() const noexcept { return mem_fills_; }
-  [[nodiscard]] std::uint64_t tier0_fills() const noexcept {
-    return tier_fills_[0];
-  }
   /// Fills served by memory tier `tier` (0 for tiers past the chain).
   [[nodiscard]] std::uint64_t tier_fills(mem::TierId tier) const noexcept {
     return tier < mem::kMaxTiers ? tier_fills_[tier] : 0;

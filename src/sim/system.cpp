@@ -85,20 +85,6 @@ mem::Tlb& System::tlb(std::uint32_t core) {
   return cores_[core].tlb;
 }
 
-std::uint64_t System::llc_occupancy_lines(std::uint32_t owner) const {
-  if (llc_slices_.empty()) return llc_.occupancy_lines(owner);
-  std::uint64_t total = 0;
-  for (const auto& slice : llc_slices_) total += slice->occupancy_lines(owner);
-  return total;
-}
-
-std::uint64_t System::llc_size_bytes() const noexcept {
-  if (llc_slices_.empty()) return llc_.size_bytes();
-  std::uint64_t total = 0;
-  for (const auto& slice : llc_slices_) total += slice->size_bytes();
-  return total;
-}
-
 void System::advance_time(util::SimNs delta) noexcept { now_ += delta; }
 
 mem::Pid System::add_process(workloads::WorkloadPtr workload, double weight) {
@@ -357,8 +343,8 @@ util::SimNs System::instruction_fetch(Process& proc, std::uint32_t ip,
   if (walk.status == mem::WalkResult::Status::NotPresent) {
     // Demand-map the code page (text is always 4 KiB-mapped).
     const mem::VirtAddr page_va = mem::page_base(code_va, mem::PageSize::k4K);
-    const auto pfn = phys_.alloc(first_touch_tier_, proc.pid(), page_va,
-                                 mem::PageSize::k4K, ctx.arena);
+    const auto pfn =
+        phys_.alloc(proc.pid(), page_va, mem::PageSize::k4K, ctx.arena);
     TMPROF_ASSERT(pfn.has_value());
     proc.page_table().map(page_va, *pfn, mem::PageSize::k4K);
     proc.note_mapped_page(mem::PageSize::k4K);
@@ -391,8 +377,7 @@ Process& System::handle_page_fault(Process& proc, mem::VirtAddr vaddr,
                                    std::uint32_t arena) {
   const mem::PageSize size = proc.workload().page_size();
   const mem::VirtAddr page_va = mem::page_base(vaddr, size);
-  const auto pfn =
-      phys_.alloc(first_touch_tier_, proc.pid(), page_va, size, arena);
+  const auto pfn = phys_.alloc(proc.pid(), page_va, size, arena);
   TMPROF_ASSERT(pfn.has_value());  // experiments size tiers to fit
   proc.page_table().map(page_va, *pfn, size);
   proc.note_mapped_page(size);
@@ -511,7 +496,7 @@ AccessResult System::access_impl(Process& proc, mem::VirtAddr vaddr,
   const mem::PhysAddr paddr =
       (pte->pfn() << mem::kPageShift) + (vaddr - page_va);
   result.paddr = paddr;
-  mem::CacheAccess cache = core.caches.access(paddr, is_store, proc.pid());
+  mem::CacheAccess cache = core.caches.access(paddr, is_store);
   result.source = cache.source;
   switch (cache.source) {
     case mem::DataSource::L1:
@@ -550,7 +535,6 @@ AccessResult System::access_impl(Process& proc, mem::VirtAddr vaddr,
   }
 
   ctx.now += latency;
-  result.latency_ns = latency;
   ctx.ops.inc();
   ctx.latency.observe(latency);
 
@@ -615,7 +599,6 @@ void System::save_state(util::ckpt::Writer& w) {
   w.put_u64(now_);
   w.put_u64(total_ops_);
   w.put_u64(schedule_cursor_);
-  w.put_u8(first_touch_tier_);
   w.put_u64(next_pid_);
   w.put_u32(static_cast<std::uint32_t>(processes_.size()));
   for (const auto& proc : processes_) {
@@ -638,7 +621,6 @@ void System::load_state(util::ckpt::Reader& r) {
   now_ = r.get_u64();
   total_ops_ = r.get_u64();
   const std::uint64_t cursor = r.get_u64();
-  first_touch_tier_ = static_cast<mem::TierId>(r.get_u8());
   const auto next_pid = static_cast<mem::Pid>(r.get_u64());
   const std::uint32_t n_procs = r.get_u32();
   if (n_procs != processes_.size() || next_pid != next_pid_) {

@@ -49,7 +49,6 @@ struct AccessResult {
   mem::TlbHit tlb = mem::TlbHit::L1;
   bool page_fault = false;
   bool protection_fault = false;
-  util::SimNs latency_ns = 0;
   mem::PhysAddr paddr = 0;
 };
 
@@ -62,14 +61,6 @@ class System {
   [[nodiscard]] mem::PhysMemory& phys() noexcept { return phys_; }
   [[nodiscard]] pmu::Pmu& pmu() noexcept { return pmu_; }
   [[nodiscard]] mem::Tlb& tlb(std::uint32_t core);
-  /// The shared last-level cache (legacy engine; with `sharded_engine` the
-  /// LLC is sliced per core — use the aggregate accessors below).
-  [[nodiscard]] const mem::CacheLevel& llc() const noexcept { return llc_; }
-  /// LLC occupancy-monitoring view that works for both engines: resident
-  /// lines tagged `owner`, summed over slices in sharded mode.
-  [[nodiscard]] std::uint64_t llc_occupancy_lines(std::uint32_t owner) const;
-  /// Monitored LLC capacity (sum of slice capacities in sharded mode).
-  [[nodiscard]] std::uint64_t llc_size_bytes() const noexcept;
   [[nodiscard]] util::SimNs now() const noexcept { return now_; }
 
   /// Advance the clock without executing ops (daemon/driver work, stalls).
@@ -140,12 +131,6 @@ class System {
   /// Returns false if the target tier has no room.
   bool migrate_page(mem::Pid pid, mem::VirtAddr page_va, mem::TierId target);
 
-  /// Tier used for first-touch allocations (0 = fill fast memory first,
-  /// falling back to slower tiers — the paper's first-come baseline).
-  void set_first_touch_tier(mem::TierId tier) noexcept {
-    first_touch_tier_ = tier;
-  }
-
   // --- statistics -------------------------------------------------------
   [[nodiscard]] std::uint64_t total_ops() const noexcept { return total_ops_; }
 
@@ -209,7 +194,6 @@ class System {
   monitors::BadgerTrap* badgertrap_ = nullptr;
   FaultHook fault_hook_;
   std::function<void()> step_pump_;
-  mem::TierId first_touch_tier_ = 0;
 
   telemetry::Telemetry* telemetry_ = nullptr;
   telemetry::Counter ops_counter_;

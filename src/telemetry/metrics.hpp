@@ -95,9 +95,6 @@ class MetricsRegistry {
 
   /// Grow the shard array to at least `n` shards (never shrinks).
   void ensure_shards(std::size_t n);
-  [[nodiscard]] std::size_t shards() const noexcept {
-    return shard_counters_.size();
-  }
 
   /// Shard-local cells for the same named metrics. Only the owning shard's
   /// worker thread may touch them between barriers.

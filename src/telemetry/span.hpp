@@ -45,7 +45,6 @@ class SpanTracer {
   bool record(std::string_view name, util::SimNs begin_ns, util::SimNs end_ns,
               std::uint32_t pid, std::uint32_t tid);
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
   [[nodiscard]] std::uint64_t overwritten() const noexcept {
     return overwritten_;

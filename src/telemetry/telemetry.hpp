@@ -49,9 +49,6 @@ class Telemetry {
   explicit Telemetry(TelemetryConfig config);
 
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return registry_; }
-  [[nodiscard]] const MetricsRegistry& metrics() const noexcept {
-    return registry_;
-  }
   [[nodiscard]] SpanTracer& tracer() noexcept { return tracer_; }
   [[nodiscard]] const TelemetryConfig& config() const noexcept {
     return config_;

@@ -149,10 +149,6 @@ class AdmissionController {
     return threshold_;
   }
   [[nodiscard]] std::uint32_t epoch() const noexcept { return epoch_; }
-  /// Pages with a live cool-down, recounted at the last begin_epoch.
-  [[nodiscard]] std::uint64_t cooldown_pages() const noexcept {
-    return cooldown_pages_;
-  }
   /// Epochs in which at least one move was shed or bandwidth-rejected.
   [[nodiscard]] std::uint64_t throttled_epochs() const noexcept {
     return throttled_epochs_;

@@ -10,6 +10,11 @@
 
 namespace tmprof::tiering {
 
+namespace {
+/// Backoff charged before the first retry; doubles per further retry.
+constexpr util::SimNs kRetryBackoffNs = 5 * util::kMicrosecond;
+}  // namespace
+
 PageMover::PageMover(sim::System& system, const MoverConfig& config)
     : system_(system),
       config_(config),
@@ -174,7 +179,7 @@ PageMover::MoveOutcome PageMover::try_move(const PageKey& key, mem::TierId dest,
         ++attempt;
         ++stats.retried;
         --budget;
-        stats.backoff_ns += config_.retry_backoff_ns << (attempt - 1);
+        stats.backoff_ns += kRetryBackoffNs << (attempt - 1);
         continue;
       }
       if (fault_.fire(util::FaultSite::MigrationNoMem, fkey)) {

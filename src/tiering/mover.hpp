@@ -88,8 +88,6 @@ struct MoverConfig {
   std::uint64_t max_promotions = 0;
   /// Retries allowed per move after a transient (EBUSY) failure.
   std::uint32_t max_retries = 3;
-  /// Backoff charged before the first retry; doubles per further retry.
-  util::SimNs retry_backoff_ns = 5 * util::kMicrosecond;
   /// Total retries allowed per apply call (0 = unlimited). When the budget
   /// runs out, further transient failures abort instead of retrying.
   std::uint64_t retry_budget = 128;
@@ -142,9 +140,6 @@ class PageMover {
   /// MoverConfig::admission enables it; the runner checkpoints it as its
   /// own "admission" section.
   [[nodiscard]] AdmissionController& admission() noexcept {
-    return admission_;
-  }
-  [[nodiscard]] const AdmissionController& admission() const noexcept {
     return admission_;
   }
   /// Injection tallies (all zero unless MoverConfig::fault enables sites).

@@ -4,8 +4,16 @@
 
 namespace tmprof::tiering {
 
-SwapFarMemory::SwapFarMemory(sim::System& system, const SwapConfig& config)
-    : system_(system), config_(config) {
+namespace {
+/// Major-fault service cost: trap + I/O submission + page copy bookkeeping
+/// (the in-memory "swap device" copy itself is charged via the migration
+/// pair).
+constexpr util::SimNs kMajorFaultNs = 8 * util::kMicrosecond;
+/// Per-page migration (copy) cost, each direction.
+constexpr util::SimNs kCopyCostNs = 2500;
+}  // namespace
+
+SwapFarMemory::SwapFarMemory(sim::System& system) : system_(system) {
   system_.set_fault_hook(
       [this](sim::Process& proc, mem::VirtAddr vaddr, bool is_store) {
         return handle_fault(proc, vaddr, is_store);
@@ -52,7 +60,7 @@ util::SimNs SwapFarMemory::handle_fault(sim::Process& proc,
   TMPROF_ASSERT(ref && ref.pte->poisoned());
   const mem::VirtAddr page_va = ref.page_va;
   ++major_faults_;
-  util::SimNs cost = config_.major_fault_ns;
+  util::SimNs cost = kMajorFaultNs;
 
   // Make room: evict the oldest resident page to the swap tier.
   while (system_.phys().free_frames(0) < mem::pages_in(ref.size) &&
@@ -63,7 +71,7 @@ util::SimNs SwapFarMemory::handle_fault(sim::Process& proc,
     const mem::PteRef vref = vproc.page_table().resolve(victim.page_va);
     if (!vref || system_.phys().tier_of(vref.pte->pfn()) != 0) continue;
     if (system_.migrate_page(victim.pid, victim.page_va, 1)) {
-      cost += config_.copy_cost_ns;
+      cost += kCopyCostNs;
       mark_swapped(victim.pid, victim.page_va);
     }
   }
@@ -72,7 +80,7 @@ util::SimNs SwapFarMemory::handle_fault(sim::Process& proc,
   ref.pte->set_poisoned(false);
   if (system_.phys().free_frames(0) >= mem::pages_in(ref.size) &&
       system_.migrate_page(proc.pid(), page_va, 0)) {
-    cost += config_.copy_cost_ns;
+    cost += kCopyCostNs;
     ++swapped_in_;
     resident_fifo_.push_back(core::PageKey{proc.pid(), page_va});
   }

@@ -24,18 +24,9 @@
 
 namespace tmprof::tiering {
 
-struct SwapConfig {
-  /// Major-fault service cost: trap + I/O submission + page copy
-  /// bookkeeping (the in-memory "swap device" copy itself is charged via
-  /// the migration pair).
-  util::SimNs major_fault_ns = 8 * util::kMicrosecond;
-  /// Per-page migration (copy) cost, each direction.
-  util::SimNs copy_cost_ns = 2500;
-};
-
 class SwapFarMemory {
  public:
-  SwapFarMemory(sim::System& system, const SwapConfig& config = {});
+  explicit SwapFarMemory(sim::System& system);
   SwapFarMemory(const SwapFarMemory&) = delete;
   SwapFarMemory& operator=(const SwapFarMemory&) = delete;
   ~SwapFarMemory();
@@ -60,7 +51,6 @@ class SwapFarMemory {
   void mark_swapped(mem::Pid pid, mem::VirtAddr page_va);
 
   sim::System& system_;
-  SwapConfig config_;
   /// FIFO of tier-1-resident pages (eviction order).
   std::deque<core::PageKey> resident_fifo_;
   /// Pages ever registered (bounds FIFO growth across repeated seals).

@@ -29,7 +29,7 @@
 namespace tmprof::util::ckpt {
 
 inline constexpr char kMagic[8] = {'T', 'M', 'P', 'R', 'O', 'F', 'C', 'K'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 /// Bytes before the first section frame: magic, then the format version.
 inline constexpr std::size_t kHeaderSize =
     sizeof(kMagic) + sizeof(kFormatVersion);
@@ -37,7 +37,7 @@ inline constexpr std::size_t kHeaderSize =
 /// CRC-32 (IEEE 802.3 polynomial, reflected), computed slicing-by-8: eight
 /// bytes per step through eight 256-entry tables, then a byte-at-a-time
 /// tail. Same values as the classic one-table loop, so the on-disk format
-/// (kFormatVersion 1) is unchanged. `seed` chains: crc32(b, crc32(a)) is
+/// does not depend on it. `seed` chains: crc32(b, crc32(a)) is
 /// the CRC of `a` followed by `b`.
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size,
                                   std::uint32_t seed = 0) noexcept;

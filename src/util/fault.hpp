@@ -145,7 +145,6 @@ class FaultInjector {
   bool fire(FaultSite site, std::uint64_t key) noexcept;
 
   [[nodiscard]] const FaultStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const FaultConfig& config() const noexcept { return config_; }
 
   /// Checkpoint hooks: only the tallies travel — the decision function is
   /// stateless and the config comes from reconstruction.

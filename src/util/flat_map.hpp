@@ -151,8 +151,6 @@ class FlatHashMap {
     const Slot* e = slots_.data() + slots_.size();
     return const_iterator(e, e);
   }
-  const_iterator cbegin() const noexcept { return begin(); }
-  const_iterator cend() const noexcept { return end(); }
 
   /// Insert-or-find; value-initializes on first touch (counters start at 0
   /// even though cleared slots retain stale values).

@@ -79,8 +79,6 @@ class Heatmap {
 
   void add(std::uint64_t time, std::uint64_t addr, std::uint64_t weight = 1);
 
-  [[nodiscard]] std::size_t time_bins() const noexcept { return time_bins_; }
-  [[nodiscard]] std::size_t addr_bins() const noexcept { return addr_bins_; }
   [[nodiscard]] std::uint64_t at(std::size_t time_bin,
                                  std::size_t addr_bin) const;
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }

@@ -43,4 +43,3 @@ class LogLine {
 #define TMPROF_LOG_DEBUG ::tmprof::util::LogLine(::tmprof::util::LogLevel::Debug)
 #define TMPROF_LOG_INFO ::tmprof::util::LogLine(::tmprof::util::LogLevel::Info)
 #define TMPROF_LOG_WARN ::tmprof::util::LogLine(::tmprof::util::LogLevel::Warn)
-#define TMPROF_LOG_ERROR ::tmprof::util::LogLine(::tmprof::util::LogLevel::Error)

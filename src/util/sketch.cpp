@@ -1,6 +1,5 @@
 #include "util/sketch.hpp"
 
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -124,14 +123,6 @@ BloomFilter::BloomFilter(std::uint64_t bits, std::uint32_t hashes,
   words_.resize(bits_ / 64, 0);
 }
 
-std::uint64_t BloomFilter::ones() const noexcept {
-  std::uint64_t n = 0;
-  for (const std::uint64_t word : words_) {
-    n += static_cast<std::uint64_t>(std::popcount(word));
-  }
-  return n;
-}
-
 bool BloomFilter::insert(std::uint64_t fingerprint) {
   TMPROF_ASSERT(configured());
   bool definitely_new = false;
@@ -154,10 +145,6 @@ bool BloomFilter::maybe_contains(std::uint64_t fingerprint) const {
     if ((words_[bit >> 6] & (1ull << (bit & 63))) == 0) return false;
   }
   return true;
-}
-
-void BloomFilter::clear() noexcept {
-  for (std::uint64_t& word : words_) word = 0;
 }
 
 void BloomFilter::merge_or(const BloomFilter& other) {

@@ -52,8 +52,6 @@ class CountMinSketch {
   CountMinSketch(std::uint32_t width, std::uint32_t depth, std::uint64_t seed);
 
   [[nodiscard]] std::uint32_t width() const noexcept { return width_; }
-  [[nodiscard]] std::uint32_t depth() const noexcept { return depth_; }
-  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
   [[nodiscard]] bool configured() const noexcept { return !cells_.empty(); }
   /// Total stream count N added so far (exact; merge-accumulated).
   [[nodiscard]] std::uint64_t added() const noexcept { return added_; }
@@ -120,24 +118,13 @@ class BloomFilter {
   BloomFilter() = default;
   BloomFilter(std::uint64_t bits, std::uint32_t hashes, std::uint64_t seed);
 
-  [[nodiscard]] std::uint64_t bit_count() const noexcept { return bits_; }
-  [[nodiscard]] std::uint32_t hashes() const noexcept { return hashes_; }
-  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
   [[nodiscard]] bool configured() const noexcept { return !words_.empty(); }
-  [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return words_.size() * sizeof(std::uint64_t) +
-           hash_seeds_.size() * sizeof(std::uint64_t);
-  }
-  /// Number of set bits (fill-rate diagnostics).
-  [[nodiscard]] std::uint64_t ones() const noexcept;
 
   /// Insert; returns true when the fingerprint was *definitely new* (at
   /// least one of its bits was clear). A false return may be a false
   /// positive of the filter, never the reverse.
   bool insert(std::uint64_t fingerprint);
   [[nodiscard]] bool maybe_contains(std::uint64_t fingerprint) const;
-
-  void clear() noexcept;
 
   /// Bit-wise OR merge. Requires identical (bits, hashes, seed); throws
   /// std::logic_error otherwise.

@@ -25,8 +25,6 @@ double RunningStats::variance() const noexcept {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }
 
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
 void RunningStats::merge(const RunningStats& other) noexcept {
   if (other.n_ == 0) return;
   if (n_ == 0) {

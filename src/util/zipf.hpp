@@ -21,9 +21,6 @@ class ZipfDistribution {
 
   std::uint64_t operator()(Rng& rng) const;
 
-  [[nodiscard]] std::uint64_t size() const noexcept { return n_; }
-  [[nodiscard]] double theta() const noexcept { return theta_; }
-
   /// Probability mass of a given rank (for tests and analytical baselines).
   [[nodiscard]] double pmf(std::uint64_t rank) const;
 
@@ -50,9 +47,6 @@ class HotColdDistribution {
                       double hot_weight);
 
   std::uint64_t operator()(Rng& rng) const;
-
-  [[nodiscard]] std::uint64_t size() const noexcept { return items_; }
-  [[nodiscard]] std::uint64_t hot_items() const noexcept { return hot_items_; }
 
  private:
   std::uint64_t items_;

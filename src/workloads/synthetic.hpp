@@ -119,8 +119,6 @@ class InitThenServeWorkload final : public Workload {
     return "init-then-serve";
   }
 
-  [[nodiscard]] bool serving() const noexcept { return cursor_ >= cold_bytes_; }
-
   void save_state(util::ckpt::Writer& w) const override;
   void load_state(util::ckpt::Reader& r) override;
 
@@ -227,12 +225,6 @@ class ChurnSessionWorkload final : public Workload {
   }
   [[nodiscard]] std::string_view name() const override {
     return "churn-session";
-  }
-
-  /// True when reference index `op` falls inside an active session.
-  [[nodiscard]] bool active_at(std::uint64_t op) const noexcept {
-    return (op + phase_offset_ops_) % (session_ops_ + idle_ops_) <
-           session_ops_;
   }
 
   void save_state(util::ckpt::Writer& w) const override;

@@ -133,9 +133,9 @@ TEST(CacheLevel, ProbeNamesFillVictimAndInstallUsesIt) {
 
 TEST(CacheLevel, FillIfAbsentSkipsResidentLines) {
   CacheLevel c(256, 2);
-  EXPECT_TRUE(c.fill_if_absent(0x000, 3));
-  EXPECT_FALSE(c.fill_if_absent(0x000, 3));
-  EXPECT_EQ(c.occupancy_lines(3), 1U);
+  EXPECT_TRUE(c.fill_if_absent(0x000));
+  EXPECT_FALSE(c.fill_if_absent(0x000));
+  EXPECT_TRUE(c.contains(0x000));
 }
 
 // ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ class CacheLevel {
     return false;
   }
 
-  bool fill(PhysAddr paddr, std::uint32_t owner = 0) {
+  bool fill(PhysAddr paddr) {
     const std::uint64_t line = line_of(paddr);
     Way* base = &ways_storage_[set_of(line) * ways_];
     Way* victim = &base[0];
@@ -184,7 +184,6 @@ class CacheLevel {
     victim->tag = line;
     victim->valid = true;
     victim->dirty = false;
-    victim->owner = owner;
     victim->lru = ++tick_;
     return evicted;
   }
@@ -196,14 +195,6 @@ class CacheLevel {
       if (base[w].valid && base[w].tag == line) return true;
     }
     return false;
-  }
-
-  [[nodiscard]] std::uint64_t occupancy_lines(std::uint32_t owner) const {
-    std::uint64_t lines = 0;
-    for (const Way& way : ways_storage_) {
-      if (way.valid && way.owner == owner) ++lines;
-    }
-    return lines;
   }
 
   void flush() {
@@ -218,7 +209,6 @@ class CacheLevel {
     for (const Way& way : ways_storage_) {
       w.put_u64(way.tag);
       w.put_u64(way.lru);
-      w.put_u32(way.owner);
       w.put_bool(way.valid);
       w.put_bool(way.dirty);
     }
@@ -232,7 +222,6 @@ class CacheLevel {
     for (Way& way : ways_storage_) {
       way.tag = r.get_u64();
       way.lru = r.get_u64();
-      way.owner = r.get_u32();
       way.valid = r.get_bool();
       way.dirty = r.get_bool();
     }
@@ -246,7 +235,6 @@ class CacheLevel {
   struct Way {
     std::uint64_t tag = 0;
     std::uint64_t lru = 0;
-    std::uint32_t owner = 0;
     bool valid = false;
     bool dirty = false;
   };
@@ -274,7 +262,7 @@ class CacheHierarchy {
         llc_(llc),
         prefetch_(enable_prefetch) {}
 
-  CacheAccess access(PhysAddr paddr, bool is_store, std::uint32_t owner) {
+  CacheAccess access(PhysAddr paddr, bool is_store) {
     CacheAccess result;
     if (l1_.access(paddr, is_store)) {
       result.source = DataSource::L1;
@@ -293,7 +281,7 @@ class CacheHierarchy {
     }
     result.llc_miss = true;
     result.source = DataSource::MemTier1;
-    llc_->fill(paddr, owner);
+    llc_->fill(paddr);
     l2_.fill(paddr);
     l1_.fill(paddr);
     if (prefetch_) {
@@ -302,7 +290,7 @@ class CacheHierarchy {
         last_demand_line_ = line;
         const PhysAddr next = paddr + kLineSize;
         if (!llc_->contains(next)) {
-          llc_->fill(next, owner);
+          llc_->fill(next);
           ++prefetch_fills_;
           result.prefetch_issued = true;
         }
@@ -389,7 +377,6 @@ void put_seeded_level(util::ckpt::Writer& w, const Geometry& g,
     for (std::uint32_t way = 0; way < g.ways; ++way) {
       w.put_u64(lines[way]);
       w.put_u64(rng.below(4));
-      w.put_u32(static_cast<std::uint32_t>(rng.below(4)));
       w.put_bool(way < valid);
       w.put_bool(rng.below(2) == 0);
     }
@@ -447,11 +434,10 @@ void run_cache_differential(const Geometry& l1, const Geometry& l2,
     line = rng.below(4) == 0 ? (line + 1) % kLinePool : rng.below(kLinePool);
     const PhysAddr paddr = line * kLineSize + rng.below(kLineSize);
     const bool is_store = rng.below(3) == 0;
-    const auto owner = static_cast<std::uint32_t>(rng.below(4));
     const std::uint64_t kind = rng.below(100);
     if (kind < 80) {
-      const CacheAccess got = hier_new.access(paddr, is_store, owner);
-      const CacheAccess want = hier_ref.access(paddr, is_store, owner);
+      const CacheAccess got = hier_new.access(paddr, is_store);
+      const CacheAccess want = hier_ref.access(paddr, is_store);
       ASSERT_EQ(got.source, want.source) << "op " << op;
       ASSERT_EQ(got.llc_miss, want.llc_miss) << "op " << op;
       ASSERT_EQ(got.prefetch_issued, want.prefetch_issued) << "op " << op;
@@ -461,9 +447,9 @@ void run_cache_differential(const Geometry& l1, const Geometry& l2,
       tally.mem += got.llc_miss ? 1U : 0U;
       tally.prefetches += got.prefetch_issued ? 1U : 0U;
     } else if (kind < 86) {
-      // Direct LLC fills, as occupancy monitoring and tests issue them.
-      const bool evicted = llc_new.fill(paddr, owner);
-      ASSERT_EQ(evicted, llc_ref.fill(paddr, owner)) << "op " << op;
+      // Direct LLC fills, as tests issue them.
+      const bool evicted = llc_new.fill(paddr);
+      ASSERT_EQ(evicted, llc_ref.fill(paddr)) << "op " << op;
       tally.direct_fills += 1;
       tally.evictions += evicted ? 1U : 0U;
     } else if (kind < 92) {
@@ -472,22 +458,17 @@ void run_cache_differential(const Geometry& l1, const Geometry& l2,
       const bool hit = llc_ref.access(paddr, is_store);
       ASSERT_EQ(probe.hit, hit) << "op " << op;
       if (!hit) {
-        ASSERT_EQ(llc_new.install(paddr, probe, owner),
-                  llc_ref.fill(paddr, owner))
+        ASSERT_EQ(llc_new.install(paddr, probe), llc_ref.fill(paddr))
             << "op " << op;
       }
     } else if (kind < 96) {
       const bool absent = !llc_ref.contains(paddr);
       ASSERT_EQ(llc_new.contains(paddr), !absent) << "op " << op;
-      if (absent) llc_ref.fill(paddr, owner);
-      ASSERT_EQ(llc_new.fill_if_absent(paddr, owner), absent) << "op " << op;
-    } else if (kind < 98) {
+      if (absent) llc_ref.fill(paddr);
+      ASSERT_EQ(llc_new.fill_if_absent(paddr), absent) << "op " << op;
+    } else {
       hier_new.flush();
       hier_ref.flush();
-    } else {
-      for (std::uint32_t o = 0; o < 4; ++o) {
-        ASSERT_EQ(llc_new.occupancy_lines(o), llc_ref.occupancy_lines(o));
-      }
     }
     ASSERT_EQ(hier_new.prefetch_fills(), hier_ref.prefetch_fills());
     ASSERT_EQ(llc_new.dirty_evictions(), llc_ref.dirty_evictions());
@@ -530,8 +511,6 @@ TEST(DataSource, Helpers) {
   EXPECT_TRUE(is_memory(DataSource::MemTier1));
   EXPECT_TRUE(is_memory(DataSource::MemTier2));
   EXPECT_FALSE(is_memory(DataSource::LLC));
-  EXPECT_STREQ(to_string(DataSource::L1), "L1");
-  EXPECT_STREQ(to_string(DataSource::MemTier2), "MemT2");
 }
 
 }  // namespace

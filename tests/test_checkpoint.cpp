@@ -1507,6 +1507,45 @@ TEST(CkptResume, MissingResumeFileFallsBackToColdStart) {
                        reference);
 }
 
+TEST(CkptResume, FormatV1ImageColdStarts) {
+  // Format 1 stored a 4-byte owner tag in every cache way. A v1 image is
+  // rejected at the header, before any section is read, and the run
+  // cold-starts instead of misreading the shorter v2 ways.
+  const auto spec = workloads::find_spec("gups", 0.05);
+  const RunnerResult reference =
+      EndToEndRunner::run(spec, tiny_config(), tiny_runner("history"));
+
+  const fs::path dir = fs::path(::testing::TempDir()) / "tmprof-format-v1";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  RunnerOptions opt = tiny_runner("history");
+  opt.checkpoint.every = 2;
+  opt.checkpoint.dir = dir.string();
+  (void)EndToEndRunner::run(spec, tiny_config(), opt);
+  const std::string latest = util::ckpt::latest_in(dir.string(), "ckpt");
+  ASSERT_NE(latest, "");
+  std::vector<std::uint8_t> image;
+  {
+    std::ifstream in(latest, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GE(image.size(), util::ckpt::kHeaderSize);
+  // The version is a LE u32 right after the magic.
+  const std::uint8_t v1[4] = {1, 0, 0, 0};
+  std::memcpy(image.data() + sizeof util::ckpt::kMagic, v1, sizeof v1);
+  const std::string path = (dir / "format-v1.tmck").string();
+  util::ckpt::Writer::save_atomic(path, image);
+
+  RunnerOptions resume = tiny_runner("history");
+  resume.checkpoint.resume_from = path;
+  ::testing::internal::CaptureStderr();
+  const RunnerResult resumed = EndToEndRunner::run(spec, tiny_config(), resume);
+  const std::string warning = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(warning.find("rejected in section '<header>'"), std::string::npos)
+      << warning;
+  expect_bitwise_equal(resumed, reference);
+}
+
 TEST(CkptResume, MismatchedConfigRejected) {
   // A checkpoint from seed 42 must not be grafted onto a seed-43 run: the
   // meta section rejects it and the run cold-starts with its own seed.
@@ -1839,7 +1878,7 @@ TEST(CkptLayout, SectionBytesAreGolden) {
   // streaming run's telemetry carries the host-clock stream_seal_ns gauge.
   expect_frames(everything_runner_frames(),
                 {{"meta", 48, 0x41982e3d},
-                 {"system", 620793, 0xdaf46c6d},
+                 {"system", 534712, 0xe251e821},
                  {"daemon", 35923, 0x327b6822},
                  {"devmon", 6758, 0xb16161e0},
                  {"stream", 49, 0xb1ed5ed7},
@@ -1854,7 +1893,7 @@ TEST(CkptLayout, SectionBytesAreGolden) {
                 "telemetry");
   expect_frames(oracle_trap_runner_frames(),
                 {{"meta", 47, 0xe91cf81e},
-                 {"system", 752749, 0x7869a688},
+                 {"system", 666732, 0x580a35dd},
                  {"daemon", 6387, 0x0aa13dff},
                  {"devmon", 1, 0xd202ef8d},
                  {"stream", 1, 0xd202ef8d},
@@ -1868,7 +1907,7 @@ TEST(CkptLayout, SectionBytesAreGolden) {
                  {"telemetry", 2501, 0xa7a045e1}});
   expect_frames(layered_collect_frames(false),
                 {{"meta", 36, 0xae48b0dc},
-                 {"system", 753377, 0x96b53e08},
+                 {"system", 667296, 0xf090ba15},
                  {"daemon", 5887, 0xda57b629},
                  {"truth", 514, 0x7d9111e2},
                  {"series", 2520, 0x81549fe2},

@@ -1,12 +1,10 @@
 /// Second integration batch: interactions across the newer subsystems
-/// (THP collapse ↔ profiler granularity, mover ↔ numa_maps, 3-tier
-/// systems, swap ↔ profiler coexistence rules).
+/// (mover ↔ numa_maps, 3-tier systems, swap ↔ profiler coexistence
+/// rules).
 
 #include <gtest/gtest.h>
 
-#include "core/daemon.hpp"
 #include "core/numa_maps.hpp"
-#include "tiering/khugepaged.hpp"
 #include "tiering/mover.hpp"
 #include "tiering/swap.hpp"
 #include "workloads/synthetic.hpp"
@@ -21,33 +19,6 @@ sim::SimConfig small_config() {
   cfg.tier1_frames = 1 << 12;
   cfg.tier2_frames = 1 << 13;
   return cfg;
-}
-
-/// After khugepaged collapses a range, the daemon's A-bit observations for
-/// it drop from hundreds of keys to one huge-page key, while trace
-/// samples keep arriving — the Table IV granularity asymmetry, live.
-TEST(Integration2, CollapseChangesProfilerGranularity) {
-  sim::System sys(small_config());
-  sys.add_process(std::make_unique<workloads::UniformWorkload>(
-      2 << 20, 0.0, 1));
-  core::DaemonConfig dcfg;
-  dcfg.driver.ibs = monitors::IbsConfig::with_period(128);
-  dcfg.gating_enabled = false;
-  core::TmpDaemon daemon(sys, dcfg);
-  sys.step(20000);
-  const core::ProfileSnapshot before = daemon.tick();
-  const std::size_t keys_before = before.observation.abit.size();
-  EXPECT_GT(keys_before, 100U);
-
-  tiering::KhugepagedConfig kcfg;
-  kcfg.min_accessed = 0.0;
-  tiering::Khugepaged khugepaged(sys, kcfg);
-  EXPECT_GT(khugepaged.scan_and_collapse().collapsed, 0U);
-
-  sys.step(20000);
-  const core::ProfileSnapshot after = daemon.tick();
-  EXPECT_LT(after.observation.abit.size(), keys_before / 10);
-  EXPECT_FALSE(after.observation.trace.empty());
 }
 
 /// numa_maps reflects the mover's placement: after demoting everything,
@@ -91,23 +62,6 @@ TEST(Integration2, ThreeTierFirstTouchSpillsDownTheLadder) {
   EXPECT_EQ(sys.phys().used_frames(0), 4U);
   EXPECT_EQ(sys.phys().used_frames(1), 4U);
   EXPECT_GT(sys.phys().used_frames(2), 0U);
-}
-
-/// Khugepaged must refuse to collapse ranges containing poisoned PTEs —
-/// a swap manager or profiler owns those pages.
-TEST(Integration2, CollapseRespectsPoisonedPages) {
-  sim::System sys(small_config());
-  const mem::Pid pid = sys.add_process(
-      std::make_unique<workloads::SequentialWorkload>(4 << 20, 4096, 0.0, 1));
-  sys.step(512);
-  sim::Process& proc = sys.process(pid);
-  proc.page_table().resolve(proc.vaddr_of(0)).pte->set_poisoned(true);
-  tiering::KhugepagedConfig kcfg;
-  kcfg.min_accessed = 0.0;
-  tiering::Khugepaged khugepaged(sys, kcfg);
-  const tiering::CollapseStats stats = khugepaged.scan_and_collapse();
-  EXPECT_EQ(stats.collapsed, 0U);
-  proc.page_table().resolve(proc.vaddr_of(0)).pte->set_poisoned(false);
 }
 
 /// Swap and mover compose: a page swapped out and then touched comes back

@@ -25,12 +25,12 @@ TEST(PhysMemory, TierBoundaries) {
 TEST(PhysMemory, Alloc4kFillsPreferredTierFirst) {
   PhysMemory pm = make_two_tier(4, 4);
   for (std::uint64_t i = 0; i < 4; ++i) {
-    const auto pfn = pm.alloc(0, 1, 0x1000 * i, PageSize::k4K);
+    const auto pfn = pm.alloc(1, 0x1000 * i, PageSize::k4K);
     ASSERT_TRUE(pfn.has_value());
     EXPECT_EQ(pm.tier_of(*pfn), 0);
   }
   // Tier 1 full: falls back to tier 2.
-  const auto spill = pm.alloc(0, 1, 0x9000, PageSize::k4K);
+  const auto spill = pm.alloc(1, 0x9000, PageSize::k4K);
   ASSERT_TRUE(spill.has_value());
   EXPECT_EQ(pm.tier_of(*spill), 1);
 }
@@ -43,7 +43,7 @@ TEST(PhysMemory, AllocExactDoesNotFallBack) {
 
 TEST(PhysMemory, HugeAllocIsAlignedAndSpans512) {
   PhysMemory pm = make_two_tier(2048, 2048);
-  const auto head = pm.alloc(0, 7, 0x200000, PageSize::k2M);
+  const auto head = pm.alloc(7, 0x200000, PageSize::k2M);
   ASSERT_TRUE(head.has_value());
   EXPECT_EQ(*head % kPagesPerHuge, 0U);
   for (std::uint64_t i = 0; i < kPagesPerHuge; ++i) {
@@ -58,27 +58,27 @@ TEST(PhysMemory, HugeAllocIsAlignedAndSpans512) {
 
 TEST(PhysMemory, FreeRecyclesFrames) {
   PhysMemory pm = make_two_tier(4, 4);
-  const auto a = pm.alloc(0, 1, 0x0, PageSize::k4K);
+  const auto a = pm.alloc(1, 0x0, PageSize::k4K);
   pm.free(*a);
   EXPECT_EQ(pm.used_frames(0), 0U);
-  const auto b = pm.alloc(0, 1, 0x1000, PageSize::k4K);
+  const auto b = pm.alloc(1, 0x1000, PageSize::k4K);
   EXPECT_EQ(*a, *b);  // recycled
 }
 
 TEST(PhysMemory, FreeHugeRecycles) {
   PhysMemory pm = make_two_tier(1024, 1024);
-  const auto a = pm.alloc(0, 1, 0x0, PageSize::k2M);
+  const auto a = pm.alloc(1, 0x0, PageSize::k2M);
   ASSERT_TRUE(a);
   pm.free(*a);
   EXPECT_EQ(pm.used_frames(0), 0U);
-  const auto b = pm.alloc(0, 1, 0x200000, PageSize::k2M);
+  const auto b = pm.alloc(1, 0x200000, PageSize::k2M);
   EXPECT_EQ(*a, *b);
 }
 
 TEST(PhysMemory, MixedSizesShareATier) {
   PhysMemory pm = make_two_tier(1024, 1024);
   // One huge page (512 frames from the top) + 4K pages from the bottom.
-  const auto huge = pm.alloc(0, 1, 0x200000, PageSize::k2M);
+  const auto huge = pm.alloc(1, 0x200000, PageSize::k2M);
   ASSERT_TRUE(huge);
   std::uint64_t small_count = 0;
   while (pm.alloc_exact(0, 1, small_count * kPageSize, PageSize::k4K)) {
@@ -90,11 +90,11 @@ TEST(PhysMemory, MixedSizesShareATier) {
 
 TEST(PhysMemory, ExhaustionReturnsNullopt) {
   PhysMemory pm = make_two_tier(2, 2);
-  EXPECT_TRUE(pm.alloc(0, 1, 0x0, PageSize::k4K));
-  EXPECT_TRUE(pm.alloc(0, 1, 0x1000, PageSize::k4K));
-  EXPECT_TRUE(pm.alloc(0, 1, 0x2000, PageSize::k4K));
-  EXPECT_TRUE(pm.alloc(0, 1, 0x3000, PageSize::k4K));
-  EXPECT_FALSE(pm.alloc(0, 1, 0x4000, PageSize::k4K));
+  EXPECT_TRUE(pm.alloc(1, 0x0, PageSize::k4K));
+  EXPECT_TRUE(pm.alloc(1, 0x1000, PageSize::k4K));
+  EXPECT_TRUE(pm.alloc(1, 0x2000, PageSize::k4K));
+  EXPECT_TRUE(pm.alloc(1, 0x3000, PageSize::k4K));
+  EXPECT_FALSE(pm.alloc(1, 0x4000, PageSize::k4K));
 }
 
 TEST(PhysMemory, HugeAllocFailsInTinyTier) {
@@ -106,7 +106,7 @@ TEST(PhysMemory, HugeAllocFailsInTinyTier) {
 
 TEST(PhysMemory, FrameOwnershipLookup) {
   PhysMemory pm = make_two_tier();
-  const auto pfn = pm.alloc(0, 42, 0xabc000, PageSize::k4K);
+  const auto pfn = pm.alloc(42, 0xabc000, PageSize::k4K);
   const FrameInfo& info = pm.frame(*pfn);
   EXPECT_EQ(info.pid, 42U);
   EXPECT_EQ(info.page_va, 0xabc000U);
@@ -115,7 +115,7 @@ TEST(PhysMemory, FrameOwnershipLookup) {
 
 TEST(PhysMemory, DoubleFreeRejected) {
   PhysMemory pm = make_two_tier();
-  const auto pfn = pm.alloc(0, 1, 0x0, PageSize::k4K);
+  const auto pfn = pm.alloc(1, 0x0, PageSize::k4K);
   pm.free(*pfn);
   EXPECT_THROW(pm.free(*pfn), util::AssertionError);
 }
