@@ -16,9 +16,7 @@ TmpDriver::TmpDriver(sim::System& system, const DriverConfig& config)
       store_(system.phys().total_frames()),
       cur_abit_(config.hotness),
       cur_trace_(config.hotness),
-      cur_writes_(config.hotness),
-      cumulative_trace_4k_(config.hotness),
-      cumulative_abit_(config.hotness) {
+      cur_writes_(config.hotness) {
   if (config_.backend == TraceBackend::Ibs) {
     ibs_ = std::make_unique<monitors::IbsMonitor>(config_.ibs,
                                                   system.config().cores);
@@ -183,7 +181,6 @@ void TmpDriver::on_trace(std::span<const monitors::TraceSample> samples) {
     }
     cur_trace_.add(key);
     store_.record_trace(pfn, epoch_);
-    cumulative_trace_4k_.add(pfn);
     ++trace_samples_kept_;
     t_kept_.inc();
   }
@@ -222,7 +219,6 @@ void TmpDriver::consume_record(const monitors::StreamRecord& rec) {
       }
       cur_trace_.add(key);
       store_.record_trace(pfn, epoch_);
-      cumulative_trace_4k_.add(pfn);
       ++trace_samples_kept_;
       t_kept_.inc();
       return;
@@ -231,7 +227,6 @@ void TmpDriver::consume_record(const monitors::StreamRecord& rec) {
       const PageKey key{static_cast<mem::Pid>(rec.c), rec.a};
       cur_abit_.add(key);
       store_.record_abit(rec.b, epoch_);
-      cumulative_abit_.add(key);
       return;
     }
     case monitors::StreamKind::Dev: {
@@ -290,7 +285,6 @@ monitors::AbitScanResult TmpDriver::scan_processes(
           const PageKey key{pid, sample.page_va};
           cur_abit_.add(key);
           store_.record_abit(sample.pfn, epoch_);
-          cumulative_abit_.add(key);
         });
     total.ptes_visited += r.ptes_visited;
     total.pages_accessed += r.pages_accessed;
@@ -445,8 +439,6 @@ void TmpDriver::save_state(util::ckpt::Writer& w) const {
   w.put_u64(trace_samples_dropped_);
   w.put_u64(scans_aborted_);
   save_page_counts(w, overflow_seen_);
-  cumulative_trace_4k_.save_state(w, "driver");
-  cumulative_abit_.save_state(w, "driver");
 }
 
 void TmpDriver::load_state(util::ckpt::Reader& r) {
@@ -473,8 +465,6 @@ void TmpDriver::load_state(util::ckpt::Reader& r) {
   trace_samples_dropped_ = r.get_u64();
   scans_aborted_ = r.get_u64();
   load_page_counts(r, overflow_seen_);
-  cumulative_trace_4k_.load_state(r, "driver");
-  cumulative_abit_.load_state(r, "driver");
 }
 
 void TmpDriver::save_stream_state(util::ckpt::Writer& w) const {

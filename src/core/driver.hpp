@@ -33,9 +33,6 @@ class Telemetry;
 
 namespace tmprof::core {
 
-/// Cumulative per-4KiB-frame counters (Fig. 5 CDF input).
-using PfnCountMap = util::FlatHashMap<mem::Pfn, std::uint32_t, util::U64Hash>;
-
 enum class TraceBackend : std::uint8_t { Ibs, Pebs };
 
 struct DriverConfig {
@@ -96,18 +93,6 @@ class TmpDriver {
   [[nodiscard]] std::uint32_t epoch() const noexcept { return epoch_; }
   [[nodiscard]] const PageStatsStore& store() const noexcept { return store_; }
 
-  /// Cumulative per-4KiB-frame trace sample counts (Fig. 5 CDF input).
-  /// Exact counts by definition, so this throws std::logic_error when the
-  /// driver runs the sketch front-end.
-  [[nodiscard]] const PfnCountMap& trace_counts_4k() const {
-    return cumulative_trace_4k_.exact_counts();
-  }
-  /// Cumulative per-page A-bit observation counts (Fig. 5 CDF input).
-  /// Throws std::logic_error in sketch mode; see trace_counts_4k().
-  [[nodiscard]] const PageCountMap& abit_counts() const {
-    return cumulative_abit_.exact_counts();
-  }
-
   /// Modeled software overhead of collection so far (trace + scans).
   [[nodiscard]] util::SimNs overhead_ns() const noexcept;
   [[nodiscard]] util::SimNs trace_overhead_ns() const noexcept;
@@ -143,8 +128,8 @@ class TmpDriver {
     return devmon_.get();
   }
 
-  /// Checkpoint hooks: monitor state, the descriptor store, the open
-  /// epoch's observation maps, and the cumulative CDF inputs. The backend
+  /// Checkpoint hooks: monitor state, the descriptor store and the open
+  /// epoch's observation maps. The backend
   /// configuration must match the constructed driver on load.
   void save_state(util::ckpt::Writer& w) const;
   void load_state(util::ckpt::Reader& r);
@@ -215,8 +200,6 @@ class TmpDriver {
   /// pure function of (epoch, page, occurrence) — invariant to drain order.
   /// Always exact: fault bookkeeping must not inherit sketch error.
   PageCountMap overflow_seen_;
-  PfnHotnessCounts cumulative_trace_4k_;
-  HotnessCounts cumulative_abit_;
   /// Streaming transport (null unless DriverConfig::stream.enabled).
   std::unique_ptr<StreamTransport> stream_;
   std::uint64_t stream_records_ = 0;

@@ -4,8 +4,8 @@
 /// mode (the PR-5 FlatHashMap front-end, bit-identical to the historical
 /// behavior) or `sketch` mode (count-min sketch + bounded candidate set,
 /// docs/SKETCH.md) behind one interface. TruthCollector shards, the
-/// driver's epoch observations and cumulative maps, and the freq-decay
-/// policy all count through this type, selected per run via
+/// driver's epoch observations and the freq-decay policy all count
+/// through this type, selected per run via
 /// DriverConfig::hotness (i.e. DaemonConfig-selected).
 ///
 /// Sketch mode keeps two invariants the rest of the system relies on:
@@ -74,16 +74,6 @@ struct PageKeyCodec {
     key.pid = static_cast<mem::Pid>(r.get_u64());
     key.page_va = r.get_u64();
     return key;
-  }
-};
-
-struct PfnCodec {
-  [[nodiscard]] static std::uint64_t fingerprint(mem::Pfn pfn) noexcept {
-    return pfn;
-  }
-  static void save(util::ckpt::Writer& w, mem::Pfn pfn) { w.put_u64(pfn); }
-  [[nodiscard]] static mem::Pfn load(util::ckpt::Reader& r) {
-    return r.get_u64();
   }
 };
 
@@ -435,8 +425,6 @@ using HotnessCounts =
     BasicHotnessStore<PageKey, std::uint32_t, PageKeyHash, PageKeyCodec>;
 using HotnessTruth =
     BasicHotnessStore<PageKey, std::uint64_t, PageKeyHash, PageKeyCodec>;
-using PfnHotnessCounts =
-    BasicHotnessStore<mem::Pfn, std::uint32_t, util::U64Hash, PfnCodec>;
 using PageHotnessSet = BasicHotnessSet<PageKey, PageKeyHash, PageKeyCodec>;
 
 }  // namespace tmprof::core

@@ -45,8 +45,8 @@ using TruthMap = PageMap<std::uint64_t>;
 /// candidate admission floor are absent. Every consumer in this header —
 /// ranking fusion and checkpoint serialization — is
 /// order/byte-stable over whatever counts it is given and makes no
-/// exactness assumption; consumers that do (Fig. 5 CDFs) must go through
-/// TmpDriver::trace_counts_4k()/abit_counts(), which enforce exact mode.
+/// exactness assumption. The Fig. 5 CDFs, which need exact counts, tally
+/// the raw samples themselves (bench/fig5_cdf.cpp).
 struct EpochObservation {
   std::uint32_t epoch = 0;
   /// A-bit observations per page (head-keyed; 1 per scan that saw A set).

@@ -176,11 +176,14 @@ void CacheLevel::save_state(util::ckpt::Writer& w) const {
   w.put_u32(ways_);
   w.put_u64(tick_);
   w.put_u64(dirty_evictions_);
+  // Per way, as put_u64(tag), put_u64(lru), put_bool(valid), put_bool(dirty).
+  constexpr std::size_t kWayBytes = 8 + 8 + 1 + 1;
+  std::uint8_t* at = w.extend(ways_storage_.size() * kWayBytes);
   for (const Way& way : ways_storage_) {
-    w.put_u64(way.tag);
-    w.put_u64(way.lru);
-    w.put_bool(way.valid);
-    w.put_bool(way.dirty);
+    util::ckpt::pack_le(at, way.tag);
+    util::ckpt::pack_le(at, way.lru);
+    util::ckpt::pack_le(at, static_cast<std::uint8_t>(way.valid));
+    util::ckpt::pack_le(at, static_cast<std::uint8_t>(way.dirty));
   }
 }
 

@@ -188,12 +188,16 @@ void TlbArray::save_state(util::ckpt::Writer& w) const {
   w.put_u32(sets_);
   w.put_u32(ways_);
   w.put_u64(tick_);
+  // Per entry, as put_u64(pid), put_u64(vpn), put_bool(dirty_cached),
+  // put_bool(valid), put_u64(lru).
+  constexpr std::size_t kEntryBytes = 8 + 8 + 1 + 1 + 8;
+  std::uint8_t* at = w.extend(entries_.size() * kEntryBytes);
   for (const Entry& e : entries_) {
-    w.put_u64(e.pid);
-    w.put_u64(e.vpn);
-    w.put_bool(e.dirty_cached);
-    w.put_bool(e.valid);
-    w.put_u64(e.lru);
+    util::ckpt::pack_le(at, static_cast<std::uint64_t>(e.pid));
+    util::ckpt::pack_le(at, static_cast<std::uint64_t>(e.vpn));
+    util::ckpt::pack_le(at, static_cast<std::uint8_t>(e.dirty_cached));
+    util::ckpt::pack_le(at, static_cast<std::uint8_t>(e.valid));
+    util::ckpt::pack_le(at, static_cast<std::uint64_t>(e.lru));
   }
 }
 

@@ -111,11 +111,12 @@ void EpochLoop::run(const std::string& resume_path,
     }
     if (ckpt.enabled() && (e + 1) % ckpt.every == 0) {
       epochs_done_ = e + 1;
-      util::ckpt::Writer w;
+      util::ckpt::Writer w(std::move(image_));
       manifest_.save(w);
+      image_ = w.finish();
       util::ckpt::Writer::save_atomic(
           util::ckpt::checkpoint_path(ckpt.dir, ckpt.basename, e + 1),
-          w.finish());
+          image_);
       util::ckpt::prune(ckpt.dir, ckpt.basename, ckpt.keep_last);
     }
     if (options_.on_epoch) options_.on_epoch(e);

@@ -100,6 +100,9 @@ class EpochLoop {
   sim::System system_;
   util::ckpt::Manifest manifest_;
   std::function<void(util::ckpt::Writer&)> identity_;
+  /// The last checkpoint image; each save rebuilds it in place, keeping
+  /// its capacity.
+  std::vector<std::uint8_t> image_;
   telemetry::Counter epochs_counter_;
   std::uint32_t start_epoch_ = 0;
   std::uint32_t epochs_done_ = 0;  ///< resume epoch written into "meta"

@@ -68,49 +68,59 @@ std::uint32_t crc32(const void* data, std::size_t size,
 // ---------------------------------------------------------------------------
 // Writer
 
-Writer::Writer() {
-  buffer_.reserve(4096);
-  for (const char c : kMagic) buffer_.push_back(static_cast<std::uint8_t>(c));
+Writer::Writer() : Writer(std::vector<std::uint8_t>(4096)) {}
+
+Writer::Writer(std::vector<std::uint8_t> recycled)
+    : buffer_(std::move(recycled)) {
+  put_bytes(kMagic, sizeof(kMagic));
   put_le(kFormatVersion);
+}
+
+void Writer::grow(std::size_t n) {
+  // Double, but stop at the capacity a recycled image already holds:
+  // filling that reallocates nothing.
+  const std::size_t need = size_ + n;
+  std::size_t target = std::max(need, 2 * buffer_.size());
+  if (need <= buffer_.capacity()) {
+    target = std::min(target, buffer_.capacity());
+  }
+  buffer_.resize(target);
 }
 
 void Writer::begin_section(std::string_view name) {
   TMPROF_EXPECTS(!in_section_);
   TMPROF_EXPECTS(!name.empty());
   section_name_.assign(name);
-  put_le(static_cast<std::uint32_t>(name.size()));
-  buffer_.insert(buffer_.end(), name.begin(), name.end());
+  put_str(name);
   // Payload length back-patched in end_section(); reserve the slot now.
   put_le(static_cast<std::uint64_t>(0));
-  section_start_ = buffer_.size();
+  section_start_ = size_;
   in_section_ = true;
 }
 
 void Writer::end_section() {
   TMPROF_EXPECTS(in_section_);
-  const std::size_t payload = buffer_.size() - section_start_;
-  const std::size_t len_slot = section_start_ - sizeof(std::uint64_t);
-  for (std::size_t i = 0; i < sizeof(std::uint64_t); ++i) {
-    buffer_[len_slot + i] =
-        static_cast<std::uint8_t>(static_cast<std::uint64_t>(payload) >>
-                                  (8 * i));
-  }
+  const std::size_t payload = size_ - section_start_;
+  std::uint8_t* len_slot =
+      buffer_.data() + section_start_ - sizeof(std::uint64_t);
+  pack_le(len_slot, static_cast<std::uint64_t>(payload));
   put_le(crc32(buffer_.data() + section_start_, payload));
   in_section_ = false;
 }
 
 void Writer::put_str(std::string_view s) {
   put_le(static_cast<std::uint32_t>(s.size()));
-  buffer_.insert(buffer_.end(), s.begin(), s.end());
+  put_bytes(s.data(), s.size());
 }
 
 void Writer::put_bytes(const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  buffer_.insert(buffer_.end(), bytes, bytes + size);
+  if (size != 0) std::memcpy(extend(size), data, size);
 }
 
 std::vector<std::uint8_t> Writer::finish() {
   if (in_section_) end_section();
+  buffer_.resize(size_);
+  size_ = 0;
   return std::move(buffer_);
 }
 
@@ -213,13 +223,16 @@ Reader Reader::from_file(const std::string& path) {
   if (f == nullptr) {
     throw CkptError(kIoSection, "cannot open '" + path + "'");
   }
+  // Size the image once from the file's length, then read it in one call.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
   std::vector<std::uint8_t> image;
-  std::array<std::uint8_t, 65536> chunk;
-  std::size_t n = 0;
-  while ((n = std::fread(chunk.data(), 1, chunk.size(), f)) > 0) {
-    image.insert(image.end(), chunk.begin(), chunk.begin() + n);
+  bool read_error = static_cast<bool>(ec);
+  if (!read_error) {
+    image.resize(static_cast<std::size_t>(size));
+    read_error = !image.empty() &&
+                 std::fread(image.data(), 1, image.size(), f) != image.size();
   }
-  const bool read_error = std::ferror(f) != 0;
   std::fclose(f);
   if (read_error) {
     throw CkptError(kIoSection, "read error on '" + path + "'");

@@ -17,6 +17,7 @@
 /// kill mid-write never leaves a half-written checkpoint under the real
 /// name.
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -29,7 +30,7 @@
 namespace tmprof::util::ckpt {
 
 inline constexpr char kMagic[8] = {'T', 'M', 'P', 'R', 'O', 'F', 'C', 'K'};
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 /// Bytes before the first section frame: magic, then the format version.
 inline constexpr std::size_t kHeaderSize =
     sizeof(kMagic) + sizeof(kFormatVersion);
@@ -41,6 +42,35 @@ inline constexpr std::size_t kHeaderSize =
 /// the CRC of `a` followed by `b`.
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size,
                                   std::uint32_t seed = 0) noexcept;
+
+/// Store `v` little-endian at `at` and advance `at` past it: one memcpy on
+/// little-endian hosts, a byte loop elsewhere. Bulk packers fill a span
+/// from Writer::extend with it, field by field, in put_* layout.
+template <class T>
+void pack_le(std::uint8_t*& at, T v) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(at, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      at[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+  at += sizeof(T);
+}
+
+/// The little-endian T stored at `at` (pack_le's inverse).
+template <class T>
+[[nodiscard]] T unpack_le(const std::uint8_t* at) noexcept {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, at, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v = static_cast<T>(v | (static_cast<T>(at[i]) << (8 * i)));
+    }
+  }
+  return v;
+}
 
 /// Typed checkpoint failure. `section()` names the section being written
 /// or read when the error was detected ("<header>" for pre-section
@@ -61,9 +91,15 @@ class CkptError : public std::runtime_error {
 };
 
 /// Serializes sections into an in-memory image, then writes it atomically.
+/// The image grows by doubling and writes at an offset, so every put costs
+/// a bounds check and a memcpy.
 class Writer {
  public:
   Writer();
+  /// Build the image in `recycled`'s storage: its bytes are discarded and
+  /// its capacity kept, so a caller that hands each finish() result back
+  /// reallocates nothing once the image has reached its steady size.
+  explicit Writer(std::vector<std::uint8_t> recycled);
 
   /// Open a new section. Sections may not nest.
   void begin_section(std::string_view name);
@@ -84,6 +120,16 @@ class Writer {
   void put_str(std::string_view s);
   void put_bytes(const void* data, std::size_t size);
 
+  /// Append `n` bytes and return where they start, for the caller to fill
+  /// (with pack_le) before the next write. The bulk path for fixed-layout
+  /// arrays: one bounds check for the whole array.
+  [[nodiscard]] std::uint8_t* extend(std::size_t n) {
+    if (n > buffer_.size() - size_) grow(n);
+    std::uint8_t* at = buffer_.data() + size_;
+    size_ += n;
+    return at;
+  }
+
   /// Finish the image (seals an open section, if any) and return it.
   [[nodiscard]] std::vector<std::uint8_t> finish();
 
@@ -95,12 +141,15 @@ class Writer {
  private:
   template <class T>
   void put_le(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buffer_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    std::uint8_t* at = extend(sizeof(T));
+    pack_le(at, v);
   }
+  /// Make room for `n` more bytes past size_.
+  void grow(std::size_t n);
 
+  /// Bytes [0, size_) are the image; the rest is zeroed or stale room.
   std::vector<std::uint8_t> buffer_;
+  std::size_t size_ = 0;
   std::size_t section_start_ = 0;  ///< payload offset of the open section
   bool in_section_ = false;
   std::string section_name_;
@@ -150,10 +199,7 @@ class Reader {
   template <class T>
   T get_le() {
     require(sizeof(T));
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v = static_cast<T>(v | (static_cast<T>(image_[cursor_ + i]) << (8 * i)));
-    }
+    const T v = unpack_le<T>(image_.data() + cursor_);
     cursor_ += sizeof(T);
     return v;
   }

@@ -221,17 +221,19 @@ class FlatHashMap {
   /// Visit every entry in ascending key order: `fn(key, value)`. This is
   /// the deterministic iteration used for checkpoint bytes and barrier
   /// merges; it allocates a scratch index, so keep it off per-op paths.
+  /// The index holds each key next to its slot, so the sort compares
+  /// contiguous keys instead of chasing slots.
   template <typename Fn>
   void fold_sorted(Fn&& fn) const {
-    std::vector<const Slot*> order;
+    std::vector<std::pair<Key, const Slot*>> order;
     order.reserve(size_);
     for (const Slot& s : slots_) {
-      if (s.used) order.push_back(&s);
+      if (s.used) order.emplace_back(s.kv.first, &s);
     }
-    std::sort(order.begin(), order.end(), [](const Slot* x, const Slot* y) {
-      return x->kv.first < y->kv.first;
+    std::sort(order.begin(), order.end(), [](const auto& x, const auto& y) {
+      return x.first < y.first;
     });
-    for (const Slot* s : order) fn(s->kv.first, s->kv.second);
+    for (const auto& [key, s] : order) fn(key, s->kv.second);
   }
 
  private:

@@ -1507,15 +1507,16 @@ TEST(CkptResume, MissingResumeFileFallsBackToColdStart) {
                        reference);
 }
 
-TEST(CkptResume, FormatV1ImageColdStarts) {
-  // Format 1 stored a 4-byte owner tag in every cache way. A v1 image is
-  // rejected at the header, before any section is read, and the run
-  // cold-starts instead of misreading the shorter v2 ways.
+/// Writes a runner checkpoint, rewrites its header to format `version`
+/// and resumes from it: the image must be rejected at the header, before
+/// any section is read, and the run must equal a cold one.
+void expect_old_format_cold_starts(std::uint32_t version) {
   const auto spec = workloads::find_spec("gups", 0.05);
   const RunnerResult reference =
       EndToEndRunner::run(spec, tiny_config(), tiny_runner("history"));
 
-  const fs::path dir = fs::path(::testing::TempDir()) / "tmprof-format-v1";
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("tmprof-format-v" + std::to_string(version));
   fs::remove_all(dir);
   fs::create_directories(dir);
   RunnerOptions opt = tiny_runner("history");
@@ -1531,9 +1532,12 @@ TEST(CkptResume, FormatV1ImageColdStarts) {
   }
   ASSERT_GE(image.size(), util::ckpt::kHeaderSize);
   // The version is a LE u32 right after the magic.
-  const std::uint8_t v1[4] = {1, 0, 0, 0};
-  std::memcpy(image.data() + sizeof util::ckpt::kMagic, v1, sizeof v1);
-  const std::string path = (dir / "format-v1.tmck").string();
+  const std::uint8_t le[4] = {static_cast<std::uint8_t>(version),
+                              static_cast<std::uint8_t>(version >> 8),
+                              static_cast<std::uint8_t>(version >> 16),
+                              static_cast<std::uint8_t>(version >> 24)};
+  std::memcpy(image.data() + sizeof util::ckpt::kMagic, le, sizeof le);
+  const std::string path = (dir / "old-format.tmck").string();
   util::ckpt::Writer::save_atomic(path, image);
 
   RunnerOptions resume = tiny_runner("history");
@@ -1544,6 +1548,17 @@ TEST(CkptResume, FormatV1ImageColdStarts) {
   EXPECT_NE(warning.find("rejected in section '<header>'"), std::string::npos)
       << warning;
   expect_bitwise_equal(resumed, reference);
+}
+
+TEST(CkptResume, FormatV1ImageColdStarts) {
+  // Format 1 stored a 4-byte owner tag in every cache way.
+  expect_old_format_cold_starts(1);
+}
+
+TEST(CkptResume, FormatV2ImageColdStarts) {
+  // Format 2 carried the driver's cumulative trace/A-bit maps at the end
+  // of the "daemon" section.
+  expect_old_format_cold_starts(2);
 }
 
 TEST(CkptResume, MismatchedConfigRejected) {
@@ -1876,10 +1891,12 @@ TEST(CkptLayout, SectionBytesAreGolden) {
   // Recorded from the hand-written section lists the manifest replaced;
   // any change to a section's payload bytes is a format change. The
   // streaming run's telemetry carries the host-clock stream_seal_ns gauge.
+  // The "daemon" entries were re-recorded for format 3, which dropped the
+  // driver's cumulative trace/A-bit maps.
   expect_frames(everything_runner_frames(),
                 {{"meta", 48, 0x41982e3d},
                  {"system", 534712, 0xe251e821},
-                 {"daemon", 35923, 0x327b6822},
+                 {"daemon", 22377, 0x63bffa84},
                  {"devmon", 6758, 0xb16161e0},
                  {"stream", 49, 0xb1ed5ed7},
                  {"mover", 181, 0xd65f58a5},
@@ -1894,7 +1911,7 @@ TEST(CkptLayout, SectionBytesAreGolden) {
   expect_frames(oracle_trap_runner_frames(),
                 {{"meta", 47, 0xe91cf81e},
                  {"system", 666732, 0x580a35dd},
-                 {"daemon", 6387, 0x0aa13dff},
+                 {"daemon", 4709, 0x0f4d7afa},
                  {"devmon", 1, 0xd202ef8d},
                  {"stream", 1, 0xd202ef8d},
                  {"mover", 96, 0x7c9b6c29},
@@ -1908,7 +1925,7 @@ TEST(CkptLayout, SectionBytesAreGolden) {
   expect_frames(layered_collect_frames(false),
                 {{"meta", 36, 0xae48b0dc},
                  {"system", 667296, 0xf090ba15},
-                 {"daemon", 5887, 0xda57b629},
+                 {"daemon", 4389, 0x037eb5ba},
                  {"truth", 514, 0x7d9111e2},
                  {"series", 2520, 0x81549fe2},
                  {"telemetry", 2302, 0x0741cbc1}});
