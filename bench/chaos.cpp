@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "tiering/policies.hpp"
 #include "tiering/runner.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
@@ -100,8 +101,13 @@ static int bench_main(int argc, char** argv) {
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 120'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const std::uint64_t kill_seed = args.get_u64("kill-seed", 0xdead);
-  const std::vector<std::string> policies = split_list(args.get(
-      "policies", "first-touch,history,freq-decay,write-history,oracle"));
+  std::string every_policy;
+  for (const std::string_view name : tiering::policy_names()) {
+    if (!every_policy.empty()) every_policy += ',';
+    every_policy += name;
+  }
+  const std::vector<std::string> policies =
+      split_list(args.get("policies", every_policy));
   const std::vector<std::string> thread_counts =
       split_list(args.get("threads-list", "1,8"));
   const std::vector<std::string> rates = split_list(args.get("rates", "0,0.2"));

@@ -152,7 +152,6 @@ void fill_observation(core::EpochObservation& obs,
   for (const core::PageKey& key : keys) {
     if (i % 3 != 0) obs.trace[key] += 1;  // trace-heavy, like IBS epochs
     if (i % 3 == 0) obs.abit[key] += 1;
-    if (i % 16 == 0) obs.writes[key] += 1;
     ++i;
   }
 }

@@ -15,8 +15,7 @@ TmpDriver::TmpDriver(sim::System& system, const DriverConfig& config)
       scanner_(config.abit),
       store_(system.phys().total_frames()),
       cur_abit_(config.hotness),
-      cur_trace_(config.hotness),
-      cur_writes_(config.hotness) {
+      cur_trace_(config.hotness) {
   if (config_.backend == TraceBackend::Ibs) {
     ibs_ = std::make_unique<monitors::IbsMonitor>(config_.ibs,
                                                   system.config().cores);
@@ -34,13 +33,6 @@ TmpDriver::TmpDriver(sim::System& system, const DriverConfig& config)
       on_trace(samples);
     });
     if (system.config().sharded_engine) pebs_->enable_sharded();
-  }
-  if (config_.use_pml) {
-    pml_ = std::make_unique<monitors::PmlMonitor>(config_.pml);
-    pml_->set_drain([this](std::span<const mem::PhysAddr> addresses) {
-      on_pml(addresses);
-    });
-    system_.add_observer(pml_.get());
   }
   if (config_.devmon.enabled) {
     devmon_ = std::make_unique<monitors::DevMonitor>(
@@ -90,7 +82,6 @@ TmpDriver::TmpDriver(sim::System& system, const DriverConfig& config)
 TmpDriver::~TmpDriver() {
   if (stream_) system_.set_step_pump(nullptr);
   set_trace_enabled(false);
-  if (pml_) system_.remove_observer(pml_.get());
   if (devmon_) system_.remove_observer(devmon_.get());
 }
 
@@ -302,15 +293,6 @@ monitors::AbitScanResult TmpDriver::scan_processes(
   return total;
 }
 
-void TmpDriver::on_pml(std::span<const mem::PhysAddr> addresses) {
-  for (const mem::PhysAddr paddr : addresses) {
-    const mem::Pfn pfn = mem::pfn_of(paddr);
-    const mem::FrameInfo& frame = system_.phys().frame(pfn);
-    if (!frame.allocated) continue;
-    cur_writes_.add(PageKey{frame.pid, frame.page_va});
-  }
-}
-
 void TmpDriver::on_devmon(
     std::span<const monitors::DevMonReportEntry> report) {
   if (stream_) {
@@ -359,7 +341,6 @@ void TmpDriver::end_epoch_into(EpochObservation& out) {
   if (stream_) pump_stream();
   if (ibs_) ibs_->drain();
   if (pebs_) pebs_->drain();
-  if (pml_) pml_->drain();
   if (devmon_) devmon_->drain();
   if (stream_) {
     pump_stream();  // the device lane (and any A-bit tail) just filled
@@ -386,7 +367,6 @@ void TmpDriver::end_epoch_into(EpochObservation& out) {
   // buffers — the same two-buffer protocol the swap-based path used.
   cur_abit_.end_epoch_into(out.abit);
   cur_trace_.end_epoch_into(out.trace);
-  cur_writes_.end_epoch_into(out.writes);
   out.devmon.swap(cur_devmon_);
   cur_devmon_.clear();
   ++epoch_;
@@ -424,15 +404,12 @@ util::SimNs TmpDriver::overhead_ns() const noexcept {
 
 void TmpDriver::save_state(util::ckpt::Writer& w) const {
   w.put_u8(static_cast<std::uint8_t>(config_.backend));
-  w.put_bool(pml_ != nullptr);
   if (ibs_) ibs_->save_state(w);
   if (pebs_) pebs_->save_state(w);
-  if (pml_) pml_->save_state(w);
   scanner_.save_state(w);
   store_.save_state(w);
   cur_abit_.save_state(w, "driver");
   cur_trace_.save_state(w, "driver");
-  cur_writes_.save_state(w, "driver");
   w.put_u32(epoch_);
   w.put_bool(trace_enabled_);
   w.put_u64(trace_samples_kept_);
@@ -446,18 +423,12 @@ void TmpDriver::load_state(util::ckpt::Reader& r) {
   if (backend != config_.backend) {
     throw util::ckpt::CkptError("driver", "trace backend mismatch");
   }
-  const bool has_pml = r.get_bool();
-  if (has_pml != (pml_ != nullptr)) {
-    throw util::ckpt::CkptError("driver", "PML presence mismatch");
-  }
   if (ibs_) ibs_->load_state(r);
   if (pebs_) pebs_->load_state(r);
-  if (pml_) pml_->load_state(r);
   scanner_.load_state(r);
   store_.load_state(r);
   cur_abit_.load_state(r, "driver");
   cur_trace_.load_state(r, "driver");
-  cur_writes_.load_state(r, "driver");
   epoch_ = r.get_u32();
   // Routed through the setter so observer registration tracks the flag.
   set_trace_enabled(r.get_bool());

@@ -22,7 +22,6 @@
 #include "monitors/devmon.hpp"
 #include "monitors/ibs.hpp"
 #include "monitors/pebs.hpp"
-#include "monitors/pml.hpp"
 #include "sim/system.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/fault.hpp"
@@ -44,10 +43,6 @@ struct DriverConfig {
   bool trace_loads_only = true;
   /// Count only samples whose data source is beyond the LLC.
   bool trace_memory_only = true;
-  /// Also collect Page-Modification Logging (dirty-page) evidence for
-  /// write-aware policies. Off by default: TMP's focus is demand loads.
-  bool use_pml = false;
-  monitors::PmlConfig pml;
   /// Device-side hot-page counters at each non-fastest tier's memory
   /// controller (docs/TOPOLOGY.md). Off by default; `devmon.enabled`
   /// gates construction, so disabled runs are bitwise unchanged.
@@ -153,7 +148,6 @@ class TmpDriver {
 
  private:
   void on_trace(std::span<const monitors::TraceSample> samples);
-  void on_pml(std::span<const mem::PhysAddr> addresses);
   void on_devmon(std::span<const monitors::DevMonReportEntry> report);
   /// Fold one stream record into the open epoch (main thread only).
   void consume_record(const monitors::StreamRecord& rec);
@@ -165,7 +159,6 @@ class TmpDriver {
   DriverConfig config_;
   std::unique_ptr<monitors::IbsMonitor> ibs_;
   std::unique_ptr<monitors::PebsMonitor> pebs_;
-  std::unique_ptr<monitors::PmlMonitor> pml_;
   std::unique_ptr<monitors::DevMonitor> devmon_;
   monitors::AbitScanner scanner_;
   PageStatsStore store_;
@@ -173,7 +166,6 @@ class TmpDriver {
   /// mode reproduces the historical EpochObservation maps bit-for-bit).
   HotnessCounts cur_abit_;
   HotnessCounts cur_trace_;
-  HotnessCounts cur_writes_;
   /// Open epoch's device-counter evidence, translated to page identity at
   /// each drain. Always exact: the reports are already top-K bounded.
   PageCountMap cur_devmon_;

@@ -4,14 +4,6 @@
 
 namespace tmprof::core {
 
-std::string_view to_string(HotnessMode mode) noexcept {
-  switch (mode) {
-    case HotnessMode::Exact: return "exact";
-    case HotnessMode::Sketch: return "sketch";
-  }
-  return "?";
-}
-
 HotnessMode parse_hotness_mode(const std::string& name) {
   if (name == "exact") return HotnessMode::Exact;
   if (name == "sketch") return HotnessMode::Sketch;

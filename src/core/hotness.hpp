@@ -42,7 +42,6 @@ enum class HotnessMode : std::uint8_t {
   Sketch = 1,  ///< count-min sketch + bounded candidate set
 };
 
-[[nodiscard]] std::string_view to_string(HotnessMode mode) noexcept;
 /// Parses "exact" / "sketch"; throws std::invalid_argument otherwise.
 [[nodiscard]] HotnessMode parse_hotness_mode(const std::string& name);
 

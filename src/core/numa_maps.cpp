@@ -61,13 +61,4 @@ std::string numa_maps(sim::System& system, mem::Pid pid,
   return os.str();
 }
 
-std::string numa_maps_all(sim::System& system, const PageStatsStore& store) {
-  std::ostringstream os;
-  for (sim::Process* proc : system.processes()) {
-    os << "==== pid " << proc->pid() << " ====\n"
-       << numa_maps(system, proc->pid(), store);
-  }
-  return os.str();
-}
-
 }  // namespace tmprof::core

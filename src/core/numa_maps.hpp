@@ -19,8 +19,4 @@ namespace tmprof::core {
 [[nodiscard]] std::string numa_maps(sim::System& system, mem::Pid pid,
                                     const PageStatsStore& store);
 
-/// All processes, separated by `==== pid <pid> ====` headers.
-[[nodiscard]] std::string numa_maps_all(sim::System& system,
-                                        const PageStatsStore& store);
-
 }  // namespace tmprof::core

@@ -10,7 +10,7 @@ namespace {
 
 /// Merge the per-source counters for `mode` into unsorted fused entries in
 /// `out`. Entries are appended as keys first appear; `scratch.index` maps a
-/// page to its position in `out` so the second source and the writes
+/// page to its position in `out` so the second source and the devmon
 /// ride-along patch in place. The final fuse pass is then a sequential
 /// sweep of `out` rather than a strided walk of a wide hash table. Output
 /// order here is slot order, but build_ranking_into sorts under the total
@@ -54,7 +54,7 @@ void merge_observation(const EpochObservation& obs, const FusionParams& params,
   }
   // Device-counter evidence: in the devmon fusion modes a frame the device
   // saw but sampling missed still earns an entry (that coverage is DevMon's
-  // whole point); in every other mode it rides along like writes.
+  // whole point); in every other mode it only annotates existing entries.
   const bool devmon_ranks =
       mode == FusionMode::SumDev || mode == FusionMode::DevOnly;
   for (const auto& [key, count] : obs.devmon) {
@@ -73,12 +73,6 @@ void merge_observation(const EpochObservation& obs, const FusionParams& params,
       const auto it = index.find(key);
       if (it != index.end()) out[it->second].devmon = count;
     }
-  }
-  // Write evidence rides along without contributing to the fused rank;
-  // write-aware policies read it from the PageRank entries.
-  for (const auto& [key, count] : obs.writes) {
-    const auto it = index.find(key);
-    if (it != index.end()) out[it->second].writes = count;
   }
   for (PageRank& pr : out) {
     switch (mode) {
@@ -159,7 +153,6 @@ void save_observation(util::ckpt::Writer& w, const EpochObservation& obs) {
   w.put_u32(obs.epoch);
   save_page_counts(w, obs.abit);
   save_page_counts(w, obs.trace);
-  save_page_counts(w, obs.writes);
   save_page_counts(w, obs.devmon);
 }
 
@@ -167,7 +160,6 @@ void load_observation(util::ckpt::Reader& r, EpochObservation& obs) {
   obs.epoch = r.get_u32();
   load_page_counts(r, obs.abit);
   load_page_counts(r, obs.trace);
-  load_page_counts(r, obs.writes);
   load_page_counts(r, obs.devmon);
 }
 
@@ -179,7 +171,6 @@ void save_ranking(util::ckpt::Writer& w, const std::vector<PageRank>& ranking) {
     w.put_u64(pr.rank);
     w.put_u32(pr.abit);
     w.put_u32(pr.trace);
-    w.put_u32(pr.writes);
     w.put_u32(pr.devmon);
   }
 }
@@ -195,7 +186,6 @@ void load_ranking(util::ckpt::Reader& r, std::vector<PageRank>& ranking) {
     pr.rank = r.get_u64();
     pr.abit = r.get_u32();
     pr.trace = r.get_u32();
-    pr.writes = r.get_u32();
     pr.devmon = r.get_u32();
     ranking.push_back(pr);
   }

@@ -32,7 +32,7 @@ namespace tmprof::core {
 template <typename V>
 using PageMap = util::FlatHashMap<PageKey, V, PageKeyHash>;
 
-/// Per-page event tallies (A-bit hits, trace samples, PML writes).
+/// Per-page event tallies (A-bit hits, trace samples, device counts).
 using PageCountMap = PageMap<std::uint32_t>;
 /// Per-page ground-truth access counts (can exceed 2^32 over long runs).
 using TruthMap = PageMap<std::uint64_t>;
@@ -54,10 +54,6 @@ struct EpochObservation {
   /// Trace samples per page (head-keyed; huge pages aggregate their 4 KiB
   /// sample addresses).
   PageCountMap trace;
-  /// Dirty-page log entries per page (PML; only populated when the driver
-  /// enables Page-Modification Logging). Counts D-bit 0→1 transitions, a
-  /// write-history signal for NVM-write-averse policies.
-  PageCountMap writes;
   /// Device-side hot-page counts per page (DevMon top-K reports; only
   /// populated when DriverConfig::devmon is enabled). Counts every line
   /// fill the page's slow-tier device served — no sampling sparsity, but
@@ -67,7 +63,6 @@ struct EpochObservation {
   void clear() {
     abit.clear();
     trace.clear();
-    writes.clear();
     devmon.clear();
   }
 
@@ -77,7 +72,6 @@ struct EpochObservation {
     std::swap(epoch, other.epoch);
     abit.swap(other.abit);
     trace.swap(other.trace);
-    writes.swap(other.writes);
     devmon.swap(other.devmon);
   }
 };
@@ -112,7 +106,6 @@ struct PageRank {
   std::uint64_t rank = 0;
   std::uint32_t abit = 0;
   std::uint32_t trace = 0;
-  std::uint32_t writes = 0;  ///< PML evidence (0 unless PML enabled)
   std::uint32_t devmon = 0;  ///< device-counter evidence (0 unless DevMon on)
 };
 

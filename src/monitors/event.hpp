@@ -2,8 +2,8 @@
 /// \file event.hpp
 /// Microarchitectural event types that hardware monitors observe, and the
 /// observer interface the access engine publishes them through. These model
-/// the signals silicon exposes (retirement stream, load/store completion,
-/// D-bit transitions) — a monitor sees nothing else.
+/// the signals silicon exposes (retirement stream, load/store completion)
+/// — a monitor sees nothing else.
 
 #include "util/ckpt.hpp"
 #include <cstdint>
@@ -45,18 +45,13 @@ class AccessObserver {
   /// A memory micro-op completed.
   virtual void on_mem_op(const MemOpEvent& event) { (void)event; }
 
-  /// A D bit transitioned 0 → 1 for the page holding `event.paddr`
-  /// (the hook Page-Modification Logging attaches to).
-  virtual void on_dirty_set(const MemOpEvent& event) { (void)event; }
-
   // --- sharded-engine protocol ------------------------------------------
   /// The sharded access engine replays each simulated core on its own
   /// thread. Before a parallel step it asks every observer for a per-core
-  /// sink: return an observer whose callbacks are safe to invoke from
-  /// `core`'s worker thread (typically `this`, if all mutable state is
-  /// per-core), or nullptr (the default) to have the engine buffer that
-  /// core's events and replay them on the main thread at the epoch
-  /// barrier, in ascending core order.
+  /// sink: an observer whose callbacks are safe to invoke from `core`'s
+  /// worker thread (typically `this`, if all mutable state is per-core).
+  /// The default, nullptr, marks a serial-engine-only observer:
+  /// System::step_parallel rejects it.
   virtual AccessObserver* shard_sink(std::uint32_t core) {
     (void)core;
     return nullptr;

@@ -26,8 +26,6 @@ void LwpMonitor::enable_process(mem::Pid pid) {
   reload(ring);
 }
 
-void LwpMonitor::disable_process(mem::Pid pid) { rings_.erase(pid); }
-
 void LwpMonitor::on_mem_op(const MemOpEvent& event) {
   const auto it = rings_.find(event.pid);
   if (it == rings_.end()) return;  // LWP monitors only enabled user code

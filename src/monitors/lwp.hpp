@@ -49,7 +49,6 @@ class LwpMonitor final : public AccessObserver {
 
   /// Enable profiling for a process (allocates its ring).
   void enable_process(mem::Pid pid);
-  void disable_process(mem::Pid pid);
   [[nodiscard]] bool enabled(mem::Pid pid) const noexcept {
     return rings_.count(pid) != 0;
   }

@@ -222,27 +222,22 @@ util::SimNs System::step_parallel(std::uint64_t ops, util::ThreadPool* pool) {
   const util::SimNs start = now_;
   const std::uint32_t n_cores = config_.cores;
 
-  // Resolve every observer once per core: either it hands back a sink whose
-  // callbacks are safe on that core's worker thread, or the engine buffers
-  // the core's events and replays them at the barrier below.
+  // Resolve every observer once per core to a sink whose callbacks are safe
+  // on that core's worker thread. An observer without one (LwpMonitor,
+  // TraceWriter) keeps global state in the access path, like a fault hook,
+  // and needs the serial engine.
   std::vector<std::vector<monitors::AccessObserver*>> direct(n_cores);
-  std::vector<monitors::AccessObserver*> buffered;
   for (monitors::AccessObserver* obs : observers_) {
-    bool needs_buffering = false;
     for (std::uint32_t c = 0; c < n_cores; ++c) {
-      if (monitors::AccessObserver* sink = obs->shard_sink(c)) {
-        direct[c].push_back(sink);
-      } else {
-        needs_buffering = true;
-      }
+      monitors::AccessObserver* sink = obs->shard_sink(c);
+      TMPROF_EXPECTS(sink != nullptr);
+      direct[c].push_back(sink);
     }
-    if (needs_buffering) buffered.push_back(obs);
   }
 
   struct Shard {
     util::SimNs elapsed = 0;
     std::uint64_t executed = 0;
-    std::vector<std::pair<monitors::MemOpEvent, bool>> log;
   };
   std::vector<Shard> shards(n_cores);
   const std::size_t len = schedule_.size();
@@ -261,7 +256,6 @@ util::SimNs System::step_parallel(std::uint64_t ops, util::ThreadPool* pool) {
     ctx.arena = s;
     ctx.total_ops = &shard.executed;
     ctx.direct = &direct[s];
-    ctx.log = buffered.empty() ? nullptr : &shard.log;
     if (!shard_ops_.empty()) {
       ctx.ops = shard_ops_[s];
       ctx.latency = shard_latency_[s];
@@ -295,15 +289,6 @@ util::SimNs System::step_parallel(std::uint64_t ops, util::ThreadPool* pool) {
   }
 
   // ---- epoch barrier: merge shard state in ascending core order ----------
-  for (const Shard& shard : shards) {
-    for (const auto& [event, dirty] : shard.log) {
-      for (monitors::AccessObserver* obs : buffered) {
-        obs->on_retire(event.core, config_.uops_per_op, event.time);
-        obs->on_mem_op(event);
-        if (dirty) obs->on_dirty_set(event);
-      }
-    }
-  }
   for (monitors::AccessObserver* obs : observers_) obs->merge_shards();
   if (telemetry_ != nullptr) {
     telemetry_->metrics().merge_shards();
@@ -427,7 +412,6 @@ AccessResult System::access_impl(Process& proc, mem::VirtAddr vaddr,
   mem::Pte* pte = nullptr;
   mem::PageSize page_size = mem::PageSize::k4K;
   mem::VirtAddr page_va = 0;
-  bool dirty_transition = false;
 
   mem::Tlb::LookupResult hit = core.tlb.lookup(proc.pid(), vaddr);
   if (hit.level != mem::TlbHit::Miss) {
@@ -444,7 +428,6 @@ AccessResult System::access_impl(Process& proc, mem::VirtAddr vaddr,
       hit.entry->dirty_cached = true;
       if (!pte->dirty()) {
         pte->set_dirty(true);
-        dirty_transition = true;
         pmu_core.record(Event::PtwDbitSet, ctx.now);
       }
     }
@@ -480,10 +463,7 @@ AccessResult System::access_impl(Process& proc, mem::VirtAddr vaddr,
     }
     latency += walk.levels * config_.walk_level_ns;
     if (walk.set_accessed) pmu_core.record(Event::PtwAbitSet, ctx.now);
-    if (walk.set_dirty) {
-      dirty_transition = true;
-      pmu_core.record(Event::PtwDbitSet, ctx.now);
-    }
+    if (walk.set_dirty) pmu_core.record(Event::PtwDbitSet, ctx.now);
     pte = walk.pte;
     page_size = walk.size;
     page_va = walk.page_va;
@@ -553,9 +533,7 @@ AccessResult System::access_impl(Process& proc, mem::VirtAddr vaddr,
   for (monitors::AccessObserver* obs : *ctx.direct) {
     obs->on_retire(ctx.core_idx, config_.uops_per_op, ctx.now);
     obs->on_mem_op(event);
-    if (dirty_transition) obs->on_dirty_set(event);
   }
-  if (ctx.log != nullptr) ctx.log->emplace_back(event, dirty_transition);
   return result;
 }
 

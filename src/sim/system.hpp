@@ -111,7 +111,8 @@ class System {
   /// processes' slice of the same `ops` schedule positions against
   /// core-private TLB/L1/L2/LLC-slice/arena/PMU state, then shard results
   /// merge at an epoch barrier in ascending core order. Requires
-  /// `config().sharded_engine` and no fault hook (BadgerTrap is fine). If
+  /// `config().sharded_engine`, no fault hook (BadgerTrap is fine) and a
+  /// shard sink from every observer (AccessObserver::shard_sink). If
   /// `pool` is null the shards run inline on the calling thread — results
   /// are bitwise identical either way. Returns sim time spent (max over
   /// shards, since cores run concurrently).
@@ -164,9 +165,6 @@ class System {
     std::uint64_t* total_ops = nullptr;
     /// Observers whose callbacks may run on this shard's thread.
     const std::vector<monitors::AccessObserver*>* direct = nullptr;
-    /// Event log for observers without a shard sink (replayed at the
-    /// barrier in core order); null on the serial path.
-    std::vector<std::pair<monitors::MemOpEvent, bool>>* log = nullptr;
     /// Telemetry cells: global on the serial path, shard-local in parallel
     /// mode (null handles when telemetry is detached — free no-ops).
     telemetry::Counter ops;

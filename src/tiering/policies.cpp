@@ -1,6 +1,7 @@
 #include "tiering/policies.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <vector>
 
@@ -102,55 +103,68 @@ PlacementSet FrequencyDecayPolicy::choose(const PolicyContext& ctx) {
   return take_until_full(ordered, ctx);
 }
 
-WriteHistoryPolicy::WriteHistoryPolicy(double write_weight)
-    : write_weight_(write_weight) {
-  TMPROF_EXPECTS(write_weight >= 0.0);
-}
+namespace {
 
-PlacementSet WriteHistoryPolicy::choose(const PolicyContext& ctx) {
-  TMPROF_EXPECTS(ctx.observed_ranking != nullptr);
-  if (ctx.observed_ranking->empty() && ctx.current != nullptr) {
-    return *ctx.current;
+struct PolicyEntry {
+  std::string_view name;
+  std::unique_ptr<Policy> (*make)(const core::HotnessConfig& hotness);
+};
+
+constexpr std::array kPolicies{
+    PolicyEntry{"first-touch",
+                [](const core::HotnessConfig&) -> std::unique_ptr<Policy> {
+                  return std::make_unique<FirstTouchPolicy>();
+                }},
+    PolicyEntry{"history",
+                [](const core::HotnessConfig&) -> std::unique_ptr<Policy> {
+                  return std::make_unique<HistoryPolicy>();
+                }},
+    PolicyEntry{"history-density",
+                [](const core::HotnessConfig&) -> std::unique_ptr<Policy> {
+                  return std::make_unique<HistoryPolicy>(/*density_rank=*/true);
+                }},
+    PolicyEntry{"oracle",
+                [](const core::HotnessConfig&) -> std::unique_ptr<Policy> {
+                  return std::make_unique<OraclePolicy>();
+                }},
+    PolicyEntry{"freq-decay",
+                [](const core::HotnessConfig& hotness)
+                    -> std::unique_ptr<Policy> {
+                  return std::make_unique<FrequencyDecayPolicy>(0.5, hotness);
+                }},
+};
+
+constexpr auto kPolicyNames = [] {
+  std::array<std::string_view, kPolicies.size()> names{};
+  for (std::size_t i = 0; i < kPolicies.size(); ++i) {
+    names[i] = kPolicies[i].name;
   }
-  std::vector<core::PageRank> boosted(*ctx.observed_ranking);
-  for (core::PageRank& pr : boosted) {
-    pr.rank += static_cast<std::uint64_t>(write_weight_ *
-                                          static_cast<double>(pr.writes));
-  }
-  std::sort(boosted.begin(), boosted.end(),
-            [&](const core::PageRank& a, const core::PageRank& b) {
-              if (a.rank != b.rank) return a.rank > b.rank;
-              if (ctx.current != nullptr) {
-                const bool ra = ctx.current->count(a.key) != 0;
-                const bool rb = ctx.current->count(b.key) != 0;
-                if (ra != rb) return ra;
-              }
-              return a.key < b.key;
-            });
-  std::vector<PageKey> ordered;
-  ordered.reserve(boosted.size());
-  for (const core::PageRank& pr : boosted) ordered.push_back(pr.key);
-  return take_until_full(ordered, ctx);
+  return names;
+}();
+
+}  // namespace
+
+std::span<const std::string_view> policy_names() noexcept {
+  return kPolicyNames;
 }
 
 std::unique_ptr<Policy> make_policy(const std::string& name) {
-  if (name == "first-touch") return std::make_unique<FirstTouchPolicy>();
-  if (name == "history") return std::make_unique<HistoryPolicy>();
-  if (name == "history-density") {
-    return std::make_unique<HistoryPolicy>(/*density_rank=*/true);
-  }
-  if (name == "oracle") return std::make_unique<OraclePolicy>();
-  if (name == "freq-decay") return std::make_unique<FrequencyDecayPolicy>();
-  if (name == "write-history") return std::make_unique<WriteHistoryPolicy>();
-  throw std::invalid_argument("unknown policy: " + name);
+  return make_policy(name, core::HotnessConfig{});
 }
 
 std::unique_ptr<Policy> make_policy(const std::string& name,
                                     const core::HotnessConfig& hotness) {
-  if (name == "freq-decay") {
-    return std::make_unique<FrequencyDecayPolicy>(0.5, hotness);
+  for (const PolicyEntry& entry : kPolicies) {
+    if (entry.name == name) return entry.make(hotness);
   }
-  return make_policy(name);
+  std::string valid;
+  for (const std::string_view known : kPolicyNames) {
+    valid += valid.empty() ? "\"" : ", \"";
+    valid += known;
+    valid += '"';
+  }
+  throw std::invalid_argument("unknown policy '" + name +
+                              "' (valid policies: " + valid + ")");
 }
 
 void FirstTouchPolicy::save_state(util::ckpt::Writer& w) const {

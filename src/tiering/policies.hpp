@@ -5,7 +5,9 @@
 /// (EWMA of observed hotness) for the ablation benches.
 
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "core/hotness.hpp"
 #include "tiering/policy.hpp"
@@ -87,27 +89,12 @@ class FrequencyDecayPolicy final : public Policy {
   core::PageMap<double> score_;
 };
 
-/// Extension (CLOCK-DWF-flavored, cf. the paper's ref [32]): write-aware
-/// History. Slow NVM tiers pay a much larger penalty for writes than
-/// reads, so pages with dirty-page-log (PML) evidence get their rank
-/// boosted before the capacity cut. Requires the driver's PML collection
-/// (DriverConfig::use_pml); degrades gracefully to plain History without
-/// it.
-class WriteHistoryPolicy final : public Policy {
- public:
-  explicit WriteHistoryPolicy(double write_weight = 4.0);
+/// Every name make_policy resolves, in one fixed order: "first-touch",
+/// "history", "history-density", "oracle", "freq-decay".
+[[nodiscard]] std::span<const std::string_view> policy_names() noexcept;
 
-  PlacementSet choose(const PolicyContext& ctx) override;
-  [[nodiscard]] std::string_view name() const override {
-    return "write-history";
-  }
-
- private:
-  double write_weight_;
-};
-
-/// Factory by name: "first-touch", "history", "oracle", "freq-decay",
-/// "write-history".
+/// Factory by name (one of policy_names()); throws std::invalid_argument
+/// listing the valid names otherwise.
 [[nodiscard]] std::unique_ptr<Policy> make_policy(const std::string& name);
 
 /// Hotness-aware factory: policies with per-page state ("freq-decay")

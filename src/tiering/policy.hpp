@@ -40,7 +40,7 @@ struct PolicyContext {
   /// about keys of `observed_ranking`, and must choose the same set
   /// whether this holds every tier-1 resident or only the ranked ones —
   /// except that with an empty `observed_ranking` it must hold the full
-  /// resident set, which History and WriteHistory return unchanged. The
+  /// resident set, which History returns unchanged. The
   /// runner relies on this to skip enumerating residents every epoch.
   const PlacementSet* current = nullptr;
   /// Profiler ranking of the epoch that just ended (History's input);
@@ -65,7 +65,7 @@ class Policy {
 
   [[nodiscard]] virtual std::string_view name() const = 0;
 
-  /// Checkpoint hooks. Stateless policies (History, Oracle, WriteHistory)
+  /// Checkpoint hooks. Stateless policies (History, Oracle)
   /// keep the no-op defaults; stateful ones override both.
   virtual void save_state(util::ckpt::Writer& w) const { (void)w; }
   virtual void load_state(util::ckpt::Reader& r) { (void)r; }

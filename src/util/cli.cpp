@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -8,15 +9,12 @@ namespace tmprof::util {
 ArgParser::ArgParser(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      const auto eq = arg.find('=');
-      if (eq == std::string::npos) {
-        options_[arg.substr(2)] = "true";
-      } else {
-        options_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-      }
+    if (arg.rfind("--", 0) != 0) continue;
+    const auto eq = arg.find('=');
+    if (eq == std::string::npos) {
+      options_[arg.substr(2)] = "true";
     } else {
-      positional_.push_back(arg);
+      options_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
     }
   }
 }
@@ -68,15 +66,21 @@ double ArgParser::get_double(const std::string& key, double fallback) const {
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
   const std::string& v = it->second;
+  double parsed = 0.0;
   try {
     std::size_t pos = 0;
-    const double parsed = std::stod(v, &pos);
+    parsed = std::stod(v, &pos);
     if (pos != v.size()) throw std::invalid_argument(v);
-    return parsed;
   } catch (const std::exception&) {
     throw std::invalid_argument("--" + key + " expects a number, got '" + v +
                                 "'");
   }
+  // stod accepts "nan" and "inf"; NaN slips past every range comparison.
+  if (!std::isfinite(parsed)) {
+    throw std::invalid_argument("--" + key + " expects a finite number, got '" +
+                                v + "'");
+  }
+  return parsed;
 }
 
 double ArgParser::get_checked_double(const std::string& key, double fallback,

@@ -5,12 +5,11 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace tmprof::util {
 
-/// Parses `--key=value` and bare `--flag` arguments. Positional arguments
-/// are collected in order. Unknown keys are allowed (benches share configs).
+/// Parses `--key=value` and bare `--flag` arguments; other arguments are
+/// ignored. Unknown keys are allowed (benches share configs).
 class ArgParser {
  public:
   ArgParser(int argc, const char* const* argv);
@@ -26,7 +25,8 @@ class ArgParser {
   /// std::invalid_argument naming the flag instead of wrapping.
   [[nodiscard]] std::uint32_t get_u32(const std::string& key,
                                       std::uint32_t fallback) const;
-  /// Throws std::invalid_argument naming the flag on malformed input.
+  /// Throws std::invalid_argument naming the flag on malformed or
+  /// non-finite input (nan, inf).
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   /// get_double restricted to [lo, hi]; out-of-range values (e.g. a
@@ -40,13 +40,8 @@ class ArgParser {
   }
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
-  [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
-    return positional_;
-  }
-
  private:
   std::map<std::string, std::string> options_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace tmprof::util

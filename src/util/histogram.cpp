@@ -65,30 +65,6 @@ void Histogram::reset() noexcept {
   std::fill(counts_.begin(), counts_.end(), 0);
 }
 
-double Histogram::quantile(double q) const noexcept {
-  if (total_ == 0) return static_cast<double>(lo_);
-  q = std::clamp(q, 0.0, 1.0);
-  // Rank of the target observation, 0-based: q spans [first, last].
-  const double target = q * static_cast<double>(total_ - 1);
-  const auto rank = static_cast<std::uint64_t>(target);
-  std::uint64_t seen = underflow_;
-  if (rank < seen) return static_cast<double>(lo_);
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const std::uint64_t c = counts_[b];
-    if (c != 0 && rank < seen + c) {
-      // Interpolate inside the bucket by the rank's position in it.
-      const double frac = (static_cast<double>(rank - seen) + 0.5) /
-                          static_cast<double>(c);
-      const std::uint64_t bucket_hi =
-          std::min(hi_, lo_ + (b + 1) * width_);
-      return static_cast<double>(bucket_lo(b)) +
-             frac * static_cast<double>(bucket_hi - bucket_lo(b));
-    }
-    seen += c;
-  }
-  return static_cast<double>(hi_);  // remaining mass is overflow
-}
-
 Heatmap::Heatmap(std::uint64_t time_hi, std::size_t time_bins,
                  std::uint64_t addr_hi, std::size_t addr_bins)
     : time_hi_(time_hi),

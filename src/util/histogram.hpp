@@ -50,12 +50,6 @@ class Histogram {
   /// after an epoch-barrier merge.
   void reset() noexcept;
 
-  /// q-quantile estimate in [lo, hi] by linear interpolation inside the
-  /// covering bucket; q is clamped to [0, 1]. Underflow mass sits at `lo`,
-  /// overflow mass at `hi`. An empty histogram returns `lo` — never NaN —
-  /// so merged-from-empty-shards quantiles stay well defined.
-  [[nodiscard]] double quantile(double q) const noexcept;
-
  private:
   std::uint64_t lo_;
   std::uint64_t hi_;

@@ -76,12 +76,6 @@ class Rng {
   /// Bernoulli draw with probability p.
   constexpr bool chance(double p) noexcept { return uniform() < p; }
 
-  /// Derive an independent stream (for per-process generators).
-  constexpr Rng split() noexcept {
-    std::uint64_t s = (*this)();
-    return Rng(splitmix64(s));
-  }
-
   /// Raw state access for checkpoint/restore (util/ckpt.hpp): a resumed
   /// run must continue the exact stream the interrupted run was drawing.
   static constexpr std::size_t kStateWords = 4;

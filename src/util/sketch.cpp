@@ -147,16 +147,6 @@ bool BloomFilter::maybe_contains(std::uint64_t fingerprint) const {
   return true;
 }
 
-void BloomFilter::merge_or(const BloomFilter& other) {
-  if (bits_ != other.bits_ || hashes_ != other.hashes_ ||
-      seed_ != other.seed_) {
-    throw std::logic_error("BloomFilter::merge_or: shape mismatch");
-  }
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    words_[i] |= other.words_[i];
-  }
-}
-
 void BloomFilter::save_state(ckpt::Writer& w) const {
   w.put_u64(bits_);
   w.put_u32(hashes_);

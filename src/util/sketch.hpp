@@ -126,10 +126,6 @@ class BloomFilter {
   bool insert(std::uint64_t fingerprint);
   [[nodiscard]] bool maybe_contains(std::uint64_t fingerprint) const;
 
-  /// Bit-wise OR merge. Requires identical (bits, hashes, seed); throws
-  /// std::logic_error otherwise.
-  void merge_or(const BloomFilter& other);
-
   friend bool operator==(const BloomFilter&, const BloomFilter&) = default;
 
   void save_state(ckpt::Writer& w) const;

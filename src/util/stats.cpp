@@ -1,73 +1,10 @@
 #include "util/stats.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/assert.hpp"
 
 namespace tmprof::util {
-
-void RunningStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-namespace {
-
-template <typename T>
-double percentile_impl(std::span<const T> xs, double q) {
-  TMPROF_EXPECTS(!xs.empty());
-  TMPROF_EXPECTS(q >= 0.0 && q <= 1.0);
-  std::vector<T> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return static_cast<double>(sorted[lo]) * (1.0 - frac) +
-         static_cast<double>(sorted[hi]) * frac;
-}
-
-}  // namespace
-
-double percentile(std::span<const double> xs, double q) {
-  return percentile_impl(xs, q);
-}
-
-double percentile(std::span<const std::uint64_t> xs, double q) {
-  return percentile_impl(xs, q);
-}
 
 double geomean(std::span<const double> xs) {
   TMPROF_EXPECTS(!xs.empty());

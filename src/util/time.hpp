@@ -1,7 +1,6 @@
 #pragma once
 /// \file time.hpp
-/// Simulated-time types. The simulator advances a nanosecond clock; cycles
-/// convert through a fixed core frequency (3.8 GHz, the paper's Ryzen 3600X).
+/// Simulated-time types. The simulator advances a nanosecond clock.
 
 #include <cstdint>
 
@@ -9,16 +8,6 @@ namespace tmprof::util {
 
 /// Simulated nanoseconds since experiment start.
 using SimNs = std::uint64_t;
-
-inline constexpr double kCoreGhz = 3.8;
-
-constexpr SimNs cycles_to_ns(std::uint64_t cycles) noexcept {
-  return static_cast<SimNs>(static_cast<double>(cycles) / kCoreGhz);
-}
-
-constexpr std::uint64_t ns_to_cycles(SimNs ns) noexcept {
-  return static_cast<std::uint64_t>(static_cast<double>(ns) * kCoreGhz);
-}
 
 inline constexpr SimNs kMicrosecond = 1000;
 inline constexpr SimNs kMillisecond = 1000 * kMicrosecond;

@@ -13,19 +13,6 @@ ZipfDistribution::ZipfDistribution(std::uint64_t n, double theta)
   h_integral_x1_ = h_integral(1.5) - 1.0;
   h_integral_n_ = h_integral(static_cast<double>(n) + 0.5);
   s_ = 2.0 - h_integral_inverse(h_integral(2.5) - h(2.0));
-  harmonic_ = 0.0;
-  // Exact harmonic for pmf(); O(n) once at construction. Capped so that
-  // pathological sizes in tests don't stall: beyond the cap we approximate
-  // with the integral, which is within 1e-6 for the tail.
-  const std::uint64_t exact_cap = 4'000'000;
-  const std::uint64_t limit = n < exact_cap ? n : exact_cap;
-  for (std::uint64_t k = 1; k <= limit; ++k) {
-    harmonic_ += std::pow(static_cast<double>(k), -theta_);
-  }
-  if (n > exact_cap) {
-    harmonic_ += h_integral(static_cast<double>(n) + 0.5) -
-                 h_integral(static_cast<double>(exact_cap) + 0.5);
-  }
 }
 
 double ZipfDistribution::h(double x) const { return std::pow(x, -theta_); }
@@ -57,11 +44,6 @@ std::uint64_t ZipfDistribution::operator()(Rng& rng) const {
       return k - 1;  // return 0-based rank
     }
   }
-}
-
-double ZipfDistribution::pmf(std::uint64_t rank) const {
-  TMPROF_EXPECTS(rank < n_);
-  return std::pow(static_cast<double>(rank + 1), -theta_) / harmonic_;
 }
 
 HotColdDistribution::HotColdDistribution(std::uint64_t items,

@@ -21,9 +21,6 @@ class ZipfDistribution {
 
   std::uint64_t operator()(Rng& rng) const;
 
-  /// Probability mass of a given rank (for tests and analytical baselines).
-  [[nodiscard]] double pmf(std::uint64_t rank) const;
-
  private:
   [[nodiscard]] double h(double x) const;
   [[nodiscard]] double h_integral(double x) const;
@@ -34,7 +31,6 @@ class ZipfDistribution {
   double h_integral_x1_;
   double h_integral_n_;
   double s_;
-  double harmonic_;  // generalized harmonic number H_{n,theta}, for pmf()
 };
 
 /// A hot/cold mixture: a fraction `hot_weight` of draws land uniformly in the

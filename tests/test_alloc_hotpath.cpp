@@ -148,7 +148,6 @@ TEST(AllocHotpath, RankingBuildSteadyStateAllocatesNothing) {
       const core::PageKey key{1, p * mem::kPageSize};
       obs.abit[key] += 1;
       if (p % 2 == 0) obs.trace[key] += static_cast<std::uint32_t>(p % 7);
-      if (p % 8 == 0) obs.writes[key] += 1;
     }
   };
 

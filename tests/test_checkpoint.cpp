@@ -981,10 +981,6 @@ EpochSeries random_series(std::uint64_t seed, std::uint32_t n_epochs) {
         data.observed.trace[key] =
             static_cast<std::uint32_t>(rng.below(4096));
       }
-      if (rng.chance(0.25)) {
-        data.observed.writes[key] =
-            static_cast<std::uint32_t>(rng.below(64));
-      }
       if (rng.chance(0.2)) data.new_pages.push_back(key);
       series.page_sizes[key] =
           rng.chance(0.1) ? mem::PageSize::k2M : mem::PageSize::k4K;
@@ -1070,7 +1066,7 @@ TEST(CkptState, PageCountsAndRankingRoundTrip) {
     EXPECT_EQ(ranking2[i].rank, ranking[i].rank);
     EXPECT_EQ(ranking2[i].abit, ranking[i].abit);
     EXPECT_EQ(ranking2[i].trace, ranking[i].trace);
-    EXPECT_EQ(ranking2[i].writes, ranking[i].writes);
+    EXPECT_EQ(ranking2[i].devmon, ranking[i].devmon);
   }
 }
 
@@ -1561,6 +1557,13 @@ TEST(CkptResume, FormatV2ImageColdStarts) {
   expect_old_format_cold_starts(2);
 }
 
+TEST(CkptResume, FormatV3ImageColdStarts) {
+  // Format 3 carried the PML write-evidence channel: a presence byte and
+  // the open epoch's write counts in "daemon", a write count in every saved
+  // ranking entry and a write map in every saved observation.
+  expect_old_format_cold_starts(3);
+}
+
 TEST(CkptResume, MismatchedConfigRejected) {
   // A checkpoint from seed 42 must not be grafted onto a seed-43 run: the
   // meta section rejects it and the run cold-starts with its own seed.
@@ -1892,11 +1895,14 @@ TEST(CkptLayout, SectionBytesAreGolden) {
   // any change to a section's payload bytes is a format change. The
   // streaming run's telemetry carries the host-clock stream_seal_ns gauge.
   // The "daemon" entries were re-recorded for format 3, which dropped the
-  // driver's cumulative trace/A-bit maps.
+  // driver's cumulative trace/A-bit maps. Format 4 dropped the PML channel:
+  // "daemon" lost 18 bytes (presence byte + empty exact write-count store)
+  // plus 4 per last-good ranking entry (94, 12, 12), "oracle" 4 per entry
+  // of its three 12-entry rankings, "series" 8 per observation (3).
   expect_frames(everything_runner_frames(),
                 {{"meta", 48, 0x41982e3d},
                  {"system", 534712, 0xe251e821},
-                 {"daemon", 22377, 0x63bffa84},
+                 {"daemon", 21983, 0x7a0bbd74},
                  {"devmon", 6758, 0xb16161e0},
                  {"stream", 49, 0xb1ed5ed7},
                  {"mover", 181, 0xd65f58a5},
@@ -1911,7 +1917,7 @@ TEST(CkptLayout, SectionBytesAreGolden) {
   expect_frames(oracle_trap_runner_frames(),
                 {{"meta", 47, 0xe91cf81e},
                  {"system", 666732, 0x580a35dd},
-                 {"daemon", 4709, 0x0f4d7afa},
+                 {"daemon", 4643, 0x84e7dfe3},
                  {"devmon", 1, 0xd202ef8d},
                  {"stream", 1, 0xd202ef8d},
                  {"mover", 96, 0x7c9b6c29},
@@ -1919,15 +1925,15 @@ TEST(CkptLayout, SectionBytesAreGolden) {
                  {"tenant", 1, 0xd202ef8d},
                  {"policy", 1, 0xd202ef8d},
                  {"trap", 311, 0x669bb7e4},
-                 {"oracle", 1473, 0xc8051967},
+                 {"oracle", 1329, 0xa9894d0a},
                  {"runner", 104, 0x5c874080},
                  {"telemetry", 2501, 0xa7a045e1}});
   expect_frames(layered_collect_frames(false),
                 {{"meta", 36, 0xae48b0dc},
                  {"system", 667296, 0xf090ba15},
-                 {"daemon", 4389, 0x037eb5ba},
+                 {"daemon", 4323, 0x819553fd},
                  {"truth", 514, 0x7d9111e2},
-                 {"series", 2520, 0x81549fe2},
+                 {"series", 2496, 0x27a8a92c},
                  {"telemetry", 2302, 0x0741cbc1}});
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace tmprof::util {
 namespace {
 
@@ -30,13 +33,6 @@ TEST(Cli, FallbacksWhenMissing) {
   EXPECT_EQ(p.get_u64("x", 7), 7U);
   EXPECT_DOUBLE_EQ(p.get_double("x", 2.5), 2.5);
   EXPECT_FALSE(p.get_bool("x", false));
-}
-
-TEST(Cli, Positional) {
-  const auto p = parse({"first", "--k=v", "second"});
-  ASSERT_EQ(p.positional().size(), 2U);
-  EXPECT_EQ(p.positional()[0], "first");
-  EXPECT_EQ(p.positional()[1], "second");
 }
 
 TEST(Cli, BooleanSpellings) {
@@ -95,6 +91,19 @@ TEST(Cli, U32RejectsValuesAboveRange) {
 TEST(Cli, GarbageDoubleThrows) {
   const auto p = parse({"--rate=0.5x"});
   EXPECT_THROW((void)p.get_double("rate", 0.0), std::invalid_argument);
+  // stod parses these, but no flag means a non-finite value.
+  for (const char* bad : {"nan", "-nan", "inf", "-inf"}) {
+    const std::string arg = std::string("--mig-bandwidth=") + bad;
+    const auto q = parse({arg.c_str()});
+    try {
+      (void)q.get_double("mig-bandwidth", 0.0);
+      FAIL() << "expected std::invalid_argument for " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--mig-bandwidth"),
+                std::string::npos)
+          << bad;
+    }
+  }
 }
 
 TEST(Cli, RateRejectsOutOfRange) {
@@ -107,6 +116,13 @@ TEST(Cli, RateRejectsOutOfRange) {
   }
   const auto big = parse({"--fault-rate=1.5"});
   EXPECT_THROW((void)big.get_rate("fault-rate", 0.0), std::invalid_argument);
+  // NaN compares false against both bounds; it must not pass as in range.
+  for (const char* bad : {"nan", "-nan", "inf", "-inf"}) {
+    const std::string arg = std::string("--fault-rate=") + bad;
+    const auto q = parse({arg.c_str()});
+    EXPECT_THROW((void)q.get_rate("fault-rate", 0.0), std::invalid_argument)
+        << bad;
+  }
   const auto ok = parse({"--fault-rate=0.25"});
   EXPECT_DOUBLE_EQ(ok.get_rate("fault-rate", 0.0), 0.25);
 }

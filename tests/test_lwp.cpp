@@ -84,19 +84,6 @@ TEST(Lwp, FullRingDropsRecords) {
   EXPECT_GT(lwp.signals(), 0U);
 }
 
-TEST(Lwp, DisableStopsCollection) {
-  LwpConfig cfg;
-  cfg.sample_period = 1;
-  LwpMonitor lwp(cfg);
-  lwp.enable_process(1);
-  lwp.on_mem_op(make_op(1, 0x1000));
-  const std::uint64_t taken = lwp.records_taken();
-  lwp.disable_process(1);
-  EXPECT_FALSE(lwp.enabled(1));
-  lwp.on_mem_op(make_op(1, 0x1000));
-  EXPECT_EQ(lwp.records_taken(), taken);
-}
-
 TEST(Lwp, OverheadScalesWithDrains) {
   LwpConfig cfg;
   cfg.sample_period = 1;

@@ -72,18 +72,5 @@ TEST(NumaMaps, MarksHugeMappings) {
   EXPECT_NE(text.find(" huge"), std::string::npos);
 }
 
-TEST(NumaMaps, AllProcessesHaveHeaders) {
-  sim::System sys(small_config());
-  const mem::Pid a = sys.add_process(
-      std::make_unique<workloads::UniformWorkload>(1 << 14, 0.0, 1));
-  const mem::Pid b = sys.add_process(
-      std::make_unique<workloads::UniformWorkload>(1 << 14, 0.0, 2));
-  sys.step(100);
-  PageStatsStore store(sys.phys().total_frames());
-  const std::string text = numa_maps_all(sys, store);
-  EXPECT_NE(text.find("==== pid " + std::to_string(a)), std::string::npos);
-  EXPECT_NE(text.find("==== pid " + std::to_string(b)), std::string::npos);
-}
-
 }  // namespace
 }  // namespace tmprof::core

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "tiering/policies.hpp"
 #include "workloads/registry.hpp"
 
 namespace tmprof::tiering {
@@ -37,9 +38,6 @@ RunnerOptions parallel_options(const std::string& policy,
   opt.n_epochs = 3;
   opt.ops_per_epoch = 30000;
   opt.daemon.driver.ibs = monitors::IbsConfig::with_period(128);
-  // write-history ranks by PML dirty logs; the PML monitor has no shard
-  // sink, so this also covers the engine's event-buffering fallback.
-  if (policy == "write-history") opt.daemon.driver.use_pml = true;
   opt.n_threads = n_threads;
   return opt;
 }
@@ -57,13 +55,12 @@ void expect_identical(const RunnerResult& a, const RunnerResult& b,
 TEST(ParallelDeterminism, EveryPolicyAndFusionIsThreadCountInvariant) {
   const auto spec = workloads::find_spec("data_caching", 0.1);
   const sim::SimConfig cfg = parallel_config();
-  const std::vector<std::string> policies{
-      "first-touch", "history", "oracle", "freq-decay", "write-history"};
   const std::vector<core::FusionMode> fusions{
       core::FusionMode::Sum, core::FusionMode::Max,
       core::FusionMode::Weighted, core::FusionMode::AbitOnly,
       core::FusionMode::TraceOnly};
-  for (const std::string& policy : policies) {
+  for (const std::string_view name : policy_names()) {
+    const std::string policy(name);
     for (const core::FusionMode fusion : fusions) {
       const std::string label =
           policy + "/" + std::string(core::to_string(fusion));

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "util/rng.hpp"
 
@@ -153,7 +155,22 @@ TEST(Factory, MakesAllPolicies) {
   EXPECT_EQ(make_policy("history")->name(), "history");
   EXPECT_EQ(make_policy("oracle")->name(), "oracle");
   EXPECT_EQ(make_policy("freq-decay")->name(), "freq-decay");
-  EXPECT_THROW(make_policy("bogus"), std::invalid_argument);
+  ASSERT_EQ(policy_names().size(), 5U);
+  for (const std::string_view name : policy_names()) {
+    EXPECT_EQ(make_policy(std::string(name))->name(), name);
+  }
+  try {
+    (void)make_policy("bogus");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'bogus'"), std::string::npos) << what;
+    for (const std::string_view name : policy_names()) {
+      EXPECT_NE(what.find("\"" + std::string(name) + "\""),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 }  // namespace
@@ -259,7 +276,6 @@ ContractCase random_contract_case(std::uint64_t seed) {
     core::PageRank pr;
     pr.key = random_key();
     pr.rank = 1 + rng.below(4);  // heavy ties: residency breaks them
-    pr.writes = static_cast<std::uint32_t>(rng.below(3));
     c.ranking.push_back(pr);
     c.sizes[pr.key] =
         rng.below(8) == 0 ? mem::PageSize::k2M : mem::PageSize::k4K;

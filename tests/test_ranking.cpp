@@ -84,7 +84,7 @@ TEST(Ranking, FusionNames) {
 /// rather than memcmp so struct padding bytes cannot fake a mismatch.
 bool bitwise_equal(const PageRank& a, const PageRank& b) {
   return a.key == b.key && a.rank == b.rank && a.abit == b.abit &&
-         a.trace == b.trace && a.writes == b.writes;
+         a.trace == b.trace && a.devmon == b.devmon;
 }
 
 TEST(Ranking, BuildIntoReusesBuffers) {

@@ -76,16 +76,6 @@ TEST(Rng, ChanceExtremes) {
   }
 }
 
-TEST(Rng, SplitProducesIndependentStream) {
-  Rng a(23);
-  Rng b = a.split();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (a() == b()) ++equal;
-  }
-  EXPECT_LT(equal, 3);
-}
-
 TEST(Rng, SatisfiesUniformRandomBitGenerator) {
   static_assert(std::uniform_random_bit_generator<Rng>);
   EXPECT_EQ(Rng::min(), 0U);

@@ -279,18 +279,15 @@ namespace tmprof::tiering {
 namespace {
 
 TEST(Runner, CustomPoliciesRunOnline) {
-  // freq-decay and write-history flow through the Policy interface in the
-  // online runner; both must run and produce sane results.
+  // freq-decay and history-density flow through the Policy interface in
+  // the online runner; both must run and produce sane results.
   sim::SimConfig cfg = small_config();
   cfg.tier1_frames = 1 << 10;
-  for (const char* name : {"freq-decay", "write-history"}) {
+  for (const char* name : {"freq-decay", "history-density"}) {
     RunnerOptions opt = fast_options(name);
     opt.n_epochs = 6;  // long enough to leave the init phase and serve
     opt.ops_per_epoch = 120000;
     opt.daemon.driver.ibs = monitors::IbsConfig::with_period(128);
-    if (std::string(name) == "write-history") {
-      opt.daemon.driver.use_pml = true;
-    }
     const RunnerResult r =
         EndToEndRunner::run(init_then_serve(), cfg, opt);
     EXPECT_GT(r.runtime_ns, 0U) << name;

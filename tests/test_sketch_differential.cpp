@@ -138,13 +138,12 @@ TEST(SketchDifferential, NewPagesAreASubsetOfExactFirstTouches) {
 TEST(SketchDifferential, HitrateCurvesMatchAcrossPoliciesAndFusions) {
   const SeriesPair pair = collect_pair();
   const core::HotnessConfig hotness = sketch_hotness();
-  const char* policies[] = {"first-touch",  "history",    "history-density",
-                            "oracle",       "freq-decay", "write-history"};
   const core::FusionMode fusions[] = {
       core::FusionMode::Sum, core::FusionMode::AbitOnly,
       core::FusionMode::TraceOnly, core::FusionMode::Max,
       core::FusionMode::Weighted};
-  for (const char* policy : policies) {
+  for (const std::string_view name : policy_names()) {
+    const std::string policy(name);
     for (const core::FusionMode fusion : fusions) {
       HitrateOptions opt;
       opt.capacity_frames = 1 << 9;

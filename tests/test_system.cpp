@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "pmu/events.hpp"
+#include "util/assert.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace tmprof::sim {
@@ -179,6 +180,27 @@ TEST(System, ObserverSeesEveryMemOp) {
   sys.remove_observer(&counter);
   sys.step(10);
   EXPECT_EQ(counter.ops, 123U);
+}
+
+TEST(System, StepParallelRejectsObserverWithoutShardSink) {
+  // An observer without a shard sink keeps global state in the access
+  // path, so it cannot run on shard threads: the sharded engine refuses it
+  // before executing any op.
+  struct Counter final : monitors::AccessObserver {
+    std::uint64_t ops = 0;
+    void on_mem_op(const monitors::MemOpEvent&) override { ++ops; }
+  } counter;
+  SimConfig cfg = small_config();
+  cfg.sharded_engine = true;
+  System sys(cfg);
+  sys.add_process(
+      std::make_unique<workloads::UniformWorkload>(1 << 16, 0.0, 1));
+  sys.add_observer(&counter);
+  EXPECT_THROW(sys.step_parallel(100, nullptr), util::AssertionError);
+  EXPECT_EQ(counter.ops, 0U);
+  sys.remove_observer(&counter);
+  EXPECT_GT(sys.step_parallel(100, nullptr), 0U);
+  EXPECT_EQ(sys.total_ops(), 100U);
 }
 
 }  // namespace
