@@ -43,13 +43,14 @@ core::FusionMode combined_mode(const std::string& name) {
 
 double run_case(const tiering::EpochSeries& series, const std::string& policy,
                 core::FusionMode fusion, double trace_weight,
-                std::uint64_t capacity, bool oracle_observed) {
+                std::uint64_t capacity, bool oracle_observed,
+                const core::HotnessConfig& hotness) {
   tiering::HitrateOptions opt;
   opt.capacity_frames = capacity;
   opt.fusion = fusion;
   opt.trace_weight = trace_weight;
   opt.oracle_from_observed = oracle_observed;
-  const auto p = tiering::make_policy(policy);
+  const auto p = tiering::make_policy(policy, hotness);
   return tiering::evaluate_policy(*p, series, opt).overall;
 }
 
@@ -160,7 +161,8 @@ static int bench_main(int argc, char** argv) {
       std::array<double, 8> rates{};
       for (std::size_t c = 0; c < cases.size(); ++c) {
         rates[c] = run_case(series, cases[c].policy, cases[c].fusion,
-                            trace_weight, capacity, cases[c].observed);
+                            trace_weight, capacity, cases[c].observed,
+                            hotness);
         row.push_back(util::TextTable::percent(rates[c]));
         if (write_csv) {
           csv << spec.name << ",1/" << div << ',' << cases[c].policy << ','

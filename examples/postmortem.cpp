@@ -1,7 +1,7 @@
 /// Postmortem analysis: record a binary access trace once, then analyze it
 /// offline — replay it through IBS models at several sampling rates
-/// without re-running the machine, and dump the numa_maps view of what the
-/// profiler accumulated.
+/// without re-running the machine, and dump the numa_maps view of the
+/// profiler's epoch observation.
 ///
 /// This is the "postmortem" workflow the paper's footnote 2 contrasts with
 /// online profiling: full traces are too slow to collect in production,
@@ -36,7 +36,7 @@ int main() {
   for (std::uint32_t i = 0; i < spec.processes; ++i) {
     system.add_process(workloads::make_workload(spec, i, 7));
   }
-  // Also run the regular TMP driver so numa_maps has statistics to show.
+  // Also run the regular TMP driver so numa_maps has counts to show.
   core::DriverConfig driver_config;
   driver_config.ibs = monitors::IbsConfig::with_period(512);
   core::TmpDriver driver(system, driver_config);
@@ -49,7 +49,7 @@ int main() {
               << " memory ops to " << trace_path << "\n\n";
   }
   driver.scan_processes({system.processes().front()->pid()});
-  driver.end_epoch();
+  const core::EpochObservation observed = driver.end_epoch();
 
   // --- 2. Replay: what would IBS have seen at other sampling rates? ------
   util::TextTable table({"ibs period (uops)", "samples", "distinct pages"});
@@ -78,7 +78,7 @@ int main() {
   // --- 3. The numa_maps view of the live run's profile. -----------------
   const mem::Pid first = system.processes().front()->pid();
   std::cout << "\nnuma_maps for pid " << first << " (first 6 lines):\n";
-  const std::string maps = core::numa_maps(system, first, driver.store());
+  const std::string maps = core::numa_maps(system, first, observed);
   std::size_t pos = 0;
   for (int line = 0; line < 6 && pos != std::string::npos; ++line) {
     const std::size_t next = maps.find('\n', pos);

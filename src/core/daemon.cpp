@@ -26,8 +26,8 @@ TmpDaemon::TmpDaemon(sim::System& system, const DaemonConfig& config)
       abit_gate_(config.gate_threshold),
       trace_gate_(config.gate_threshold),
       fault_(config.fault) {
-  // Program the cheap always-on counters the daemon polls. These fit in the
-  // PMU's registers, so no multiplexing distortion affects the gates.
+  // Program the cheap always-on counters the daemon polls (within the PMU's
+  // kRegisters, so each reads its exact count).
   system_.pmu().program_all(
       {pmu::Event::LlcMiss, pmu::Event::DtlbWalk, pmu::Event::RetiredUops});
   // The driver consults the daemon's injector for its own fault sites

@@ -13,7 +13,6 @@ TmpDriver::TmpDriver(sim::System& system, const DriverConfig& config)
     : system_(system),
       config_(config),
       scanner_(config.abit),
-      store_(system.phys().total_frames()),
       cur_abit_(config.hotness),
       cur_trace_(config.hotness) {
   if (config_.backend == TraceBackend::Ibs) {
@@ -150,12 +149,10 @@ void TmpDriver::set_trace_enabled(bool enabled) {
 
 void TmpDriver::on_trace(std::span<const monitors::TraceSample> samples) {
   for (const monitors::TraceSample& s : samples) {
-    if (config_.trace_loads_only && s.is_store) continue;
-    if (config_.trace_memory_only && !mem::is_memory(s.source)) continue;
-    const mem::Pfn pfn = mem::pfn_of(s.paddr);
-    const mem::FrameInfo& frame = system_.phys().frame(pfn);
+    if (s.is_store || !mem::is_memory(s.source)) continue;
+    const mem::FrameInfo& frame = system_.phys().frame(mem::pfn_of(s.paddr));
     if (!frame.allocated) continue;  // raced with a free; drop
-    // phys_to_page(): aggregate into the mapping's descriptor.
+    // phys_to_page(): aggregate under the mapping's (pid, page VA).
     const PageKey key{frame.pid, frame.page_va};
     if (fault_ != nullptr && fault_->enabled(util::FaultSite::TraceOverflow)) {
       // Keyed on (epoch, page, occurrence): whether the k-th sample of a
@@ -171,7 +168,6 @@ void TmpDriver::on_trace(std::span<const monitors::TraceSample> samples) {
       }
     }
     cur_trace_.add(key);
-    store_.record_trace(pfn, epoch_);
     ++trace_samples_kept_;
     t_kept_.inc();
   }
@@ -181,15 +177,11 @@ void TmpDriver::consume_record(const monitors::StreamRecord& rec) {
   ++stream_records_;
   switch (rec.kind) {
     case monitors::StreamKind::Trace: {
-      if (config_.trace_loads_only && monitors::trace_record_is_store(rec)) {
-        return;
-      }
-      if (config_.trace_memory_only &&
+      if (monitors::trace_record_is_store(rec) ||
           !mem::is_memory(monitors::trace_record_source(rec))) {
         return;
       }
-      const mem::Pfn pfn = mem::pfn_of(rec.a);
-      const mem::FrameInfo& frame = system_.phys().frame(pfn);
+      const mem::FrameInfo& frame = system_.phys().frame(mem::pfn_of(rec.a));
       if (!frame.allocated) return;
       const PageKey key{frame.pid, frame.page_va};
       if (fault_ != nullptr &&
@@ -209,7 +201,6 @@ void TmpDriver::consume_record(const monitors::StreamRecord& rec) {
         }
       }
       cur_trace_.add(key);
-      store_.record_trace(pfn, epoch_);
       ++trace_samples_kept_;
       t_kept_.inc();
       return;
@@ -217,7 +208,6 @@ void TmpDriver::consume_record(const monitors::StreamRecord& rec) {
     case monitors::StreamKind::Abit: {
       const PageKey key{static_cast<mem::Pid>(rec.c), rec.a};
       cur_abit_.add(key);
-      store_.record_abit(rec.b, epoch_);
       return;
     }
     case monitors::StreamKind::Dev: {
@@ -263,7 +253,6 @@ monitors::AbitScanResult TmpDriver::scan_processes(
             // just means "fold inline" — same result, no spill vector.
             monitors::StreamRecord rec;
             rec.a = sample.page_va;
-            rec.b = sample.pfn;
             rec.c = pid;
             rec.seq = abit_seq_++;
             rec.lane = static_cast<std::uint16_t>(stream_->abit_lane());
@@ -273,9 +262,7 @@ monitors::AbitScanResult TmpDriver::scan_processes(
             }
             return;
           }
-          const PageKey key{pid, sample.page_va};
-          cur_abit_.add(key);
-          store_.record_abit(sample.pfn, epoch_);
+          cur_abit_.add(PageKey{pid, sample.page_va});
         });
     total.ptes_visited += r.ptes_visited;
     total.pages_accessed += r.pages_accessed;
@@ -407,7 +394,6 @@ void TmpDriver::save_state(util::ckpt::Writer& w) const {
   if (ibs_) ibs_->save_state(w);
   if (pebs_) pebs_->save_state(w);
   scanner_.save_state(w);
-  store_.save_state(w);
   cur_abit_.save_state(w, "driver");
   cur_trace_.save_state(w, "driver");
   w.put_u32(epoch_);
@@ -426,7 +412,6 @@ void TmpDriver::load_state(util::ckpt::Reader& r) {
   if (ibs_) ibs_->load_state(r);
   if (pebs_) pebs_->load_state(r);
   scanner_.load_state(r);
-  store_.load_state(r);
   cur_abit_.load_state(r, "driver");
   cur_trace_.load_state(r, "driver");
   epoch_ = r.get_u32();

@@ -2,20 +2,19 @@
 /// \file driver.hpp
 /// The TMP kernel driver analog (Section III-B). Owns the trace-based
 /// monitor (IBS or PEBS) and the A-bit scanner, drains their raw data, and
-/// accumulates per-page statistics into the page-descriptor store and the
-/// current epoch's observation maps.
+/// accumulates per-page counts into the current epoch's observation maps.
 ///
 /// Filtering follows the paper: trace samples count only if they are demand
 /// loads whose data source is beyond the LLC (TMP uses IBS/PEBS "to inspect
 /// memory accessed from regular last-level caches"), because a page that is
 /// frequently accessed but hits in cache gains nothing from migration.
+/// Store samples and cache-hit samples are never counted.
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "core/hotness.hpp"
-#include "core/page_stats.hpp"
 #include "core/ranking.hpp"
 #include "core/stream.hpp"
 #include "monitors/abit.hpp"
@@ -39,10 +38,6 @@ struct DriverConfig {
   monitors::IbsConfig ibs;
   monitors::PebsConfig pebs;
   monitors::AbitConfig abit;
-  /// Count only demand loads (not stores) from the trace stream.
-  bool trace_loads_only = true;
-  /// Count only samples whose data source is beyond the LLC.
-  bool trace_memory_only = true;
   /// Device-side hot-page counters at each non-fastest tier's memory
   /// controller (docs/TOPOLOGY.md). Off by default; `devmon.enabled`
   /// gates construction, so disabled runs are bitwise unchanged.
@@ -86,7 +81,6 @@ class TmpDriver {
   void end_epoch_into(EpochObservation& out);
 
   [[nodiscard]] std::uint32_t epoch() const noexcept { return epoch_; }
-  [[nodiscard]] const PageStatsStore& store() const noexcept { return store_; }
 
   /// Modeled software overhead of collection so far (trace + scans).
   [[nodiscard]] util::SimNs overhead_ns() const noexcept;
@@ -123,9 +117,8 @@ class TmpDriver {
     return devmon_.get();
   }
 
-  /// Checkpoint hooks: monitor state, the descriptor store and the open
-  /// epoch's observation maps. The backend
-  /// configuration must match the constructed driver on load.
+  /// Checkpoint hooks: monitor state and the open epoch's observation maps.
+  /// The backend configuration must match the constructed driver on load.
   void save_state(util::ckpt::Writer& w) const;
   void load_state(util::ckpt::Reader& r);
 
@@ -161,7 +154,6 @@ class TmpDriver {
   std::unique_ptr<monitors::PebsMonitor> pebs_;
   std::unique_ptr<monitors::DevMonitor> devmon_;
   monitors::AbitScanner scanner_;
-  PageStatsStore store_;
   /// The open epoch's per-source accumulators (HotnessStore-backed; exact
   /// mode reproduces the historical EpochObservation maps bit-for-bit).
   HotnessCounts cur_abit_;

@@ -27,10 +27,15 @@ void emit(std::ostringstream& os, const Vma& vma) {
      << (vma.size == mem::PageSize::k2M ? " huge" : "") << '\n';
 }
 
+std::uint64_t count_of(const PageCountMap& counts, const PageKey& key) {
+  const auto it = counts.find(key);
+  return it == counts.end() ? 0 : it->second;
+}
+
 }  // namespace
 
 std::string numa_maps(sim::System& system, mem::Pid pid,
-                      const PageStatsStore& store) {
+                      const EpochObservation& observed) {
   sim::Process& proc = system.process(pid);
   std::ostringstream os;
   Vma current;
@@ -50,12 +55,9 @@ std::string numa_maps(sim::System& system, mem::Pid pid,
     const mem::Pfn pfn = pte.pfn();
     if (system.phys().tier_of(pfn) == 0) ++current.tier0_pages;
     else ++current.tier1_pages;
-    // Trace samples land anywhere inside a huge page's span; A-bit
-    // observations are recorded on the head frame only.
-    current.abit += store.desc(pfn).abit_total;
-    for (std::uint64_t i = 0; i < mem::pages_in(size); ++i) {
-      current.trace += store.desc(pfn + i).trace_total;
-    }
+    const PageKey key{pid, page_va};
+    current.abit += count_of(observed.abit, key);
+    current.trace += count_of(observed.trace, key);
   });
   if (open) emit(os, current);
   return os.str();

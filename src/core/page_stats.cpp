@@ -1,107 +1,34 @@
 #include "core/page_stats.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
-#include "util/ckpt.hpp"
 
 namespace tmprof::core {
 
 PageStatsStore::PageStatsStore(std::uint64_t total_frames)
     : descs_(total_frames) {}
 
+void PageStatsStore::note_both(Desc& d, std::uint32_t other_epoch,
+                               std::uint32_t epoch) {
+  if (!d.both && other_epoch == epoch) {
+    d.both = true;
+    ++frames_with_both_;
+  }
+}
+
 void PageStatsStore::record_abit(mem::Pfn head, std::uint32_t epoch) {
   TMPROF_EXPECTS(head < descs_.size());
-  PageDesc& d = descs_[head];
-  if (d.abit_total == 0) ++frames_with_abit_;
-  ++d.abit_total;
-  const bool first_this_epoch = d.last_abit_epoch != epoch;
+  Desc& d = descs_[head];
+  if (d.last_abit_epoch == Desc::kNever) ++frames_with_abit_;
   d.last_abit_epoch = epoch;
-  if (first_this_epoch && d.last_trace_epoch == epoch) {
-    if (d.both_epochs == 0) ++frames_with_both_;
-    ++d.both_epochs;
-  }
+  note_both(d, d.last_trace_epoch, epoch);
 }
 
 void PageStatsStore::record_trace(mem::Pfn pfn, std::uint32_t epoch) {
   TMPROF_EXPECTS(pfn < descs_.size());
-  PageDesc& d = descs_[pfn];
-  if (d.trace_total == 0) ++frames_with_trace_;
-  ++d.trace_total;
-  const bool first_this_epoch = d.last_trace_epoch != epoch;
+  Desc& d = descs_[pfn];
+  if (d.last_trace_epoch == Desc::kNever) ++frames_with_trace_;
   d.last_trace_epoch = epoch;
-  if (first_this_epoch && d.last_abit_epoch == epoch) {
-    if (d.both_epochs == 0) ++frames_with_both_;
-    ++d.both_epochs;
-  }
-}
-
-const PageDesc& PageStatsStore::desc(mem::Pfn pfn) const {
-  TMPROF_EXPECTS(pfn < descs_.size());
-  return descs_[pfn];
-}
-
-void PageStatsStore::reset() {
-  std::fill(descs_.begin(), descs_.end(), PageDesc{});
-  frames_with_abit_ = 0;
-  frames_with_trace_ = 0;
-  frames_with_both_ = 0;
-}
-
-namespace {
-
-bool is_default(const PageDesc& d) {
-  return d.abit_total == 0 && d.trace_total == 0 &&
-         d.last_abit_epoch == PageDesc::kNever &&
-         d.last_trace_epoch == PageDesc::kNever && d.both_epochs == 0;
-}
-
-}  // namespace
-
-void PageStatsStore::save_state(util::ckpt::Writer& w) const {
-  w.put_u64(descs_.size());
-  std::uint64_t populated = 0;
-  for (const PageDesc& d : descs_) {
-    if (!is_default(d)) ++populated;
-  }
-  w.put_u64(populated);
-  for (std::size_t pfn = 0; pfn < descs_.size(); ++pfn) {
-    const PageDesc& d = descs_[pfn];
-    if (is_default(d)) continue;
-    w.put_u64(pfn);
-    w.put_u32(d.abit_total);
-    w.put_u32(d.trace_total);
-    w.put_u32(d.last_abit_epoch);
-    w.put_u32(d.last_trace_epoch);
-    w.put_u32(d.both_epochs);
-  }
-  w.put_u64(frames_with_abit_);
-  w.put_u64(frames_with_trace_);
-  w.put_u64(frames_with_both_);
-}
-
-void PageStatsStore::load_state(util::ckpt::Reader& r) {
-  const std::uint64_t frames = r.get_u64();
-  if (frames != descs_.size()) {
-    throw util::ckpt::CkptError("pagestats", "frame count mismatch");
-  }
-  std::fill(descs_.begin(), descs_.end(), PageDesc{});
-  const std::uint64_t populated = r.get_u64();
-  for (std::uint64_t i = 0; i < populated; ++i) {
-    const std::uint64_t pfn = r.get_u64();
-    if (pfn >= descs_.size()) {
-      throw util::ckpt::CkptError("pagestats", "frame index out of range");
-    }
-    PageDesc& d = descs_[pfn];
-    d.abit_total = r.get_u32();
-    d.trace_total = r.get_u32();
-    d.last_abit_epoch = r.get_u32();
-    d.last_trace_epoch = r.get_u32();
-    d.both_epochs = r.get_u32();
-  }
-  frames_with_abit_ = r.get_u64();
-  frames_with_trace_ = r.get_u64();
-  frames_with_both_ = r.get_u64();
+  note_both(d, d.last_abit_epoch, epoch);
 }
 
 }  // namespace tmprof::core

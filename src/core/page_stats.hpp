@@ -1,34 +1,17 @@
 #pragma once
 /// \file page_stats.hpp
-/// Per-frame profiling statistics — the simulator's analog of the paper's
-/// extended page descriptor (PD). The TMP driver accumulates A-bit and
-/// trace-sample counts here via the phys_to_page() path (frame-indexed
-/// array), and tracks same-epoch co-detection ("Both" in Table IV).
+/// Per-frame detection tallies for Table IV: which frames the A-bit scan
+/// and the trace monitor each observed, and which both observed within one
+/// epoch ("Both" in Table IV).
 
 #include <cstdint>
 #include <vector>
 
 #include "mem/addr.hpp"
 
-namespace tmprof::util::ckpt {
-class Reader;
-class Writer;
-}  // namespace tmprof::util::ckpt
-
 namespace tmprof::core {
 
-/// Extended page-descriptor fields.
-struct PageDesc {
-  std::uint32_t abit_total = 0;    ///< scans that observed the A bit set
-  std::uint32_t trace_total = 0;   ///< trace samples landing in this frame
-  std::uint32_t last_abit_epoch = kNever;
-  std::uint32_t last_trace_epoch = kNever;
-  std::uint32_t both_epochs = 0;   ///< epochs where both methods hit
-
-  static constexpr std::uint32_t kNever = 0xffffffffU;
-};
-
-/// Frame-indexed descriptor store.
+/// Frame-indexed detection store.
 class PageStatsStore {
  public:
   explicit PageStatsStore(std::uint64_t total_frames);
@@ -39,8 +22,6 @@ class PageStatsStore {
 
   /// Record a trace sample that hit 4 KiB frame `pfn` during `epoch`.
   void record_trace(mem::Pfn pfn, std::uint32_t epoch);
-
-  [[nodiscard]] const PageDesc& desc(mem::Pfn pfn) const;
 
   /// Frames with at least one observation from the given method.
   [[nodiscard]] std::uint64_t frames_with_abit() const noexcept {
@@ -55,15 +36,18 @@ class PageStatsStore {
     return frames_with_both_;
   }
 
-  void reset();
-
-  /// Checkpoint hooks: descriptors are saved sparsely (only frames with at
-  /// least one observation). Frame count must match on load.
-  void save_state(util::ckpt::Writer& w) const;
-  void load_state(util::ckpt::Reader& r);
-
  private:
-  std::vector<PageDesc> descs_;
+  struct Desc {
+    static constexpr std::uint32_t kNever = 0xffffffffU;
+    std::uint32_t last_abit_epoch = kNever;
+    std::uint32_t last_trace_epoch = kNever;
+    bool both = false;
+  };
+
+  /// Marks `d` co-detected if the other method saw it in `epoch` too.
+  void note_both(Desc& d, std::uint32_t other_epoch, std::uint32_t epoch);
+
+  std::vector<Desc> descs_;
   std::uint64_t frames_with_abit_ = 0;
   std::uint64_t frames_with_trace_ = 0;
   std::uint64_t frames_with_both_ = 0;

@@ -68,7 +68,6 @@ CacheLevel::Way* CacheLevel::fill_victim(std::uint64_t line) noexcept {
 
 bool CacheLevel::install_way(Way& victim, std::uint64_t line) {
   const bool evicted = victim.valid;
-  if (evicted && victim.dirty) ++dirty_evictions_;
   victim.tag = line;
   victim.valid = true;
   victim.dirty = false;
@@ -153,10 +152,7 @@ CacheAccess CacheHierarchy::access(PhysAddr paddr, bool is_store) {
     const std::uint64_t line = line_of(paddr);
     if (line != last_demand_line_) {
       last_demand_line_ = line;
-      if (llc_->fill_if_absent(paddr + kLineSize)) {
-        ++prefetch_fills_;
-        result.prefetch_issued = true;
-      }
+      result.prefetch_issued = llc_->fill_if_absent(paddr + kLineSize);
     }
   }
   return result;
@@ -175,7 +171,6 @@ void CacheLevel::save_state(util::ckpt::Writer& w) const {
   w.put_u32(sets_);
   w.put_u32(ways_);
   w.put_u64(tick_);
-  w.put_u64(dirty_evictions_);
   // Per way, as put_u64(tag), put_u64(lru), put_bool(valid), put_bool(dirty).
   constexpr std::size_t kWayBytes = 8 + 8 + 1 + 1;
   std::uint8_t* at = w.extend(ways_storage_.size() * kWayBytes);
@@ -197,7 +192,6 @@ void CacheLevel::load_state(util::ckpt::Reader& r) {
                      std::to_string(sets_) + "x" + std::to_string(ways_));
   }
   tick_ = r.get_u64();
-  dirty_evictions_ = r.get_u64();
   for (Way& way : ways_storage_) {
     way.tag = r.get_u64();
     way.lru = r.get_u64();
@@ -209,14 +203,12 @@ void CacheLevel::load_state(util::ckpt::Reader& r) {
 void CacheHierarchy::save_state(util::ckpt::Writer& w) const {
   l1_.save_state(w);
   l2_.save_state(w);
-  w.put_u64(prefetch_fills_);
   w.put_u64(last_demand_line_);
 }
 
 void CacheHierarchy::load_state(util::ckpt::Reader& r) {
   l1_.load_state(r);
   l2_.load_state(r);
-  prefetch_fills_ = r.get_u64();
   last_demand_line_ = r.get_u64();
 }
 

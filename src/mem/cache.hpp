@@ -82,9 +82,6 @@ class CacheLevel {
   }
   [[nodiscard]] std::uint32_t ways() const noexcept { return ways_; }
   [[nodiscard]] std::uint32_t sets() const noexcept { return sets_; }
-  [[nodiscard]] std::uint64_t dirty_evictions() const noexcept {
-    return dirty_evictions_;
-  }
 
  private:
   struct Way {
@@ -108,7 +105,6 @@ class CacheLevel {
   std::uint32_t sets_;
   std::uint32_t ways_;
   std::uint64_t tick_ = 0;
-  std::uint64_t dirty_evictions_ = 0;
   std::vector<Way> ways_storage_;
 };
 
@@ -145,16 +141,11 @@ class CacheHierarchy {
   void save_state(util::ckpt::Writer& w) const;
   void load_state(util::ckpt::Reader& r);
 
-  [[nodiscard]] std::uint64_t prefetch_fills() const noexcept {
-    return prefetch_fills_;
-  }
-
  private:
   CacheLevel l1_;
   CacheLevel l2_;
   CacheLevel* llc_;
   bool prefetch_;
-  std::uint64_t prefetch_fills_ = 0;
   std::uint64_t last_demand_line_ = ~0ULL;
 };
 

@@ -85,7 +85,7 @@ struct TraceSample {
 /// Payload discriminator of a StreamRecord.
 enum class StreamKind : std::uint8_t {
   Trace = 0,  ///< IBS/PEBS sample: a = paddr, c = pid, flags = store|source
-  Abit = 1,   ///< A-bit scan hit: a = page_va, b = pfn, c = pid
+  Abit = 1,   ///< A-bit scan hit: a = page_va, c = pid
   Dev = 2,    ///< DevMon report entry: a = pfn, b = count
 };
 

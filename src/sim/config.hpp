@@ -67,8 +67,6 @@ struct SimConfig {
   bool instruction_fetch = false;
   std::uint64_t code_bytes_per_process = 64ULL << 10;
 
-  std::uint32_t pmu_registers = 6;
-
   /// Build the deterministic *sharded* access engine: per-core LLC slices,
   /// per-core physical-memory arenas, and System::step_parallel() support.
   /// Results are bitwise-reproducible for a given seed regardless of how

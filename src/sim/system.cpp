@@ -42,7 +42,7 @@ constexpr std::size_t kLatencyHistBuckets = 64;
 System::System(const SimConfig& config)
     : config_(config),
       phys_(tier_specs(config), config.sharded_engine ? config.cores : 1),
-      pmu_(config.cores, config.pmu_registers),
+      pmu_(config.cores),
       // With the sharded engine the LLC lives in per-core slices; keep the
       // shared-LLC member at its minimum legal geometry (one set) so it
       // costs nothing.
@@ -321,7 +321,7 @@ util::SimNs System::instruction_fetch(Process& proc, std::uint32_t ip,
   if (ctx.core->tlb.lookup(proc.pid(), code_va).level != mem::TlbHit::Miss) {
     return 0;  // fetch translation cached: free
   }
-  ctx.pmu->record(Event::ItlbWalk, ctx.now);
+  ctx.pmu->record(Event::ItlbWalk);
   util::SimNs latency = 0;
   mem::WalkResult walk =
       mem::PageTableWalker::walk(proc.page_table(), code_va, false);
@@ -333,13 +333,13 @@ util::SimNs System::instruction_fetch(Process& proc, std::uint32_t ip,
     TMPROF_ASSERT(pfn.has_value());
     proc.page_table().map(page_va, *pfn, mem::PageSize::k4K);
     proc.note_mapped_page(mem::PageSize::k4K);
-    ctx.pmu->record(Event::PageFault, ctx.now);
+    ctx.pmu->record(Event::PageFault);
     latency += config_.page_fault_ns;
     walk = mem::PageTableWalker::walk(proc.page_table(), code_va, false);
   } else if (walk.status == mem::WalkResult::Status::Poisoned) {
     // Code pages can be poisoned too (AutoNUMA-style protection covers
     // every VMA); the fetch takes the same protection fault as a load.
-    ctx.pmu->record(Event::ProtectionFault, ctx.now);
+    ctx.pmu->record(Event::ProtectionFault);
     if (fault_hook_) {
       latency += fault_hook_(proc, code_va, false);
     } else {
@@ -351,7 +351,7 @@ util::SimNs System::instruction_fetch(Process& proc, std::uint32_t ip,
                                       /*honor_poison=*/false);
   }
   TMPROF_ASSERT(walk.status == mem::WalkResult::Status::Ok);
-  if (walk.set_accessed) ctx.pmu->record(Event::PtwAbitSet, ctx.now);
+  if (walk.set_accessed) ctx.pmu->record(Event::PtwAbitSet);
   ctx.core->tlb.fill(proc.pid(), walk.page_va, walk.size, walk.pte,
                      walk.pte->dirty());
   latency += walk.levels * config_.walk_level_ns;
@@ -400,9 +400,8 @@ AccessResult System::access_impl(Process& proc, mem::VirtAddr vaddr,
 
   proc.charge_ops(1);
   ++*ctx.total_ops;
-  pmu_core.record(Event::RetiredUops, ctx.now, config_.uops_per_op);
-  pmu_core.record(is_store ? Event::RetiredStores : Event::RetiredLoads,
-                  ctx.now);
+  pmu_core.record(Event::RetiredUops, config_.uops_per_op);
+  pmu_core.record(is_store ? Event::RetiredStores : Event::RetiredLoads);
 
   if (config_.instruction_fetch) {
     latency += instruction_fetch(proc, ip, ctx);
@@ -417,7 +416,7 @@ AccessResult System::access_impl(Process& proc, mem::VirtAddr vaddr,
   if (hit.level != mem::TlbHit::Miss) {
     result.tlb = hit.level;
     if (hit.level == mem::TlbHit::L2) {
-      pmu_core.record(Event::DtlbL1Miss, ctx.now);
+      pmu_core.record(Event::DtlbL1Miss);
     }
     pte = hit.entry->pte;
     page_size = hit.size;
@@ -428,26 +427,26 @@ AccessResult System::access_impl(Process& proc, mem::VirtAddr vaddr,
       hit.entry->dirty_cached = true;
       if (!pte->dirty()) {
         pte->set_dirty(true);
-        pmu_core.record(Event::PtwDbitSet, ctx.now);
+        pmu_core.record(Event::PtwDbitSet);
       }
     }
   } else {
     result.tlb = mem::TlbHit::Miss;
-    pmu_core.record(Event::DtlbL1Miss, ctx.now);
-    pmu_core.record(Event::DtlbWalk, ctx.now);
+    pmu_core.record(Event::DtlbL1Miss);
+    pmu_core.record(Event::DtlbWalk);
     mem::WalkResult walk =
         mem::PageTableWalker::walk(proc.page_table(), vaddr, is_store);
     if (walk.status == mem::WalkResult::Status::NotPresent) {
       // First touch: allocate and map, then redo the walk.
       result.page_fault = true;
-      pmu_core.record(Event::PageFault, ctx.now);
+      pmu_core.record(Event::PageFault);
       latency += config_.page_fault_ns;
       handle_page_fault(proc, vaddr, ctx.arena);
       walk = mem::PageTableWalker::walk(proc.page_table(), vaddr, is_store);
       TMPROF_ASSERT(walk.status == mem::WalkResult::Status::Ok);
     } else if (walk.status == mem::WalkResult::Status::Poisoned) {
       result.protection_fault = true;
-      pmu_core.record(Event::ProtectionFault, ctx.now);
+      pmu_core.record(Event::ProtectionFault);
       if (fault_hook_) {
         latency += fault_hook_(proc, vaddr, is_store);
       } else {
@@ -462,8 +461,8 @@ AccessResult System::access_impl(Process& proc, mem::VirtAddr vaddr,
       TMPROF_ASSERT(walk.status == mem::WalkResult::Status::Ok);
     }
     latency += walk.levels * config_.walk_level_ns;
-    if (walk.set_accessed) pmu_core.record(Event::PtwAbitSet, ctx.now);
-    if (walk.set_dirty) pmu_core.record(Event::PtwDbitSet, ctx.now);
+    if (walk.set_accessed) pmu_core.record(Event::PtwAbitSet);
+    if (walk.set_dirty) pmu_core.record(Event::PtwDbitSet);
     pte = walk.pte;
     page_size = walk.size;
     page_va = walk.page_va;
@@ -484,19 +483,19 @@ AccessResult System::access_impl(Process& proc, mem::VirtAddr vaddr,
       break;
     case mem::DataSource::L2:
       latency += config_.l2_hit_ns;
-      pmu_core.record(Event::L1DMiss, ctx.now);
+      pmu_core.record(Event::L1DMiss);
       break;
     case mem::DataSource::LLC:
       latency += config_.llc_hit_ns;
-      pmu_core.record(Event::L1DMiss, ctx.now);
-      pmu_core.record(Event::L2Miss, ctx.now);
-      pmu_core.record(Event::LlcAccess, ctx.now);
+      pmu_core.record(Event::L1DMiss);
+      pmu_core.record(Event::L2Miss);
+      pmu_core.record(Event::LlcAccess);
       break;
     default: {
-      pmu_core.record(Event::L1DMiss, ctx.now);
-      pmu_core.record(Event::L2Miss, ctx.now);
-      pmu_core.record(Event::LlcAccess, ctx.now);
-      pmu_core.record(Event::LlcMiss, ctx.now);
+      pmu_core.record(Event::L1DMiss);
+      pmu_core.record(Event::L2Miss);
+      pmu_core.record(Event::LlcAccess);
+      pmu_core.record(Event::LlcMiss);
       const mem::TierId tier = phys_.tier_of(mem::pfn_of(paddr));
       const mem::TierSpec& spec = phys_.tier(tier);
       latency += is_store ? spec.write_latency_ns : spec.read_latency_ns;
@@ -504,12 +503,12 @@ AccessResult System::access_impl(Process& proc, mem::VirtAddr vaddr,
       proc.note_mem_fill(tier);
       if (tier == 0) {
         result.source = mem::DataSource::MemTier1;
-        pmu_core.record(Event::MemReadTier1, ctx.now);
+        pmu_core.record(Event::MemReadTier1);
       } else {
         result.source = mem::DataSource::MemTier2;
-        pmu_core.record(Event::MemReadTier2, ctx.now);
+        pmu_core.record(Event::MemReadTier2);
       }
-      if (cache.prefetch_issued) pmu_core.record(Event::PrefetchFill, ctx.now);
+      if (cache.prefetch_issued) pmu_core.record(Event::PrefetchFill);
       break;
     }
   }
@@ -543,7 +542,7 @@ std::uint64_t System::shootdown(mem::Pid pid, mem::VirtAddr page_va,
     core.tlb.invalidate_page(pid, page_va, size);
   }
   const std::uint64_t ipis = config_.cores - 1;
-  pmu_.core(0).record(Event::TlbShootdownIpi, now_, ipis);
+  pmu_.core(0).record(Event::TlbShootdownIpi, ipis);
   shootdown_ipis_.add(ipis);
   return ipis;
 }
@@ -564,7 +563,7 @@ bool System::migrate_page(mem::Pid pid, mem::VirtAddr page_va,
   ref.pte->set_pfn(*new_pfn);
   phys_.free(old_pfn);
   shootdown(pid, page_va, ref.size);
-  pmu_.core(0).record(Event::PageMigration, now_);
+  pmu_.core(0).record(Event::PageMigration);
   migrations_.inc();
   return true;
 }

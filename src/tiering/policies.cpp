@@ -148,10 +148,6 @@ std::span<const std::string_view> policy_names() noexcept {
   return kPolicyNames;
 }
 
-std::unique_ptr<Policy> make_policy(const std::string& name) {
-  return make_policy(name, core::HotnessConfig{});
-}
-
 std::unique_ptr<Policy> make_policy(const std::string& name,
                                     const core::HotnessConfig& hotness) {
   for (const PolicyEntry& entry : kPolicies) {

@@ -94,12 +94,10 @@ class FrequencyDecayPolicy final : public Policy {
 [[nodiscard]] std::span<const std::string_view> policy_names() noexcept;
 
 /// Factory by name (one of policy_names()); throws std::invalid_argument
-/// listing the valid names otherwise.
-[[nodiscard]] std::unique_ptr<Policy> make_policy(const std::string& name);
-
-/// Hotness-aware factory: policies with per-page state ("freq-decay")
-/// bound it under a sketch-mode config; the rest are unaffected.
+/// listing the valid names otherwise. Policies with per-page state
+/// ("freq-decay") bound it under a sketch-mode `hotness`; the rest ignore
+/// it.
 [[nodiscard]] std::unique_ptr<Policy> make_policy(
-    const std::string& name, const core::HotnessConfig& hotness);
+    const std::string& name, const core::HotnessConfig& hotness = {});
 
 }  // namespace tmprof::tiering

@@ -126,7 +126,9 @@ RunnerResult run_attempt(const WorkloadFactory& factory,
   const bool migrate = options.policy != "first-touch";
   const bool oracle = options.policy == "oracle";
   std::unique_ptr<Policy> policy;
-  if (migrate && !oracle) policy = make_policy(options.policy);
+  if (migrate && !oracle) {
+    policy = make_policy(options.policy, options.daemon.driver.hotness);
+  }
 
   std::vector<std::vector<core::PageRank>> oracle_rankings;
   RunnerResult result;

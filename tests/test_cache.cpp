@@ -37,14 +37,6 @@ TEST(CacheLevel, LruEviction) {
   EXPECT_TRUE(c.contains(0x100));
 }
 
-TEST(CacheLevel, DirtyEvictionCounted) {
-  CacheLevel c(256, 1);  // direct mapped, 4 sets
-  c.fill(0x000);
-  EXPECT_TRUE(c.access(0x000, true));  // dirty it
-  c.fill(0x100);                        // same set, evicts dirty line
-  EXPECT_EQ(c.dirty_evictions(), 1U);
-}
-
 TEST(CacheLevel, FlushEmptiesCache) {
   CacheLevel c(4096, 4);
   c.fill(0x1000);
@@ -92,7 +84,6 @@ TEST(Hierarchy, PrefetchNextLineMakesItAnLlcHit) {
   auto first = hier.access(0x20000, false);
   EXPECT_TRUE(first.llc_miss);
   EXPECT_TRUE(first.prefetch_issued);
-  EXPECT_EQ(hier.prefetch_fills(), 1U);
   // The next line was prefetched into the LLC only: the demand access hits
   // LLC, not memory.
   auto next = hier.access(0x20040, false);
@@ -103,12 +94,10 @@ TEST(Hierarchy, PrefetchNextLineMakesItAnLlcHit) {
 TEST(Hierarchy, RepeatedMissSameLineDoesNotSelfFeedPrefetch) {
   CacheLevel llc(1 << 12, 1);  // tiny direct-mapped LLC to force misses
   CacheHierarchy hier(64 * 2, 1, 64 * 2, 1, &llc, true);
-  hier.access(0x0, false);
-  const std::uint64_t fills_before = hier.prefetch_fills();
+  EXPECT_TRUE(hier.access(0x0, false).prefetch_issued);
   // Conflicting line evicts, then re-access the first: new demand line each
   // time, prefetcher triggers at most once per distinct line.
-  hier.access(0x0, false);
-  EXPECT_EQ(hier.prefetch_fills(), fills_before);
+  EXPECT_FALSE(hier.access(0x0, false).prefetch_issued);
 }
 
 TEST(CacheLevel, ProbeNamesFillVictimAndInstallUsesIt) {
@@ -180,7 +169,6 @@ class CacheLevel {
       if (way.lru < victim->lru) victim = &way;
     }
     const bool evicted = victim->valid;
-    if (evicted && victim->dirty) ++dirty_evictions_;
     victim->tag = line;
     victim->valid = true;
     victim->dirty = false;
@@ -205,7 +193,6 @@ class CacheLevel {
     w.put_u32(sets_);
     w.put_u32(ways_);
     w.put_u64(tick_);
-    w.put_u64(dirty_evictions_);
     for (const Way& way : ways_storage_) {
       w.put_u64(way.tag);
       w.put_u64(way.lru);
@@ -218,17 +205,12 @@ class CacheLevel {
     (void)r.get_u32();
     (void)r.get_u32();
     tick_ = r.get_u64();
-    dirty_evictions_ = r.get_u64();
     for (Way& way : ways_storage_) {
       way.tag = r.get_u64();
       way.lru = r.get_u64();
       way.valid = r.get_bool();
       way.dirty = r.get_bool();
     }
-  }
-
-  [[nodiscard]] std::uint64_t dirty_evictions() const noexcept {
-    return dirty_evictions_;
   }
 
  private:
@@ -246,7 +228,6 @@ class CacheLevel {
   std::uint32_t sets_;
   std::uint32_t ways_;
   std::uint64_t tick_ = 0;
-  std::uint64_t dirty_evictions_ = 0;
   std::vector<Way> ways_storage_;
 };
 
@@ -291,7 +272,6 @@ class CacheHierarchy {
         const PhysAddr next = paddr + kLineSize;
         if (!llc_->contains(next)) {
           llc_->fill(next);
-          ++prefetch_fills_;
           result.prefetch_issued = true;
         }
       }
@@ -307,19 +287,13 @@ class CacheHierarchy {
   void save_state(util::ckpt::Writer& w) const {
     l1_.save_state(w);
     l2_.save_state(w);
-    w.put_u64(prefetch_fills_);
     w.put_u64(last_demand_line_);
   }
 
   void load_state(util::ckpt::Reader& r) {
     l1_.load_state(r);
     l2_.load_state(r);
-    prefetch_fills_ = r.get_u64();
     last_demand_line_ = r.get_u64();
-  }
-
-  [[nodiscard]] std::uint64_t prefetch_fills() const noexcept {
-    return prefetch_fills_;
   }
 
  private:
@@ -327,7 +301,6 @@ class CacheHierarchy {
   CacheLevel l2_;
   CacheLevel* llc_;
   bool prefetch_;
-  std::uint64_t prefetch_fills_ = 0;
   std::uint64_t last_demand_line_ = ~0ULL;
 };
 
@@ -364,7 +337,6 @@ void put_seeded_level(util::ckpt::Writer& w, const Geometry& g,
   w.put_u32(g.sets);
   w.put_u32(g.ways);
   w.put_u64(4);  // tick
-  w.put_u64(0);  // dirty evictions
   for (std::uint32_t set = 0; set < g.sets; ++set) {
     std::vector<std::uint64_t> lines;
     for (std::uint64_t line = set; line < kLinePool; line += g.sets) {
@@ -389,7 +361,7 @@ struct CacheDiffTally {
 };
 
 /// Drives both hierarchies with one seeded stream and compares every
-/// result, counter and (at intervals) the checkpoint bytes.
+/// result and (at intervals) the checkpoint bytes.
 void run_cache_differential(const Geometry& l1, const Geometry& l2,
                             const Geometry& llc, bool prefetch, bool seeded,
                             std::uint64_t seed, CacheDiffTally& tally) {
@@ -410,7 +382,6 @@ void run_cache_differential(const Geometry& l1, const Geometry& l2,
     w.begin_section("cache");
     put_seeded_level(w, l1, rng);
     put_seeded_level(w, l2, rng);
-    w.put_u64(0);     // prefetch fills
     w.put_u64(~0ULL);  // last demand line
     put_seeded_level(w, llc, rng);
     w.end_section();
@@ -470,8 +441,6 @@ void run_cache_differential(const Geometry& l1, const Geometry& l2,
       hier_new.flush();
       hier_ref.flush();
     }
-    ASSERT_EQ(hier_new.prefetch_fills(), hier_ref.prefetch_fills());
-    ASSERT_EQ(llc_new.dirty_evictions(), llc_ref.dirty_evictions());
     if (op % 97 == 0) {
       ASSERT_EQ(cache_bytes(hier_new, llc_new), cache_bytes(hier_ref, llc_ref))
           << "op " << op;

@@ -532,11 +532,8 @@ std::vector<std::uint8_t> pmu_core_image(std::uint64_t count,
   w.put_u64(count);
   for (const pmu::Event e : events) {
     w.put_u8(static_cast<std::uint8_t>(e));
-    w.put_u64(5);      // raw
-    w.put_u64(0);      // live_ns
-    w.put_bool(true);  // live
+    w.put_u64(5);  // raw
   }
-  for (int i = 0; i < 4; ++i) w.put_u64(0);  // rotation and clocks
   w.end_section();
   return w.finish();
 }
@@ -545,7 +542,7 @@ std::vector<std::uint8_t> pmu_core_image(std::uint64_t count,
 std::optional<CkptError> load_pmu_core(const std::vector<std::uint8_t>& image) {
   Reader r(image);
   r.enter_section("system");
-  pmu::PmuCore core(4);
+  pmu::PmuCore core;
   try {
     core.load_state(r);
     r.end_section();
@@ -562,10 +559,12 @@ TEST(CkptCorruption, PmuProgrammedCountAndDuplicatesRejected) {
   EXPECT_FALSE(
       load_pmu_core(pmu_core_image(2, {Event::LlcMiss, Event::DtlbWalk})));
 
-  // A count above the number of events is refused before any allocation,
-  // including one the old unbounded resize would have tried to honour.
+  // A count above the number of registers is refused before any
+  // allocation, including one the old unbounded resize would have tried to
+  // honour.
   for (const std::uint64_t count :
-       {std::uint64_t{pmu::kEventCount} + 1, std::uint64_t{1} << 40}) {
+       {std::uint64_t{pmu::PmuCore::kRegisters} + 1,
+        std::uint64_t{pmu::kEventCount} + 1, std::uint64_t{1} << 40}) {
     const auto err = load_pmu_core(pmu_core_image(count, {}));
     ASSERT_TRUE(err) << "count " << count << " accepted";
     EXPECT_EQ(err->section(), "pmu");
@@ -1564,6 +1563,13 @@ TEST(CkptResume, FormatV3ImageColdStarts) {
   expect_old_format_cold_starts(3);
 }
 
+TEST(CkptResume, FormatV4ImageColdStarts) {
+  // Format 4 carried the driver's per-frame descriptor store in "daemon",
+  // and the PMU's multiplexing rotation state and the caches' dirty-evict /
+  // prefetch-fill counters in "system".
+  expect_old_format_cold_starts(4);
+}
+
 TEST(CkptResume, MismatchedConfigRejected) {
   // A checkpoint from seed 42 must not be grafted onto a seed-43 run: the
   // meta section rejects it and the run cold-starts with its own seed.
@@ -1899,10 +1905,15 @@ TEST(CkptLayout, SectionBytesAreGolden) {
   // "daemon" lost 18 bytes (presence byte + empty exact write-count store)
   // plus 4 per last-good ranking entry (94, 12, 12), "oracle" 4 per entry
   // of its three 12-entry rankings, "series" 8 per observation (3).
+  // Format 5 dropped the driver's descriptor store from "daemon" (40 + 28
+  // per populated frame: 639, 130, 114) and, from "system", 32 bytes of
+  // multiplexing state per PMU core plus 9 per programmed event (2 cores x
+  // 3 events) and 8 bytes per cache level (7, 5, 7) and per core hierarchy
+  // (2): daemon -17932, -3680, -3232; system -190, -174, -190.
   expect_frames(everything_runner_frames(),
                 {{"meta", 48, 0x41982e3d},
-                 {"system", 534712, 0xe251e821},
-                 {"daemon", 21983, 0x7a0bbd74},
+                 {"system", 534522, 0xd62fd3fa},
+                 {"daemon", 4051, 0x106587ea},
                  {"devmon", 6758, 0xb16161e0},
                  {"stream", 49, 0xb1ed5ed7},
                  {"mover", 181, 0xd65f58a5},
@@ -1916,8 +1927,8 @@ TEST(CkptLayout, SectionBytesAreGolden) {
                 "telemetry");
   expect_frames(oracle_trap_runner_frames(),
                 {{"meta", 47, 0xe91cf81e},
-                 {"system", 666732, 0x580a35dd},
-                 {"daemon", 4643, 0x84e7dfe3},
+                 {"system", 666558, 0x190c0746},
+                 {"daemon", 963, 0x6d389445},
                  {"devmon", 1, 0xd202ef8d},
                  {"stream", 1, 0xd202ef8d},
                  {"mover", 96, 0x7c9b6c29},
@@ -1930,11 +1941,45 @@ TEST(CkptLayout, SectionBytesAreGolden) {
                  {"telemetry", 2501, 0xa7a045e1}});
   expect_frames(layered_collect_frames(false),
                 {{"meta", 36, 0xae48b0dc},
-                 {"system", 667296, 0xf090ba15},
-                 {"daemon", 4323, 0x819553fd},
+                 {"system", 667106, 0xb515d091},
+                 {"daemon", 1091, 0xa275dadf},
                  {"truth", 514, 0x7d9111e2},
                  {"series", 2496, 0x27a8a92c},
                  {"telemetry", 2302, 0x0741cbc1}});
+}
+
+/// Scores in the "policy" section of a data_caching freq-decay run's final
+/// checkpoint under `hotness`.
+std::uint64_t freq_decay_scores(const core::HotnessConfig& hotness,
+                                const std::string& tag) {
+  RunnerOptions opt = tiny_runner("freq-decay");
+  opt.daemon.driver.hotness = hotness;
+  opt.mover.min_rank = 1;  // every ranked page reaches the policy
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / ("tmprof-freq-decay-" + tag);
+  fs::remove_all(dir);
+  opt.checkpoint.every = opt.n_epochs;
+  opt.checkpoint.dir = dir.string();
+  (void)EndToEndRunner::run(workloads::find_spec("data_caching", 0.05),
+                            tiny_config(), opt);
+  Reader r = Reader::from_file(
+      util::ckpt::checkpoint_path(dir.string(), "ckpt", opt.n_epochs));
+  r.enter_section("policy");
+  EXPECT_TRUE(r.get_bool());  // presence
+  return r.get_u64();
+}
+
+TEST(CkptLayout, SketchFreqDecayPolicyHoldsAtMostCandidateScores) {
+  // The runner builds its policy from the run's hotness config, so a
+  // sketch-mode freq-decay keeps only the candidate-capped score map.
+  core::HotnessConfig sketch;
+  sketch.mode = core::HotnessMode::Sketch;
+  sketch.candidates = 16;
+  const std::uint64_t exact = freq_decay_scores({}, "exact");
+  EXPECT_GT(exact, sketch.candidates);  // uncapped, the map outgrows it
+  const std::uint64_t capped = freq_decay_scores(sketch, "sketch");
+  EXPECT_GT(capped, 0U);
+  EXPECT_LE(capped, sketch.candidates);
 }
 
 }  // namespace

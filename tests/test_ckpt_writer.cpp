@@ -377,7 +377,6 @@ TEST(CkptWriter, BulkCacheWaysMatchPerFieldPuts) {
     w.put_u32(sets);
     w.put_u32(ways);
     w.put_u64(rng());  // tick
-    w.put_u64(rng());  // dirty evictions
     for (std::uint32_t i = 0; i < sets * ways; ++i) {
       w.put_u64(rng());
       w.put_u64(rng());

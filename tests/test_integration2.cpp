@@ -28,8 +28,8 @@ TEST(Integration2, NumaMapsTracksMigration) {
   const mem::Pid pid = sys.add_process(
       std::make_unique<workloads::SequentialWorkload>(1 << 16, 4096, 0.0, 1));
   sys.step(16);
-  core::PageStatsStore store(sys.phys().total_frames());
-  EXPECT_NE(core::numa_maps(sys, pid, store).find("tier0="),
+  const core::EpochObservation observed;
+  EXPECT_NE(core::numa_maps(sys, pid, observed).find("tier0="),
             std::string::npos);
   // Demote every heap page to tier 1 (slow).
   sim::Process& proc = sys.process(pid);
@@ -41,7 +41,7 @@ TEST(Integration2, NumaMapsTracksMigration) {
   for (const mem::VirtAddr va : pages) {
     ASSERT_TRUE(sys.migrate_page(pid, va, 1));
   }
-  const std::string text = core::numa_maps(sys, pid, store);
+  const std::string text = core::numa_maps(sys, pid, observed);
   // Heap lines report zero tier-0 pages now.
   std::size_t pos = text.find("0x5500000000");
   ASSERT_NE(pos, std::string::npos);

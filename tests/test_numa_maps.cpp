@@ -25,8 +25,7 @@ TEST(NumaMaps, CoalescesContiguousMappings) {
   const mem::Pid pid = sys.add_process(
       std::make_unique<workloads::SequentialWorkload>(1 << 14, 4096, 0.0, 1));
   sys.step(4);  // 4 contiguous pages
-  PageStatsStore store(sys.phys().total_frames());
-  const std::string text = numa_maps(sys, pid, store);
+  const std::string text = numa_maps(sys, pid, EpochObservation{});
   // One contiguous run => exactly one line.
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1);
   EXPECT_NE(text.find("pages=4"), std::string::npos);
@@ -38,26 +37,35 @@ TEST(NumaMaps, ReportsTierSplit) {
   const mem::Pid pid = sys.add_process(
       std::make_unique<workloads::SequentialWorkload>(1 << 16, 4096, 0.0, 1));
   sys.step(16);  // 8 land in tier0, 8 spill
-  PageStatsStore store(sys.phys().total_frames());
-  const std::string text = numa_maps(sys, pid, store);
+  const std::string text = numa_maps(sys, pid, EpochObservation{});
   EXPECT_NE(text.find("tier0=8"), std::string::npos);
   EXPECT_NE(text.find("tier1=8"), std::string::npos);
 }
 
 TEST(NumaMaps, ShowsProfilingCounts) {
+  // A footprint beyond the caches, so trace samples come from memory; every
+  // page is touched, so the mapping is one line carrying the epoch's totals.
   sim::System sys(small_config());
   const mem::Pid pid = sys.add_process(
-      std::make_unique<workloads::UniformWorkload>(1 << 14, 0.0, 1));
+      std::make_unique<workloads::UniformWorkload>(1 << 20, 0.0, 1));
   DriverConfig cfg;
   cfg.ibs = monitors::IbsConfig::with_period(64);
-  cfg.trace_memory_only = false;  // tiny footprint: count cache hits too
   TmpDriver driver(sys, cfg);
   sys.step(20000);
   driver.scan_processes({pid});
-  driver.end_epoch();
-  const std::string text = numa_maps(sys, pid, driver.store());
-  EXPECT_EQ(text.find("abit=0 "), std::string::npos);
-  EXPECT_EQ(text.find("trace=0\n"), std::string::npos);
+  const EpochObservation observed = driver.end_epoch();
+  std::uint64_t abit = 0;
+  std::uint64_t trace = 0;
+  for (const auto& [key, count] : observed.abit) abit += count;
+  for (const auto& [key, count] : observed.trace) trace += count;
+  ASSERT_GT(abit, 0U);
+  ASSERT_GT(trace, 0U);
+  const std::string text = numa_maps(sys, pid, observed);
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1) << text;
+  EXPECT_NE(text.find(" abit=" + std::to_string(abit) +
+                      " trace=" + std::to_string(trace) + "\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST(NumaMaps, MarksHugeMappings) {
@@ -67,9 +75,33 @@ TEST(NumaMaps, MarksHugeMappings) {
   const mem::Pid pid = sys.add_process(
       std::make_unique<workloads::GupsWorkload>(4 << 20, 1));
   sys.step(100);
-  PageStatsStore store(sys.phys().total_frames());
-  const std::string text = numa_maps(sys, pid, store);
+  const std::string text = numa_maps(sys, pid, EpochObservation{});
   EXPECT_NE(text.find(" huge"), std::string::npos);
+}
+
+TEST(NumaMaps, HugeMappingCountsKeyedByFirstPage) {
+  // A 2 MiB mapping's samples aggregate on its first page address; a key
+  // inside its span names no mapping and is not shown.
+  sim::SimConfig cfg = small_config();
+  cfg.tier1_frames = 1 << 12;
+  sim::System sys(cfg);
+  const mem::Pid pid = sys.add_process(
+      std::make_unique<workloads::GupsWorkload>(4 << 20, 1));
+  sys.step(100);
+  mem::VirtAddr huge_va = 0;
+  std::uint64_t huge_pages = 0;
+  sys.process(pid).page_table().walk(
+      [&](mem::VirtAddr va, mem::PageSize size, mem::Pte&) {
+        if (size != mem::PageSize::k2M) return;
+        if (huge_pages++ == 0) huge_va = va;
+      });
+  ASSERT_GT(huge_pages, 0U);
+  EpochObservation observed;
+  observed.trace[PageKey{pid, huge_va}] = 7;
+  observed.trace[PageKey{pid, huge_va + mem::kPageSize}] = 100;
+  observed.abit[PageKey{pid, huge_va}] = 2;
+  const std::string text = numa_maps(sys, pid, observed);
+  EXPECT_NE(text.find(" abit=2 trace=7 huge\n"), std::string::npos) << text;
 }
 
 }  // namespace
