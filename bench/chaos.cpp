@@ -96,7 +96,7 @@ std::string fingerprint(const tiering::RunnerResult& r) {
 static int bench_main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   const std::string workload = args.get("workload", "gups");
-  const double scale = args.get_double("scale", 0.5);
+  const double scale = bench::scale_from_args(args, 0.5, {workload});
   const std::uint32_t epochs = args.get_u32("epochs", 8);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 120'000);
   const std::uint64_t seed = args.get_u64("seed", 42);

@@ -1,6 +1,6 @@
-# Runs a bench with a malformed flag and checks that it fails as a usage
-# error: exit status 2 and a stderr message naming the flag (not an
-# uncaught exception and SIGABRT).
+# Runs a bench with a malformed or out-of-range flag and checks that it
+# fails as a usage error: exit status 2 and a stderr message naming the
+# flag (not an uncaught exception and SIGABRT).
 #
 # cmake -DBENCH=<binary> -DFLAG=<name> -DVALUE=<bad value> -P check_bad_flag.cmake
 execute_process(

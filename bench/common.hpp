@@ -7,9 +7,12 @@
 /// the same factor, so every capacity *ratio* that drives the paper's
 /// results is preserved. See DESIGN.md §2 for the substitution table.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -60,14 +63,42 @@ inline monitors::IbsConfig scaled_ibs(std::uint64_t rate_multiplier) {
                                           rate_multiplier);
 }
 
+/// --scale (default `fallback`) for a run of the `names` workloads. A scale
+/// too small to build one of them is a usage error that names --scale and
+/// the smallest value all of them accept, thrown before any is built.
+inline double scale_from_args(const util::ArgParser& args, double fallback,
+                              const std::vector<std::string>& names) {
+  const double scale = args.get_double("scale", fallback);
+  double needed = 0.0;
+  for (const std::string& name : names) {
+    needed = std::max(needed, workloads::min_scale(name));
+  }
+  if (!(scale > 0.0 && scale >= needed)) {
+    std::ostringstream msg;
+    msg << "--scale=" << args.get("scale", "");
+    if (needed > 0.0) {
+      // Rounded up, so the value printed is itself accepted.
+      msg << " is too small to build "
+          << (names.size() == 1 ? names.front() : "every workload")
+          << "; the smallest accepted value is "
+          << std::ceil(needed * 1e4) / 1e4;
+    } else {
+      msg << " must be positive";
+    }
+    throw std::invalid_argument(msg.str());
+  }
+  return scale;
+}
+
 /// Workload selection: --workload=<name> restricts to one, default all.
 inline std::vector<workloads::WorkloadSpec> selected_specs(
     const util::ArgParser& args) {
-  const double scale = args.get_double("scale", 1.0);
   if (args.has("workload")) {
-    return {workloads::find_spec(args.get("workload", ""), scale)};
+    const std::string name = args.get("workload", "");
+    return {workloads::find_spec(name, scale_from_args(args, 1.0, {name}))};
   }
-  return workloads::table3_specs(scale);
+  return workloads::table3_specs(
+      scale_from_args(args, 1.0, workloads::table3_names()));
 }
 
 /// Engine selection shared by the benches: --threads=0 (default) keeps the

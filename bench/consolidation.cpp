@@ -44,15 +44,16 @@ struct TenantResult {
 
 enum class Mode { FirstTouch, TmpRaw, TmpDensity };
 
+// One instance each of a cache service, an HPC solver, and a random-access
+// kernel — deliberately mixing 4K and THP-backed tenants.
+const std::vector<std::string> kTenants{"data_caching", "lulesh", "gups"};
+
 std::vector<TenantResult> run(Mode mode, double scale, std::uint32_t epochs,
                               std::uint64_t ops_per_epoch,
                               std::uint64_t seed) {
-  // One instance each of a cache service, an HPC solver, and a random-
-  // access kernel — deliberately mixing 4K and THP-backed tenants.
-  const std::vector<std::string> tenants{"data_caching", "lulesh", "gups"};
   std::uint64_t total_bytes = 0;
   std::vector<workloads::WorkloadSpec> specs;
-  for (const auto& name : tenants) {
+  for (const auto& name : kTenants) {
     specs.push_back(workloads::find_spec(name, scale));
     total_bytes += specs.back().total_bytes;
   }
@@ -66,7 +67,7 @@ std::vector<TenantResult> run(Mode mode, double scale, std::uint32_t epochs,
     // One process per tenant keeps the attribution story crisp.
     const mem::Pid pid = system.add_process(
         workloads::make_workload(specs[t], 0, seed + t));
-    pids.emplace_back(tenants[t], pid);
+    pids.emplace_back(kTenants[t], pid);
   }
 
   core::DaemonConfig dcfg;
@@ -339,7 +340,7 @@ static int bench_main(int argc, char** argv) {
   if (args.get_bool("fleet", false)) return fleet_main(args);
   const std::uint32_t epochs = args.get_u32("epochs", 10);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 600'000);
-  const double scale = args.get_double("scale", 0.5);
+  const double scale = bench::scale_from_args(args, 0.5, kTenants);
   const std::uint64_t seed = args.get_u64("seed", 42);
 
   std::cout << "Consolidation: data_caching + lulesh + gups sharing one "

@@ -7,6 +7,17 @@
 
 namespace tmprof::monitors {
 
+namespace {
+
+/// Heap order of two used slots: colder first, lower index on ties.
+template <class Slots>
+bool colder(const Slots& slots, std::uint32_t a, std::uint32_t b) {
+  return slots[a].count != slots[b].count ? slots[a].count < slots[b].count
+                                          : a < b;
+}
+
+}  // namespace
+
 DevMonitor::DevMonitor(const DevMonConfig& config, const mem::PhysMemory& phys,
                        std::uint32_t cores)
     : config_(config), phys_(&phys) {
@@ -17,7 +28,8 @@ DevMonitor::DevMonitor(const DevMonConfig& config, const mem::PhysMemory& phys,
   lanes_.resize(cores);
   devices_.resize(phys.tier_count());
   for (std::size_t t = 1; t < devices_.size(); ++t) {
-    devices_[t].resize(config_.slots);
+    devices_[t].slots.resize(config_.slots);
+    reindex(devices_[t]);
   }
   report_.reserve(config_.slots);
 }
@@ -46,44 +58,114 @@ void DevMonitor::merge_lanes() {
   }
 }
 
-void DevMonitor::fold(std::vector<CounterSlot>& device, mem::Pfn pfn,
-                      std::uint32_t add) {
-  CounterSlot* free_slot = nullptr;
-  CounterSlot* min_slot = nullptr;
-  for (CounterSlot& s : device) {
-    if (s.used) {
-      if (s.pfn == pfn) {
-        s.count = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(std::uint64_t{s.count} + add,
-                                    config_.counter_max));
-        return;
-      }
-      if (min_slot == nullptr || s.count < min_slot->count) min_slot = &s;
-    } else if (free_slot == nullptr) {
-      free_slot = &s;
+void DevMonitor::fold(Device& device, mem::Pfn pfn, std::uint32_t add) {
+  auto saturated = [this](std::uint32_t count, std::uint32_t more) {
+    return static_cast<std::uint32_t>(std::min<std::uint64_t>(
+        std::uint64_t{count} + more, config_.counter_max));
+  };
+  if (const auto it = device.where.find(pfn); it != device.where.end()) {
+    const std::uint32_t i = it->second;
+    CounterSlot& s = device.slots[i];
+    if (s.used && s.pfn == pfn) {
+      s.count = saturated(s.count, add);
+      sift_down(device, device.heap_pos[i]);
+      return;
     }
   }
-  if (free_slot != nullptr) {
-    free_slot->used = true;
-    free_slot->pfn = pfn;
-    free_slot->count = std::min(add, config_.counter_max);
-    return;
+  std::uint32_t i = 0;
+  if (device.next_free < device.free.size()) {
+    // A newcomer takes the lowest free slot.
+    i = device.free[device.next_free++];
+    CounterSlot& s = device.slots[i];
+    s.used = true;
+    s.pfn = pfn;
+    s.count = std::min(add, config_.counter_max);
+    device.heap_pos[i] = static_cast<std::uint32_t>(device.heap.size());
+    device.heap.push_back(i);
+    sift_up(device, device.heap.size() - 1);
+  } else {
+    // Space-saving replacement: evict the coldest slot (ties → lowest
+    // index) and let the newcomer inherit its count, bounding the
+    // undercount.
+    ++evictions_;
+    i = device.heap.front();
+    CounterSlot& s = device.slots[i];
+    s.pfn = pfn;
+    s.count = saturated(s.count, add);
+    sift_down(device, 0);
   }
-  // Space-saving replacement: evict the coldest slot (ties → lowest index)
-  // and let the newcomer inherit its count, bounding the undercount.
-  ++evictions_;
-  min_slot->pfn = pfn;
-  min_slot->count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-      std::uint64_t{min_slot->count} + add, config_.counter_max));
+  device.where[pfn] = i;
+  // Evictions leave stale entries behind; drop them once they outnumber
+  // the live ones a few times over, so the index stays O(slots).
+  if (device.where.size() > 4 * device.slots.size()) reindex(device);
+}
+
+void DevMonitor::reindex(Device& device) {
+  const auto n = static_cast<std::uint32_t>(device.slots.size());
+  device.where.clear();
+  device.free.clear();
+  device.next_free = 0;
+  device.heap.clear();
+  device.heap_pos.assign(n, 0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const CounterSlot& s = device.slots[i];
+    if (s.used) {
+      device.where.try_emplace(s.pfn, i);
+      device.heap.push_back(i);
+    } else {
+      device.free.push_back(i);
+    }
+  }
+  // Ascending (count, index) order is a valid min-heap.
+  std::sort(device.heap.begin(), device.heap.end(),
+            [&device](std::uint32_t a, std::uint32_t b) {
+              return colder(device.slots, a, b);
+            });
+  for (std::size_t p = 0; p < device.heap.size(); ++p) {
+    device.heap_pos[device.heap[p]] = static_cast<std::uint32_t>(p);
+  }
+}
+
+void DevMonitor::sift_up(Device& device, std::size_t at) {
+  std::vector<std::uint32_t>& heap = device.heap;
+  const std::uint32_t slot = heap[at];
+  while (at > 0) {
+    const std::size_t parent = (at - 1) / 2;
+    if (!colder(device.slots, slot, heap[parent])) break;
+    heap[at] = heap[parent];
+    device.heap_pos[heap[at]] = static_cast<std::uint32_t>(at);
+    at = parent;
+  }
+  heap[at] = slot;
+  device.heap_pos[slot] = static_cast<std::uint32_t>(at);
+}
+
+void DevMonitor::sift_down(Device& device, std::size_t at) {
+  std::vector<std::uint32_t>& heap = device.heap;
+  const std::size_t n = heap.size();
+  const std::uint32_t slot = heap[at];
+  for (;;) {
+    std::size_t child = 2 * at + 1;
+    if (child >= n) break;
+    if (child + 1 < n && colder(device.slots, heap[child + 1], heap[child])) {
+      ++child;
+    }
+    if (!colder(device.slots, heap[child], slot)) break;
+    heap[at] = heap[child];
+    device.heap_pos[heap[at]] = static_cast<std::uint32_t>(at);
+    at = child;
+  }
+  heap[at] = slot;
+  device.heap_pos[slot] = static_cast<std::uint32_t>(at);
 }
 
 void DevMonitor::drain() {
   merge_lanes();
   ++drains_;
   for (std::size_t t = 1; t < devices_.size(); ++t) {
-    std::vector<CounterSlot>& device = devices_[t];
+    Device& device = devices_[t];
     report_.clear();
-    for (const CounterSlot& s : device) {
+    for (const CounterSlot& s : device.slots) {
       if (s.used) {
         report_.push_back(DevMonReportEntry{
             s.pfn, s.count, static_cast<mem::TierId>(t)});
@@ -100,11 +182,12 @@ void DevMonitor::drain() {
       if (drain_) drain_(std::span<const DevMonReportEntry>(report_));
     }
     if (config_.decay) {
-      for (CounterSlot& s : device) {
+      for (CounterSlot& s : device.slots) {
         if (!s.used) continue;
         s.count >>= 1;
         if (s.count == 0) s.used = false;
       }
+      reindex(device);
     }
   }
 }
@@ -117,9 +200,7 @@ std::uint64_t DevMonitor::observed() const noexcept {
 
 std::uint32_t DevMonitor::occupied(mem::TierId tier) const {
   if (tier >= devices_.size()) return 0;
-  std::uint32_t n = 0;
-  for (const CounterSlot& s : devices_[tier]) n += s.used ? 1 : 0;
-  return n;
+  return static_cast<std::uint32_t>(devices_[tier].heap.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -132,7 +213,7 @@ void DevMonitor::save_state(util::ckpt::Writer& w) const {
   w.put_bool(config_.decay);
   w.put_u64(devices_.size());
   for (std::size_t t = 1; t < devices_.size(); ++t) {
-    for (const CounterSlot& s : devices_[t]) {
+    for (const CounterSlot& s : devices_[t].slots) {
       w.put_bool(s.used);
       w.put_u64(s.pfn);
       w.put_u32(s.count);
@@ -167,11 +248,12 @@ void DevMonitor::load_state(util::ckpt::Reader& r) {
     throw util::ckpt::CkptError("devmon", "tier-chain length mismatch");
   }
   for (std::size_t t = 1; t < devices_.size(); ++t) {
-    for (CounterSlot& s : devices_[t]) {
+    for (CounterSlot& s : devices_[t].slots) {
       s.used = r.get_bool();
       s.pfn = r.get_u64();
       s.count = r.get_u32();
     }
+    reindex(devices_[t]);
   }
   observed_ = r.get_u64();
   evictions_ = r.get_u64();

@@ -95,6 +95,24 @@ class DevMonitor final : public AccessObserver {
     bool used = false;
   };
 
+  /// One device's counter array plus the indexes that make a fold cost
+  /// O(log slots) instead of a scan: the space-saving "stream summary"
+  /// layout. Only `slots` is state (checkpointed, reported); the rest is
+  /// derived from it by reindex().
+  struct Device {
+    std::vector<CounterSlot> slots;
+    /// pfn → slot for every used slot. An eviction leaves the victim's
+    /// entry behind; it is stale (the slot holds another pfn) and fold()
+    /// treats it as absent.
+    util::FlatHashMap<std::uint64_t, std::uint32_t, util::U64Hash> where;
+    std::vector<std::uint32_t> free;  ///< unused slots, ascending
+    std::size_t next_free = 0;        ///< free[next_free..] still unused
+    /// Used slots as a binary min-heap on (count, slot index): the root is
+    /// the coldest slot, lowest index on ties — the eviction victim.
+    std::vector<std::uint32_t> heap;
+    std::vector<std::uint32_t> heap_pos;  ///< slot → its position in heap
+  };
+
   /// Per-core tally a shard's worker thread owns exclusively.
   struct CoreLane {
     util::FlatHashMap<std::uint64_t, std::uint32_t, util::U64Hash> counts;
@@ -102,8 +120,12 @@ class DevMonitor final : public AccessObserver {
   };
 
   void merge_lanes();
-  void fold(std::vector<CounterSlot>& device, mem::Pfn pfn,
-            std::uint32_t add);
+  void fold(Device& device, mem::Pfn pfn, std::uint32_t add);
+  /// Rebuild a device's indexes from its slots (after construction, the
+  /// halving decay and load_state; halving can reorder ties).
+  static void reindex(Device& device);
+  static void sift_up(Device& device, std::size_t at);
+  static void sift_down(Device& device, std::size_t at);
 
   DevMonConfig config_;
   const mem::PhysMemory* phys_;
@@ -111,7 +133,7 @@ class DevMonitor final : public AccessObserver {
   bool sharded_ = false;
   std::vector<CoreLane> lanes_;
   /// Indexed by tier id; tier 0 (fastest) has no device counter array.
-  std::vector<std::vector<CounterSlot>> devices_;
+  std::vector<Device> devices_;
   std::vector<DevMonReportEntry> report_;  ///< drain scratch, capacity kept
   std::uint64_t observed_ = 0;             ///< merged-lane total
   std::uint64_t evictions_ = 0;

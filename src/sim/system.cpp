@@ -3,7 +3,6 @@
 #include "util/ckpt.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "mem/ptw.hpp"
@@ -168,35 +167,16 @@ void System::set_telemetry(telemetry::Telemetry* telemetry) {
 }
 
 void System::rebuild_schedule() {
-  // Each process appears round(weight * 8) times (>= 1) in the rotation.
-  schedule_.clear();
-  double min_weight = 1e9;
-  for (const auto& p : processes_) min_weight = std::min(min_weight, p->weight());
-  for (std::uint32_t i = 0; i < processes_.size(); ++i) {
-    const double w = processes_[i]->weight() / min_weight;
-    const auto slots = static_cast<std::uint32_t>(std::lround(w * 1.0));
-    for (std::uint32_t s = 0; s < std::max(1U, slots); ++s) {
-      schedule_.push_back(i);
-    }
+  std::vector<double> weights;
+  std::vector<std::uint32_t> shard_of;
+  weights.reserve(processes_.size());
+  shard_of.reserve(processes_.size());
+  for (const auto& p : processes_) {
+    weights.push_back(p->weight());
+    shard_of.push_back(static_cast<std::uint32_t>(p->pid()) % config_.cores);
   }
-  // Interleave: sort by (slot index within process, process index) so the
-  // rotation spreads each process's slots out rather than clustering them.
-  std::vector<std::uint32_t> interleaved;
-  interleaved.reserve(schedule_.size());
-  std::vector<std::uint32_t> remaining(processes_.size(), 0);
-  for (std::uint32_t idx : schedule_) remaining[idx] += 1;
-  bool any = true;
-  while (any) {
-    any = false;
-    for (std::uint32_t i = 0; i < remaining.size(); ++i) {
-      if (remaining[i] > 0) {
-        interleaved.push_back(i);
-        --remaining[i];
-        any = true;
-      }
-    }
-  }
-  schedule_ = std::move(interleaved);
+  schedule_ = weighted_schedule(weights);
+  shard_schedule_.rebuild(schedule_, shard_of, config_.cores);
   schedule_cursor_ = 0;
 }
 
@@ -240,12 +220,11 @@ util::SimNs System::step_parallel(std::uint64_t ops, util::ThreadPool* pool) {
     std::uint64_t executed = 0;
   };
   std::vector<Shard> shards(n_cores);
-  const std::size_t len = schedule_.size();
 
-  // Every shard scans the same `ops` schedule positions and executes only
-  // its own processes' slots, so the global op interleaving — and with it
-  // each shard's reference stream — is a pure function of the schedule,
-  // never of thread timing.
+  // Every shard executes its own processes' slots among the same `ops`
+  // schedule positions, visiting only those slots, so the global op
+  // interleaving — and with it each shard's reference stream — is a pure
+  // function of the schedule, never of thread timing.
   auto run_shard = [&](std::uint32_t s) {
     Shard& shard = shards[s];
     ExecContext ctx;
@@ -260,15 +239,11 @@ util::SimNs System::step_parallel(std::uint64_t ops, util::ThreadPool* pool) {
       ctx.ops = shard_ops_[s];
       ctx.latency = shard_latency_[s];
     }
-    std::size_t cursor = schedule_cursor_;
-    for (std::uint64_t i = 0; i < ops; ++i) {
-      const std::uint32_t proc_idx = schedule_[cursor];
-      cursor = cursor + 1 == len ? 0 : cursor + 1;
-      Process& proc = *processes_[proc_idx];
-      if (static_cast<std::uint32_t>(proc.pid()) % n_cores != s) continue;
+    shard_schedule_.walk(s, schedule_cursor_, ops, [&](std::uint32_t idx) {
+      Process& proc = *processes_[idx];
       const workloads::MemRef ref = proc.workload().next();
       access_impl(proc, proc.vaddr_of(ref.offset), ref.is_store, ref.ip, ctx);
-    }
+    });
     shard.elapsed = ctx.now - start;
   };
 
@@ -303,7 +278,7 @@ util::SimNs System::step_parallel(std::uint64_t ops, util::ThreadPool* pool) {
     max_elapsed = std::max(max_elapsed, shard.elapsed);
     total_ops_ += shard.executed;
   }
-  schedule_cursor_ = (schedule_cursor_ + ops) % len;
+  schedule_cursor_ = (schedule_cursor_ + ops) % schedule_.size();
   // Cores ran concurrently: wall-clock advances by the slowest shard. Each
   // core's event stream stays monotone because its next epoch starts at or
   // after its own elapsed time.

@@ -18,6 +18,7 @@
 #include "pmu/counters.hpp"
 #include "sim/config.hpp"
 #include "sim/process.hpp"
+#include "sim/schedule.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/time.hpp"
 
@@ -108,7 +109,8 @@ class System {
   util::SimNs step(std::uint64_t ops);
 
   /// Sharded-engine epoch step: every simulated core replays its own
-  /// processes' slice of the same `ops` schedule positions against
+  /// processes' slice of the same `ops` schedule positions (walking only
+  /// its own positions, ShardSchedule) against
   /// core-private TLB/L1/L2/LLC-slice/arena/PMU state, then shard results
   /// merge at an epoch barrier in ascending core order. Requires
   /// `config().sharded_engine`, no fault hook (BadgerTrap is fine) and a
@@ -202,6 +204,7 @@ class System {
   std::vector<telemetry::HistogramHandle> shard_latency_;
 
   std::vector<std::uint32_t> schedule_;  ///< weighted process indices
+  ShardSchedule shard_schedule_;         ///< schedule_ split by core
   std::size_t schedule_cursor_ = 0;
   util::SimNs now_ = 0;
   std::uint64_t total_ops_ = 0;

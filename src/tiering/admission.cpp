@@ -5,6 +5,7 @@
 
 #include "telemetry/telemetry.hpp"
 #include "tiering/tenant.hpp"
+#include "util/assert.hpp"
 #include "util/ckpt.hpp"
 
 namespace tmprof::tiering {
@@ -87,8 +88,15 @@ void AdmissionController::refill(util::SimNs now) {
   }
 }
 
+AdmissionController::PageHistory& AdmissionController::history_of(
+    const PageKey& key) {
+  const auto [h, inserted] = history_.try_emplace(key);
+  if (inserted && keys_sorted_) new_keys_.push_back(key);
+  return *h;
+}
+
 void AdmissionController::record(const PageKey& key, std::uint64_t rank) {
-  PageHistory& h = history_[key];
+  PageHistory& h = history_of(key);
   if (h.len > 0 && h.last_epoch == epoch_) {
     h.ranks[0] = std::max(h.ranks[0], rank);
     return;
@@ -162,6 +170,8 @@ void AdmissionController::compact() {
   }
   history_.swap(compact_scratch_);
   compact_scratch_.clear();
+  keys_sorted_ = false;
+  new_keys_.clear();
 }
 
 void AdmissionController::retune() {
@@ -286,7 +296,7 @@ AdmissionDecision AdmissionController::decide(const PageKey& key,
 
 void AdmissionController::note_demoted(const PageKey& key) {
   if (!enabled()) return;
-  PageHistory& h = history_[key];
+  PageHistory& h = history_of(key);
   h.demote_epoch = epoch_;
   if (h.promote_epoch != 0 &&
       epoch_ - h.promote_epoch > config_.cooldown_epochs) {
@@ -309,17 +319,55 @@ void AdmissionController::save_state(util::ckpt::Writer& w) const {
   w.put_bool(throttled_this_epoch_);
   w.put_u64(last_pressure_total_);
   w.put_u64(history_.size());
-  history_.fold_sorted([&](const PageKey& key, const PageHistory& h) {
-    w.put_u64(key.pid);
-    w.put_u64(key.page_va);
-    w.put_u32(h.last_epoch);
-    w.put_u32(h.promote_epoch);
-    w.put_u32(h.demote_epoch);
-    w.put_u32(h.cooldown_until);
-    w.put_u8(h.len);
-    w.put_u8(h.strikes);
-    for (std::uint8_t i = 0; i < h.len; ++i) w.put_u64(h.ranks[i]);
-  });
+  // Per entry, as put_u64(pid), put_u64(page_va), put_u32 x4 (last,
+  // promote, demote, cooldown epochs), put_u8(len), put_u8(strikes), then
+  // put_u64 per live rank.
+  auto put_entry = [&w](const PageKey& key, const PageHistory& h) {
+    constexpr std::size_t kFixedBytes = 8 + 8 + 4 * 4 + 1 + 1;
+    std::uint8_t* at = w.extend(kFixedBytes + std::size_t{8} * h.len);
+    util::ckpt::pack_le(at, static_cast<std::uint64_t>(key.pid));
+    util::ckpt::pack_le(at, key.page_va);
+    util::ckpt::pack_le(at, h.last_epoch);
+    util::ckpt::pack_le(at, h.promote_epoch);
+    util::ckpt::pack_le(at, h.demote_epoch);
+    util::ckpt::pack_le(at, h.cooldown_until);
+    util::ckpt::pack_le(at, h.len);
+    util::ckpt::pack_le(at, h.strikes);
+    for (std::uint8_t i = 0; i < h.len; ++i) {
+      util::ckpt::pack_le(at, h.ranks[i]);
+    }
+  };
+  if (!keys_sorted_) {
+    sorted_keys_.clear();
+    sorted_keys_.reserve(history_.size());
+    history_.fold_sorted([&](const PageKey& key, const PageHistory& h) {
+      sorted_keys_.push_back(key);
+      put_entry(key, h);
+    });
+    keys_sorted_ = true;
+    new_keys_.clear();
+  } else {
+    if (!new_keys_.empty()) {
+      // Merge from the back, in place: the largest remaining key of
+      // either run goes to the highest free position.
+      std::sort(new_keys_.begin(), new_keys_.end());
+      std::size_t old_n = sorted_keys_.size();
+      std::size_t new_n = new_keys_.size();
+      sorted_keys_.resize(old_n + new_n);
+      for (std::size_t out = sorted_keys_.size(); new_n > 0;) {
+        if (old_n > 0 && new_keys_[new_n - 1] < sorted_keys_[old_n - 1]) {
+          sorted_keys_[--out] = sorted_keys_[--old_n];
+        } else {
+          sorted_keys_[--out] = new_keys_[--new_n];
+        }
+      }
+      new_keys_.clear();
+    }
+    TMPROF_ASSERT(sorted_keys_.size() == history_.size());
+    for (const PageKey& key : sorted_keys_) {
+      put_entry(key, history_.find(key)->second);
+    }
+  }
   registry_.save_state(w);
 }
 
@@ -341,6 +389,8 @@ void AdmissionController::load_state(util::ckpt::Reader& r) {
     throw util::ckpt::CkptError("admission", "refill carry out of range");
   }
   history_.clear();
+  keys_sorted_ = false;
+  new_keys_.clear();
   const std::uint64_t n = r.get_u64();
   history_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {

@@ -201,6 +201,8 @@ class AdmissionController {
   };
 
   void refill(util::SimNs now);
+  /// history_[key], noting a newly inserted key for save_state's order.
+  PageHistory& history_of(const PageKey& key);
   void record(const PageKey& key, std::uint64_t rank);
   void compact();
   void retune();
@@ -211,6 +213,13 @@ class AdmissionController {
   AdmissionConfig config_;
   core::PageMap<PageHistory> history_;
   core::PageMap<PageHistory> compact_scratch_;
+  /// history_'s keys in ascending order as of the last save, once
+  /// `keys_sorted_`; `new_keys_` holds the keys inserted since, so a save
+  /// sorts only those and merges them in. compact() and load_state drop
+  /// the order, and the next save rebuilds it with a full sort.
+  mutable std::vector<PageKey> sorted_keys_;
+  mutable std::vector<PageKey> new_keys_;
+  mutable bool keys_sorted_ = false;
   std::uint32_t epoch_ = 0;  ///< 1-based; 0 = begin_epoch never called
   std::uint64_t tokens_ = 0;
   std::uint64_t refill_carry_ = 0;  ///< sub-token remainder, < kSecond

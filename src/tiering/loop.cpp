@@ -20,7 +20,9 @@ EpochLoop::EpochLoop(const WorkloadFactory& factory,
         if (options.n_threads >= 1) sharded.sharded_engine = true;
         return sharded;
       }()),
-      system_(config_) {
+      system_(config_),
+      retention_(options.checkpoint.dir, options.checkpoint.basename,
+                 options.checkpoint.keep_last) {
   if (options.checkpoint.enabled()) {
     // Best-effort mkdir -p; a dir that still can't be written to surfaces
     // as a CkptError("<io>") from the first save_atomic.
@@ -117,7 +119,7 @@ void EpochLoop::run(const std::string& resume_path,
       util::ckpt::Writer::save_atomic(
           util::ckpt::checkpoint_path(ckpt.dir, ckpt.basename, e + 1),
           image_);
-      util::ckpt::prune(ckpt.dir, ckpt.basename, ckpt.keep_last);
+      retention_.saved(e + 1);
     }
     if (options_.on_epoch) options_.on_epoch(e);
   }

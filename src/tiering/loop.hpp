@@ -103,6 +103,7 @@ class EpochLoop {
   /// The last checkpoint image; each save rebuilds it in place, keeping
   /// its capacity.
   std::vector<std::uint8_t> image_;
+  util::ckpt::Retention retention_;
   telemetry::Counter epochs_counter_;
   std::uint32_t start_epoch_ = 0;
   std::uint32_t epochs_done_ = 0;  ///< resume epoch written into "meta"

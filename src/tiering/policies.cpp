@@ -30,28 +30,28 @@ PlacementSet HistoryPolicy::choose(const PolicyContext& ctx) {
   }
   // Among equally-ranked pages, prefer ones already resident in tier 1:
   // sparse profiles produce many rank ties, and migrating between
-  // equally-hot pages is pure cost.
-  std::vector<const core::PageRank*> order;
-  order.reserve(ctx.observed_ranking->size());
-  for (const core::PageRank& pr : *ctx.observed_ranking) order.push_back(&pr);
-  auto effective_rank = [&](const core::PageRank* pr) {
-    if (!density_rank_) return pr->rank;
-    return pr->rank / frames_of(ctx, pr->key);
+  // equally-hot pages is pure cost. Rank and residency are looked up once
+  // per candidate, not per comparison.
+  struct Candidate {
+    std::uint64_t rank;  ///< effective rank (per frame in density mode)
+    bool resident;
+    PageKey key;
   };
+  std::vector<Candidate> order;
+  order.reserve(ctx.observed_ranking->size());
+  for (const core::PageRank& pr : *ctx.observed_ranking) {
+    order.push_back(Candidate{
+        density_rank_ ? pr.rank / frames_of(ctx, pr.key) : pr.rank,
+        ctx.current != nullptr && ctx.current->count(pr.key) != 0, pr.key});
+  }
   std::stable_sort(order.begin(), order.end(),
-                   [&](const core::PageRank* a, const core::PageRank* b) {
-                     const std::uint64_t ra = effective_rank(a);
-                     const std::uint64_t rb = effective_rank(b);
-                     if (ra != rb) return ra > rb;
-                     if (ctx.current != nullptr) {
-                       return ctx.current->count(a->key) >
-                              ctx.current->count(b->key);
-                     }
-                     return false;
+                   [](const Candidate& a, const Candidate& b) {
+                     if (a.rank != b.rank) return a.rank > b.rank;
+                     return a.resident > b.resident;
                    });
   std::vector<PageKey> ordered;
   ordered.reserve(order.size());
-  for (const core::PageRank* pr : order) ordered.push_back(pr->key);
+  for (const Candidate& c : order) ordered.push_back(c.key);
   return take_until_full(ordered, ctx);
 }
 

@@ -377,47 +377,80 @@ bool parse_epoch(const std::string& filename, const std::string& basename,
   return true;
 }
 
+/// `<basename>-e<epoch>.tmck`, the epoch zero-padded to 8 digits.
+std::string checkpoint_name(const std::string& basename, std::uint32_t epoch) {
+  char buf[16];
+  std::snprintf(buf, sizeof buf, "%08u", epoch);
+  return basename + "-e" + buf + kExtension;
+}
+
+using Listing = std::vector<std::pair<std::uint32_t, std::string>>;
+
+/// Every `basename` checkpoint in `dir` as (epoch, file name).
+Listing list_checkpoints(const std::string& dir, const std::string& basename) {
+  std::error_code ec;
+  Listing found;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    std::string filename = entry.path().filename().string();
+    std::uint32_t epoch = 0;
+    if (parse_epoch(filename, basename, &epoch)) {
+      found.emplace_back(epoch, std::move(filename));
+    }
+  }
+  return found;
+}
+
+/// Order `found` newest first (file name breaks an epoch tie) and delete
+/// all but its first `keep_last` entries from `dir`, and from `found`.
+void keep_newest(const std::string& dir, Listing& found,
+                 std::uint32_t keep_last) {
+  if (found.size() <= keep_last) return;
+  std::sort(found.begin(), found.end(), std::greater<>());
+  std::error_code ec;
+  for (std::size_t i = keep_last; i < found.size(); ++i) {
+    std::filesystem::remove(std::filesystem::path(dir) / found[i].second, ec);
+  }
+  found.resize(keep_last);
+}
+
 }  // namespace
 
 std::string checkpoint_path(const std::string& dir, const std::string& basename,
                             std::uint32_t epoch) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%08u", epoch);
-  return dir + "/" + basename + "-e" + buf + kExtension;
+  return dir + "/" + checkpoint_name(basename, epoch);
 }
 
 std::string latest_in(const std::string& dir, const std::string& basename) {
-  std::error_code ec;
-  std::uint32_t best_epoch = 0;
-  std::string best;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    std::uint32_t epoch = 0;
-    const std::string filename = entry.path().filename().string();
-    if (!parse_epoch(filename, basename, &epoch)) continue;
-    if (best.empty() || epoch > best_epoch) {
-      best_epoch = epoch;
-      best = entry.path().string();
-    }
-  }
-  return best;
+  const Listing found = list_checkpoints(dir, basename);
+  const auto newest = std::max_element(found.begin(), found.end());
+  if (newest == found.end()) return "";
+  return (std::filesystem::path(dir) / newest->second).string();
 }
 
 void prune(const std::string& dir, const std::string& basename,
            std::uint32_t keep_last) {
-  std::error_code ec;
-  std::vector<std::pair<std::uint32_t, std::filesystem::path>> found;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    std::uint32_t epoch = 0;
-    if (parse_epoch(entry.path().filename().string(), basename, &epoch)) {
-      found.emplace_back(epoch, entry.path());
+  Listing found = list_checkpoints(dir, basename);
+  keep_newest(dir, found, keep_last);
+}
+
+Retention::Retention(std::string dir, std::string basename,
+                     std::uint32_t keep_last)
+    : dir_(std::move(dir)), basename_(std::move(basename)),
+      keep_last_(keep_last) {}
+
+void Retention::saved(std::uint32_t epoch) {
+  if (!listed_) {
+    kept_ = list_checkpoints(dir_, basename_);
+    listed_ = true;
+  } else {
+    // A save over a file still in the window (a resumed run re-reaching a
+    // stale epoch) replaces it in place.
+    std::pair entry{epoch, checkpoint_name(basename_, epoch)};
+    if (std::find(kept_.begin(), kept_.end(), entry) == kept_.end()) {
+      kept_.push_back(std::move(entry));
     }
   }
-  if (found.size() <= keep_last) return;
-  std::sort(found.begin(), found.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  for (std::size_t i = keep_last; i < found.size(); ++i) {
-    std::filesystem::remove(found[i].second, ec);
-  }
+  keep_newest(dir_, kept_, keep_last_);
 }
 
 }  // namespace tmprof::util::ckpt

@@ -289,4 +289,26 @@ struct Options {
 void prune(const std::string& dir, const std::string& basename,
            std::uint32_t keep_last);
 
+/// prune() for one writer of a checkpoint directory, at a cost per save
+/// that does not grow with the directory: the first saved() lists `dir`
+/// and prunes it; later calls delete only what falls out of the newest
+/// `keep_last` window. Nothing else may add or remove `basename`
+/// checkpoints in `dir` meanwhile.
+class Retention {
+ public:
+  Retention(std::string dir, std::string basename, std::uint32_t keep_last);
+
+  /// Call after each save_atomic of `checkpoint_path(dir, basename,
+  /// epoch)`; leaves `dir` as prune() would.
+  void saved(std::uint32_t epoch);
+
+ private:
+  std::string dir_;
+  std::string basename_;
+  std::uint32_t keep_last_;
+  bool listed_ = false;
+  /// The checkpoints left in dir_, as (epoch, file name).
+  std::vector<std::pair<std::uint32_t, std::string>> kept_;
+};
+
 }  // namespace tmprof::util::ckpt

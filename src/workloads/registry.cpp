@@ -1,5 +1,6 @@
 #include "workloads/registry.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "util/assert.hpp"
@@ -99,6 +100,42 @@ WorkloadPtr make_workload(const WorkloadSpec& spec,
                                              per_proc / 32, proc_seed);
   }
   throw std::out_of_range("unknown workload: " + spec.name);
+}
+
+bool buildable(const WorkloadSpec& spec) {
+  // The generators' size preconditions, on make_workload's split of the
+  // per-process footprint.
+  const std::uint64_t per_proc = spec.total_bytes / spec.processes;
+  if (spec.name == "data_analytics") {
+    return per_proc * 7 / 8 >= (1U << 20) && per_proc / 8 >= (1U << 16);
+  }
+  if (spec.name == "data_caching") return per_proc * 16 / 17 >= 1024 * 64;
+  if (spec.name == "graph500") return per_proc / 137 >= 4096;
+  if (spec.name == "graph_analytics") return per_proc / 16 >= 4096;
+  if (spec.name == "gups") return per_proc >= mem::kHugePageSize;
+  if (spec.name == "lulesh") return per_proc >= 8 * 64 * 1024;  // 8 arrays
+  if (spec.name == "web_serving") return per_proc >= (1U << 20);
+  if (spec.name == "xsbench") {
+    return per_proc * 31 / 32 >= mem::kHugePageSize && per_proc / 32 >= 4096;
+  }
+  throw std::out_of_range("unknown workload: " + spec.name);
+}
+
+double min_scale(const std::string& name) {
+  // Scaled footprints step in huge pages from a one-huge-page floor, so
+  // the answer is the scale of the first buildable step, moved to the
+  // exact double boundary of scaled()'s rounding.
+  const WorkloadSpec full = find_spec(name, 1.0);
+  WorkloadSpec spec = full;
+  spec.total_bytes = mem::kHugePageSize;
+  if (buildable(spec)) return 0.0;
+  while (!buildable(spec)) spec.total_bytes += mem::kHugePageSize;
+  double scale = static_cast<double>(spec.total_bytes) /
+                 static_cast<double>(full.total_bytes);
+  const auto at = [&name](double s) { return buildable(find_spec(name, s)); };
+  while (!at(scale)) scale = std::nextafter(scale, 1.0);
+  while (at(std::nextafter(scale, 0.0))) scale = std::nextafter(scale, 0.0);
+  return scale;
 }
 
 }  // namespace tmprof::workloads

@@ -36,6 +36,15 @@ struct WorkloadSpec {
                                         std::uint32_t process_index,
                                         std::uint64_t seed);
 
+/// Whether make_workload can build every process of `spec`: each
+/// generator has a minimum size, which a small enough scale undercuts.
+[[nodiscard]] bool buildable(const WorkloadSpec& spec);
+
+/// Smallest `scale` at which find_spec(name, scale) is buildable (every
+/// larger scale is too), or 0 when every positive scale is; throws
+/// std::out_of_range for unknown names.
+[[nodiscard]] double min_scale(const std::string& name);
+
 /// Convenience: names of all Table III workloads in paper order.
 [[nodiscard]] std::vector<std::string> table3_names();
 

@@ -9,10 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <vector>
 
 #include "telemetry/telemetry.hpp"
 #include "tiering/mover.hpp"
 #include "tiering/runner.hpp"
+#include "util/ckpt.hpp"
+#include "util/rng.hpp"
 #include "workloads/registry.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -391,6 +395,71 @@ TEST(AdmissionUnit, ControllerCheckpointRoundTripsBitwise) {
   b.save_state(wb);
   wb.end_section();
   EXPECT_EQ(wa.finish(), wb.finish());
+}
+
+std::vector<std::uint8_t> admission_image(const AdmissionController& c) {
+  util::ckpt::Writer w;
+  w.begin_section("admission");
+  c.save_state(w);
+  w.end_section();
+  return w.finish();
+}
+
+std::unique_ptr<AdmissionController> loaded_from(
+    const AdmissionConfig& cfg, const std::vector<std::uint8_t>& image) {
+  auto c = std::make_unique<AdmissionController>(cfg);
+  util::ckpt::Reader r(image);
+  r.enter_section("admission");
+  c->load_state(r);
+  r.end_section();
+  return c;
+}
+
+// Saves keep the history's key order across saves and merge in only the
+// keys inserted since; a controller freshly loaded from the same image
+// sorts its whole history (fold_sorted order) at its first save, so the
+// two images must be identical after any sequence of records, demotions
+// and compactions.
+TEST(AdmissionUnit, IncrementalSaveOrderMatchesFullSort) {
+  util::Rng rng(0xad5a7eULL);
+  for (int trial = 0; trial < 40; ++trial) {
+    AdmissionConfig cfg;
+    cfg.mode = AdmissionMode::Adaptive;
+    cfg.min_history = 1;
+    cfg.history_epochs = 1 + static_cast<std::uint32_t>(rng.below(4));
+    cfg.cooldown_epochs = 1 + static_cast<std::uint32_t>(rng.below(3));
+    // A small bound makes compact() run often.
+    cfg.max_history_pages = 8 + rng.below(40);
+    auto a = std::make_unique<AdmissionController>(cfg);
+    util::SimNs now = 0;
+    for (int step = 0; step < 120; ++step) {
+      const std::uint64_t roll = rng.below(10);
+      if (roll < 4) {
+        std::vector<core::PageRank> ranking;
+        for (std::uint64_t i = rng.below(12); i > 0; --i) {
+          core::PageRank pr;
+          pr.key = PageKey{static_cast<mem::Pid>(1 + rng.below(3)),
+                           rng.below(200) << mem::kPageShift};
+          pr.rank = 1 + rng.below(50);
+          ranking.push_back(pr);
+        }
+        now += util::kMillisecond;
+        a->begin_epoch(now, ranking);
+      } else if (roll < 6) {
+        a->note_demoted(PageKey{static_cast<mem::Pid>(1 + rng.below(3)),
+                                rng.below(200) << mem::kPageShift});
+      } else if (roll < 7) {
+        (void)a->decide(PageKey{static_cast<mem::Pid>(1 + rng.below(3)),
+                                rng.below(200) << mem::kPageShift},
+                        kPageBytes);
+      } else {
+        const std::vector<std::uint8_t> image = admission_image(*a);
+        ASSERT_EQ(image, admission_image(*loaded_from(cfg, image)))
+            << "trial " << trial << " step " << step;
+        if (roll == 9) a = loaded_from(cfg, image);  // resume mid-stream
+      }
+    }
+  }
 }
 
 TEST(AdmissionUnit, LoadRejectsCorruptBucketState) {

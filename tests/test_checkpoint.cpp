@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -1255,6 +1256,66 @@ TEST(CkptResume, SketchModeCollectResumesIdentical) {
   const EpochSeries exact_resumed =
       collect_series(spec, tiny_config(), exact_resume);
   EXPECT_EQ(series_image(exact_resumed), series_image(exact_reference));
+}
+
+/// Names of the files in `dir`, sorted.
+std::vector<std::string> listing(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+// The loop lists its checkpoint directory only at an attempt's first save
+// and then deletes just the checkpoint that leaves the keep_last window.
+// After every save the directory must hold exactly what prune() leaves in
+// a mirror directory given the same files, here for a resumed run among
+// stale files: older epochs, newer epochs it overwrites, an unpadded
+// epoch name above all of them, and another basename.
+TEST(CkptResume, RetentionMatchesPruneAfterEverySave) {
+  const auto spec = workloads::find_spec("gups", 0.05);
+  for (const std::uint32_t keep_last : {0U, 1U, 2U, 4U}) {
+    const std::string label = "keep_last " + std::to_string(keep_last);
+    const fs::path root = fs::path(::testing::TempDir()) / "tmprof-retention";
+    const fs::path dir = root / "run";
+    const fs::path mirror = root / "mirror";
+    fs::remove_all(root);
+    fs::create_directories(dir);
+    fs::create_directories(mirror);
+
+    // A previous run's checkpoints, every epoch, all kept.
+    RunnerOptions first = tiny_runner("history");
+    first.checkpoint.every = 1;
+    first.checkpoint.dir = dir.string();
+    first.checkpoint.keep_last = 16;
+    (void)EndToEndRunner::run(spec, tiny_config(), first);
+    const std::vector<std::uint8_t> empty = Writer().finish();
+    Writer::save_atomic((dir / "ckpt-e9.tmck").string(), empty);
+    Writer::save_atomic(util::ckpt::checkpoint_path(dir.string(), "other", 1),
+                        empty);
+    for (const std::string& name : listing(dir)) {
+      fs::copy_file(dir / name, mirror / name);
+    }
+
+    RunnerOptions resume = tiny_runner("history");
+    resume.checkpoint.every = 1;
+    resume.checkpoint.dir = dir.string();
+    resume.checkpoint.keep_last = keep_last;
+    resume.checkpoint.resume_from =
+        util::ckpt::checkpoint_path(dir.string(), "ckpt", 2);
+    std::uint32_t saves = 0;
+    resume.on_epoch = [&](std::uint32_t e) {
+      Writer::save_atomic(
+          util::ckpt::checkpoint_path(mirror.string(), "ckpt", e + 1), empty);
+      util::ckpt::prune(mirror.string(), "ckpt", keep_last);
+      EXPECT_EQ(listing(dir), listing(mirror)) << label << " epoch " << e;
+      ++saves;
+    };
+    (void)EndToEndRunner::run(spec, tiny_config(), resume);
+    EXPECT_EQ(saves, 3U) << label;  // epochs 3, 4 and 5
+  }
 }
 
 TEST(CkptResume, CorruptCheckpointFallsBackToColdStart) {

@@ -8,13 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/ranking.hpp"
 #include "tiering/runner.hpp"
+#include "util/ckpt.hpp"
+#include "util/rng.hpp"
 #include "workloads/registry.hpp"
 
 namespace tmprof::monitors {
@@ -170,6 +175,225 @@ TEST(DevMon, LaneMergeIsCoreAssignmentInvariant) {
     EXPECT_EQ(a[i].tier, b[i].tier) << i;
   }
   EXPECT_EQ(spread.observed(), packed.observed());
+}
+
+// ---------------------------------------------------------------------------
+// Differential check of the indexed fold against the linear scan it
+// replaced: the reference model below keeps the scan (match, first free
+// slot, first strict minimum) and writes the monitor's checkpoint layout,
+// so equal images mean equal slots, lanes and statistics.
+
+class ScanDevMon {
+ public:
+  ScanDevMon(const DevMonConfig& config, const mem::PhysMemory& phys,
+             std::uint32_t cores)
+      : config_(config), phys_(&phys), lanes_(cores),
+        devices_(phys.tier_count()) {
+    for (std::size_t t = 1; t < devices_.size(); ++t) {
+      devices_[t].resize(config.slots);
+    }
+  }
+
+  void on_mem_op(const MemOpEvent& event) {
+    if (!mem::is_memory(event.source)) return;
+    const mem::Pfn pfn = mem::pfn_of(event.paddr);
+    if (phys_->tier_of(pfn) == 0) return;
+    ++lanes_[event.core].counts[pfn];
+    ++lanes_[event.core].observed;
+  }
+
+  void merge_lanes() {
+    for (Lane& lane : lanes_) {
+      observed_ += lane.observed;
+      lane.observed = 0;
+      for (const auto& [pfn, add] : lane.counts) {  // ascending pfn
+        fold(devices_[phys_->tier_of(pfn)], pfn, add);
+      }
+      lane.counts.clear();
+    }
+  }
+
+  std::vector<DevMonReportEntry> drain() {
+    merge_lanes();
+    ++drains_;
+    std::vector<DevMonReportEntry> out;
+    for (std::size_t t = 1; t < devices_.size(); ++t) {
+      std::vector<DevMonReportEntry> report;
+      for (const Slot& s : devices_[t]) {
+        if (s.used) {
+          report.push_back({s.pfn, s.count, static_cast<mem::TierId>(t)});
+        }
+      }
+      std::sort(report.begin(), report.end(),
+                [](const DevMonReportEntry& a, const DevMonReportEntry& b) {
+                  if (a.count != b.count) return a.count > b.count;
+                  return a.pfn < b.pfn;
+                });
+      if (report.size() > config_.top_k) report.resize(config_.top_k);
+      reported_ += report.size();
+      out.insert(out.end(), report.begin(), report.end());
+      if (config_.decay) {
+        for (Slot& s : devices_[t]) {
+          if (!s.used) continue;
+          s.count >>= 1;
+          if (s.count == 0) s.used = false;
+        }
+      }
+    }
+    return out;
+  }
+
+  std::vector<std::uint8_t> image() const {
+    util::ckpt::Writer w;
+    w.begin_section("devmon");
+    w.put_u32(config_.slots);
+    w.put_u32(config_.top_k);
+    w.put_u32(config_.counter_max);
+    w.put_bool(config_.decay);
+    w.put_u64(devices_.size());
+    for (std::size_t t = 1; t < devices_.size(); ++t) {
+      for (const Slot& s : devices_[t]) {
+        w.put_bool(s.used);
+        w.put_u64(s.pfn);
+        w.put_u32(s.count);
+      }
+    }
+    w.put_u64(observed_);
+    w.put_u64(evictions_);
+    w.put_u64(reported_);
+    w.put_u64(drains_);
+    w.put_u64(lanes_.size());
+    for (const Lane& lane : lanes_) {
+      w.put_u64(lane.observed);
+      w.put_u64(lane.counts.size());
+      for (const auto& [pfn, count] : lane.counts) {
+        w.put_u64(pfn);
+        w.put_u32(count);
+      }
+    }
+    w.end_section();
+    return w.finish();
+  }
+
+  std::uint64_t evictions() const { return evictions_; }
+
+ private:
+  struct Slot {
+    mem::Pfn pfn = 0;
+    std::uint32_t count = 0;
+    bool used = false;
+  };
+  struct Lane {
+    std::map<std::uint64_t, std::uint32_t> counts;
+    std::uint64_t observed = 0;
+  };
+
+  void fold(std::vector<Slot>& device, mem::Pfn pfn, std::uint32_t add) {
+    Slot* free_slot = nullptr;
+    Slot* min_slot = nullptr;
+    for (Slot& s : device) {
+      if (s.used) {
+        if (s.pfn == pfn) {
+          s.count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+              std::uint64_t{s.count} + add, config_.counter_max));
+          return;
+        }
+        if (min_slot == nullptr || s.count < min_slot->count) min_slot = &s;
+      } else if (free_slot == nullptr) {
+        free_slot = &s;
+      }
+    }
+    if (free_slot != nullptr) {
+      free_slot->used = true;
+      free_slot->pfn = pfn;
+      free_slot->count = std::min(add, config_.counter_max);
+      return;
+    }
+    ++evictions_;
+    min_slot->pfn = pfn;
+    min_slot->count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+        std::uint64_t{min_slot->count} + add, config_.counter_max));
+  }
+
+  DevMonConfig config_;
+  const mem::PhysMemory* phys_;
+  std::vector<Lane> lanes_;
+  std::vector<std::vector<Slot>> devices_;
+  std::uint64_t observed_ = 0;
+  std::uint64_t evictions_ = 0;
+  std::uint64_t reported_ = 0;
+  std::uint64_t drains_ = 0;
+};
+
+std::vector<std::uint8_t> image_of(const DevMonitor& mon) {
+  util::ckpt::Writer w;
+  w.begin_section("devmon");
+  mon.save_state(w);
+  w.end_section();
+  return w.finish();
+}
+
+TEST(DevMonDifferential, IndexedFoldMatchesLinearScan) {
+  // 4-frame fast tier, then two 48-frame devices: pfn 4..51 and 52..99.
+  const mem::PhysMemory phys({mem::TierSpec{"dram", 4, 80, 80, 0},
+                              mem::TierSpec{"cxl", 48, 150, 200, 0},
+                              mem::TierSpec{"nvm", 48, 300, 600, 0}});
+  util::Rng rng(0xd1ffULL);
+  for (int trial = 0; trial < 60; ++trial) {
+    DevMonConfig cfg;
+    cfg.enabled = true;
+    cfg.slots = 1 + static_cast<std::uint32_t>(rng.below(12));
+    cfg.top_k = 1 + static_cast<std::uint32_t>(rng.below(cfg.slots + 2));
+    // Small maxima saturate often, which makes dense count ties.
+    const std::uint32_t maxima[] = {1, 2, 3, 7, 65535};
+    cfg.counter_max = maxima[rng.below(5)];
+    cfg.decay = rng.below(4) != 0;
+    const auto cores = 1 + static_cast<std::uint32_t>(rng.below(3));
+    // A narrow pfn window keeps ties dense; a wide one forces evictions.
+    const std::uint64_t window = 2 + rng.below(94);
+    auto mon = std::make_unique<DevMonitor>(cfg, phys, cores);
+    ScanDevMon ref(cfg, phys, cores);
+    std::vector<DevMonReportEntry> got;
+    mon->set_drain([&got](std::span<const DevMonReportEntry> report) {
+      got.insert(got.end(), report.begin(), report.end());
+    });
+    const std::string label = "trial " + std::to_string(trial);
+    for (int step = 0; step < 400; ++step) {
+      const std::uint64_t roll = rng.below(100);
+      if (roll < 88) {
+        const mem::Pfn pfn = rng.below(window + 4);  // some on the fast tier
+        const auto core = static_cast<std::uint32_t>(rng.below(cores));
+        mon->on_mem_op(fill(pfn, core));
+        ref.on_mem_op(fill(pfn, core));
+      } else if (roll < 92) {
+        mon->merge_shards();  // the sharded engine's barrier fold
+        ref.merge_lanes();
+      } else if (roll < 98) {
+        got.clear();
+        mon->drain();
+        const std::vector<DevMonReportEntry> want = ref.drain();
+        ASSERT_EQ(got.size(), want.size()) << label << " step " << step;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].pfn, want[i].pfn) << label << " entry " << i;
+          EXPECT_EQ(got[i].count, want[i].count) << label << " entry " << i;
+          EXPECT_EQ(got[i].tier, want[i].tier) << label << " entry " << i;
+        }
+      } else {
+        // Resume mid-stream: the indexes are rebuilt from the image.
+        const std::vector<std::uint8_t> image = image_of(*mon);
+        mon = std::make_unique<DevMonitor>(cfg, phys, cores);
+        mon->set_drain([&got](std::span<const DevMonReportEntry> report) {
+          got.insert(got.end(), report.begin(), report.end());
+        });
+        util::ckpt::Reader r(image);
+        r.enter_section("devmon");
+        mon->load_state(r);
+        r.end_section();
+      }
+      ASSERT_EQ(mon->evictions(), ref.evictions()) << label << " step " << step;
+      ASSERT_EQ(image_of(*mon), ref.image()) << label << " step " << step;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -325,5 +325,76 @@ TEST(PolicyContract, HistoryEmptyRankingKeepsFullResidentSet) {
   }
 }
 
+/// HistoryPolicy's order as it was computed before residency was looked up
+/// once per candidate: a stable sort whose comparator probes `ctx.current`
+/// for both pages of every rank tie, then the greedy fill.
+PlacementSet reference_history(const PolicyContext& ctx, bool density) {
+  if (ctx.observed_ranking->empty() && ctx.current != nullptr) {
+    return *ctx.current;
+  }
+  auto frames = [&ctx](const PageKey& k) -> std::uint64_t {
+    const auto it = ctx.page_sizes->find(k);
+    return it == ctx.page_sizes->end() ? 1 : mem::pages_in(it->second);
+  };
+  std::vector<const core::PageRank*> order;
+  for (const core::PageRank& pr : *ctx.observed_ranking) order.push_back(&pr);
+  auto effective_rank = [&](const core::PageRank* pr) {
+    return density ? pr->rank / frames(pr->key) : pr->rank;
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](const core::PageRank* a, const core::PageRank* b) {
+                     const std::uint64_t ra = effective_rank(a);
+                     const std::uint64_t rb = effective_rank(b);
+                     if (ra != rb) return ra > rb;
+                     if (ctx.current != nullptr) {
+                       return ctx.current->count(a->key) >
+                              ctx.current->count(b->key);
+                     }
+                     return false;
+                   });
+  PlacementSet chosen;
+  std::uint64_t used = 0;
+  for (const core::PageRank* pr : order) {
+    const std::uint64_t f = frames(pr->key);
+    if (used + f > ctx.capacity_frames) continue;
+    if (!chosen.insert(pr->key).second) continue;
+    used += f;
+    if (used >= ctx.capacity_frames) break;
+  }
+  return chosen;
+}
+
+TEST(History, TieBreakMatchesPerComparisonResidencyProbe) {
+  util::Rng rng(0x71eb7eULL);
+  for (int trial = 0; trial < 80; ++trial) {
+    Fixture f;
+    const std::uint64_t n = 1 + rng.below(120);
+    const std::uint64_t distinct_ranks = 1 + rng.below(4);  // heavy ties
+    std::uint64_t total_frames = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      // Huge-page ranks scale up so density mode still sees ties.
+      const bool huge = rng.below(5) == 0;
+      f.add_rank(i, (1 + rng.below(distinct_ranks)) * (huge ? 512 : 1));
+      if (huge) f.sizes[key(i)] = mem::PageSize::k2M;
+      total_frames += huge ? 512 : 1;
+      if (rng.below(2) == 0) f.current.insert(key(i));
+    }
+    f.current.insert(key(n + 1));  // a resident page that is not ranked
+    for (const bool density : {false, true}) {
+      HistoryPolicy policy(density);
+      for (const bool with_current : {true, false}) {
+        // Sweeping the capacity pins the whole order, not just one cut.
+        for (int cut = 0; cut < 6; ++cut) {
+          PolicyContext ctx = f.ctx(1 + rng.below(total_frames + 1));
+          if (!with_current) ctx.current = nullptr;
+          EXPECT_EQ(policy.choose(ctx), reference_history(ctx, density))
+              << "trial " << trial << " density " << density << " current "
+              << with_current << " capacity " << ctx.capacity_frames;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tmprof::tiering

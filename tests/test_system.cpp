@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "pmu/events.hpp"
+#include "sim/schedule.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace tmprof::sim {
@@ -263,6 +267,62 @@ TEST(SystemIfetch, FetchTranslationsCacheInTlb) {
   const std::uint64_t walks = sys.pmu().truth_total(pmu::Event::ItlbWalk);
   sys.access(proc, proc.vaddr_of(64), false, /*ip=*/1);
   EXPECT_EQ(sys.pmu().truth_total(pmu::Event::ItlbWalk), walks);
+}
+
+// Differential check of the sharded engine's per-shard walk against the
+// walk it replaced: every shard scanning all `ops` schedule positions from
+// the cursor and running only its own processes.
+TEST(ShardSchedule, WalkMatchesFullScheduleWalk) {
+  util::Rng rng(0x5c4edULL);
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto n_procs = static_cast<std::uint32_t>(1 + rng.below(13));
+    const auto shards = static_cast<std::uint32_t>(1 + rng.below(8));
+    std::vector<double> weights;
+    for (std::uint32_t i = 0; i < n_procs; ++i) {
+      weights.push_back(0.25 * static_cast<double>(1 + rng.below(16)));
+    }
+    const std::vector<std::uint32_t> schedule = weighted_schedule(weights);
+    const std::size_t len = schedule.size();
+    // Consecutive pids round-robin over the shards, as System assigns
+    // them; or a random split, which often leaves a shard with no process.
+    std::vector<std::uint32_t> shard_of;
+    const auto first_pid = static_cast<std::uint32_t>(rng.below(1000));
+    const bool random_split = rng.below(2) == 0;
+    for (std::uint32_t i = 0; i < n_procs; ++i) {
+      shard_of.push_back(random_split
+                             ? static_cast<std::uint32_t>(rng.below(shards))
+                             : (first_pid + i) % shards);
+    }
+    ShardSchedule split;
+    split.rebuild(schedule, shard_of, shards);
+    std::size_t cursor = rng.below(len);
+    for (int step = 0; step < 6; ++step) {
+      // Below one turn of the schedule, several turns plus a partial
+      // window, or an exact multiple of the length.
+      const std::uint64_t turns = rng.below(4);
+      const std::uint64_t ops =
+          turns * len + (rng.below(3) == 0 ? 0 : rng.below(len));
+      std::vector<std::vector<std::uint32_t>> want(shards);
+      std::size_t at = cursor;
+      for (std::uint64_t i = 0; i < ops; ++i) {
+        const std::uint32_t proc = schedule[at];
+        at = at + 1 == len ? 0 : at + 1;
+        want[shard_of[proc]].push_back(proc);
+      }
+      std::uint64_t executed = 0;
+      for (std::uint32_t s = 0; s < shards; ++s) {
+        std::vector<std::uint32_t> got;
+        split.walk(s, cursor, ops,
+                   [&got](std::uint32_t p) { got.push_back(p); });
+        EXPECT_EQ(got, want[s]) << "trial " << trial << " step " << step
+                                << " shard " << s << " cursor " << cursor
+                                << " ops " << ops;
+        executed += got.size();
+      }
+      EXPECT_EQ(executed, ops) << "trial " << trial << " step " << step;
+      cursor = (cursor + ops) % len;  // wraps across steps
+    }
+  }
 }
 
 }  // namespace

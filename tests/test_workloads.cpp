@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <unordered_set>
 #include <vector>
 
+#include "util/assert.hpp"
 #include "util/ckpt.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -79,6 +81,40 @@ TEST(Registry, ScaleMultipliesFootprints) {
   const auto big = find_spec("gups", 2.0);
   const auto base = find_spec("gups", 1.0);
   EXPECT_GE(big.total_bytes, base.total_bytes * 2 - mem::kHugePageSize);
+}
+
+// buildable() mirrors the generators' own size checks: at min_scale every
+// process builds, and one huge page less fails a generator's precondition.
+TEST(Registry, MinScaleIsTheSmallestBuildableScale) {
+  int bounded = 0;
+  for (const std::string& name : table3_names()) {
+    const double scale = min_scale(name);
+    const WorkloadSpec at = find_spec(name, scale > 0.0 ? scale : 1e-9);
+    EXPECT_TRUE(buildable(at)) << name;
+    for (std::uint32_t p = 0; p < at.processes; ++p) {
+      EXPECT_NO_THROW((void)make_workload(at, p, 1)) << name << " " << p;
+    }
+    if (scale == 0.0) {
+      EXPECT_EQ(at.total_bytes, mem::kHugePageSize) << name;  // the floor
+      continue;
+    }
+    ++bounded;
+    EXPECT_FALSE(buildable(find_spec(name, std::nextafter(scale, 0.0))))
+        << name;
+    WorkloadSpec below = at;
+    below.total_bytes -= mem::kHugePageSize;
+    EXPECT_FALSE(buildable(below)) << name;
+    bool threw = false;
+    for (std::uint32_t p = 0; p < below.processes; ++p) {
+      try {
+        (void)make_workload(below, p, 1);
+      } catch (const util::AssertionError&) {
+        threw = true;
+      }
+    }
+    EXPECT_TRUE(threw) << name;
+  }
+  EXPECT_GT(bounded, 0);  // non-vacuous: some workload has a floor
 }
 
 TEST(Registry, UnknownNameThrows) {
