@@ -491,8 +491,10 @@ RingRow run_ring_stream(std::uint64_t lanes, std::uint64_t pages,
   std::uint64_t per_lane = 0;
   for (const auto& s : streams) per_lane = std::max(per_lane, s.size());
 
+  // The records carry page keys in the paddr/pid slots: the ring cost
+  // depends only on the record width, not on what the words mean.
   const auto consume = [&](const monitors::StreamRecord& rec) {
-    const core::PageKey key{static_cast<mem::Pid>(rec.c), rec.a};
+    const core::PageKey key{rec.pid, rec.paddr};
     current[key] += 1;
   };
   const auto pump = [&] {
@@ -508,8 +510,8 @@ RingRow run_ring_stream(std::uint64_t lanes, std::uint64_t pages,
       for (std::uint64_t l = 0; l < lanes; ++l) {
         if (i >= streams[l].size()) continue;
         monitors::StreamRecord rec;
-        rec.a = streams[l][i].page_va;
-        rec.c = streams[l][i].pid;
+        rec.paddr = streams[l][i].page_va;
+        rec.pid = streams[l][i].pid;
         rec.seq = seq;
         rec.lane = static_cast<std::uint16_t>(l);
         if (!rings[l]->try_push(rec)) consume(rec);  // spill: fold inline

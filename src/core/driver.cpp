@@ -9,30 +9,41 @@
 
 namespace tmprof::core {
 
+namespace {
+
+std::unique_ptr<monitors::TraceMonitor> make_trace_monitor(
+    const DriverConfig& config, std::uint32_t cores) {
+  if (config.backend == TraceBackend::Ibs) {
+    return std::make_unique<monitors::IbsMonitor>(config.ibs, cores);
+  }
+  return std::make_unique<monitors::PebsMonitor>(config.pebs, cores);
+}
+
+}  // namespace
+
 TmpDriver::TmpDriver(sim::System& system, const DriverConfig& config)
     : system_(system),
       config_(config),
+      trace_(make_trace_monitor(config, system.config().cores)),
       scanner_(config.abit),
       cur_abit_(config.hotness),
       cur_trace_(config.hotness) {
-  if (config_.backend == TraceBackend::Ibs) {
-    ibs_ = std::make_unique<monitors::IbsMonitor>(config_.ibs,
-                                                  system.config().cores);
-    ibs_->set_drain([this](std::span<const monitors::TraceSample> samples) {
-      on_trace(samples);
-    });
-    // The sharded engine runs each core's callbacks on a worker thread;
-    // per-core sample lanes defer the (driver-mutating) drain to the epoch
-    // barrier, keeping the monitor shard-safe.
-    if (system.config().sharded_engine) ibs_->enable_sharded();
-  } else {
-    pebs_ = std::make_unique<monitors::PebsMonitor>(config_.pebs,
-                                                    system.config().cores);
-    pebs_->set_drain([this](std::span<const monitors::TraceSample> samples) {
-      on_trace(samples);
-    });
-    if (system.config().sharded_engine) pebs_->enable_sharded();
-  }
+  trace_->set_drain([this](std::span<const monitors::TraceSample> samples) {
+    for (const monitors::TraceSample& s : samples) {
+      // Keyed on (epoch, page, occurrence): whether the k-th sample of a
+      // page is dropped this epoch does not depend on when lanes drain.
+      count_trace(s.paddr, s.is_store, s.source, [this](const PageKey& key) {
+        const std::uint32_t occ = ++overflow_seen_[key];
+        return util::fault_key(
+            epoch_ | (static_cast<std::uint64_t>(occ) << 32), key.page_va,
+            key.pid);
+      });
+    }
+  });
+  // The sharded engine runs each core's callbacks on a worker thread;
+  // per-core sample lanes defer the (driver-mutating) drain to the epoch
+  // barrier, keeping the monitor shard-safe.
+  if (system.config().sharded_engine) trace_->enable_sharded();
   if (config_.devmon.enabled) {
     devmon_ = std::make_unique<monitors::DevMonitor>(
         config_.devmon, system.phys(), system.config().cores);
@@ -55,20 +66,19 @@ TmpDriver::TmpDriver(sim::System& system, const DriverConfig& config)
     stream_ = std::make_unique<StreamTransport>(config_.stream,
                                                 system.config().cores);
     std::vector<util::SpscRing<monitors::StreamRecord>*> rings;
-    rings.reserve(stream_->trace_lanes());
-    for (std::uint32_t c = 0; c < stream_->trace_lanes(); ++c) {
+    rings.reserve(stream_->lanes());
+    for (std::uint32_t c = 0; c < stream_->lanes(); ++c) {
       rings.push_back(&stream_->ring(c));
     }
     // Ring-full overflow flushes through the same fold as ring records; the
     // spill runs on the main thread at drain time, so this is shard-safe.
-    auto spill = [this](std::span<const monitors::StreamRecord> records) {
-      for (const monitors::StreamRecord& rec : records) consume_record(rec);
-    };
-    if (ibs_) {
-      ibs_->enable_streaming(std::move(rings), spill);
-    } else {
-      pebs_->enable_streaming(std::move(rings), spill);
-    }
+    trace_->enable_streaming(
+        std::move(rings),
+        [this](std::span<const monitors::StreamRecord> records) {
+          for (const monitors::StreamRecord& rec : records) {
+            consume_record(rec);
+          }
+        });
     system_.set_step_pump([this] { pump_stream(); });
   }
   scanner_.set_shootdown(
@@ -139,87 +149,43 @@ void TmpDriver::set_telemetry(telemetry::Telemetry* telemetry) {
 
 void TmpDriver::set_trace_enabled(bool enabled) {
   if (enabled == trace_enabled_) return;
-  monitors::AccessObserver* obs =
-      ibs_ ? static_cast<monitors::AccessObserver*>(ibs_.get())
-           : static_cast<monitors::AccessObserver*>(pebs_.get());
-  if (enabled) system_.add_observer(obs);
-  else system_.remove_observer(obs);
+  if (enabled) system_.add_observer(trace_.get());
+  else system_.remove_observer(trace_.get());
   trace_enabled_ = enabled;
 }
 
-void TmpDriver::on_trace(std::span<const monitors::TraceSample> samples) {
-  for (const monitors::TraceSample& s : samples) {
-    if (s.is_store || !mem::is_memory(s.source)) continue;
-    const mem::FrameInfo& frame = system_.phys().frame(mem::pfn_of(s.paddr));
-    if (!frame.allocated) continue;  // raced with a free; drop
-    // phys_to_page(): aggregate under the mapping's (pid, page VA).
-    const PageKey key{frame.pid, frame.page_va};
-    if (fault_ != nullptr && fault_->enabled(util::FaultSite::TraceOverflow)) {
-      // Keyed on (epoch, page, occurrence): whether the k-th sample of a
-      // page is dropped this epoch does not depend on when lanes drain.
-      const std::uint32_t occ = ++overflow_seen_[key];
-      const std::uint64_t fkey = util::fault_key(
-          epoch_ | (static_cast<std::uint64_t>(occ) << 32), key.page_va,
-          key.pid);
-      if (fault_->fire(util::FaultSite::TraceOverflow, fkey)) {
-        ++trace_samples_dropped_;
-        t_dropped_.inc();
-        continue;
-      }
-    }
-    cur_trace_.add(key);
-    ++trace_samples_kept_;
-    t_kept_.inc();
+template <class FaultKey>
+void TmpDriver::count_trace(mem::PhysAddr paddr, bool is_store,
+                            mem::DataSource source, FaultKey&& fault_key) {
+  if (is_store || !mem::is_memory(source)) return;
+  const mem::FrameInfo& frame = system_.phys().frame(mem::pfn_of(paddr));
+  if (!frame.allocated) return;  // raced with a free; drop
+  // phys_to_page(): aggregate under the mapping's (pid, page VA).
+  const PageKey key{frame.pid, frame.page_va};
+  if (fault_ != nullptr && fault_->enabled(util::FaultSite::TraceOverflow) &&
+      fault_->fire(util::FaultSite::TraceOverflow, fault_key(key))) {
+    ++trace_samples_dropped_;
+    t_dropped_.inc();
+    return;
   }
+  cur_trace_.add(key);
+  ++trace_samples_kept_;
+  t_kept_.inc();
 }
 
 void TmpDriver::consume_record(const monitors::StreamRecord& rec) {
   ++stream_records_;
-  switch (rec.kind) {
-    case monitors::StreamKind::Trace: {
-      if (monitors::trace_record_is_store(rec) ||
-          !mem::is_memory(monitors::trace_record_source(rec))) {
-        return;
-      }
-      const mem::FrameInfo& frame = system_.phys().frame(mem::pfn_of(rec.a));
-      if (!frame.allocated) return;
-      const PageKey key{frame.pid, frame.page_va};
-      if (fault_ != nullptr &&
-          fault_->enabled(util::FaultSite::TraceOverflow)) {
-        // The barrier path keys overflow drops by per-page occurrence; that
-        // index would depend on how far the pump has run. Streaming keys on
-        // the record's own (epoch, lane, seq) identity — fixed at encode
-        // time, so the drop set is invariant to consumption scheduling.
-        const std::uint64_t fkey = util::fault_key(
-            epoch_ | (static_cast<std::uint64_t>(rec.seq) << 32),
-            0x57a3 ^ (static_cast<std::uint64_t>(rec.lane) << 16),
-            key.page_va);
-        if (fault_->fire(util::FaultSite::TraceOverflow, fkey)) {
-          ++trace_samples_dropped_;
-          t_dropped_.inc();
-          return;
-        }
-      }
-      cur_trace_.add(key);
-      ++trace_samples_kept_;
-      t_kept_.inc();
-      return;
-    }
-    case monitors::StreamKind::Abit: {
-      const PageKey key{static_cast<mem::Pid>(rec.c), rec.a};
-      cur_abit_.add(key);
-      return;
-    }
-    case monitors::StreamKind::Dev: {
-      // phys_to_page(), as in on_devmon: a frame freed since it was counted
-      // no longer names a page on this device.
-      const mem::FrameInfo& frame = system_.phys().frame(rec.a);
-      if (!frame.allocated) return;
-      const PageKey key{frame.pid, frame.page_va};
-      cur_devmon_[key] += static_cast<std::uint32_t>(rec.b);
-      return;
-    }
-  }
+  // The barrier path keys overflow drops by per-page occurrence; that index
+  // would depend on how far the pump has run. Streaming keys on the
+  // record's own (epoch, lane, seq) identity — fixed at encode time, so the
+  // drop set is invariant to consumption scheduling.
+  count_trace(rec.paddr, monitors::trace_record_is_store(rec),
+              monitors::trace_record_source(rec), [&](const PageKey& key) {
+                return util::fault_key(
+                    epoch_ | (static_cast<std::uint64_t>(rec.seq) << 32),
+                    0x57a3 ^ (static_cast<std::uint64_t>(rec.lane) << 16),
+                    key.page_va);
+              });
 }
 
 void TmpDriver::pump_stream() {
@@ -248,20 +214,6 @@ monitors::AbitScanResult TmpDriver::scan_processes(
     sim::Process& proc = system_.process(pid);
     const monitors::AbitScanResult r = scanner_.scan_fn(
         pid, proc.page_table(), [&](const monitors::AbitSample& sample) {
-          if (stream_) {
-            // The scanner runs on the consumer's own thread, so a full ring
-            // just means "fold inline" — same result, no spill vector.
-            monitors::StreamRecord rec;
-            rec.a = sample.page_va;
-            rec.c = pid;
-            rec.seq = abit_seq_++;
-            rec.lane = static_cast<std::uint16_t>(stream_->abit_lane());
-            rec.kind = monitors::StreamKind::Abit;
-            if (!stream_->ring(stream_->abit_lane()).try_push(rec)) {
-              consume_record(rec);
-            }
-            return;
-          }
           cur_abit_.add(PageKey{pid, sample.page_va});
         });
     total.ptes_visited += r.ptes_visited;
@@ -282,24 +234,6 @@ monitors::AbitScanResult TmpDriver::scan_processes(
 
 void TmpDriver::on_devmon(
     std::span<const monitors::DevMonReportEntry> report) {
-  if (stream_) {
-    // Route the report through the device lane so every sample source
-    // reaches the epoch through the same transport and record accounting.
-    // Producer and consumer are both the main thread here; ring-full folds
-    // inline.
-    for (const monitors::DevMonReportEntry& e : report) {
-      monitors::StreamRecord rec;
-      rec.a = e.pfn;
-      rec.b = e.count;
-      rec.seq = dev_seq_++;
-      rec.lane = static_cast<std::uint16_t>(stream_->dev_lane());
-      rec.kind = monitors::StreamKind::Dev;
-      if (!stream_->ring(stream_->dev_lane()).try_push(rec)) {
-        consume_record(rec);
-      }
-    }
-    return;
-  }
   for (const monitors::DevMonReportEntry& e : report) {
     // phys_to_page(): the device counts physical frames; the driver maps
     // them back to page identity. A frame freed (or migrated away) since
@@ -322,19 +256,13 @@ void TmpDriver::end_epoch_into(EpochObservation& out) {
   const auto seal_start = std::chrono::steady_clock::now();
   // Pull any buffered samples into this epoch before closing it. In
   // streaming mode this is the drain-and-seal: most records were already
-  // folded by the mid-step pump, so only the residual ring tail, the
-  // ring-full spills, and the DevMon report (which routes through the
-  // device lane) remain.
+  // folded by the mid-step pump, so only the residual ring tail and the
+  // ring-full spills remain.
   if (stream_) pump_stream();
-  if (ibs_) ibs_->drain();
-  if (pebs_) pebs_->drain();
+  trace_->drain();
   if (devmon_) devmon_->drain();
   if (stream_) {
-    pump_stream();  // the device lane (and any A-bit tail) just filled
-    if (ibs_) ibs_->stream_epoch_reset();
-    if (pebs_) pebs_->stream_epoch_reset();
-    abit_seq_ = 0;
-    dev_seq_ = 0;
+    trace_->stream_epoch_reset();
     t_stream_depth_.set(stream_->high_water());
     stream_->reset_high_water();
     const std::uint64_t drops = stream_->drops_total();
@@ -359,15 +287,10 @@ void TmpDriver::end_epoch_into(EpochObservation& out) {
   ++epoch_;
   overflow_seen_.clear();
   // Monitor-level gauges: cumulative values read from the backend at each
-  // epoch close (tags_lost is IBS-only; PEBS tagging cannot miss).
-  if (ibs_) {
-    t_mon_samples_.set(ibs_->samples_taken());
-    t_mon_tags_lost_.set(ibs_->tags_lost());
-    t_mon_interrupts_.set(ibs_->interrupts());
-  } else if (pebs_) {
-    t_mon_samples_.set(pebs_->samples_taken());
-    t_mon_interrupts_.set(pebs_->interrupts());
-  }
+  // epoch close (PEBS tagging cannot miss, so its tags_lost stays 0).
+  t_mon_samples_.set(trace_->samples_taken());
+  t_mon_tags_lost_.set(trace_->tags_lost());
+  t_mon_interrupts_.set(trace_->interrupts());
   if (devmon_) {
     t_devmon_observed_.set(devmon_->observed());
     t_devmon_reported_.set(devmon_->reported());
@@ -380,9 +303,7 @@ void TmpDriver::end_epoch_into(EpochObservation& out) {
 }
 
 util::SimNs TmpDriver::trace_overhead_ns() const noexcept {
-  if (ibs_) return ibs_->overhead_ns();
-  if (pebs_) return pebs_->overhead_ns();
-  return 0;
+  return trace_->overhead_ns();
 }
 
 util::SimNs TmpDriver::overhead_ns() const noexcept {
@@ -391,8 +312,7 @@ util::SimNs TmpDriver::overhead_ns() const noexcept {
 
 void TmpDriver::save_state(util::ckpt::Writer& w) const {
   w.put_u8(static_cast<std::uint8_t>(config_.backend));
-  if (ibs_) ibs_->save_state(w);
-  if (pebs_) pebs_->save_state(w);
+  trace_->save_state(w);
   scanner_.save_state(w);
   cur_abit_.save_state(w, "driver");
   cur_trace_.save_state(w, "driver");
@@ -409,8 +329,7 @@ void TmpDriver::load_state(util::ckpt::Reader& r) {
   if (backend != config_.backend) {
     throw util::ckpt::CkptError("driver", "trace backend mismatch");
   }
-  if (ibs_) ibs_->load_state(r);
-  if (pebs_) pebs_->load_state(r);
+  trace_->load_state(r);
   scanner_.load_state(r);
   cur_abit_.load_state(r, "driver");
   cur_trace_.load_state(r, "driver");
@@ -427,13 +346,11 @@ void TmpDriver::save_stream_state(util::ckpt::Writer& w) const {
   w.put_bool(stream_ != nullptr);
   if (!stream_) return;
   w.put_u32(stream_->config().ring_capacity);
-  w.put_u32(stream_->trace_lanes());
+  w.put_u32(stream_->lanes());
   w.put_u64(stream_records_);
   w.put_u64(stream_->drops_total());
   w.put_u64(stream_drops_exported_);
   w.put_u64(stream_records_exported_);
-  w.put_u32(abit_seq_);
-  w.put_u32(dev_seq_);
 }
 
 void TmpDriver::load_stream_state(util::ckpt::Reader& r) {
@@ -445,7 +362,7 @@ void TmpDriver::load_stream_state(util::ckpt::Reader& r) {
   const std::uint32_t ring_capacity = r.get_u32();
   const std::uint32_t lanes = r.get_u32();
   if (ring_capacity != stream_->config().ring_capacity ||
-      lanes != stream_->trace_lanes()) {
+      lanes != stream_->lanes()) {
     throw util::ckpt::CkptError("stream", "transport geometry mismatch");
   }
   stream_records_ = r.get_u64();
@@ -454,8 +371,6 @@ void TmpDriver::load_stream_state(util::ckpt::Reader& r) {
   stream_->set_carried_drops(r.get_u64());
   stream_drops_exported_ = r.get_u64();
   stream_records_exported_ = r.get_u64();
-  abit_seq_ = r.get_u32();
-  dev_seq_ = r.get_u32();
 }
 
 void TmpDriver::save_devmon_state(util::ckpt::Writer& w) const {

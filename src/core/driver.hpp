@@ -1,8 +1,9 @@
 #pragma once
 /// \file driver.hpp
 /// The TMP kernel driver analog (Section III-B). Owns the trace-based
-/// monitor (IBS or PEBS) and the A-bit scanner, drains their raw data, and
-/// accumulates per-page counts into the current epoch's observation maps.
+/// monitor (IBS or PEBS, one TraceMonitor) and the A-bit scanner, drains
+/// their raw data, and accumulates per-page counts into the current
+/// epoch's observation maps.
 ///
 /// Filtering follows the paper: trace samples count only if they are demand
 /// loads whose data source is beyond the LLC (TMP uses IBS/PEBS "to inspect
@@ -132,15 +133,21 @@ class TmpDriver {
   // --- streaming transport (docs/STREAMING.md) --------------------------
 
   /// Streaming checkpoint state (transport geometry, cumulative record and
-  /// drop tallies, export baselines, lane seq cursors). Framed by the
-  /// runner in its own "stream" section; presence/geometry mismatches
-  /// throw CkptError("stream", ...) so a resume with a different stream
-  /// config cold-starts.
+  /// drop tallies, export baselines). Framed by the runner in its own
+  /// "stream" section; presence/geometry mismatches throw
+  /// CkptError("stream", ...) so a resume with a different stream config
+  /// cold-starts.
   void save_stream_state(util::ckpt::Writer& w) const;
   void load_stream_state(util::ckpt::Reader& r);
 
  private:
-  void on_trace(std::span<const monitors::TraceSample> samples);
+  /// Filter one trace sample and count it into the open epoch, unless an
+  /// injected overflow drops it. Both transports fold through here; they
+  /// differ only in the overflow fault key, `fault_key(page)`, which is
+  /// evaluated only while the TraceOverflow site is enabled.
+  template <class FaultKey>
+  void count_trace(mem::PhysAddr paddr, bool is_store, mem::DataSource source,
+                   FaultKey&& fault_key);
   void on_devmon(std::span<const monitors::DevMonReportEntry> report);
   /// Fold one stream record into the open epoch (main thread only).
   void consume_record(const monitors::StreamRecord& rec);
@@ -150,8 +157,7 @@ class TmpDriver {
 
   sim::System& system_;
   DriverConfig config_;
-  std::unique_ptr<monitors::IbsMonitor> ibs_;
-  std::unique_ptr<monitors::PebsMonitor> pebs_;
+  std::unique_ptr<monitors::TraceMonitor> trace_;
   std::unique_ptr<monitors::DevMonitor> devmon_;
   monitors::AbitScanner scanner_;
   /// The open epoch's per-source accumulators (HotnessStore-backed; exact
@@ -187,8 +193,6 @@ class TmpDriver {
   /// Streaming transport (null unless DriverConfig::stream.enabled).
   std::unique_ptr<StreamTransport> stream_;
   std::uint64_t stream_records_ = 0;
-  std::uint32_t abit_seq_ = 0;  ///< next A-bit lane record seq this epoch
-  std::uint32_t dev_seq_ = 0;   ///< next DevMon lane record seq this epoch
   telemetry::Gauge t_stream_depth_;
   telemetry::Counter t_stream_drops_;
   telemetry::Gauge t_stream_seal_ns_;

@@ -8,10 +8,10 @@ namespace tmprof::core {
 
 StreamTransport::StreamTransport(const StreamConfig& config,
                                  std::uint32_t cores)
-    : config_(config), cores_(cores) {
+    : config_(config) {
   TMPROF_EXPECTS(cores >= 1);
-  rings_.reserve(cores_ + 2);
-  for (std::uint32_t lane = 0; lane < cores_ + 2; ++lane) {
+  rings_.reserve(cores);
+  for (std::uint32_t lane = 0; lane < cores; ++lane) {
     rings_.push_back(std::make_unique<Ring>(config_.ring_capacity));
   }
 }

@@ -1,8 +1,8 @@
 #pragma once
 /// \file stream.hpp
 /// Lock-free streaming sample transport (docs/STREAMING.md). Replaces the
-/// epoch-barrier swap-and-clear handoff between the per-core monitors and
-/// the driver: each (monitor, core) lane owns a bounded SPSC ring of
+/// epoch-barrier swap-and-clear handoff between the per-core trace monitor
+/// and the driver: each core's lane owns a bounded SPSC ring of
 /// sequence-numbered StreamRecords, and the driver consumes them on the
 /// main thread — while worker shards are still executing — folding each
 /// record into the open epoch's observation maps. By the time the epoch
@@ -37,11 +37,11 @@ struct StreamConfig {
   std::uint32_t ring_capacity = 1024;
 };
 
-/// The per-lane ring set: one SPSC ring per monitor lane. Trace lanes map
-/// 1:1 to simulated cores (worker-thread producers); the A-bit scanner and
-/// the DevMon report each get a single main-thread lane, so every sample
-/// source hands off through the same transport and the same record
-/// accounting.
+/// The per-lane ring set: one SPSC ring per simulated core, whose
+/// producer is that core's worker thread. Trace samples are the only
+/// evidence produced off the main thread; the A-bit scan and the DevMon
+/// report run on the consumer's own thread and fold into the open epoch
+/// directly.
 class StreamTransport {
  public:
   using Ring = util::SpscRing<monitors::StreamRecord>;
@@ -52,9 +52,6 @@ class StreamTransport {
   [[nodiscard]] std::uint32_t lanes() const noexcept {
     return static_cast<std::uint32_t>(rings_.size());
   }
-  [[nodiscard]] std::uint32_t trace_lanes() const noexcept { return cores_; }
-  [[nodiscard]] std::uint32_t abit_lane() const noexcept { return cores_; }
-  [[nodiscard]] std::uint32_t dev_lane() const noexcept { return cores_ + 1; }
   [[nodiscard]] Ring& ring(std::uint32_t lane) { return *rings_[lane]; }
 
   /// Ring-full events since construction or checkpoint restore (records
@@ -73,7 +70,6 @@ class StreamTransport {
 
  private:
   StreamConfig config_;
-  std::uint32_t cores_;
   std::vector<std::unique_ptr<Ring>> rings_;
   std::uint64_t carried_drops_ = 0;
 };

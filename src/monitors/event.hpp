@@ -82,43 +82,32 @@ struct TraceSample {
 // ---------------------------------------------------------------------------
 // Streaming sample transport (docs/STREAMING.md)
 
-/// Payload discriminator of a StreamRecord.
-enum class StreamKind : std::uint8_t {
-  Trace = 0,  ///< IBS/PEBS sample: a = paddr, c = pid, flags = store|source
-  Abit = 1,   ///< A-bit scan hit: a = page_va, c = pid
-  Dev = 2,    ///< DevMon report entry: a = pfn, b = count
-};
-
-/// Fixed-width record carried by the per-lane SPSC rings. Kind-specific
-/// fields pack into three untyped words so every lane shares one ring
-/// element type; (lane, seq) tag where and in what order the record was
-/// produced — seq restarts at 0 each epoch, so a record's identity within
-/// an epoch is the pure pair (lane, seq) regardless of when the consumer
-/// gets to it.
+/// Fixed-width trace-sample record carried by the per-core SPSC rings: the
+/// subset of a TraceSample the driver's filter consumes (paddr, is_store,
+/// source) plus the pid. (lane, seq) tag where and in what order the record
+/// was produced — seq restarts at 0 each epoch, so a record's identity
+/// within an epoch is the pure pair (lane, seq) regardless of when the
+/// consumer gets to it.
 struct StreamRecord {
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-  std::uint64_t c = 0;
+  mem::PhysAddr paddr = 0;
+  mem::Pid pid = 0;
   std::uint32_t seq = 0;
   std::uint16_t lane = 0;
-  StreamKind kind = StreamKind::Trace;
-  std::uint8_t flags = 0;
+  std::uint8_t flags = 0;  ///< kStreamFlagStore | source << 1
 };
 
 inline constexpr std::uint8_t kStreamFlagStore = 0x1;
 
-/// Encode the subset of a TraceSample the driver's filter consumes
-/// (paddr, is_store, source); time/ip/vaddr never survive aggregation, so
-/// the wire record stays one cache line wide.
+/// Encode a sample as a ring record; time/ip/vaddr never survive
+/// aggregation, so the wire record stays small.
 [[nodiscard]] inline StreamRecord encode_trace_record(std::uint16_t lane,
                                                       std::uint32_t seq,
                                                       const TraceSample& s) {
   StreamRecord rec;
-  rec.a = s.paddr;
-  rec.c = s.pid;
+  rec.paddr = s.paddr;
+  rec.pid = s.pid;
   rec.seq = seq;
   rec.lane = lane;
-  rec.kind = StreamKind::Trace;
   rec.flags = static_cast<std::uint8_t>(
       (s.is_store ? kStreamFlagStore : 0) |
       (static_cast<std::uint8_t>(s.source) << 1));
@@ -136,23 +125,19 @@ inline constexpr std::uint8_t kStreamFlagStore = 0x1;
 
 /// Checkpoint round-trip for spilled stream records.
 inline void save_stream_record(util::ckpt::Writer& w, const StreamRecord& rec) {
-  w.put_u64(rec.a);
-  w.put_u64(rec.b);
-  w.put_u64(rec.c);
+  w.put_u64(rec.paddr);
+  w.put_u32(rec.pid);
   w.put_u32(rec.seq);
   w.put_u32(rec.lane);
-  w.put_u8(static_cast<std::uint8_t>(rec.kind));
   w.put_u8(rec.flags);
 }
 
 [[nodiscard]] inline StreamRecord load_stream_record(util::ckpt::Reader& r) {
   StreamRecord rec;
-  rec.a = r.get_u64();
-  rec.b = r.get_u64();
-  rec.c = r.get_u64();
+  rec.paddr = r.get_u64();
+  rec.pid = r.get_u32();
   rec.seq = r.get_u32();
   rec.lane = static_cast<std::uint16_t>(r.get_u32());
-  rec.kind = static_cast<StreamKind>(r.get_u8());
   rec.flags = r.get_u8();
   return rec;
 }

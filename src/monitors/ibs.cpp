@@ -1,268 +1,114 @@
 #include "monitors/ibs.hpp"
 
-#include "util/ckpt_io.hpp"
-
 #include "util/assert.hpp"
+#include "util/ckpt_io.hpp"
 
 namespace tmprof::monitors {
 
 IbsMonitor::IbsMonitor(const IbsConfig& config, std::uint32_t cores,
                        std::uint64_t seed)
-    : config_(config),
+    : TraceMonitor("ibs", cores,
+                   TraceCosts{config.buffer_capacity, config.cost_per_record_ns,
+                              config.cost_per_interrupt_ns}),
+      config_(config),
       rng_(seed),
       seed_(seed),
-      countdown_(cores),
-      tag_armed_(cores, 0) {
+      tags_(cores) {
   TMPROF_EXPECTS(config.sample_period >= 16);
-  TMPROF_EXPECTS(config.buffer_capacity >= 1);
-  TMPROF_EXPECTS(cores >= 1);
-  buffer_.reserve(config.buffer_capacity);
-  for (std::uint32_t c = 0; c < cores; ++c) reload(c);
+  for (Tag& tag : tags_) reload(tag, rng_);
 }
 
-void IbsMonitor::enable_sharded() {
-  if (sharded_) return;
-  sharded_ = true;
-  lanes_.resize(countdown_.size());
-  for (std::uint32_t c = 0; c < lanes_.size(); ++c) {
+void IbsMonitor::shard_trigger() {
+  for (std::uint32_t c = 0; c < tags_.size(); ++c) {
     // Independent, reproducible per-core tag-randomization streams.
     std::uint64_t mix = seed_ ^ (0x9e3779b97f4a7c15ULL * (c + 1));
-    lanes_[c].rng = util::Rng(util::splitmix64(mix));
-    lanes_[c].buffer.reserve(config_.buffer_capacity);
-    reload(c);  // re-arm the countdown from the core's own stream
+    tags_[c].rng = util::Rng(util::splitmix64(mix));
+    reload(tags_[c], tags_[c].rng);  // re-arm from the core's own stream
   }
 }
 
-void IbsMonitor::enable_streaming(
-    std::vector<util::SpscRing<StreamRecord>*> rings, StreamSpillFn spill) {
-  enable_sharded();
-  TMPROF_EXPECTS(rings.size() == lanes_.size());
-  for (std::uint32_t c = 0; c < lanes_.size(); ++c) {
-    TMPROF_EXPECTS(rings[c] != nullptr);
-    lanes_[c].ring = rings[c];
-  }
-  stream_spill_ = std::move(spill);
-  streaming_ = true;
-}
-
-void IbsMonitor::stream_epoch_reset() {
-  for (CoreLane& lane : lanes_) lane.stream_seq = 0;
-}
-
-void IbsMonitor::reload(std::uint32_t core) {
+void IbsMonitor::reload(Tag& tag, util::Rng& rng) {
   std::int64_t period = static_cast<std::int64_t>(config_.sample_period);
   if (config_.randomize) {
     // Randomize the low 1/16 of the period, like IbsOpCurCnt randomization.
-    util::Rng& rng = sharded_ ? lanes_[core].rng : rng_;
     const std::uint64_t jitter_span = config_.sample_period / 16 + 1;
     period += static_cast<std::int64_t>(rng.below(jitter_span)) -
               static_cast<std::int64_t>(jitter_span / 2);
     if (period < 1) period = 1;
   }
-  countdown_[core] = period;
+  tag.countdown = period;
 }
 
 void IbsMonitor::on_retire(std::uint32_t core, std::uint64_t uops,
                            util::SimNs now) {
   (void)now;
-  TMPROF_ASSERT(core < countdown_.size());
-  countdown_[core] -= static_cast<std::int64_t>(uops);
-  if (countdown_[core] > 0) return;
-  reload(core);
-  std::uint64_t& tags_lost = sharded_ ? lanes_[core].tags_lost : tags_lost_;
-  if (tag_armed_[core]) {
+  TMPROF_ASSERT(core < tags_.size());
+  Tag& tag = tags_[core];
+  tag.countdown -= static_cast<std::int64_t>(uops);
+  if (tag.countdown > 0) return;
+  util::Rng& rng = sharded() ? tag.rng : rng_;
+  reload(tag, rng);
+  std::uint64_t& tags_lost = sharded() ? tag.tags_lost : tags_lost_;
+  if (tag.armed) {
     // Previous tag never matched a memory op before the next fired: lost.
     ++tags_lost;
   }
   // The tagged uop is one of the `uops` just retired. Only one of them is
   // the memory micro-op the upcoming on_mem_op() call describes, so arm the
   // tag with probability 1/uops; otherwise the tag hit a non-memory uop.
-  util::Rng& rng = sharded_ ? lanes_[core].rng : rng_;
   if (uops <= 1 || rng.below(uops) == 0) {
-    tag_armed_[core] = 1;
+    tag.armed = true;
   } else {
     ++tags_lost;
   }
 }
 
 void IbsMonitor::on_mem_op(const MemOpEvent& event) {
-  TMPROF_ASSERT(event.core < tag_armed_.size());
-  if (!tag_armed_[event.core]) return;
-  tag_armed_[event.core] = 0;
-  TraceSample sample;
-  sample.time = event.time;
-  sample.core = event.core;
-  sample.pid = event.pid;
-  sample.ip = event.ip;
-  sample.vaddr = event.vaddr;
-  sample.paddr = event.paddr;
-  sample.is_store = event.is_store;
-  sample.source = event.source;
-  sample.tlb_miss = event.tlb == mem::TlbHit::Miss;
-  if (sharded_) {
-    CoreLane& lane = lanes_[event.core];
-    ++lane.samples;
-    if (streaming_) {
-      // Publish immediately; a full ring spills rather than drops, so the
-      // record set per lane is identical however the consumer is scheduled.
-      const StreamRecord rec = encode_trace_record(
-          static_cast<std::uint16_t>(event.core), lane.stream_seq++, sample);
-      if (!lane.ring->try_push(rec)) lane.spill.push_back(rec);
-      // `since_drain` stands in for buffer.size() so the PMI/overhead model
-      // charges exactly what the barrier path charges.
-      ++lane.since_drain;
-      if (lane.since_drain % config_.buffer_capacity == 0) ++lane.interrupts;
-      return;
-    }
-    lane.buffer.push_back(sample);
-    // The PMI fires per buffer threshold; the handler cost is charged, but
-    // the records stay put until the epoch barrier drains them (the driver
-    // store is not shard-safe).
-    if (lane.buffer.size() % config_.buffer_capacity == 0) ++lane.interrupts;
-    return;
-  }
-  buffer_.push_back(sample);
-  ++samples_taken_;
-  if (buffer_.size() >= config_.buffer_capacity) {
-    ++interrupts_;
-    drain();
-  }
-}
-
-void IbsMonitor::drain() {
-  if (streaming_) {
-    // Records in the rings belong to the driver's pump; here we only flush
-    // what overflowed. Ascending lane order, though order is immaterial:
-    // every streaming consumer folds commutatively or keys by (lane, seq).
-    for (CoreLane& lane : lanes_) {
-      if (!lane.spill.empty()) {
-        if (stream_spill_) {
-          stream_spill_(std::span<const StreamRecord>(lane.spill));
-        }
-        lane.spill.clear();
-      }
-      lane.since_drain = 0;
-    }
-    return;
-  }
-  if (sharded_) {
-    for (CoreLane& lane : lanes_) {
-      if (lane.buffer.empty()) continue;
-      if (drain_) drain_(std::span<const TraceSample>(lane.buffer));
-      lane.buffer.clear();
-    }
-    return;
-  }
-  if (buffer_.empty()) return;
-  if (drain_) drain_(std::span<const TraceSample>(buffer_));
-  buffer_.clear();
-}
-
-std::uint64_t IbsMonitor::samples_taken() const noexcept {
-  std::uint64_t total = samples_taken_;
-  for (const CoreLane& lane : lanes_) total += lane.samples;
-  return total;
+  TMPROF_ASSERT(event.core < tags_.size());
+  Tag& tag = tags_[event.core];
+  if (!tag.armed) return;
+  tag.armed = false;
+  take_sample(event);
 }
 
 std::uint64_t IbsMonitor::tags_lost() const noexcept {
   std::uint64_t total = tags_lost_;
-  for (const CoreLane& lane : lanes_) total += lane.tags_lost;
+  for (const Tag& tag : tags_) total += tag.tags_lost;
   return total;
 }
-
-std::uint64_t IbsMonitor::interrupts() const noexcept {
-  std::uint64_t total = interrupts_;
-  for (const CoreLane& lane : lanes_) total += lane.interrupts;
-  return total;
-}
-
-util::SimNs IbsMonitor::overhead_ns() const noexcept {
-  return samples_taken() * config_.cost_per_record_ns +
-         interrupts() * config_.cost_per_interrupt_ns;
-}
-
 
 // ---------------------------------------------------------------------------
 // Checkpoint hooks
 
-void IbsMonitor::save_state(util::ckpt::Writer& w) const {
+void IbsMonitor::save_trigger(util::ckpt::Writer& w,
+                              std::uint32_t lane) const {
+  if (lane != kWide) {
+    util::ckpt::save_rng(w, tags_[lane].rng);
+    return;
+  }
   util::ckpt::save_rng(w, rng_);
-  w.put_u32(static_cast<std::uint32_t>(countdown_.size()));
-  for (const std::int64_t c : countdown_) w.put_i64(c);
-  for (const std::uint8_t armed : tag_armed_) w.put_u8(armed);
-  w.put_u64(buffer_.size());
-  for (const TraceSample& s : buffer_) save_sample(w, s);
-  w.put_u64(samples_taken_);
-  w.put_u64(tags_lost_);
-  w.put_u64(interrupts_);
-  w.put_bool(sharded_);
-  w.put_u32(static_cast<std::uint32_t>(lanes_.size()));
-  for (const CoreLane& lane : lanes_) {
-    util::ckpt::save_rng(w, lane.rng);
-    w.put_u64(lane.buffer.size());
-    for (const TraceSample& s : lane.buffer) save_sample(w, s);
-    w.put_u64(lane.samples);
-    w.put_u64(lane.tags_lost);
-    w.put_u64(lane.interrupts);
-  }
-  w.put_bool(streaming_);
-  if (streaming_) {
-    // Checkpoints land at sealed barriers, where spill/seq/since_drain are
-    // all zero — but serialize them anyway so the format stays honest if a
-    // mid-epoch snapshot ever appears.
-    for (const CoreLane& lane : lanes_) {
-      w.put_u64(lane.spill.size());
-      for (const StreamRecord& rec : lane.spill) save_stream_record(w, rec);
-      w.put_u32(lane.stream_seq);
-      w.put_u32(lane.since_drain);
-    }
-  }
+  w.put_u32(static_cast<std::uint32_t>(tags_.size()));
+  for (const Tag& tag : tags_) w.put_i64(tag.countdown);
+  for (const Tag& tag : tags_) w.put_u8(tag.armed ? 1 : 0);
 }
 
-void IbsMonitor::load_state(util::ckpt::Reader& r) {
+void IbsMonitor::load_trigger(util::ckpt::Reader& r, std::uint32_t lane) {
+  if (lane != kWide) {
+    util::ckpt::load_rng(r, tags_[lane].rng);
+    return;
+  }
   util::ckpt::load_rng(r, rng_);
-  const std::uint32_t cores = r.get_u32();
-  if (cores != countdown_.size()) {
-    throw util::ckpt::CkptError("ibs", "core count mismatch");
-  }
-  for (std::int64_t& c : countdown_) c = r.get_i64();
-  for (std::uint8_t& armed : tag_armed_) armed = r.get_u8();
-  buffer_.resize(r.get_u64());
-  for (TraceSample& s : buffer_) s = load_sample(r);
-  samples_taken_ = r.get_u64();
-  tags_lost_ = r.get_u64();
-  interrupts_ = r.get_u64();
-  const bool sharded = r.get_bool();
-  if (sharded && !sharded_) enable_sharded();
-  if (sharded != sharded_) {
-    throw util::ckpt::CkptError("ibs", "sharded-mode mismatch");
-  }
-  const std::uint32_t lanes = r.get_u32();
-  if (lanes != lanes_.size()) {
-    throw util::ckpt::CkptError("ibs", "lane count mismatch");
-  }
-  for (CoreLane& lane : lanes_) {
-    util::ckpt::load_rng(r, lane.rng);
-    lane.buffer.resize(r.get_u64());
-    for (TraceSample& s : lane.buffer) s = load_sample(r);
-    lane.samples = r.get_u64();
-    lane.tags_lost = r.get_u64();
-    lane.interrupts = r.get_u64();
-  }
-  const bool streaming = r.get_bool();
-  if (streaming != streaming_) {
-    // Rings are wired by the driver before restore; a checkpoint from the
-    // other transport mode cannot be resumed in place.
-    throw util::ckpt::CkptError("ibs", "streaming-mode mismatch");
-  }
-  if (streaming_) {
-    for (CoreLane& lane : lanes_) {
-      lane.spill.resize(r.get_u64());
-      for (StreamRecord& rec : lane.spill) rec = load_stream_record(r);
-      lane.stream_seq = r.get_u32();
-      lane.since_drain = r.get_u32();
-    }
-  }
+  if (r.get_u32() != tags_.size()) reject("core count mismatch");
+  for (Tag& tag : tags_) tag.countdown = r.get_i64();
+  for (Tag& tag : tags_) tag.armed = r.get_u8() != 0;
+}
+
+void IbsMonitor::save_tally(util::ckpt::Writer& w, std::uint32_t lane) const {
+  w.put_u64(lane == kWide ? tags_lost_ : tags_[lane].tags_lost);
+}
+
+void IbsMonitor::load_tally(util::ckpt::Reader& r, std::uint32_t lane) {
+  (lane == kWide ? tags_lost_ : tags_[lane].tags_lost) = r.get_u64();
 }
 
 }  // namespace tmprof::monitors

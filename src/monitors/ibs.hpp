@@ -9,12 +9,9 @@
 /// per 262,144 uops; "4x" and "8x" divide that period by 4 and 8.
 
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <vector>
 
-#include "monitors/event.hpp"
-#include "util/ring.hpp"
+#include "monitors/trace.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -44,96 +41,42 @@ struct IbsConfig {
   [[nodiscard]] static IbsConfig paper_8x() { return with_period(262144 / 8); }
 };
 
-/// Per-system IBS monitor (one tagging counter per core).
-class IbsMonitor final : public AccessObserver {
+/// Per-system IBS monitor: one tagging countdown per core in front of the
+/// shared trace-sample transport.
+class IbsMonitor final : public TraceMonitor {
  public:
-  using DrainFn = std::function<void(std::span<const TraceSample>)>;
-
   IbsMonitor(const IbsConfig& config, std::uint32_t cores,
              std::uint64_t seed = 0x1b5);
-
-  /// Install the buffer-full interrupt handler (the TMP driver's drain).
-  void set_drain(DrainFn drain) { drain_ = std::move(drain); }
-
-  /// Switch to sharded operation: per-core tag RNG streams, sample buffers
-  /// and statistics, so each simulated core's callbacks may run on its own
-  /// worker thread. Buffer-threshold interrupts are still *counted* per
-  /// core (the overhead model is unchanged) but the actual drain to the
-  /// driver is deferred to the epoch barrier, where buffers empty in
-  /// ascending core order. Call before the first event is delivered.
-  void enable_sharded();
-
-  /// Streaming handoff (docs/STREAMING.md): instead of accumulating samples
-  /// in the per-core buffer until the barrier, each core encodes a
-  /// StreamRecord tagged (core, seq) and pushes it into its own SPSC ring;
-  /// records that hit a full ring go to a lane-local spill vector that
-  /// `spill` flushes at drain(). Implies sharded mode. `rings[c]` must
-  /// outlive the monitor; one ring per core.
-  using StreamSpillFn = std::function<void(std::span<const StreamRecord>)>;
-  void enable_streaming(std::vector<util::SpscRing<StreamRecord>*> rings,
-                        StreamSpillFn spill);
-
-  /// Restart per-core record sequence numbers (epoch seal, after every
-  /// lane's records have been consumed).
-  void stream_epoch_reset();
 
   void on_retire(std::uint32_t core, std::uint64_t uops,
                  util::SimNs now) override;
   void on_mem_op(const MemOpEvent& event) override;
 
-  AccessObserver* shard_sink(std::uint32_t /*core*/) override {
-    return sharded_ ? this : nullptr;
-  }
-  void merge_shards() override { drain(); }
-
-  /// Explicitly drain buffered records (periodic poll path). In sharded
-  /// mode, drains every core's buffer in ascending core order.
-  void drain();
-
-  [[nodiscard]] std::uint64_t samples_taken() const noexcept;
-  [[nodiscard]] std::uint64_t tags_lost() const noexcept;
-  [[nodiscard]] std::uint64_t interrupts() const noexcept;
-  /// Modeled software overhead of collection so far.
-  [[nodiscard]] util::SimNs overhead_ns() const noexcept;
-
-  /// Checkpoint hooks (util/ckpt.hpp).
-  void save_state(util::ckpt::Writer& w) const;
-  void load_state(util::ckpt::Reader& r);
+  [[nodiscard]] std::uint64_t tags_lost() const noexcept override;
 
  private:
-  /// Per-core state that a shard's worker thread owns exclusively in
-  /// sharded mode (padded out by vector element separation; no two cores
-  /// write the same element).
-  struct CoreLane {
-    util::Rng rng{0};
-    std::vector<TraceSample> buffer;
-    std::uint64_t samples = 0;
-    std::uint64_t tags_lost = 0;
-    std::uint64_t interrupts = 0;
-    // Streaming mode only:
-    util::SpscRing<StreamRecord>* ring = nullptr;  ///< not owned
-    std::vector<StreamRecord> spill;  ///< ring-full overflow, never dropped
-    std::uint32_t stream_seq = 0;     ///< next record seq this epoch
-    std::uint32_t since_drain = 0;    ///< mirrors buffer.size() for the
-                                      ///< interrupt/overhead model
+  /// Per-core tag state, written on every retire by the core's own thread
+  /// in sharded mode; cache-line aligned so no two cores share a line.
+  struct alignas(64) Tag {
+    std::int64_t countdown = 0;
+    bool armed = false;         ///< tag waiting for this core's next op
+    util::Rng rng{0};           ///< sharded mode only
+    std::uint64_t tags_lost = 0;  ///< sharded mode only
   };
 
-  void reload(std::uint32_t core);
+  void reload(Tag& tag, util::Rng& rng);
+
+  void shard_trigger() override;
+  void save_trigger(util::ckpt::Writer& w, std::uint32_t lane) const override;
+  void load_trigger(util::ckpt::Reader& r, std::uint32_t lane) override;
+  void save_tally(util::ckpt::Writer& w, std::uint32_t lane) const override;
+  void load_tally(util::ckpt::Reader& r, std::uint32_t lane) override;
 
   IbsConfig config_;
-  DrainFn drain_;
-  util::Rng rng_;
+  util::Rng rng_;  ///< serial mode: one stream for every core
   std::uint64_t seed_;
-  std::vector<std::int64_t> countdown_;   ///< per core
-  std::vector<std::uint8_t> tag_armed_;   ///< tag waiting for this core's op
-  std::vector<TraceSample> buffer_;
-  std::uint64_t samples_taken_ = 0;
-  std::uint64_t tags_lost_ = 0;
-  std::uint64_t interrupts_ = 0;
-  bool sharded_ = false;
-  bool streaming_ = false;
-  StreamSpillFn stream_spill_;
-  std::vector<CoreLane> lanes_;           ///< populated in sharded mode
+  std::uint64_t tags_lost_ = 0;  ///< serial mode
+  std::vector<Tag> tags_;
 };
 
 }  // namespace tmprof::monitors

@@ -1,40 +1,17 @@
 #include "monitors/pebs.hpp"
 
-#include "util/ckpt.hpp"
-
 #include "util/assert.hpp"
+#include "util/ckpt.hpp"
 
 namespace tmprof::monitors {
 
 PebsMonitor::PebsMonitor(const PebsConfig& config, std::uint32_t cores)
-    : config_(config), counter_(cores, 0) {
+    : TraceMonitor("pebs", cores,
+                   TraceCosts{config.buffer_capacity, config.cost_per_record_ns,
+                              config.cost_per_interrupt_ns}),
+      config_(config),
+      counters_(cores) {
   TMPROF_EXPECTS(config.sample_after >= 1);
-  TMPROF_EXPECTS(config.buffer_capacity >= 1);
-  TMPROF_EXPECTS(cores >= 1);
-  buffer_.reserve(config.buffer_capacity);
-}
-
-void PebsMonitor::enable_sharded() {
-  if (sharded_) return;
-  sharded_ = true;
-  lanes_.resize(counter_.size());
-  for (CoreLane& lane : lanes_) lane.buffer.reserve(config_.buffer_capacity);
-}
-
-void PebsMonitor::enable_streaming(
-    std::vector<util::SpscRing<StreamRecord>*> rings, StreamSpillFn spill) {
-  enable_sharded();
-  TMPROF_EXPECTS(rings.size() == lanes_.size());
-  for (std::uint32_t c = 0; c < lanes_.size(); ++c) {
-    TMPROF_EXPECTS(rings[c] != nullptr);
-    lanes_[c].ring = rings[c];
-  }
-  stream_spill_ = std::move(spill);
-  streaming_ = true;
-}
-
-void PebsMonitor::stream_epoch_reset() {
-  for (CoreLane& lane : lanes_) lane.stream_seq = 0;
 }
 
 bool PebsMonitor::qualifies(const MemOpEvent& event) const noexcept {
@@ -54,167 +31,42 @@ bool PebsMonitor::qualifies(const MemOpEvent& event) const noexcept {
 
 void PebsMonitor::on_mem_op(const MemOpEvent& event) {
   if (!qualifies(event)) return;
-  TMPROF_ASSERT(event.core < counter_.size());
-  if (sharded_) {
-    ++lanes_[event.core].events;
-  } else {
-    ++events_seen_;
-  }
-  if (++counter_[event.core] < config_.sample_after) return;
-  counter_[event.core] = 0;
-  TraceSample sample;
-  sample.time = event.time;
-  sample.core = event.core;
-  sample.pid = event.pid;
-  sample.ip = event.ip;
-  sample.vaddr = event.vaddr;
-  sample.paddr = event.paddr;
-  sample.is_store = event.is_store;
-  sample.source = event.source;
-  sample.tlb_miss = event.tlb == mem::TlbHit::Miss;
-  if (sharded_) {
-    CoreLane& lane = lanes_[event.core];
-    ++lane.samples;
-    if (streaming_) {
-      const StreamRecord rec = encode_trace_record(
-          static_cast<std::uint16_t>(event.core), lane.stream_seq++, sample);
-      if (!lane.ring->try_push(rec)) lane.spill.push_back(rec);
-      ++lane.since_drain;
-      if (lane.since_drain % config_.buffer_capacity == 0) ++lane.interrupts;
-      return;
-    }
-    lane.buffer.push_back(sample);
-    if (lane.buffer.size() % config_.buffer_capacity == 0) ++lane.interrupts;
-    return;
-  }
-  buffer_.push_back(sample);
-  ++samples_taken_;
-  if (buffer_.size() >= config_.buffer_capacity) {
-    ++interrupts_;
-    drain();
-  }
-}
-
-void PebsMonitor::drain() {
-  if (streaming_) {
-    for (CoreLane& lane : lanes_) {
-      if (!lane.spill.empty()) {
-        if (stream_spill_) {
-          stream_spill_(std::span<const StreamRecord>(lane.spill));
-        }
-        lane.spill.clear();
-      }
-      lane.since_drain = 0;
-    }
-    return;
-  }
-  if (sharded_) {
-    for (CoreLane& lane : lanes_) {
-      if (lane.buffer.empty()) continue;
-      if (drain_) drain_(std::span<const TraceSample>(lane.buffer));
-      lane.buffer.clear();
-    }
-    return;
-  }
-  if (buffer_.empty()) return;
-  if (drain_) drain_(std::span<const TraceSample>(buffer_));
-  buffer_.clear();
-}
-
-std::uint64_t PebsMonitor::samples_taken() const noexcept {
-  std::uint64_t total = samples_taken_;
-  for (const CoreLane& lane : lanes_) total += lane.samples;
-  return total;
+  TMPROF_ASSERT(event.core < counters_.size());
+  Counter& counter = counters_[event.core];
+  ++(sharded() ? counter.events : events_seen_);
+  if (++counter.count < config_.sample_after) return;
+  counter.count = 0;
+  take_sample(event);
 }
 
 std::uint64_t PebsMonitor::events_seen() const noexcept {
   std::uint64_t total = events_seen_;
-  for (const CoreLane& lane : lanes_) total += lane.events;
+  for (const Counter& counter : counters_) total += counter.events;
   return total;
 }
-
-std::uint64_t PebsMonitor::interrupts() const noexcept {
-  std::uint64_t total = interrupts_;
-  for (const CoreLane& lane : lanes_) total += lane.interrupts;
-  return total;
-}
-
-util::SimNs PebsMonitor::overhead_ns() const noexcept {
-  return samples_taken() * config_.cost_per_record_ns +
-         interrupts() * config_.cost_per_interrupt_ns;
-}
-
 
 // ---------------------------------------------------------------------------
 // Checkpoint hooks
 
-void PebsMonitor::save_state(util::ckpt::Writer& w) const {
-  w.put_u32(static_cast<std::uint32_t>(counter_.size()));
-  for (const std::uint64_t c : counter_) w.put_u64(c);
-  w.put_u64(buffer_.size());
-  for (const TraceSample& s : buffer_) save_sample(w, s);
-  w.put_u64(samples_taken_);
-  w.put_u64(events_seen_);
-  w.put_u64(interrupts_);
-  w.put_bool(sharded_);
-  w.put_u32(static_cast<std::uint32_t>(lanes_.size()));
-  for (const CoreLane& lane : lanes_) {
-    w.put_u64(lane.buffer.size());
-    for (const TraceSample& s : lane.buffer) save_sample(w, s);
-    w.put_u64(lane.samples);
-    w.put_u64(lane.events);
-    w.put_u64(lane.interrupts);
-  }
-  w.put_bool(streaming_);
-  if (streaming_) {
-    for (const CoreLane& lane : lanes_) {
-      w.put_u64(lane.spill.size());
-      for (const StreamRecord& rec : lane.spill) save_stream_record(w, rec);
-      w.put_u32(lane.stream_seq);
-      w.put_u32(lane.since_drain);
-    }
-  }
+void PebsMonitor::save_trigger(util::ckpt::Writer& w,
+                               std::uint32_t lane) const {
+  if (lane != kWide) return;
+  w.put_u32(static_cast<std::uint32_t>(counters_.size()));
+  for (const Counter& counter : counters_) w.put_u64(counter.count);
 }
 
-void PebsMonitor::load_state(util::ckpt::Reader& r) {
-  const std::uint32_t cores = r.get_u32();
-  if (cores != counter_.size()) {
-    throw util::ckpt::CkptError("pebs", "core count mismatch");
-  }
-  for (std::uint64_t& c : counter_) c = r.get_u64();
-  buffer_.resize(r.get_u64());
-  for (TraceSample& s : buffer_) s = load_sample(r);
-  samples_taken_ = r.get_u64();
-  events_seen_ = r.get_u64();
-  interrupts_ = r.get_u64();
-  const bool sharded = r.get_bool();
-  if (sharded && !sharded_) enable_sharded();
-  if (sharded != sharded_) {
-    throw util::ckpt::CkptError("pebs", "sharded-mode mismatch");
-  }
-  const std::uint32_t lanes = r.get_u32();
-  if (lanes != lanes_.size()) {
-    throw util::ckpt::CkptError("pebs", "lane count mismatch");
-  }
-  for (CoreLane& lane : lanes_) {
-    lane.buffer.resize(r.get_u64());
-    for (TraceSample& s : lane.buffer) s = load_sample(r);
-    lane.samples = r.get_u64();
-    lane.events = r.get_u64();
-    lane.interrupts = r.get_u64();
-  }
-  const bool streaming = r.get_bool();
-  if (streaming != streaming_) {
-    throw util::ckpt::CkptError("pebs", "streaming-mode mismatch");
-  }
-  if (streaming_) {
-    for (CoreLane& lane : lanes_) {
-      lane.spill.resize(r.get_u64());
-      for (StreamRecord& rec : lane.spill) rec = load_stream_record(r);
-      lane.stream_seq = r.get_u32();
-      lane.since_drain = r.get_u32();
-    }
-  }
+void PebsMonitor::load_trigger(util::ckpt::Reader& r, std::uint32_t lane) {
+  if (lane != kWide) return;
+  if (r.get_u32() != counters_.size()) reject("core count mismatch");
+  for (Counter& counter : counters_) counter.count = r.get_u64();
+}
+
+void PebsMonitor::save_tally(util::ckpt::Writer& w, std::uint32_t lane) const {
+  w.put_u64(lane == kWide ? events_seen_ : counters_[lane].events);
+}
+
+void PebsMonitor::load_tally(util::ckpt::Reader& r, std::uint32_t lane) {
+  (lane == kWide ? events_seen_ : counters_[lane].events) = r.get_u64();
 }
 
 }  // namespace tmprof::monitors

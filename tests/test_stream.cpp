@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -38,14 +39,11 @@ TEST(StreamTransport, LaneLayoutAndDropAccounting) {
   cfg.enabled = true;
   cfg.ring_capacity = 4;
   core::StreamTransport transport(cfg, 3);
-  EXPECT_EQ(transport.lanes(), 5U);  // 3 trace + A-bit + DevMon
-  EXPECT_EQ(transport.trace_lanes(), 3U);
-  EXPECT_EQ(transport.abit_lane(), 3U);
-  EXPECT_EQ(transport.dev_lane(), 4U);
+  EXPECT_EQ(transport.lanes(), 3U);  // one trace lane per core, no more
   monitors::StreamRecord rec{};
   for (int i = 0; i < 6; ++i) (void)transport.ring(0).try_push(rec);
-  for (int i = 0; i < 5; ++i) (void)transport.ring(4).try_push(rec);
-  EXPECT_EQ(transport.drops_total(), 3U);  // 2 on lane 0 + 1 on lane 4
+  for (int i = 0; i < 5; ++i) (void)transport.ring(2).try_push(rec);
+  EXPECT_EQ(transport.drops_total(), 3U);  // 2 on lane 0 + 1 on lane 2
   EXPECT_EQ(transport.high_water(), 4U);
   transport.set_carried_drops(10);  // checkpoint-restored base is additive
   EXPECT_EQ(transport.drops_total(), 13U);
@@ -262,12 +260,13 @@ TEST(StreamResume, RingCapacityMismatchFallsBackToColdStart) {
   expect_identical(resumed, reference, "ring capacity mismatch cold start");
 }
 
-/// Re-frames `image` with its "stream" payload in the older layout that
-/// also carried the advisory ranker: a top-K/decay-shift echo after the
-/// transport geometry, and the ranker's heat map at the end. Every other
-/// section is copied verbatim; the Writer recomputes each CRC.
-std::vector<std::uint8_t> with_ranker_stream_payload(
-    const std::vector<std::uint8_t>& image) {
+/// Re-frames `image` with its "stream" payload replaced by what `rewrite`
+/// writes from the original payload bytes. Every other section is copied
+/// verbatim; the Writer recomputes each CRC.
+std::vector<std::uint8_t> with_stream_payload(
+    const std::vector<std::uint8_t>& image,
+    const std::function<void(util::ckpt::Writer&, const std::uint8_t*,
+                             std::size_t)>& rewrite) {
   const auto le = [&image](std::size_t at, std::size_t bytes) {
     std::uint64_t v = 0;
     for (std::size_t i = 0; i < bytes; ++i) {
@@ -286,45 +285,53 @@ std::vector<std::uint8_t> with_ranker_stream_payload(
     const std::uint8_t* payload = image.data() + pos + 8;
     pos += 8 + size + 4;
     w.begin_section(name);
-    if (name != "stream") {
+    if (name == "stream") {
+      rewrite(w, payload, size);
+    } else {
       w.put_bytes(payload, size);
-      w.end_section();
-      continue;
     }
-    // presence byte + ring capacity + trace lanes
-    constexpr std::size_t kGeometry = 1 + 4 + 4;
-    EXPECT_GT(size, kGeometry);
-    w.put_bytes(payload, kGeometry);
-    w.put_u32(256);  // top-K echo
-    w.put_u32(1);    // decay-shift echo
-    w.put_bytes(payload + kGeometry, size - kGeometry);
-    w.put_u32(256);  // ranker top-K
-    w.put_u32(1);    // ranker decay shift
-    w.put_u64(1);    // one tracked page: pid, page_va, heat
-    w.put_u64(1);
-    w.put_u64(0x1000);
-    w.put_u64(7);
     w.end_section();
   }
   return w.finish();
 }
 
-TEST(StreamResume, ParentLayoutImageColdStarts) {
-  // An image from before the ranker was removed carries extra "stream"
-  // bytes; the manifest's full-consumption check rejects the section and
-  // the run cold-starts instead of misreading the tallies.
+/// The older "stream" layout that also carried the advisory ranker: a
+/// top-K/decay-shift echo after the transport geometry, and the ranker's
+/// heat map at the end.
+void write_ranker_stream_payload(util::ckpt::Writer& w,
+                                 const std::uint8_t* payload,
+                                 std::size_t size) {
+  // presence byte + ring capacity + trace lanes
+  constexpr std::size_t kGeometry = 1 + 4 + 4;
+  EXPECT_GT(size, kGeometry);
+  w.put_bytes(payload, kGeometry);
+  w.put_u32(256);  // top-K echo
+  w.put_u32(1);    // decay-shift echo
+  w.put_bytes(payload + kGeometry, size - kGeometry);
+  w.put_u32(256);  // ranker top-K
+  w.put_u32(1);    // ranker decay shift
+  w.put_u64(1);    // one tracked page: pid, page_va, heat
+  w.put_u64(1);
+  w.put_u64(0x1000);
+  w.put_u64(7);
+}
+
+/// Writes `image` with its "stream" payload rewritten as the file
+/// `<path>.parent` and checks that a resume from it cold-starts with a
+/// warning naming the section.
+void expect_stream_payload_cold_starts(
+    const std::string& path,
+    const std::function<void(util::ckpt::Writer&, const std::uint8_t*,
+                             std::size_t)>& rewrite) {
   const tiering::RunnerOptions options = stream_options("history", 1, true);
   const tiering::RunnerResult reference = tiering::EndToEndRunner::run(
       workloads::find_spec("gups", 0.05), stream_config(), options);
-
-  const std::string path =
-      streaming_checkpoint("tmprof-stream-parent", options);
   std::ifstream in(path, std::ios::binary);
   const std::vector<std::uint8_t> image(std::istreambuf_iterator<char>(in),
                                         {});
   in.close();
   const std::string parent = path + ".parent";
-  util::ckpt::Writer::save_atomic(parent, with_ranker_stream_payload(image));
+  util::ckpt::Writer::save_atomic(parent, with_stream_payload(image, rewrite));
   (void)util::ckpt::Reader::from_file(parent);  // framing and CRCs are valid
 
   std::string warning;
@@ -333,6 +340,32 @@ TEST(StreamResume, ParentLayoutImageColdStarts) {
   EXPECT_NE(warning.find("rejected in section 'stream'"), std::string::npos)
       << warning;
   expect_identical(resumed, reference, "parent-layout image cold start");
+}
+
+TEST(StreamResume, ParentLayoutImageColdStarts) {
+  // An image from before the ranker was removed carries extra "stream"
+  // bytes; the manifest's full-consumption check rejects the section and
+  // the run cold-starts instead of misreading the tallies.
+  expect_stream_payload_cold_starts(
+      streaming_checkpoint("tmprof-stream-parent",
+                           stream_options("history", 1, true)),
+      write_ranker_stream_payload);
+}
+
+TEST(StreamResume, LaneCursorImageColdStarts) {
+  // The "stream" section used to end with the A-bit and DevMon lane seq
+  // cursors: 49 bytes where it now has 41. Those sources no longer ride
+  // the rings, so such an image is rejected and the run cold-starts.
+  expect_stream_payload_cold_starts(
+      streaming_checkpoint("tmprof-stream-cursors",
+                           stream_options("history", 1, true)),
+      [](util::ckpt::Writer& w, const std::uint8_t* payload,
+         std::size_t size) {
+        EXPECT_EQ(size, 41U);
+        w.put_bytes(payload, size);
+        w.put_u32(12);  // A-bit lane seq
+        w.put_u32(3);   // DevMon lane seq
+      });
 }
 
 // ---------------------------------------------------------------------------
