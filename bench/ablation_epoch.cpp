@@ -5,6 +5,7 @@
 /// well but lag phase changes.
 ///
 /// Usage: ablation_epoch [--workload=<name>] [--scale=F] [--total-ops=N]
+///        [--seed=N] [--threads=N]
 
 #include <iostream>
 
@@ -18,11 +19,15 @@ static int bench_main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   const std::uint64_t total_ops = args.get_u64("total-ops", 4'800'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
+  const std::uint32_t threads = bench::selected_threads(args);
+  const std::vector<workloads::WorkloadSpec> specs =
+      bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Ablation: epoch length vs History hitrate (total ops fixed "
             << "at " << total_ops << ")\n\n";
 
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     util::TextTable table({"ops/epoch", "epochs", "samples/epoch",
                            "hitrate@1/8", "hitrate@1/32", "promotions"});
     for (const std::uint64_t ops_per_epoch :
@@ -34,7 +39,7 @@ static int bench_main(int argc, char** argv) {
       collect.ops_per_epoch = ops_per_epoch;
       collect.seed = seed;
       collect.daemon.driver.ibs = bench::scaled_ibs(4);
-      collect.n_threads = bench::selected_threads(args);
+      collect.n_threads = threads;
       const tiering::EpochSeries series = tiering::collect_series(
           spec, bench::testbed_config(spec.total_bytes), collect);
 

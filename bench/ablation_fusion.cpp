@@ -6,7 +6,7 @@
 /// tested rather than assumed.
 ///
 /// Usage: ablation_fusion [--workload=<name>] [--scale=F] [--epochs=N]
-///        [--ops-per-epoch=N]
+///        [--ops-per-epoch=N] [--seed=N] [--threads=N]
 
 #include <iostream>
 
@@ -21,6 +21,10 @@ static int bench_main(int argc, char** argv) {
   const std::uint32_t epochs = args.get_u32("epochs", 8);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 600'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
+  const std::uint32_t threads = bench::selected_threads(args);
+  const std::vector<workloads::WorkloadSpec> specs =
+      bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Ablation: rank-fusion mode vs History hitrate\n\n";
 
@@ -38,13 +42,13 @@ static int bench_main(int argc, char** argv) {
       {"trace-only", core::FusionMode::TraceOnly, 1.0},
   };
 
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     tiering::CollectOptions collect;
     collect.n_epochs = epochs;
     collect.ops_per_epoch = ops_per_epoch;
     collect.seed = seed;
     collect.daemon.driver.ibs = bench::scaled_ibs(4);
-    collect.n_threads = bench::selected_threads(args);
+    collect.n_threads = threads;
     const tiering::EpochSeries series = tiering::collect_series(
         spec, bench::testbed_config(spec.total_bytes), collect);
 

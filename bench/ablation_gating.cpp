@@ -5,6 +5,7 @@
 /// samples missed when activity resumes.
 ///
 /// Usage: ablation_gating [--scale=F] [--bursts=N] [--ops-per-phase=N]
+///        [--seed=N]
 
 #include <iostream>
 
@@ -25,9 +26,9 @@ struct GateOutcome {
   util::SimNs overhead_ns = 0;
 };
 
-GateOutcome run(double threshold, bool enabled, std::uint32_t bursts,
+GateOutcome run(const workloads::WorkloadSpec& spec, double threshold,
+                bool enabled, std::uint32_t bursts,
                 std::uint64_t ops_per_phase, std::uint64_t seed) {
-  const auto spec = workloads::find_spec("data_caching", 0.25);
   sim::System system(bench::testbed_config(spec.total_bytes));
   tiering::add_spec_processes(system, spec, seed);
   core::DaemonConfig cfg;
@@ -65,20 +66,24 @@ static int bench_main(int argc, char** argv) {
   const std::uint32_t bursts = args.get_u32("bursts", 5);
   const std::uint64_t ops_per_phase = args.get_u64("ops-per-phase", 400'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
+  const workloads::WorkloadSpec spec = workloads::find_spec(
+      "data_caching", bench::scale_from_args(args, 0.25, {"data_caching"}));
+  args.reject_unread();
 
   std::cout << "Ablation: activity-gate threshold on a bursty service\n"
             << "(data_caching; each burst = 1 busy tick + 3 idle ticks)\n\n";
   util::TextTable table({"gate", "scans run", "pages observed",
                          "profiling cost (us)"});
 
-  const GateOutcome off = run(0.0, false, bursts, ops_per_phase, seed);
+  const GateOutcome off = run(spec, 0.0, false, bursts, ops_per_phase, seed);
   table.add_row({"off",
                  util::TextTable::num(off.scans_run) + "/" +
                      util::TextTable::num(off.scans_total),
                  util::TextTable::num(off.pages_observed),
                  util::TextTable::num(off.overhead_ns / 1000)});
   for (const double threshold : {0.05, 0.2, 0.5}) {
-    const GateOutcome g = run(threshold, true, bursts, ops_per_phase, seed);
+    const GateOutcome g =
+        run(spec, threshold, true, bursts, ops_per_phase, seed);
     table.add_row({"thr=" + util::TextTable::fixed(threshold, 2),
                    util::TextTable::num(g.scans_run) + "/" +
                        util::TextTable::num(g.scans_total),

@@ -9,7 +9,7 @@
 /// All three run the same workloads with the same tier-1 capacity.
 ///
 /// Usage: arch_compare [--workload=<name>] [--scale=F] [--epochs=N]
-///        [--ops-per-epoch=N]
+///        [--ops-per-epoch=N] [--seed=N]
 
 #include <iostream>
 
@@ -86,13 +86,16 @@ static int bench_main(int argc, char** argv) {
   const std::uint32_t epochs = args.get_u32("epochs", 8);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 400'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
+  const std::vector<workloads::WorkloadSpec> specs =
+      bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Architecture comparison: in-place tiering vs swap-style "
                "far memory (64 MiB fast tier)\n\n";
   util::TextTable table({"workload", "static_ms", "tmp_ms", "swap_ms",
                          "swap vs tmp", "swap faults", "t1 hit (tmp)",
                          "t1 hit (swap)"});
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     const ArchResult stat =
         run(Arch::StaticTiered, spec, epochs, ops_per_epoch, seed);
     const ArchResult tmp =

@@ -14,9 +14,11 @@
 /// Usage: chaos [--workload=<name>] [--scale=F] [--epochs=N]
 ///        [--ops-per-epoch=N] [--seed=S] [--kill-seed=S]
 ///        [--policies=a,b,...] [--threads-list=a,b] [--rates=a,b]
-///        [--model=native|badgertrap] [--checkpoint-every=N] [--dir=D]
-///        [--csv=0|1] [--metrics-out=F] [--trace-out=F]
-///        [--telemetry-every=N]
+///        [--model=native|badgertrap] [--admission=off|static|adaptive]
+///        [--mig-bandwidth=F] [--mig-burst=F] [--cooldown-epochs=N]
+///        [--min-benefit=N] [--min-history=N] [--max-moves=N]
+///        [--checkpoint-every=N] [--dir=D] [--csv=0|1] [--metrics-out=F]
+///        [--trace-out=F] [--telemetry-every=N]
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -111,7 +113,9 @@ static int bench_main(int argc, char** argv) {
   const std::vector<std::string> thread_counts =
       split_list(args.get("threads-list", "1,8"));
   const std::vector<std::string> rates = split_list(args.get("rates", "0,0.2"));
-  const std::string model = args.get("model", "native");
+  const tiering::SlowMemoryModel slow_model =
+      tiering::parse_slow_model(args.get("model", "native"));
+  const tiering::AdmissionConfig admission = bench::admission_from_args(args);
   const std::uint32_t every = args.get_u32("checkpoint-every", 2);
   const std::string dir = args.get("dir", "chaos-ckpt");
   const bool write_csv = args.get_bool("csv", true);
@@ -120,6 +124,7 @@ static int bench_main(int argc, char** argv) {
   // telemetry section) and the resumed run, each on its own trace track.
   const std::unique_ptr<telemetry::Telemetry> telemetry =
       bench::telemetry_from_args(args);
+  args.reject_unread();
 
   const workloads::WorkloadSpec spec = workloads::find_spec(workload, scale);
   sim::SimConfig cfg = bench::testbed_config(spec.total_bytes);
@@ -153,12 +158,10 @@ static int bench_main(int argc, char** argv) {
         opt.n_epochs = epochs;
         opt.ops_per_epoch = ops_per_epoch;
         opt.seed = seed;
-        opt.slow_model = model == "badgertrap"
-                             ? tiering::SlowMemoryModel::BadgerTrapEmulation
-                             : tiering::SlowMemoryModel::Native;
+        opt.slow_model = slow_model;
         opt.daemon.driver.ibs = bench::scaled_ibs(4);
         opt.n_threads = n_threads;
-        opt.mover.admission = bench::admission_from_args(args);
+        opt.mover.admission = admission;
         opt.fault.rate = rate;
         opt.telemetry = telemetry.get();
 

@@ -131,46 +131,34 @@ inline core::HotnessConfig hotness_from_args(const util::ArgParser& args) {
 /// Streaming-transport selection shared by the benches (docs/STREAMING.md):
 ///   --stream=0|1        lock-free streaming sample transport (default off)
 ///   --stream-ring=N     per-lane ring capacity (power of two >= 2)
-/// Streaming requires the sharded engine and the exact hotness front-end;
-/// invalid combinations are rejected here, naming the flag, instead of
-/// surfacing as a precondition failure deep in the driver.
-inline core::StreamConfig stream_from_args(const util::ArgParser& args,
-                                           std::uint32_t n_threads,
-                                           const core::HotnessConfig& hotness) {
+inline core::StreamConfig stream_from_args(const util::ArgParser& args) {
   core::StreamConfig stream;
   stream.enabled = args.get_bool("stream", false);
   stream.ring_capacity = args.get_u32("stream-ring", stream.ring_capacity);
-  if (stream.ring_capacity < 2 ||
-      (stream.ring_capacity & (stream.ring_capacity - 1)) != 0) {
-    throw std::invalid_argument(
-        "--stream-ring: ring capacity must be a power of two >= 2");
-  }
-  if (stream.enabled && n_threads == 0) {
-    throw std::invalid_argument(
-        "--stream: streaming needs the sharded engine's per-core lanes; "
-        "pass --threads=N with N >= 1");
-  }
-  if (stream.enabled && hotness.mode != core::HotnessMode::Exact) {
-    throw std::invalid_argument(
-        "--stream: streaming requires --hotness=exact (conservative-update "
-        "sketches are add-order sensitive)");
-  }
   return stream;
 }
 
-/// Fault-injection selection shared by the benches (docs/ROBUSTNESS.md):
-///   --fault-rate=F      probability per fault site in [0, 1] (default 0)
+/// Fault-schedule selection, for a bench that sweeps the rate itself:
 ///   --fault-seed=N      schedule seed, independent of the workload seed
 ///   --fault-sites=a,b   restrict to named sites (e.g. "migration,
-///                       trace-overflow"); default all sites at F
-/// Rejects negative/out-of-range rates and unknown site names.
-inline util::FaultConfig fault_from_args(const util::ArgParser& args) {
+///                       trace-overflow"); default all sites
+/// Rejects unknown site names. The rate is left at 0.
+inline util::FaultConfig fault_schedule_from_args(const util::ArgParser& args) {
   util::FaultConfig fault;
-  fault.rate = args.get_rate("fault-rate", 0.0);
   fault.seed = args.get_u64("fault-seed", fault.seed);
   if (args.has("fault-sites")) {
     fault.restrict_to(util::parse_fault_sites(args.get("fault-sites", "")));
   }
+  return fault;
+}
+
+/// Fault-injection selection shared by the benches (docs/ROBUSTNESS.md):
+/// the schedule flags above plus
+///   --fault-rate=F      probability per fault site in [0, 1] (default 0)
+/// Rejects out-of-range rates.
+inline util::FaultConfig fault_from_args(const util::ArgParser& args) {
+  util::FaultConfig fault = fault_schedule_from_args(args);
+  fault.rate = args.get_rate("fault-rate", 0.0);
   return fault;
 }
 
@@ -214,12 +202,12 @@ inline std::unique_ptr<telemetry::Telemetry> telemetry_from_args(
 ///   --mig-bandwidth=F     migration bandwidth in MB of simulated transfer
 ///                         per simulated second (0 = unlimited)
 ///   --mig-burst=F         token-bucket depth in MB (largest single burst)
-///   --cooldown-epochs=N   ping-pong window K; must be >= 1
+///   --cooldown-epochs=N   ping-pong window K (>= 1)
 ///   --min-benefit=N       benefit floor (static) / floor to decay to
 ///   --min-history=N       epochs of ranking evidence required to admit
 ///   --max-moves=N         storm brake: admitted promotions per epoch
 /// Rejects unknown modes (tiering::parse_admission_mode enumerates the
-/// valid names), negative bandwidths/bursts and a zero cool-down window.
+/// valid names) and negative bandwidths/bursts.
 inline tiering::AdmissionConfig admission_from_args(
     const util::ArgParser& args) {
   tiering::AdmissionConfig adm;
@@ -232,10 +220,6 @@ inline tiering::AdmissionConfig admission_from_args(
       "mig-burst", static_cast<double>(adm.burst_bytes) / 1e6, 1e-6, 1e9);
   adm.burst_bytes = static_cast<std::uint64_t>(burst_mb * 1e6);
   adm.cooldown_epochs = args.get_u32("cooldown-epochs", adm.cooldown_epochs);
-  if (adm.cooldown_epochs == 0) {
-    throw std::invalid_argument(
-        "--cooldown-epochs: the ping-pong window must be >= 1 epoch");
-  }
   adm.min_benefit = args.get_u64("min-benefit", adm.min_benefit);
   adm.min_history = args.get_u32("min-history", adm.min_history);
   adm.max_moves_per_epoch = args.get_u64("max-moves", adm.max_moves_per_epoch);
@@ -307,9 +291,7 @@ inline FleetArgs fleet_from_args(const util::ArgParser& args) {
 /// of ~64/bw ns to every fill the tier serves. Returns an empty vector
 /// when --tiers is absent (the tier1_frames/tier2_frames shorthand stays
 /// in charge).
-/// Rejects malformed specs, empty names, zero-frame tiers, chains shorter
-/// than 2 or longer than mem::kMaxTiers tiers, and chains whose read
-/// latency descends (the chain must be ordered fastest first).
+/// Rejects malformed specs and non-positive bandwidths.
 inline std::vector<mem::TierSpec> tiers_from_args(const util::ArgParser& args) {
   std::vector<mem::TierSpec> tiers;
   if (!args.has("tiers")) return tiers;
@@ -348,15 +330,7 @@ inline std::vector<mem::TierSpec> tiers_from_args(const util::ArgParser& args) {
     }
     mem::TierSpec spec;
     spec.name = fields[0];
-    if (spec.name.empty()) {
-      throw std::invalid_argument("--tiers: tier names must be non-empty");
-    }
     spec.frames = parse_u64(fields[1], "frame count");
-    if (spec.frames == 0) {
-      throw std::invalid_argument("--tiers: tier '" + spec.name +
-                                  "' has zero frames; every tier must hold "
-                                  "at least one page");
-    }
     spec.read_latency_ns = parse_u64(fields[2], "read latency");
     spec.write_latency_ns = parse_u64(fields[3], "write latency");
     if (fields.size() == 5) {
@@ -378,24 +352,6 @@ inline std::vector<mem::TierSpec> tiers_from_args(const util::ArgParser& args) {
     }
     tiers.push_back(std::move(spec));
   }
-  if (tiers.size() < 2) {
-    throw std::invalid_argument(
-        "--tiers: a chain needs at least 2 tiers (fast + capacity)");
-  }
-  if (tiers.size() > mem::kMaxTiers) {
-    throw std::invalid_argument("--tiers: at most " +
-                                std::to_string(mem::kMaxTiers) +
-                                " tiers are supported");
-  }
-  for (std::size_t t = 1; t < tiers.size(); ++t) {
-    if (tiers[t].read_latency_ns < tiers[t - 1].read_latency_ns) {
-      throw std::invalid_argument(
-          "--tiers: chain must be ordered fastest first, but '" +
-          tiers[t].name + "' (read " + std::to_string(tiers[t].read_latency_ns) +
-          " ns) is faster than '" + tiers[t - 1].name + "' (read " +
-          std::to_string(tiers[t - 1].read_latency_ns) + " ns)");
-    }
-  }
   return tiers;
 }
 
@@ -403,20 +359,11 @@ inline std::vector<mem::TierSpec> tiers_from_args(const util::ArgParser& args) {
 ///   --devmon=0|1       enable per-device hot-page counters (default off)
 ///   --devmon-slots=N   counter slots per device (>= 1)
 ///   --devmon-topk=N    entries reported per device per epoch (1..slots)
-/// Rejects zero slot counts and report sizes outside [1, slots].
 inline monitors::DevMonConfig devmon_from_args(const util::ArgParser& args) {
   monitors::DevMonConfig dm;
   dm.enabled = args.get_bool("devmon", false);
   dm.slots = args.get_u32("devmon-slots", dm.slots);
-  if (dm.slots == 0) {
-    throw std::invalid_argument(
-        "--devmon-slots: a device needs at least 1 counter slot");
-  }
   dm.top_k = args.get_u32("devmon-topk", dm.top_k);
-  if (dm.top_k == 0 || dm.top_k > dm.slots) {
-    throw std::invalid_argument(
-        "--devmon-topk: the per-epoch report size must lie in [1, slots]");
-  }
   return dm;
 }
 
@@ -466,8 +413,11 @@ inline const std::vector<std::string>& storm_csv_header() {
 
 /// Runs a bench's body and turns a bad flag into a usage error: the
 /// std::invalid_argument that util::ArgParser and the *_from_args helpers
-/// throw is printed to stderr and the bench exits with 2, instead of
-/// escaping main and aborting. Every bench's main is
+/// throw on a parse error, ArgParser::reject_unread throws on a flag the
+/// bench does not read, and tiering::check_options throws (as a
+/// tiering::ConfigError) on an invalid run configuration is printed to
+/// stderr and the bench exits with 2, instead of escaping main and
+/// aborting. Every bench's main is
 /// `return tmprof::bench::run_main(argc, argv, bench_main);`.
 inline int run_main(int argc, char** argv, int (*body)(int, char**)) {
   try {

@@ -9,6 +9,7 @@
 /// placement, plus what the PID filter tracked.
 ///
 /// Usage: consolidation [--epochs=N] [--ops-per-epoch=N] [--scale=F]
+///        [--seed=N]
 ///
 /// Fleet mode (--fleet; docs/CONSOLIDATION.md): tens of tenants with
 /// arrival/departure churn and Zipfian popularity share one fast tier
@@ -18,6 +19,17 @@
 /// the QoS guarantee — the latency tenant stays within 5 pp of its solo
 /// hitrate while batch neighbors storm — into the exit code (CI gates on
 /// it). See bench::fleet_from_args for the fleet flags.
+///
+/// Usage: consolidation --fleet [--tenants=N] [--qos=latency|batch]
+///        [--quota-floor=N] [--churn-rate=F] [--isolation-check=1]
+///        [--epochs=N] [--ops-per-epoch=N] [--seed=N] [--policy=P]
+///        [--min-rank=N] [--threads=N] [--admission=off|static|adaptive]
+///        [--mig-bandwidth=F] [--mig-burst=F] [--cooldown-epochs=N]
+///        [--min-benefit=N] [--min-history=N] [--max-moves=N]
+///        [--fault-rate=F] [--fault-seed=N] [--fault-sites=a,b]
+///        [--checkpoint-every=N] [--checkpoint-dir=D] [--resume-from=F]
+///        [--resume-latest=0|1] [--keep-last=K] [--csv=0|1]
+///        [--metrics-out=F] [--trace-out=F] [--telemetry-every=N]
 
 #include <cmath>
 #include <iostream>
@@ -190,6 +202,17 @@ int fleet_main(const util::ArgParser& args) {
   const bool write_csv = args.get_bool("csv", true);
   const std::unique_ptr<telemetry::Telemetry> telemetry =
       bench::telemetry_from_args(args);
+  const std::string policy = args.get("policy", "history");
+  // Noise floor 1: with one A-bit scan per epoch the coverage signal is a
+  // single count, and a floor of 3 would leave only IBS-sampled pages
+  // eligible — the service's steady footprint must register as demand for
+  // quota arbitration to mean anything.
+  const std::uint64_t min_rank = args.get_u64("min-rank", 1);
+  const tiering::AdmissionConfig admission = bench::admission_from_args(args);
+  const std::uint32_t threads = bench::selected_threads(args);
+  const util::FaultConfig fault = bench::fault_from_args(args);
+  const util::ckpt::Options checkpoint = bench::checkpoint_from_args(args);
+  args.reject_unread();
 
   // Fast tier sized to the service plus a burst pool far smaller than the
   // fleet's combined footprint, so batch churn creates genuine pressure.
@@ -208,17 +231,14 @@ int fleet_main(const util::ArgParser& args) {
   opt.n_epochs = epochs;
   opt.ops_per_epoch = ops_per_epoch;
   opt.seed = seed;
-  opt.policy = args.get("policy", "history");
+  opt.policy = policy;
   opt.daemon.driver.ibs = bench::scaled_ibs(4);
   opt.mover.per_page_cost_ns = 2500;
-  // Noise floor 1: with one A-bit scan per epoch the coverage signal is a
-  // single count, and a floor of 3 would leave only IBS-sampled pages
-  // eligible — the service's steady footprint must register as demand for
-  // quota arbitration to mean anything.
-  opt.mover.min_rank = args.get_u64("min-rank", 1);
-  opt.mover.admission = bench::admission_from_args(args);
-  opt.n_threads = bench::selected_threads(args);
-  opt.fault = bench::fault_from_args(args);
+  opt.mover.min_rank = min_rank;
+  opt.mover.admission = admission;
+  opt.n_threads = threads;
+  opt.fault = fault;
+  opt.checkpoint = checkpoint;
   opt.telemetry = telemetry.get();
 
   std::cout << "Fleet consolidation: 1 " << to_string(fleet.service_qos)
@@ -231,7 +251,6 @@ int fleet_main(const util::ArgParser& args) {
   // Solo baseline: the service alone, arbitration off. Its hitrate is the
   // bar the isolation guarantee is measured against.
   tiering::RunnerOptions solo_opt = opt;
-  solo_opt.checkpoint = bench::checkpoint_from_args(args);
   solo_opt.checkpoint.basename = "fleet-solo";
   solo_opt.telemetry_label = "fleet/solo";
   const tiering::RunnerResult solo = tiering::EndToEndRunner::run(
@@ -254,7 +273,6 @@ int fleet_main(const util::ArgParser& args) {
   // ranking and the noisy neighbors crowd the service out.
   tiering::RunnerOptions off_opt = opt;
   off_opt.process_weights = weights;
-  off_opt.checkpoint = bench::checkpoint_from_args(args);
   off_opt.checkpoint.basename = "fleet-off";
   off_opt.telemetry_label = "fleet/off";
   const tiering::RunnerResult off =
@@ -265,7 +283,6 @@ int fleet_main(const util::ArgParser& args) {
   tiering::RunnerOptions on_opt = opt;
   on_opt.process_weights = weights;
   on_opt.tenants = tenants;
-  on_opt.checkpoint = bench::checkpoint_from_args(args);
   on_opt.checkpoint.basename = "fleet-on";
   on_opt.telemetry_label = "fleet/on";
   const tiering::RunnerResult on =
@@ -342,6 +359,7 @@ static int bench_main(int argc, char** argv) {
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 600'000);
   const double scale = bench::scale_from_args(args, 0.5, kTenants);
   const std::uint64_t seed = args.get_u64("seed", 42);
+  args.reject_unread();
 
   std::cout << "Consolidation: data_caching + lulesh + gups sharing one "
                "64 MiB fast tier\n\n";

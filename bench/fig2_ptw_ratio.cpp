@@ -14,7 +14,7 @@
 ///    entry summarizes 512 base pages, which is how the fused rank sees it).
 ///
 /// Usage: fig2_ptw_ratio [--workload=<name>] [--scale=F] [--epochs=N]
-///        [--ops-per-epoch=N]
+///        [--ops-per-epoch=N] [--seed=N]
 
 #include <iostream>
 
@@ -31,6 +31,9 @@ static int bench_main(int argc, char** argv) {
   const std::uint32_t epochs = args.get_u32("epochs", 6);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 500'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
+  const std::vector<workloads::WorkloadSpec> specs =
+      bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Fig. 2: PTW A-bit-set events vs data-cache-miss events\n"
             << "(" << epochs << " epochs x " << ops_per_epoch
@@ -39,7 +42,7 @@ static int bench_main(int argc, char** argv) {
                          "itlb_walk", "abit_samples", "trace_samples", "weighted_abit",
                          "ratio(w)", "comparable"});
 
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     sim::System system(bench::testbed_config(spec.total_bytes));
     tiering::add_spec_processes(system, spec, seed);
     core::DaemonConfig cfg;

@@ -8,7 +8,7 @@
 /// LULESH/Data-Analytics show diagonal sweep stripes.
 ///
 /// Usage: fig3_heatmap_ibs [--workload=<name>] [--scale=F] [--ops=N]
-///        [--csv=0|1]
+///        [--seed=N] [--csv=0|1] [--time-bins=N] [--addr-bins=N]
 
 #include <fstream>
 #include <iostream>
@@ -28,9 +28,12 @@ static int bench_main(int argc, char** argv) {
   const bool write_csv = args.get_bool("csv", true);
   const std::size_t time_bins = args.get_u64("time-bins", 64);
   const std::size_t addr_bins = args.get_u64("addr-bins", 24);
+  const std::vector<workloads::WorkloadSpec> specs =
+      bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Fig. 3: access heatmaps from IBS samples (4x rate)\n\n";
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     sim::System system(bench::testbed_config(spec.total_bytes));
     tiering::add_spec_processes(system, spec, seed);
 

@@ -9,7 +9,7 @@
 /// curve dominates (more pages, higher counts) while trace curves collapse.
 ///
 /// Usage: fig5_cdf [--workload=<name>] [--scale=F] [--epochs=N]
-///        [--ops-per-epoch=N] [--csv=0|1]
+///        [--ops-per-epoch=N] [--seed=N] [--csv=0|1]
 
 #include <array>
 #include <fstream>
@@ -59,12 +59,15 @@ static int bench_main(int argc, char** argv) {
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 1'000'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const bool write_csv = args.get_bool("csv", true);
+  const std::vector<workloads::WorkloadSpec> specs =
+      bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Fig. 5: CDFs of per-page observation counts\n"
             << "(columns: detected pages, then counts at p25/p50/p90/p99/"
                "max)\n\n";
 
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     sim::System system(bench::testbed_config(spec.total_bytes));
     tiering::add_spec_processes(system, spec, seed);
 

@@ -11,8 +11,9 @@
 /// Oracle >= History per source; the truth-Oracle column bounds everything.
 ///
 /// Usage: fig6_hitrate [--workload=<name>] [--scale=F] [--epochs=N]
-///        [--ops-per-epoch=N] [--fusion=sum|max|weighted]
-///        [--trace-weight=F] [--csv=0|1] [--fault-rate=F] [--fault-seed=N]
+///        [--ops-per-epoch=N] [--seed=N] [--fusion=sum|max|weighted]
+///        [--trace-weight=F] [--backend=ibs|pebs] [--threads=N]
+///        [--csv=0|1] [--fault-rate=F] [--fault-seed=N]
 ///        [--fault-sites=a,b] [--checkpoint-every=N] [--checkpoint-dir=D]
 ///        [--resume-from=F] [--resume-latest=0|1] [--keep-last=K]
 ///        [--metrics-out=F] [--trace-out=F] [--telemetry-every=N]
@@ -68,31 +69,26 @@ static int bench_main(int argc, char** argv) {
   const std::uint32_t threads = bench::selected_threads(args);
   const util::FaultConfig fault = bench::fault_from_args(args);
   const core::HotnessConfig hotness = bench::hotness_from_args(args);
-  const core::StreamConfig stream =
-      bench::stream_from_args(args, threads, hotness);
+  const core::StreamConfig stream = bench::stream_from_args(args);
+  const core::TraceBackend backend =
+      core::parse_trace_backend(args.get("backend", "ibs"));
   const util::ckpt::Options checkpoint = bench::checkpoint_from_args(args);
   const std::unique_ptr<telemetry::Telemetry> telemetry =
       bench::telemetry_from_args(args);
+  const std::vector<workloads::WorkloadSpec> specs =
+      bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Fig. 6: tier-1 hitrate, Oracle & History x profiling source\n"
             << "(epoch = " << ops_per_epoch << " ops, " << epochs
             << " epochs; combined fusion = " << core::to_string(combined)
             << ")\n\n";
 
-  const std::array<std::uint64_t, 5> divisors{8, 16, 32, 64, 128};
-  std::ofstream csv;
-  if (write_csv) {
-    csv.open("fig6_hitrate.csv");
-    csv << "workload,ratio,policy,source,hitrate,trace_dropped,"
-           "scans_aborted\n";
-  }
-
   // Collection dominates the wall clock; the replay below is cheap. With
   // --threads=N the workloads (independent Systems) collect concurrently,
   // each on the sharded engine; a single selected workload instead shards
   // its own cores across the pool. Either way the series are identical to
   // a --threads=1 run — output order is fixed by the spec list.
-  const std::vector<workloads::WorkloadSpec> specs = bench::selected_specs(args);
   std::vector<tiering::EpochSeries> collected(specs.size());
   // One telemetry sink cannot be shared by concurrently-collecting
   // Systems, so telemetry forces the (deterministically identical)
@@ -107,7 +103,7 @@ static int bench_main(int argc, char** argv) {
     collect.daemon.driver.ibs = bench::scaled_ibs(4);
     collect.daemon.driver.hotness = hotness;
     collect.daemon.driver.stream = stream;
-    if (args.get("backend", "ibs") == "pebs") {
+    if (backend == core::TraceBackend::Pebs) {
       // Intel testbeds use PEBS armed on LLC misses instead of IBS; the
       // driver is backend-agnostic, so Fig. 6 can be regenerated per
       // vendor (sample_after tuned to a comparable sample rate).
@@ -130,6 +126,15 @@ static int bench_main(int argc, char** argv) {
     for (std::size_t i = 0; i < specs.size(); ++i) collect_one(i);
   }
 
+  // Opened once collection has accepted the configuration, so a rejected
+  // one leaves an earlier CSV in place.
+  const std::array<std::uint64_t, 5> divisors{8, 16, 32, 64, 128};
+  std::ofstream csv;
+  if (write_csv) {
+    csv.open("fig6_hitrate.csv");
+    csv << "workload,ratio,policy,source,hitrate,trace_dropped,"
+           "scans_aborted\n";
+  }
   double worst_gain = 1e9, best_gain = 0.0;
   for (std::size_t spec_idx = 0; spec_idx < specs.size(); ++spec_idx) {
     const workloads::WorkloadSpec& spec = specs[spec_idx];

@@ -679,6 +679,7 @@ static int bench_main(int argc, char** argv) {
   const bool sketch_sweep = args.get_bool("sketch-sweep", true);
   const bool ring_sweep = args.get_bool("ring-sweep", true);
   const std::string out_path = args.get("out", "BENCH_hotpath.json");
+  args.reject_unread();
 
   const std::uint64_t footprints[] = {4096, 16384, 65536};
   std::vector<Row> rows;

@@ -14,7 +14,7 @@
 ///   thermostat — BadgerTrap-sampled classification (Agarwal & Wenisch)
 ///
 /// Usage: profiler_compare [--workload=<name>] [--scale=F] [--epochs=N]
-///        [--ops-per-epoch=N] [--time-scale=F]
+///        [--ops-per-epoch=N] [--seed=N] [--time-scale=F]
 
 #include <iostream>
 
@@ -82,12 +82,15 @@ static int bench_main(int argc, char** argv) {
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 500'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const double time_scale = args.get_double("time-scale", 20.0);
+  const std::vector<workloads::WorkloadSpec> specs =
+      bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Profiler comparison (Section II-B survey, measured)\n"
             << "(" << epochs << " epochs x " << ops_per_epoch
             << " ops; hitrate = History policy at tier1 = footprint/16)\n\n";
 
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     const sim::SimConfig cfg = bench::testbed_config(spec.total_bytes);
     util::TextTable table(
         {"profiler", "pages/epoch", "overhead", "hitrate@1/16"});

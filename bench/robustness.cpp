@@ -16,8 +16,11 @@
 /// fault schedule bit-for-bit at any --threads value.
 ///
 /// Usage: robustness [--workload=<name>] [--scale=F] [--epochs=N]
-///        [--ops-per-epoch=N] [--rates=0,0.05,...] [--fault-seed=N]
-///        [--fault-sites=a,b] [--threads=N] [--csv=0|1]
+///        [--ops-per-epoch=N] [--seed=N] [--time-scale=F]
+///        [--rates=0,0.05,...] [--fault-seed=N] [--fault-sites=a,b]
+///        [--threads=N] [--min-rank=N] [--admission=off|static|adaptive]
+///        [--mig-bandwidth=F] [--mig-burst=F] [--cooldown-epochs=N]
+///        [--min-benefit=N] [--min-history=N] [--max-moves=N] [--csv=0|1]
 ///        [--metrics-out=F] [--trace-out=F] [--telemetry-every=N]
 ///
 /// Storm mode (--storm; docs/ADMISSION.md): instead of fault sweeps, run
@@ -25,6 +28,13 @@
 /// with the admission gate off and on, and report migrated bytes saved at
 /// equal-or-better hitrate. `--storm-check=1` turns the >=20%-savings
 /// criterion into the exit code (CI gates on it).
+///
+/// Usage: robustness --storm [--storm-check=1] [--epochs=N]
+///        [--ops-per-epoch=N] [--seed=N] [--time-scale=F] [--policy=P]
+///        [--min-rank=N] [--threads=N] [--admission=off|static|adaptive]
+///        [--mig-bandwidth=F] [--mig-burst=F] [--cooldown-epochs=N]
+///        [--min-benefit=N] [--min-history=N] [--max-moves=N] [--csv=0|1]
+///        [--metrics-out=F] [--trace-out=F] [--telemetry-every=N]
 
 #include <iostream>
 #include <memory>
@@ -115,6 +125,10 @@ int storm_main(const tmprof::util::ArgParser& args) {
   if (adm.mode == tiering::AdmissionMode::Off) {
     adm.mode = tiering::AdmissionMode::Static;
   }
+  const std::string policy = args.get("policy", "history");
+  const std::uint64_t min_rank = args.get_u64("min-rank", 3);
+  const std::uint32_t threads = bench::selected_threads(args);
+  args.reject_unread();
 
   std::cout << "Migration storms: admission off vs "
             << to_string(adm.mode) << " (" << epochs << " epochs x "
@@ -139,12 +153,12 @@ int storm_main(const tmprof::util::ArgParser& args) {
     opt.n_epochs = epochs;
     opt.ops_per_epoch = ops_per_epoch;
     opt.seed = seed;
-    opt.policy = args.get("policy", "history");
+    opt.policy = policy;
     opt.daemon.driver.ibs = bench::scaled_ibs(4);
     opt.mover.per_page_cost_ns =
         static_cast<util::SimNs>(50.0 * 1000.0 / time_scale);
-    opt.mover.min_rank = args.get_u64("min-rank", 3);
-    opt.n_threads = bench::selected_threads(args);
+    opt.mover.min_rank = min_rank;
+    opt.n_threads = threads;
     opt.telemetry = telemetry.get();
 
     opt.telemetry_label = scenario.name + "/off";
@@ -222,14 +236,21 @@ static int bench_main(int argc, char** argv) {
       parse_rates(args.get("rates", "0,0.05,0.1,0.2,0.4"));
   const std::unique_ptr<telemetry::Telemetry> telemetry =
       bench::telemetry_from_args(args);
+  const std::string sites = args.get("fault-sites", "all");
+  const util::FaultConfig fault = bench::fault_schedule_from_args(args);
+  const std::uint64_t min_rank = args.get_u64("min-rank", 3);
+  const std::uint32_t threads = bench::selected_threads(args);
+  const tiering::AdmissionConfig admission = bench::admission_from_args(args);
+  const std::vector<workloads::WorkloadSpec> specs =
+      bench::selected_specs(args);
+  args.reject_unread();
   auto scaled_ns = [time_scale](double paper_us) {
     return static_cast<util::SimNs>(paper_us * 1000.0 / time_scale);
   };
 
   std::cout << "Robustness: speedup degradation under injected faults\n"
             << "(" << epochs << " epochs x " << ops_per_epoch
-            << " ops; sites: " << args.get("fault-sites", "all")
-            << "; fault seed " << args.get_u64("fault-seed", 0xfa17)
+            << " ops; sites: " << sites << "; fault seed " << fault.seed
             << ")\n\n";
   util::TextTable table({"workload", "fault_rate", "speedup", "hitrate",
                          "migrations", "retried", "deferred", "aborted",
@@ -242,7 +263,7 @@ static int bench_main(int argc, char** argv) {
   }
 
   bool graceful = true;
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     sim::SimConfig cfg = bench::testbed_config(spec.total_bytes);
     // Fast tier sized to a quarter of the footprint so placement matters at
     // any --scale (the degradation study needs migration pressure, not the
@@ -260,10 +281,10 @@ static int bench_main(int argc, char** argv) {
       opt.seed = seed;
       opt.daemon.driver.ibs = bench::scaled_ibs(4);
       opt.mover.per_page_cost_ns = scaled_ns(50.0);
-      opt.mover.min_rank = args.get_u64("min-rank", 3);
-      opt.n_threads = bench::selected_threads(args);
-      opt.mover.admission = bench::admission_from_args(args);
-      opt.fault = bench::fault_from_args(args);
+      opt.mover.min_rank = min_rank;
+      opt.n_threads = threads;
+      opt.mover.admission = admission;
+      opt.fault = fault;
       opt.fault.rate = rate;
       opt.telemetry = telemetry.get();
 

@@ -14,7 +14,7 @@
 ///    over 4x (the paper's 2.58x / <40% observation).
 ///
 /// Usage: table4_detected_pages [--workload=<name>] [--scale=F]
-///        [--epochs=N] [--ops-per-epoch=N]
+///        [--epochs=N] [--ops-per-epoch=N] [--seed=N]
 
 #include <array>
 #include <iostream>
@@ -102,6 +102,9 @@ static int bench_main(int argc, char** argv) {
   const std::uint32_t epochs = args.get_u32("epochs", 8);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 1'000'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
+  const std::vector<workloads::WorkloadSpec> specs =
+      bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Table IV: pages captured by A-bit vs IBS profiling\n"
             << "(IBS periods: default=" << bench::kScaledDefaultPeriod
@@ -113,7 +116,7 @@ static int bench_main(int argc, char** argv) {
 
   double sum_4x_gain = 0.0, sum_8x_gain = 0.0;
   int counted = 0;
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     const auto r = run_workload(spec, epochs, ops_per_epoch, seed);
     table.add_row({spec.name, util::TextTable::num(r[0].abit),
                    util::TextTable::num(r[0].ibs),

@@ -15,8 +15,8 @@
 /// overhead cannot be told from noise.
 ///
 /// Usage: table_overhead [--workload=<name>] [--scale=F] [--epochs=N]
-///        [--ops-per-epoch=N] [--self-reps=N] [--metrics-out=F]
-///        [--trace-out=F] [--telemetry-every=N]
+///        [--ops-per-epoch=N] [--seed=N] [--time-scale=F] [--self-reps=N]
+///        [--metrics-out=F] [--trace-out=F] [--telemetry-every=N]
 
 #include <algorithm>
 #include <chrono>
@@ -112,6 +112,12 @@ static int bench_main(int argc, char** argv) {
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 800'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const double time_scale = args.get_double("time-scale", 20.0);
+  const std::uint32_t self_reps = args.get_u32("self-reps", 3);
+  std::unique_ptr<telemetry::Telemetry> exported =
+      bench::telemetry_from_args(args);
+  const std::vector<workloads::WorkloadSpec> specs =
+      bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Sections VI-A/B: profiling overhead (% of application "
                "time)\n"
@@ -119,7 +125,7 @@ static int bench_main(int argc, char** argv) {
   util::TextTable table({"workload", "abit", "abit+shootdown", "ibs-default",
                          "ibs-4x", "ibs-8x", "abit(no-gating)"});
 
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     const OverheadCase abit =
         run_case(spec, epochs, ops_per_epoch, seed, false, 1, false, true, time_scale);
     const OverheadCase abit_sd =
@@ -148,9 +154,6 @@ static int bench_main(int argc, char** argv) {
   // Best-of-N wall-clock timings smooth scheduler noise; with --metrics-out
   // or --trace-out the instrumented runs also feed the exported files,
   // otherwise a file-less sink isolates pure collection cost.
-  const std::uint32_t self_reps = args.get_u32("self-reps", 3);
-  std::unique_ptr<telemetry::Telemetry> exported =
-      bench::telemetry_from_args(args);
   telemetry::Telemetry local{telemetry::TelemetryConfig{}};
   telemetry::Telemetry* const sink = exported ? exported.get() : &local;
 
@@ -164,7 +167,7 @@ static int bench_main(int argc, char** argv) {
       {"workload", "off_ms", "on_ms", "overhead", "off_spread", "verdict"});
   bool exceeded = false;
   bool unresolved = false;
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     double off_s = 1e300;
     double off_worst_s = 0.0;
     double on_s = 1e300;

@@ -19,12 +19,16 @@
 /// --time-scale=1 to use the paper's raw constants.
 ///
 /// Usage: table_speedup [--workload=<name>] [--scale=F] [--epochs=N]
-///        [--ops-per-epoch=N] [--model=native|badgertrap] [--with-oracle]
-///        [--time-scale=F] [--fault-rate=F] [--fault-seed=N]
-///        [--fault-sites=a,b] [--csv=0|1] [--checkpoint-every=N]
-///        [--checkpoint-dir=D] [--resume-from=F] [--resume-latest=0|1]
-///        [--keep-last=K] [--metrics-out=F] [--trace-out=F]
-///        [--telemetry-every=N] [--stream=0|1] [--stream-ring=N]
+///        [--ops-per-epoch=N] [--seed=N] [--model=native|badgertrap]
+///        [--with-oracle] [--time-scale=F] [--min-rank=N] [--threads=N]
+///        [--admission=off|static|adaptive] [--mig-bandwidth=F]
+///        [--mig-burst=F] [--cooldown-epochs=N] [--min-benefit=N]
+///        [--min-history=N] [--max-moves=N] [--fault-rate=F]
+///        [--fault-seed=N] [--fault-sites=a,b] [--csv=0|1]
+///        [--checkpoint-every=N] [--checkpoint-dir=D] [--resume-from=F]
+///        [--resume-latest=0|1] [--keep-last=K] [--metrics-out=F]
+///        [--trace-out=F] [--telemetry-every=N] [--stream=0|1]
+///        [--stream-ring=N]
 
 #include <iostream>
 #include <memory>
@@ -50,10 +54,15 @@ static int bench_main(int argc, char** argv) {
   const bool write_csv = args.get_bool("csv", true);
   const std::unique_ptr<telemetry::Telemetry> telemetry =
       bench::telemetry_from_args(args);
+  const tiering::SlowMemoryModel slow_model = tiering::parse_slow_model(model);
+  const std::uint64_t min_rank = args.get_u64("min-rank", 3);
+  const tiering::AdmissionConfig admission = bench::admission_from_args(args);
+  const std::uint32_t threads = bench::selected_threads(args);
+  const core::StreamConfig stream = bench::stream_from_args(args);
+  const std::vector<workloads::WorkloadSpec> specs =
+      bench::selected_specs(args);
+  args.reject_unread();
 
-  const tiering::SlowMemoryModel slow_model =
-      model == "badgertrap" ? tiering::SlowMemoryModel::BadgerTrapEmulation
-                            : tiering::SlowMemoryModel::Native;
   auto scaled_ns = [time_scale](double paper_us) {
     return static_cast<util::SimNs>(paper_us * 1000.0 / time_scale);
   };
@@ -75,7 +84,7 @@ static int bench_main(int argc, char** argv) {
   }
 
   std::vector<double> speedups;
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     sim::SimConfig cfg = bench::testbed_config(spec.total_bytes);
     // The paper's emulation testbed: 4 GiB fast + 60 GiB slow, /64 scale.
     cfg.tier1_frames = (64ULL << 20) >> mem::kPageShift;
@@ -89,14 +98,13 @@ static int bench_main(int argc, char** argv) {
     opt.slow_model = slow_model;
     opt.daemon.driver.ibs = bench::scaled_ibs(4);
     opt.mover.per_page_cost_ns = scaled_ns(50.0);
-    opt.mover.min_rank = args.get_u64("min-rank", 3);
-    opt.mover.admission = bench::admission_from_args(args);
+    opt.mover.min_rank = min_rank;
+    opt.mover.admission = admission;
     opt.badgertrap.fault_latency_ns = scaled_ns(10.0);
     opt.badgertrap.hot_extra_latency_ns = scaled_ns(13.0);
     opt.badgertrap.handler_cost_ns = scaled_ns(1.0);
-    opt.n_threads = bench::selected_threads(args);
-    opt.daemon.driver.stream =
-        bench::stream_from_args(args, opt.n_threads, opt.daemon.driver.hotness);
+    opt.n_threads = threads;
+    opt.daemon.driver.stream = stream;
     opt.fault = fault;
     opt.telemetry = telemetry.get();
 

@@ -9,8 +9,10 @@
 /// Usage: topology [--workload=<name>] [--scale=F] [--epochs=N]
 ///        [--ops-per-epoch=N] [--seed=N] [--ibs-rate=N]
 ///        [--tiers=name:frames:read_ns:write_ns[:bw_gbps],...]
-///        [--devmon-slots=N] [--devmon-topk=N] [--devmon-weight=F]
-///        [--csv-out=F] [--check=1]
+///        [--devmon=0|1] [--devmon-slots=N] [--devmon-topk=N]
+///        [--devmon-weight=F] [--csv-out=F] [--check=1]
+///
+/// Every chain runs with DevMon both off and on, whatever --devmon says.
 ///
 /// --check=1 exits non-zero unless DevMon improves the three-tier chain:
 /// >= +2 pp DRAM-tier hitrate or >= 5% runtime reduction on the first
@@ -67,6 +69,9 @@ static int bench_main(int argc, char** argv) {
   const std::vector<mem::TierSpec> custom = bench::tiers_from_args(args);
   const bool check = args.get_bool("check", false);
   const std::string csv_out = args.get("csv-out", "");
+  const std::vector<workloads::WorkloadSpec> specs =
+      bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Extension: N-tier topology chains with device-side hotness "
                "monitoring (DevMon)\n\n";
@@ -81,7 +86,7 @@ static int bench_main(int argc, char** argv) {
   util::SimNs check_off_ns = 0, check_on_ns = 0;
   bool check_seen = false;
 
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     std::vector<std::vector<mem::TierSpec>> chains;
     if (!custom.empty()) {
       chains.push_back(custom);

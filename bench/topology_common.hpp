@@ -13,6 +13,7 @@
 #include "pmu/events.hpp"
 #include "tiering/epoch.hpp"
 #include "tiering/mover.hpp"
+#include "tiering/options.hpp"
 
 namespace tmprof::bench {
 
@@ -47,14 +48,15 @@ inline ChainRun run_chain(const workloads::WorkloadSpec& spec,
                           const ChainOptions& opt) {
   sim::SimConfig cfg = testbed_config(spec.total_bytes);
   cfg.tiers = tiers;
-  sim::System system(cfg);
-  tiering::add_spec_processes(system, spec, opt.seed);
-
   core::DaemonConfig dcfg;
   dcfg.driver.ibs = scaled_ibs(opt.ibs_rate);
   dcfg.driver.devmon = opt.devmon;
   dcfg.fusion = opt.fusion;
   dcfg.devmon_weight = opt.devmon_weight;
+  tiering::check_options(cfg, dcfg);
+
+  sim::System system(cfg);
+  tiering::add_spec_processes(system, spec, opt.seed);
   core::TmpDaemon daemon(system, dcfg);
 
   tiering::MoverConfig mcfg;

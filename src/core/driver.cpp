@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 
 #include "telemetry/telemetry.hpp"
 #include "util/assert.hpp"
@@ -20,6 +21,13 @@ std::unique_ptr<monitors::TraceMonitor> make_trace_monitor(
 }
 
 }  // namespace
+
+TraceBackend parse_trace_backend(const std::string& text) {
+  if (text == "ibs") return TraceBackend::Ibs;
+  if (text == "pebs") return TraceBackend::Pebs;
+  throw std::invalid_argument("--backend: unknown trace backend '" + text +
+                              "' (valid backends: \"ibs\", \"pebs\")");
+}
 
 TmpDriver::TmpDriver(sim::System& system, const DriverConfig& config)
     : system_(system),

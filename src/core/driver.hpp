@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/hotness.hpp"
@@ -34,6 +35,10 @@ namespace tmprof::core {
 
 enum class TraceBackend : std::uint8_t { Ibs, Pebs };
 
+/// Parses "ibs" / "pebs"; throws std::invalid_argument naming --backend
+/// and the valid names otherwise.
+[[nodiscard]] TraceBackend parse_trace_backend(const std::string& text);
+
 struct DriverConfig {
   TraceBackend backend = TraceBackend::Ibs;
   monitors::IbsConfig ibs;
@@ -52,7 +57,7 @@ struct DriverConfig {
   /// are bitwise unchanged. Requires the sharded engine and the exact
   /// hotness front-end (conservative-update sketches are add-order
   /// sensitive, which the pump's scheduling-dependent interleaving would
-  /// expose).
+  /// expose); tiering::check_options enforces both.
   StreamConfig stream{};
 };
 

@@ -25,7 +25,7 @@ AdmissionController::AdmissionController(const AdmissionConfig& config)
       std::clamp<std::uint32_t>(config_.history_epochs, 1, kMaxHistory);
   config_.min_history =
       std::clamp<std::uint32_t>(config_.min_history, 1, config_.history_epochs);
-  config_.cooldown_epochs = std::max<std::uint32_t>(config_.cooldown_epochs, 1);
+  TMPROF_EXPECTS(config_.cooldown_epochs >= 1);
   config_.max_cooldown_epochs =
       std::max(config_.max_cooldown_epochs, config_.cooldown_epochs);
   tokens_ = config_.burst_bytes;

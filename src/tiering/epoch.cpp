@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "tiering/options.hpp"
 #include "util/assert.hpp"
 
 namespace tmprof::tiering {
@@ -254,7 +255,8 @@ EpochSeries collect_attempt(const WorkloadFactory& factory,
                             const std::vector<double>& process_weights,
                             const std::string& resume_path) {
   TMPROF_EXPECTS(options.n_epochs >= 1);
-  EpochLoop loop(factory, sim_config, options, process_weights, "collect");
+  EpochLoop loop(factory(options.seed), sim_config, options, process_weights,
+                 "collect");
   sim::System& system = loop.system();
   TruthCollector truth(system, options.daemon.driver.hotness);
   system.add_observer(&truth);
@@ -314,6 +316,7 @@ EpochSeries collect_series(const WorkloadFactory& factory,
                            const sim::SimConfig& sim_config,
                            const CollectOptions& options,
                            const std::vector<double>& process_weights) {
+  check_options(loop_config(sim_config, options), options.daemon);
   EpochSeries series;
   run_resumable(options, "collect", [&](const std::string& resume_path) {
     series = collect_attempt(factory, sim_config, options, process_weights,

@@ -104,7 +104,9 @@ struct CollectOptions : LoopOptions {
 /// Factory for a Table III spec (make_workload per process).
 [[nodiscard]] WorkloadFactory spec_factory(const workloads::WorkloadSpec& spec);
 
-/// Run workloads under the TMP daemon and collect their epoch series.
+/// Run workloads under the TMP daemon and collect their epoch series. An
+/// invalid configuration throws ConfigError (check_options) before the
+/// factory runs.
 [[nodiscard]] EpochSeries collect_series(const WorkloadFactory& factory,
                                          const sim::SimConfig& sim_config,
                                          const CollectOptions& options);

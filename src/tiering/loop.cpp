@@ -10,16 +10,19 @@
 
 namespace tmprof::tiering {
 
-EpochLoop::EpochLoop(const WorkloadFactory& factory,
+sim::SimConfig loop_config(const sim::SimConfig& config,
+                           const LoopOptions& options) {
+  sim::SimConfig sharded = config;
+  if (options.n_threads >= 1) sharded.sharded_engine = true;
+  return sharded;
+}
+
+EpochLoop::EpochLoop(std::vector<workloads::WorkloadPtr> generators,
                      const sim::SimConfig& config, const LoopOptions& options,
                      const std::vector<double>& process_weights,
                      std::string_view default_label)
     : options_(options),
-      config_([&config, &options] {
-        sim::SimConfig sharded = config;
-        if (options.n_threads >= 1) sharded.sharded_engine = true;
-        return sharded;
-      }()),
+      config_(loop_config(config, options)),
       system_(config_),
       retention_(options.checkpoint.dir, options.checkpoint.basename,
                  options.checkpoint.keep_last) {
@@ -30,7 +33,7 @@ EpochLoop::EpochLoop(const WorkloadFactory& factory,
     std::filesystem::create_directories(options.checkpoint.dir, ec);
   }
   std::size_t i = 0;
-  for (workloads::WorkloadPtr& generator : factory(options.seed)) {
+  for (workloads::WorkloadPtr& generator : generators) {
     const double weight =
         i < process_weights.size() ? process_weights[i] : 1.0;
     system_.add_process(std::move(generator), weight);

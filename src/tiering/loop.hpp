@@ -56,17 +56,24 @@ struct LoopOptions {
   std::string telemetry_label;
 };
 
-/// One attempt at a run. The constructor builds the System and attaches
-/// telemetry; the driver then builds its components on system(), registers
-/// them with add() and calls run(). Checkpoint sections are "meta",
-/// "system", the driver's participants, then "telemetry". Participants
-/// capture the loop by reference, so it can be neither copied nor moved.
+/// The config a loop builds its System with: `config`, on the sharded
+/// engine when `options.n_threads` >= 1.
+[[nodiscard]] sim::SimConfig loop_config(const sim::SimConfig& config,
+                                         const LoopOptions& options);
+
+/// One attempt at a run. The constructor builds the System, adds the
+/// processes and attaches telemetry; the driver then builds its components
+/// on system(), registers them with add() and calls run(). Checkpoint
+/// sections are "meta", "system", the driver's participants, then
+/// "telemetry". Participants capture the loop by reference, so it can be
+/// neither copied nor moved.
 class EpochLoop {
  public:
-  /// `process_weights[i]` is the scheduler weight of the i-th process the
-  /// factory yields (missing entries 1.0).
-  EpochLoop(const WorkloadFactory& factory, const sim::SimConfig& config,
-            const LoopOptions& options,
+  /// `generators` are the processes' workloads, as the run's factory
+  /// yields them for `options.seed`; `process_weights[i]` is the scheduler
+  /// weight of the i-th (missing entries 1.0).
+  EpochLoop(std::vector<workloads::WorkloadPtr> generators,
+            const sim::SimConfig& config, const LoopOptions& options,
             const std::vector<double>& process_weights,
             std::string_view default_label);
   EpochLoop(const EpochLoop&) = delete;

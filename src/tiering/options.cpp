@@ -1,0 +1,125 @@
+#include "tiering/options.hpp"
+
+#include <array>
+
+#include "mem/tiers.hpp"
+#include "sim/system.hpp"
+#include "tiering/loop.hpp"
+#include "tiering/runner.hpp"
+
+namespace tmprof::tiering {
+
+namespace {
+
+enum Rule : std::size_t {
+  kTierCount,
+  kTierName,
+  kTierFrames,
+  kTierOrder,
+  kStreamRing,
+  kStreamEngine,
+  kStreamHotness,
+  kDevMonSlots,
+  kDevMonTopK,
+  kCooldown,
+  kTenants,
+  kRuleCount
+};
+
+constexpr std::array<OptionRule, kRuleCount> kRules{{
+    {"sim.tiers", "--tiers", "a chain has 2 to mem::kMaxTiers tiers"},
+    {"sim.tiers", "--tiers", "every tier is named"},
+    {"sim.tiers", "--tiers", "every tier holds at least one frame"},
+    {"sim.tiers", "--tiers",
+     "the chain is ordered fastest first (read latency never falls)"},
+    {"daemon.driver.stream.ring_capacity", "--stream-ring",
+     "the ring capacity is a power of two >= 2"},
+    {"daemon.driver.stream.enabled", "--stream",
+     "streaming needs the sharded engine (n_threads >= 1, --threads=N)"},
+    {"daemon.driver.stream.enabled", "--stream",
+     "streaming needs exact hotness (daemon.driver.hotness.mode, "
+     "--hotness=exact)"},
+    {"daemon.driver.devmon.slots", "--devmon-slots",
+     "a device has at least 1 counter slot"},
+    {"daemon.driver.devmon.top_k", "--devmon-topk",
+     "the per-epoch report size lies in [1, slots]"},
+    {"mover.admission.cooldown_epochs", "--cooldown-epochs",
+     "the ping-pong window is at least 1 epoch"},
+    {"tenants", "--tenants", "no more tenants than the run has processes"},
+}};
+
+[[noreturn]] void fail(Rule rule, const std::string& detail) {
+  throw ConfigError(kRules[rule], detail);
+}
+
+void check_tiers(const sim::SimConfig& sim) {
+  if (!sim.tiers.empty() &&
+      (sim.tiers.size() < 2 || sim.tiers.size() > mem::kMaxTiers)) {
+    fail(kTierCount, "got " + std::to_string(sim.tiers.size()) + " tiers, " +
+                         "mem::kMaxTiers is " +
+                         std::to_string(mem::kMaxTiers));
+  }
+  // An empty chain is the two-tier shorthand, whose frames can still be 0.
+  const std::vector<mem::TierSpec> chain = sim::tier_specs(sim);
+  for (std::size_t t = 0; t < chain.size(); ++t) {
+    if (chain[t].name.empty()) {
+      fail(kTierName, "tier " + std::to_string(t) + " has no name");
+    }
+    if (chain[t].frames == 0) {
+      fail(kTierFrames, "tier '" + chain[t].name + "' has zero frames");
+    }
+    if (t > 0 && chain[t].read_latency_ns < chain[t - 1].read_latency_ns) {
+      fail(kTierOrder,
+           "'" + chain[t].name + "' (read " +
+               std::to_string(chain[t].read_latency_ns) +
+               " ns) is faster than '" + chain[t - 1].name + "' (read " +
+               std::to_string(chain[t - 1].read_latency_ns) + " ns)");
+    }
+  }
+}
+
+}  // namespace
+
+std::span<const OptionRule> option_rules() { return kRules; }
+
+ConfigError::ConfigError(const OptionRule& rule, const std::string& detail)
+    : std::invalid_argument(std::string(rule.field) + " (" +
+                            std::string(rule.flag) + "): " +
+                            std::string(rule.rule) +
+                            (detail.empty() ? "" : "; " + detail)),
+      rule_(&rule) {}
+
+void check_options(const sim::SimConfig& sim,
+                   const core::DaemonConfig& daemon) {
+  check_tiers(sim);
+  const core::StreamConfig& stream = daemon.driver.stream;
+  if (stream.ring_capacity < 2 ||
+      (stream.ring_capacity & (stream.ring_capacity - 1)) != 0) {
+    fail(kStreamRing, "got " + std::to_string(stream.ring_capacity));
+  }
+  if (stream.enabled && !sim.sharded_engine) {
+    fail(kStreamEngine, "the serial engine has no per-core lanes");
+  }
+  if (stream.enabled && daemon.driver.hotness.mode != core::HotnessMode::Exact) {
+    fail(kStreamHotness,
+         "conservative-update sketches are add-order sensitive");
+  }
+  const monitors::DevMonConfig& devmon = daemon.driver.devmon;
+  if (devmon.slots == 0) fail(kDevMonSlots, "got 0");
+  if (devmon.top_k == 0 || devmon.top_k > devmon.slots) {
+    fail(kDevMonTopK, "got " + std::to_string(devmon.top_k) + " of " +
+                          std::to_string(devmon.slots) + " slots");
+  }
+}
+
+void check_options(const sim::SimConfig& sim, const RunnerOptions& options,
+                   std::size_t processes) {
+  check_options(loop_config(sim, options), options.daemon);
+  if (options.mover.admission.cooldown_epochs == 0) fail(kCooldown, "got 0");
+  if (options.tenants.size() > processes) {
+    fail(kTenants, std::to_string(options.tenants.size()) + " tenants, " +
+                       std::to_string(processes) + " processes");
+  }
+}
+
+}  // namespace tmprof::tiering

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
+#include <utility>
 
 #include "pmu/events.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tiering/epoch.hpp"
 #include "tiering/loop.hpp"
+#include "tiering/options.hpp"
 #include "util/assert.hpp"
 #include "util/ckpt.hpp"
 
@@ -45,6 +48,7 @@ constexpr std::uint64_t MoveStats::*kMoveStatFields[] = {
     &MoveStats::moved_bytes, &MoveStats::cost_ns, &MoveStats::backoff_ns};
 
 RunnerResult run_attempt(const WorkloadFactory& factory,
+                         std::vector<workloads::WorkloadPtr> generators,
                          const sim::SimConfig& sim_config,
                          const RunnerOptions& options,
                          const std::string& resume_path) {
@@ -61,8 +65,8 @@ RunnerResult run_attempt(const WorkloadFactory& factory,
       spec.line_transfer_ns = fastest.line_transfer_ns;
     }
   }
-  EpochLoop loop(factory, emulated, options, options.process_weights,
-                 options.policy);
+  EpochLoop loop(std::move(generators), emulated, options,
+                 options.process_weights, options.policy);
   sim::System& system = loop.system();
   const sim::SimConfig& config = loop.config();
   // The fast tier is the chain's first, whether the config spells the chain
@@ -350,6 +354,14 @@ RunnerResult run_attempt(const WorkloadFactory& factory,
 
 }  // namespace
 
+SlowMemoryModel parse_slow_model(const std::string& text) {
+  if (text == "native") return SlowMemoryModel::Native;
+  if (text == "badgertrap") return SlowMemoryModel::BadgerTrapEmulation;
+  throw std::invalid_argument(
+      "--model: unknown slow-memory model '" + text +
+      "' (valid models: \"native\", \"badgertrap\")");
+}
+
 RunnerResult EndToEndRunner::run(const workloads::WorkloadSpec& spec,
                                  const sim::SimConfig& sim_config,
                                  const RunnerOptions& options) {
@@ -359,9 +371,17 @@ RunnerResult EndToEndRunner::run(const workloads::WorkloadSpec& spec,
 RunnerResult EndToEndRunner::run(const WorkloadFactory& factory,
                                  const sim::SimConfig& sim_config,
                                  const RunnerOptions& options) {
+  // The first attempt's processes are built here, so the tenant rule is
+  // checked before anything else is; a cold start after a rejected resume
+  // builds fresh ones.
+  std::vector<workloads::WorkloadPtr> generators = factory(options.seed);
+  check_options(sim_config, options, generators.size());
+  bool built = true;
   RunnerResult result;
   run_resumable(options, "runner", [&](const std::string& resume_path) {
-    result = run_attempt(factory, sim_config, options, resume_path);
+    if (!std::exchange(built, false)) generators = factory(options.seed);
+    result = run_attempt(factory, std::move(generators), sim_config, options,
+                         resume_path);
   });
   return result;
 }

@@ -30,6 +30,10 @@ namespace tmprof::tiering {
 
 enum class SlowMemoryModel : std::uint8_t { Native, BadgerTrapEmulation };
 
+/// Parses "native" / "badgertrap"; throws std::invalid_argument naming
+/// --model and the valid names otherwise.
+[[nodiscard]] SlowMemoryModel parse_slow_model(const std::string& text);
+
 struct RunnerOptions : LoopOptions {
   std::string policy = "history";       ///< "first-touch" disables migration
   core::FusionMode fusion = core::FusionMode::Sum;
@@ -70,7 +74,8 @@ class EndToEndRunner {
  public:
   /// Execute one configuration. The first tier of sim::tier_specs(
   /// sim_config) is the fast tier; the tiers below it must be large enough
-  /// for the spilled footprint.
+  /// for the spilled footprint. An invalid configuration throws
+  /// ConfigError (check_options) before the System is built.
   [[nodiscard]] static RunnerResult run(const workloads::WorkloadSpec& spec,
                                         const sim::SimConfig& sim_config,
                                         const RunnerOptions& options);

@@ -1,39 +1,67 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
 namespace tmprof::util {
 
-ArgParser::ArgParser(int argc, const char* const* argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
+namespace {
+
+/// The key of a `--key[=value]` argument; empty for anything else.
+std::string key_of(const std::string& arg) {
+  if (arg.rfind("--", 0) != 0) return "";
+  return arg.substr(2, arg.find('=') - 2);
+}
+
+}  // namespace
+
+ArgParser::ArgParser(int argc, const char* const* argv)
+    : args_(argv + std::min(argc, 1), argv + argc) {
+  for (const std::string& arg : args_) {
+    const std::string key = key_of(arg);
+    if (key.empty()) continue;
     const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      options_[arg.substr(2)] = "true";
-    } else {
-      options_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+    options_[key].text = eq == std::string::npos ? "true" : arg.substr(eq + 1);
+  }
+}
+
+const std::string* ArgParser::find(const std::string& key) const {
+  const auto it = options_.find(key);
+  if (it == options_.end()) return nullptr;
+  it->second.read = true;
+  return &it->second.text;
+}
+
+void ArgParser::reject_unread() const {
+  for (const std::string& arg : args_) {
+    const std::string key = key_of(arg);
+    if (key.empty()) {
+      throw std::invalid_argument("unexpected argument '" + arg +
+                                  "' (flags are --key or --key=value)");
+    }
+    if (!options_.at(key).read) {
+      throw std::invalid_argument("--" + key + ": unknown flag");
     }
   }
 }
 
 bool ArgParser::has(const std::string& key) const {
-  return options_.count(key) != 0;
+  return find(key) != nullptr;
 }
 
 std::string ArgParser::get(const std::string& key,
                            const std::string& fallback) const {
-  const auto it = options_.find(key);
-  return it == options_.end() ? fallback : it->second;
+  const std::string* v = find(key);
+  return v == nullptr ? fallback : *v;
 }
 
 std::uint64_t ArgParser::get_u64(const std::string& key,
                                  std::uint64_t fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  const std::string& v = it->second;
+  const std::string* found = find(key);
+  if (found == nullptr) return fallback;
+  const std::string& v = *found;
   // stoull accepts "-3" and wraps it silently; reject it explicitly.
   if (v.empty() || v[0] == '-') {
     throw std::invalid_argument("--" + key +
@@ -63,9 +91,9 @@ std::uint32_t ArgParser::get_u32(const std::string& key,
 }
 
 double ArgParser::get_double(const std::string& key, double fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  const std::string& v = it->second;
+  const std::string* found = find(key);
+  if (found == nullptr) return fallback;
+  const std::string& v = *found;
   double parsed = 0.0;
   try {
     std::size_t pos = 0;
@@ -96,9 +124,9 @@ double ArgParser::get_checked_double(const std::string& key, double fallback,
 }
 
 bool ArgParser::get_bool(const std::string& key, bool fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  const std::string& v = it->second;
+  const std::string* found = find(key);
+  if (found == nullptr) return fallback;
+  const std::string& v = *found;
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
   throw std::invalid_argument("ArgParser: bad boolean for --" + key + ": " + v);

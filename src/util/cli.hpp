@@ -5,11 +5,15 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace tmprof::util {
 
-/// Parses `--key=value` and bare `--flag` arguments; other arguments are
-/// ignored. Unknown keys are allowed (benches share configs).
+/// Parses `--key=value` and bare `--flag` arguments. Every getter and has()
+/// records the key it reads, so the reads are the program's flag list:
+/// after reading its flags a program calls reject_unread(), which rejects
+/// a key nothing read (a typo such as --thread=8) and any argument that is
+/// not a flag. Recording makes the getters unsafe to call concurrently.
 class ArgParser {
  public:
   ArgParser(int argc, const char* const* argv);
@@ -40,8 +44,20 @@ class ArgParser {
   }
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
+  /// Throws std::invalid_argument naming the first argument that is not
+  /// `--key[=value]` or whose key no getter or has() has read.
+  void reject_unread() const;
+
  private:
-  std::map<std::string, std::string> options_;
+  struct Value {
+    std::string text;
+    mutable bool read = false;
+  };
+  /// The value given for `key` (marked read), or null when absent.
+  [[nodiscard]] const std::string* find(const std::string& key) const;
+
+  std::map<std::string, Value> options_;
+  std::vector<std::string> args_;  ///< argv[1..], in order
 };
 
 }  // namespace tmprof::util

@@ -134,10 +134,47 @@ TEST(Cli, CheckedDoubleBounds) {
                std::invalid_argument);
 }
 
+/// Expects reject_unread to throw a message containing `name`.
+void expect_unread_rejected(const ArgParser& p, const std::string& name) {
+  try {
+    p.reject_unread();
+    FAIL() << "expected std::invalid_argument naming " << name;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Cli, RejectUnreadAcceptsEveryReadKey) {
+  const auto p = parse({"--threads=2", "--csv", "--workload=gups"});
+  EXPECT_EQ(p.get_u32("threads", 0), 2U);
+  EXPECT_TRUE(p.get_bool("csv", false));
+  EXPECT_TRUE(p.has("workload"));  // has() counts as a read
+  EXPECT_NO_THROW(p.reject_unread());
+  EXPECT_NO_THROW(parse({}).reject_unread());
+}
+
+TEST(Cli, RejectUnreadNamesTheFirstUnreadKey) {
+  // The typo --thread=8 must not silently run the serial engine.
+  const auto p = parse({"--threads=2", "--thread=8", "--no-such-flag=1"});
+  (void)p.get_u32("threads", 0);
+  (void)p.get_u32("missing", 0);  // reading an absent key is harmless
+  expect_unread_rejected(p, "--thread:");
+}
+
+TEST(Cli, RejectUnreadRejectsNonFlagArguments) {
+  for (const char* arg : {"gups", "-t", "--", "--=1"}) {
+    const auto p = parse({arg});
+    expect_unread_rejected(p, std::string("'") + arg + "'");
+  }
+}
+
 }  // namespace
 }  // namespace tmprof::util
 
 #include "../bench/common.hpp"
+#include "tiering/options.hpp"
+#include "tiering/runner.hpp"
 #include "util/fault.hpp"
 
 namespace tmprof::util {
@@ -263,14 +300,37 @@ TEST(AdmissionCli, NegativeBandwidthRejected) {
                std::invalid_argument);
 }
 
-TEST(AdmissionCli, ZeroCooldownWindowRejected) {
+/// Runs tiering::check_options on a one-process run whose options the
+/// flags set the way the benches set them: the engine, hotness, stream
+/// and admission flags.
+void check_runner_flags(std::initializer_list<const char*> flags) {
+  const ArgParser p = parse(flags);
+  tiering::RunnerOptions opt;
+  opt.n_threads = bench::selected_threads(p);
+  opt.daemon.driver.hotness = bench::hotness_from_args(p);
+  opt.daemon.driver.stream = bench::stream_from_args(p);
+  opt.mover.admission = bench::admission_from_args(p);
+  tiering::check_options(sim::SimConfig{}, opt, 1);
+}
+
+/// Expects the options `flags` set to be rejected with a message naming
+/// `name` (a flag, or a fragment of the rule).
+void expect_rejected(void (*check)(std::initializer_list<const char*>),
+                     std::initializer_list<const char*> flags,
+                     const std::string& name) {
   try {
-    (void)bench::admission_from_args(parse({"--cooldown-epochs=0"}));
-    FAIL() << "expected std::invalid_argument";
+    check(flags);
+    FAIL() << "expected std::invalid_argument naming " << name;
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("cooldown-epochs"),
-              std::string::npos);
+    EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+        << e.what();
   }
+}
+
+TEST(AdmissionCli, ZeroCooldownWindowRejected) {
+  expect_rejected(check_runner_flags, {"--cooldown-epochs=0"},
+                  "--cooldown-epochs");
+  EXPECT_NO_THROW(check_runner_flags({"--cooldown-epochs=1"}));
 }
 
 TEST(GoldenSchema, FleetCsvHeader) {
@@ -399,12 +459,22 @@ TEST(TopologyCli, AbsentFlagMeansLegacyShim) {
   EXPECT_TRUE(bench::tiers_from_args(parse({})).empty());
 }
 
+/// Runs tiering::check_options on the chain and DevMon options the flags
+/// set, the way bench/topology's run_chain does.
+void check_chain_flags(std::initializer_list<const char*> flags) {
+  const ArgParser p = parse(flags);
+  sim::SimConfig cfg;
+  cfg.tiers = bench::tiers_from_args(p);
+  core::DaemonConfig daemon;
+  daemon.driver.devmon = bench::devmon_from_args(p);
+  tiering::check_options(cfg, daemon);
+}
+
 TEST(TopologyCli, MalformedSpecsRejectedWithFlagName) {
   for (const char* flag :
        {"--tiers=dram:100:80",                    // too few fields
         "--tiers=dram:100:80:80:8:9",             // too many fields
         "--tiers=dram:x:80:80,nvm:100:300:600",   // non-integer frames
-        "--tiers=:100:80:80,nvm:100:300:600",     // empty name
         "--tiers=dram:100:80:80,nvm:100:300:600:0",   // zero bandwidth
         "--tiers=dram:100:80:80,nvm:100:300:600:-4"}) {  // negative bw
     try {
@@ -415,45 +485,38 @@ TEST(TopologyCli, MalformedSpecsRejectedWithFlagName) {
           << flag;
     }
   }
+  // An empty name parses; the chain rules reject it.
+  expect_rejected(check_chain_flags, {"--tiers=:100:80:80,nvm:100:300:600"},
+                  "--tiers");
 }
 
 TEST(TopologyCli, ZeroFrameTierRejectedByName) {
-  try {
-    (void)bench::tiers_from_args(
-        parse({"--tiers=dram:8192:80:80,cxl:0:150:200"}));
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("cxl"), std::string::npos);
-    EXPECT_NE(msg.find("zero frames"), std::string::npos);
-  }
+  expect_rejected(check_chain_flags, {"--tiers=dram:8192:80:80,cxl:0:150:200"},
+                  "tier 'cxl' has zero frames");
 }
 
 TEST(TopologyCli, DescendingLatencyChainRejected) {
   // The chain must be ordered fastest first; a later tier with a *lower*
   // read latency means the order is wrong, and the message names both
   // offending tiers.
-  try {
-    (void)bench::tiers_from_args(
-        parse({"--tiers=nvm:8192:300:600,dram:8192:80:80"}));
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("fastest first"), std::string::npos);
-    EXPECT_NE(msg.find("nvm"), std::string::npos);
-    EXPECT_NE(msg.find("dram"), std::string::npos);
+  for (const char* name : {"fastest first", "'nvm'", "'dram'"}) {
+    expect_rejected(check_chain_flags,
+                    {"--tiers=nvm:8192:300:600,dram:8192:80:80"}, name);
   }
 }
 
 TEST(TopologyCli, ChainLengthBoundsEnforced) {
-  EXPECT_THROW((void)bench::tiers_from_args(parse({"--tiers=solo:100:80:80"})),
-               std::invalid_argument);
+  expect_rejected(check_chain_flags, {"--tiers=solo:100:80:80"}, "--tiers");
   std::string nine = "--tiers=t0:100:80:80";
   for (int t = 1; t < 9; ++t) {
     nine += ",t" + std::to_string(t) + ":100:80:80";
   }
-  EXPECT_THROW((void)bench::tiers_from_args(parse({nine.c_str()})),
-               std::invalid_argument);
+  expect_rejected(check_chain_flags, {nine.c_str()}, "--tiers");
+  std::string eight = "--tiers=t0:100:80:80";
+  for (int t = 1; t < 8; ++t) {
+    eight += ",t" + std::to_string(t) + ":100:80:80";
+  }
+  EXPECT_NO_THROW(check_chain_flags({eight.c_str()}));
 }
 
 TEST(DevMonCli, FlagsParseIntoConfig) {
@@ -467,59 +530,47 @@ TEST(DevMonCli, FlagsParseIntoConfig) {
 }
 
 TEST(DevMonCli, ZeroSlotsRejected) {
-  EXPECT_THROW((void)bench::devmon_from_args(parse({"--devmon-slots=0"})),
-               std::invalid_argument);
+  expect_rejected(check_chain_flags, {"--devmon-slots=0"}, "--devmon-slots");
+  // The rule holds whether or not the monitor is on.
+  expect_rejected(check_chain_flags, {"--devmon=1", "--devmon-slots=0"},
+                  "--devmon-slots");
 }
 
 TEST(DevMonCli, TopKMustFitTheSlotArray) {
-  EXPECT_THROW((void)bench::devmon_from_args(parse({"--devmon-topk=0"})),
-               std::invalid_argument);
-  EXPECT_THROW((void)bench::devmon_from_args(
-                   parse({"--devmon-slots=64", "--devmon-topk=65"})),
-               std::invalid_argument);
-}
-
-/// Parses `args` through bench::stream_from_args with `threads` workers
-/// and the hotness front-end `args` selects.
-core::StreamConfig stream_config_of(std::initializer_list<const char*> args,
-                                    std::uint32_t threads) {
-  const ArgParser p = parse(args);
-  return bench::stream_from_args(p, threads, bench::hotness_from_args(p));
-}
-
-/// Expects stream_from_args to reject `args` with a message naming `flag`.
-void expect_stream_rejected(std::initializer_list<const char*> args,
-                            std::uint32_t threads, const std::string& flag) {
-  try {
-    (void)stream_config_of(args, threads);
-    FAIL() << "expected std::invalid_argument naming " << flag;
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
-        << e.what();
-  }
+  expect_rejected(check_chain_flags, {"--devmon-topk=0"}, "--devmon-topk");
+  expect_rejected(check_chain_flags,
+                  {"--devmon-slots=64", "--devmon-topk=65"}, "--devmon-topk");
+  EXPECT_NO_THROW(
+      check_chain_flags({"--devmon-slots=64", "--devmon-topk=64"}));
 }
 
 TEST(StreamCli, DefaultIsOff) {
-  const core::StreamConfig stream = stream_config_of({}, 4);
+  const core::StreamConfig stream = bench::stream_from_args(parse({}));
   EXPECT_FALSE(stream.enabled);
   EXPECT_EQ(stream.ring_capacity, core::StreamConfig{}.ring_capacity);
   const core::StreamConfig on =
-      stream_config_of({"--stream=1", "--stream-ring=64"}, 4);
+      bench::stream_from_args(parse({"--stream=1", "--stream-ring=64"}));
   EXPECT_TRUE(on.enabled);
   EXPECT_EQ(on.ring_capacity, 64U);
+  EXPECT_NO_THROW(check_runner_flags(
+      {"--stream=1", "--stream-ring=64", "--threads=4"}));
 }
 
 TEST(StreamCli, RingMustBeAPowerOfTwoAtLeastTwo) {
-  expect_stream_rejected({"--stream-ring=3"}, 4, "--stream-ring");
-  expect_stream_rejected({"--stream-ring=1"}, 4, "--stream-ring");
+  expect_rejected(check_runner_flags, {"--stream-ring=3"}, "--stream-ring");
+  expect_rejected(check_runner_flags, {"--stream-ring=1"}, "--stream-ring");
 }
 
 TEST(StreamCli, StreamingNeedsTheShardedEngine) {
-  expect_stream_rejected({"--stream=1"}, 0, "--stream");
+  expect_rejected(check_runner_flags, {"--stream=1"}, "--stream");
+  expect_rejected(check_runner_flags, {"--stream=1", "--threads=0"},
+                  "--threads");
 }
 
 TEST(StreamCli, StreamingNeedsExactHotness) {
-  expect_stream_rejected({"--stream=1", "--hotness=sketch"}, 4, "--stream");
+  expect_rejected(check_runner_flags,
+                  {"--stream=1", "--hotness=sketch", "--threads=4"},
+                  "--hotness=exact");
 }
 
 TEST(GoldenSchema, TopologyCsvHeader) {

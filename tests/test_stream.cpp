@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "telemetry/telemetry.hpp"
+#include "tiering/options.hpp"
 #include "tiering/runner.hpp"
-#include "util/assert.hpp"
 #include "util/ckpt.hpp"
 #include "workloads/registry.hpp"
 
@@ -141,18 +141,30 @@ TEST(StreamDeterminism, FaultInjectionStaysThreadCountInvariant) {
   expect_identical(r1, r8, "streaming+faults [1 vs 8 threads]");
 }
 
-TEST(StreamDeterminism, RequiresShardedEngineAndExactHotness) {
+/// Expects `options` to be rejected up front as a config error naming
+/// `daemon.driver.stream.enabled` and the rule `rule_part` belongs to.
+void expect_stream_rejected(const tiering::RunnerOptions& options,
+                            const std::string& rule_part) {
   const auto spec = workloads::find_spec("gups", 0.05);
+  try {
+    (void)tiering::EndToEndRunner::run(spec, stream_config(), options);
+    FAIL() << "expected tiering::ConfigError";
+  } catch (const tiering::ConfigError& e) {
+    EXPECT_EQ(e.field(), "daemon.driver.stream.enabled");
+    EXPECT_NE(std::string(e.what()).find(rule_part), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(StreamDeterminism, RequiresShardedEngineAndExactHotness) {
   // Serial engine (n_threads = 0) has no per-core lanes to stream from.
-  EXPECT_THROW(tiering::EndToEndRunner::run(spec, stream_config(),
-                                            stream_options("history", 0, true)),
-               util::AssertionError);
+  expect_stream_rejected(stream_options("history", 0, true),
+                         "sharded engine");
   // Conservative-update sketches are add-order sensitive; the pump's
   // scheduling-dependent interleaving would break bitwise invariance.
   tiering::RunnerOptions sketch = stream_options("history", 1, true);
   sketch.daemon.driver.hotness.mode = core::HotnessMode::Sketch;
-  EXPECT_THROW(tiering::EndToEndRunner::run(spec, stream_config(), sketch),
-               util::AssertionError);
+  expect_stream_rejected(sketch, "exact hotness");
 }
 
 TEST(StreamResume, KillResumeIsBitwiseConsistent) {
