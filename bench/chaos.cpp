@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "tiering/options.hpp"
 #include "tiering/policies.hpp"
 #include "tiering/runner.hpp"
 #include "util/csv.hpp"
@@ -41,16 +42,6 @@
 namespace {
 
 using namespace tmprof;
-
-std::vector<std::string> split_list(const std::string& list) {
-  std::vector<std::string> out;
-  std::stringstream ss(list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
 
 /// Bitwise-faithful rendering of a RunnerResult: integers in decimal,
 /// doubles as hex floats, so string equality == bitwise equality.
@@ -100,6 +91,12 @@ static int bench_main(int argc, char** argv) {
   const std::string workload = args.get("workload", "gups");
   const double scale = bench::scale_from_args(args, 0.5, {workload});
   const std::uint32_t epochs = args.get_u32("epochs", 8);
+  if (epochs < 2) {
+    // The kill epoch lies in [1, epochs - 1].
+    throw std::invalid_argument(
+        "--epochs: a kill/resume case needs at least 2 epochs, got " +
+        std::to_string(epochs));
+  }
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 120'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const std::uint64_t kill_seed = args.get_u64("kill-seed", 0xdead);
@@ -108,11 +105,12 @@ static int bench_main(int argc, char** argv) {
     if (!every_policy.empty()) every_policy += ',';
     every_policy += name;
   }
-  const std::vector<std::string> policies =
-      split_list(args.get("policies", every_policy));
-  const std::vector<std::string> thread_counts =
-      split_list(args.get("threads-list", "1,8"));
-  const std::vector<std::string> rates = split_list(args.get("rates", "0,0.2"));
+  const std::vector<std::string> policies = bench::list_from_args(
+      args, "policies", every_policy, bench::policy_entry);
+  const std::vector<std::uint32_t> thread_counts = bench::list_from_args(
+      args, "threads-list", "1,8", bench::u32_entry);
+  const std::vector<double> rates =
+      bench::list_from_args(args, "rates", "0,0.2", bench::rate_entry);
   const tiering::SlowMemoryModel slow_model =
       tiering::parse_slow_model(args.get("model", "native"));
   const tiering::AdmissionConfig admission = bench::admission_from_args(args);
@@ -133,6 +131,32 @@ static int bench_main(int argc, char** argv) {
   cfg.tier2_frames =
       (spec.total_bytes >> mem::kPageShift) * 5 / 4 + (1 << 14);
 
+  // One run configuration per case. Every one is checked before the header
+  // and the CSV, so a rejected run leaves an earlier chaos.csv in place.
+  const auto options_for = [&](const std::string& policy,
+                               std::uint32_t n_threads, double rate) {
+    tiering::RunnerOptions opt;
+    opt.policy = policy;
+    opt.n_epochs = epochs;
+    opt.ops_per_epoch = ops_per_epoch;
+    opt.seed = seed;
+    opt.slow_model = slow_model;
+    opt.daemon.driver.ibs = bench::scaled_ibs(4);
+    opt.n_threads = n_threads;
+    opt.mover.admission = admission;
+    opt.fault.rate = rate;
+    opt.telemetry = telemetry.get();
+    return opt;
+  };
+  for (const std::string& policy : policies) {
+    for (const std::uint32_t n_threads : thread_counts) {
+      for (const double rate : rates) {
+        tiering::check_options(cfg, options_for(policy, n_threads, rate),
+                               spec.processes);
+      }
+    }
+  }
+
   std::cout << "Chaos kill/resume: " << workload << ", " << epochs
             << " epochs x " << ops_per_epoch << " ops, checkpoint every "
             << every << "\n\n";
@@ -146,24 +170,10 @@ static int bench_main(int argc, char** argv) {
   int failures = 0;
   std::uint64_t case_index = 0;
   for (const std::string& policy : policies) {
-    for (const std::string& threads_str : thread_counts) {
-      for (const std::string& rate_str : rates) {
-        const auto n_threads =
-            static_cast<std::uint32_t>(std::stoul(threads_str));
-        const double rate = std::stod(rate_str);
+    for (const std::uint32_t n_threads : thread_counts) {
+      for (const double rate : rates) {
         ++case_index;
-
-        tiering::RunnerOptions opt;
-        opt.policy = policy;
-        opt.n_epochs = epochs;
-        opt.ops_per_epoch = ops_per_epoch;
-        opt.seed = seed;
-        opt.slow_model = slow_model;
-        opt.daemon.driver.ibs = bench::scaled_ibs(4);
-        opt.n_threads = n_threads;
-        opt.mover.admission = admission;
-        opt.fault.rate = rate;
-        opt.telemetry = telemetry.get();
+        tiering::RunnerOptions opt = options_for(policy, n_threads, rate);
 
         const std::string case_tag = "case-" + std::to_string(case_index) +
                                      "/" + policy;
@@ -215,7 +225,7 @@ static int bench_main(int argc, char** argv) {
         const bool identical = killed_as_planned && got == want;
         if (!identical) ++failures;
         std::cout << (identical ? "  ok   " : "  FAIL ") << policy
-                  << " threads=" << n_threads << " rate=" << rate_str
+                  << " threads=" << n_threads << " rate=" << rate
                   << " kill@" << kill_epoch
                   << (killed_as_planned ? "" : " (child not killed)") << "\n";
         if (!identical && killed_as_planned) {
@@ -223,7 +233,9 @@ static int bench_main(int argc, char** argv) {
                     << "\n";
         }
         if (csv) {
-          csv->write_row({policy, threads_str, rate_str,
+          std::ostringstream rate_text;
+          rate_text << rate;
+          csv->write_row({policy, std::to_string(n_threads), rate_text.str(),
                           std::to_string(kill_epoch), std::to_string(status),
                           identical ? "1" : "0"});
         }

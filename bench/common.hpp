@@ -24,6 +24,7 @@
 #include "sim/config.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tiering/admission.hpp"
+#include "tiering/policies.hpp"
 #include "tiering/tenant.hpp"
 #include "util/ckpt.hpp"
 #include "util/cli.hpp"
@@ -106,6 +107,52 @@ inline std::vector<workloads::WorkloadSpec> selected_specs(
 /// sharded engine with N workers (results are identical for every N >= 1).
 inline std::uint32_t selected_threads(const util::ArgParser& args) {
   return args.get_u32("threads", 0);
+}
+
+/// A comma-separated list flag, --key=a,b,... (default `fallback`). Each
+/// entry is read by `parse(entry, key)` from `entry`, a parser that holds
+/// only --key=<that entry>, so an entry obeys the rules of the getter that
+/// `parse` calls and a bad one fails with its message naming --key. Empty
+/// entries are skipped; a list without one is rejected. Like every getter
+/// it runs before reject_unread(), so a bad entry is rejected before the
+/// bench starts a run or opens a CSV.
+template <class Parse>
+auto list_from_args(const util::ArgParser& args, const std::string& key,
+                    const std::string& fallback, Parse parse) {
+  std::vector<decltype(parse(args, key))> entries;
+  std::stringstream list(args.get(key, fallback));
+  std::string entry;
+  while (std::getline(list, entry, ',')) {
+    if (entry.empty()) continue;
+    const std::string flag = "--" + key + "=" + entry;
+    const char* const argv[] = {"", flag.c_str()};
+    entries.push_back(parse(util::ArgParser(2, argv), key));
+  }
+  if (entries.empty()) {
+    throw std::invalid_argument("--" + key + ": the list has no entry");
+  }
+  return entries;
+}
+
+/// list_from_args entry rules: a u32 (get_u32), a probability (get_rate)
+/// and a policy name that tiering::make_policy resolves (one of
+/// tiering::policy_names(); its error lists them).
+inline std::uint32_t u32_entry(const util::ArgParser& entry,
+                               const std::string& key) {
+  return entry.get_u32(key, 0);
+}
+inline double rate_entry(const util::ArgParser& entry, const std::string& key) {
+  return entry.get_rate(key, 0.0);
+}
+inline std::string policy_entry(const util::ArgParser& entry,
+                                const std::string& key) {
+  std::string name = entry.get(key, "");
+  try {
+    (void)tiering::make_policy(name);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("--" + key + ": " + e.what());
+  }
+  return name;
 }
 
 /// Hotness front-end selection shared by the benches (docs/SKETCH.md):

@@ -86,7 +86,7 @@ BENCHMARK(BM_TlbLookup);
 
 void BM_CacheHierarchyAccess(benchmark::State& state) {
   mem::CacheLevel llc(1ULL << 20, 16);
-  mem::CacheHierarchy hier = mem::CacheHierarchy::make_default(&llc, true);
+  mem::CacheHierarchy hier = mem::CacheHierarchy::make_default(&llc);
   util::Rng rng(6);
   const std::uint64_t span = 64ULL << 20;
   for (auto _ : state) {

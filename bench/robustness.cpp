@@ -38,10 +38,11 @@
 
 #include <iostream>
 #include <memory>
-#include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
+#include "tiering/options.hpp"
 #include "tiering/runner.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
@@ -49,21 +50,13 @@
 
 namespace {
 
-std::vector<double> parse_rates(const std::string& csv_list) {
-  std::vector<double> rates;
-  std::stringstream ss(csv_list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const double rate = std::stod(item);
-    if (rate < 0.0 || rate > 1.0) {
-      throw std::invalid_argument("--rates entries must be in [0, 1], got " +
-                                  item);
-    }
-    rates.push_back(rate);
-  }
-  if (rates.empty() || rates.front() != 0.0) {
-    rates.insert(rates.begin(), 0.0);  // rate 0 anchors the degradation
-  }
+/// The --rates sweep, each entry a probability; rate 0 anchors the
+/// degradation, so it is put first when the list does not start with it.
+std::vector<double> rates_from_args(const tmprof::util::ArgParser& args) {
+  using namespace tmprof;
+  std::vector<double> rates = bench::list_from_args(
+      args, "rates", "0,0.05,0.1,0.2,0.4", bench::rate_entry);
+  if (rates.front() != 0.0) rates.insert(rates.begin(), 0.0);
   return rates;
 }
 
@@ -130,20 +123,11 @@ int storm_main(const tmprof::util::ArgParser& args) {
   const std::uint32_t threads = bench::selected_threads(args);
   args.reject_unread();
 
-  std::cout << "Migration storms: admission off vs "
-            << to_string(adm.mode) << " (" << epochs << " epochs x "
-            << ops_per_epoch << " ops)\n\n";
-  util::TextTable table({"scenario", "admission", "hitrate", "migrations",
-                         "moved_mb", "rejected", "cooled", "shed",
-                         "saved_pct", "hitrate_delta"});
-  std::unique_ptr<util::CsvWriter> csv;
-  if (write_csv) {
-    csv = std::make_unique<util::CsvWriter>("storm.csv");
-    csv->write_row(bench::storm_csv_header());
-  }
-
-  bool storm_ok = false;
-  for (const StormScenario& scenario : storm_scenarios(ops_per_epoch)) {
+  // One machine and one set of run options per scenario; the gated run
+  // adds `adm`. Every configuration is checked before the header and the
+  // CSV, so a rejected run leaves an earlier storm.csv in place.
+  const std::vector<StormScenario> scenarios = storm_scenarios(ops_per_epoch);
+  const auto config_for = [&](const StormScenario& scenario) {
     sim::SimConfig cfg = bench::testbed_config(scenario.footprint);
     cfg.tier1_frames = scenario.tier1_frames;
     cfg.tier2_frames =
@@ -160,7 +144,31 @@ int storm_main(const tmprof::util::ArgParser& args) {
     opt.mover.min_rank = min_rank;
     opt.n_threads = threads;
     opt.telemetry = telemetry.get();
+    return std::pair{cfg, opt};
+  };
+  for (const StormScenario& scenario : scenarios) {
+    auto [cfg, opt] = config_for(scenario);
+    const std::size_t processes = scenario.factory(seed).size();
+    tiering::check_options(cfg, opt, processes);
+    opt.mover.admission = adm;
+    tiering::check_options(cfg, opt, processes);
+  }
 
+  std::cout << "Migration storms: admission off vs "
+            << to_string(adm.mode) << " (" << epochs << " epochs x "
+            << ops_per_epoch << " ops)\n\n";
+  util::TextTable table({"scenario", "admission", "hitrate", "migrations",
+                         "moved_mb", "rejected", "cooled", "shed",
+                         "saved_pct", "hitrate_delta"});
+  std::unique_ptr<util::CsvWriter> csv;
+  if (write_csv) {
+    csv = std::make_unique<util::CsvWriter>("storm.csv");
+    csv->write_row(bench::storm_csv_header());
+  }
+
+  bool storm_ok = false;
+  for (const StormScenario& scenario : scenarios) {
+    auto [cfg, opt] = config_for(scenario);
     opt.telemetry_label = scenario.name + "/off";
     const tiering::RunnerResult off =
         tiering::EndToEndRunner::run(scenario.factory, cfg, opt);
@@ -168,7 +176,6 @@ int storm_main(const tmprof::util::ArgParser& args) {
     opt.telemetry_label = scenario.name + "/" + std::string(to_string(adm.mode));
     const tiering::RunnerResult gated =
         tiering::EndToEndRunner::run(scenario.factory, cfg, opt);
-    opt.mover.admission = tiering::AdmissionConfig{};
 
     const double off_mb =
         static_cast<double>(off.moves.moved_bytes) / 1e6;
@@ -232,8 +239,7 @@ static int bench_main(int argc, char** argv) {
   const std::uint64_t seed = args.get_u64("seed", 42);
   const double time_scale = args.get_double("time-scale", 20.0);
   const bool write_csv = args.get_bool("csv", true);
-  const std::vector<double> rates =
-      parse_rates(args.get("rates", "0,0.05,0.1,0.2,0.4"));
+  const std::vector<double> rates = rates_from_args(args);
   const std::unique_ptr<telemetry::Telemetry> telemetry =
       bench::telemetry_from_args(args);
   const std::string sites = args.get("fault-sites", "all");
@@ -247,6 +253,43 @@ static int bench_main(int argc, char** argv) {
   auto scaled_ns = [time_scale](double paper_us) {
     return static_cast<util::SimNs>(paper_us * 1000.0 / time_scale);
   };
+
+  // One machine per workload and one set of run options per rate; the
+  // policy and telemetry label vary per run below. Every configuration is
+  // checked before the header and the CSV, so a rejected run leaves an
+  // earlier robustness.csv in place.
+  const auto machine_for = [](const workloads::WorkloadSpec& spec) {
+    sim::SimConfig cfg = bench::testbed_config(spec.total_bytes);
+    // Fast tier sized to a quarter of the footprint so placement matters at
+    // any --scale (the degradation study needs migration pressure, not the
+    // paper's absolute tier sizes); the slow tier absorbs the rest.
+    cfg.tier1_frames = std::max<std::uint64_t>(
+        1 << 9, (spec.total_bytes >> mem::kPageShift) / 4);
+    cfg.tier2_frames =
+        (spec.total_bytes >> mem::kPageShift) * 5 / 4 + (1 << 14);
+    return cfg;
+  };
+  const auto options_for = [&](double rate) {
+    tiering::RunnerOptions opt;
+    opt.n_epochs = epochs;
+    opt.ops_per_epoch = ops_per_epoch;
+    opt.seed = seed;
+    opt.daemon.driver.ibs = bench::scaled_ibs(4);
+    opt.mover.per_page_cost_ns = scaled_ns(50.0);
+    opt.mover.min_rank = min_rank;
+    opt.n_threads = threads;
+    opt.mover.admission = admission;
+    opt.fault = fault;
+    opt.fault.rate = rate;
+    opt.telemetry = telemetry.get();
+    return opt;
+  };
+  for (const auto& spec : specs) {
+    for (const double rate : rates) {
+      tiering::check_options(machine_for(spec), options_for(rate),
+                             spec.processes);
+    }
+  }
 
   std::cout << "Robustness: speedup degradation under injected faults\n"
             << "(" << epochs << " epochs x " << ops_per_epoch
@@ -264,29 +307,10 @@ static int bench_main(int argc, char** argv) {
 
   bool graceful = true;
   for (const auto& spec : specs) {
-    sim::SimConfig cfg = bench::testbed_config(spec.total_bytes);
-    // Fast tier sized to a quarter of the footprint so placement matters at
-    // any --scale (the degradation study needs migration pressure, not the
-    // paper's absolute tier sizes); the slow tier absorbs the rest.
-    cfg.tier1_frames = std::max<std::uint64_t>(
-        1 << 9, (spec.total_bytes >> mem::kPageShift) / 4);
-    cfg.tier2_frames =
-        (spec.total_bytes >> mem::kPageShift) * 5 / 4 + (1 << 14);
-
+    const sim::SimConfig cfg = machine_for(spec);
     double fault_free_speedup = 0.0;
     for (const double rate : rates) {
-      tiering::RunnerOptions opt;
-      opt.n_epochs = epochs;
-      opt.ops_per_epoch = ops_per_epoch;
-      opt.seed = seed;
-      opt.daemon.driver.ibs = bench::scaled_ibs(4);
-      opt.mover.per_page_cost_ns = scaled_ns(50.0);
-      opt.mover.min_rank = min_rank;
-      opt.n_threads = threads;
-      opt.mover.admission = admission;
-      opt.fault = fault;
-      opt.fault.rate = rate;
-      opt.telemetry = telemetry.get();
+      tiering::RunnerOptions opt = options_for(rate);
 
       const std::string rate_tag = util::TextTable::fixed(rate, 2);
       opt.policy = "first-touch";

@@ -32,9 +32,11 @@
 
 #include <iostream>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
+#include "tiering/options.hpp"
 #include "tiering/runner.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
@@ -66,25 +68,9 @@ static int bench_main(int argc, char** argv) {
   auto scaled_ns = [time_scale](double paper_us) {
     return static_cast<util::SimNs>(paper_us * 1000.0 / time_scale);
   };
-
-  std::cout << "Section VI-C: end-to-end speedup vs first-touch baseline\n"
-            << "(model=" << model << ", tier1 = 64 MiB scaled, migration "
-            << "cost " << scaled_ns(50.0) << " ns/page = 50 us at paper "
-            << "timescale / " << time_scale << ")\n\n";
-  util::TextTable table({"workload", "baseline_ms", "tmp_ms", "speedup",
-                         "hitrate_base", "hitrate_tmp", "migrations",
-                         "retried", "deferred",
-                         with_oracle ? "oracle_speedup" : "-"});
-  std::unique_ptr<util::CsvWriter> csv;
-  if (write_csv) {
-    csv = std::make_unique<util::CsvWriter>("table_speedup.csv");
-    csv->write_row({"workload", "baseline_ms", "tmp_ms", "speedup",
-                    "hitrate_base", "hitrate_tmp", "migrations", "retried",
-                    "deferred", "aborted", "no_room"});
-  }
-
-  std::vector<double> speedups;
-  for (const auto& spec : specs) {
+  // One machine and one set of run options per workload; the policy,
+  // checkpoint basename and telemetry label vary per run below.
+  const auto config_for = [&](const workloads::WorkloadSpec& spec) {
     sim::SimConfig cfg = bench::testbed_config(spec.total_bytes);
     // The paper's emulation testbed: 4 GiB fast + 60 GiB slow, /64 scale.
     cfg.tier1_frames = (64ULL << 20) >> mem::kPageShift;
@@ -107,10 +93,37 @@ static int bench_main(int argc, char** argv) {
     opt.daemon.driver.stream = stream;
     opt.fault = fault;
     opt.telemetry = telemetry.get();
+    opt.checkpoint = checkpoint;
+    return std::pair{cfg, opt};
+  };
+  // Every configuration is checked before the header and the CSV, so a
+  // rejected run leaves an earlier table_speedup.csv in place.
+  for (const auto& spec : specs) {
+    const auto [cfg, opt] = config_for(spec);
+    tiering::check_options(cfg, opt, spec.processes);
+  }
 
+  std::cout << "Section VI-C: end-to-end speedup vs first-touch baseline\n"
+            << "(model=" << model << ", tier1 = 64 MiB scaled, migration "
+            << "cost " << scaled_ns(50.0) << " ns/page = 50 us at paper "
+            << "timescale / " << time_scale << ")\n\n";
+  util::TextTable table({"workload", "baseline_ms", "tmp_ms", "speedup",
+                         "hitrate_base", "hitrate_tmp", "migrations",
+                         "retried", "deferred",
+                         with_oracle ? "oracle_speedup" : "-"});
+  std::unique_ptr<util::CsvWriter> csv;
+  if (write_csv) {
+    csv = std::make_unique<util::CsvWriter>("table_speedup.csv");
+    csv->write_row({"workload", "baseline_ms", "tmp_ms", "speedup",
+                    "hitrate_base", "hitrate_tmp", "migrations", "retried",
+                    "deferred", "aborted", "no_room"});
+  }
+
+  std::vector<double> speedups;
+  for (const auto& spec : specs) {
+    auto [cfg, opt] = config_for(spec);
     // One basename per (workload, policy) so every run in a shared
     // checkpoint directory keeps its own checkpoint chain.
-    opt.checkpoint = checkpoint;
     opt.policy = "first-touch";
     opt.checkpoint.basename = spec.name + "-first-touch";
     opt.telemetry_label = spec.name + "/first-touch";

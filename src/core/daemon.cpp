@@ -122,18 +122,10 @@ void TmpDaemon::tick_into(ProfileSnapshot& snapshot) {
   }
   driver_.set_trace_enabled(run_trace);
 
-  // 3. Re-evaluate the PID filter (at its own cadence — the paper
-  //    re-evaluates once per second) and scan the survivors' page tables.
+  // 3. Re-evaluate the PID filter and scan the survivors' page tables.
   monitors::AbitScanResult scan{};
   if (config_.pid_filter_enabled) {
-    const bool due = !filter_ever_ran_ ||
-                     system_.now() - last_filter_eval_ >=
-                         config_.pid_filter_period_ns;
-    if (due) {
-      tracked_pids_ = pid_filter_.select(system_.processes());
-      filter_ever_ran_ = true;
-      last_filter_eval_ = system_.now();
-    }
+    tracked_pids_ = pid_filter_.select(system_.processes());
   } else {
     tracked_pids_.clear();
     for (const sim::Process* p : system_.processes()) {
@@ -253,8 +245,7 @@ void TmpDaemon::tick_into(ProfileSnapshot& snapshot) {
   const bool good = !snapshot.abit_aborted && !snapshot.ranking.empty();
   if (good) {
     last_good_ranking_ = snapshot.ranking;
-  } else if (config_.watchdog_threshold != 0 &&
-             bad_scans_ >= config_.watchdog_threshold &&
+  } else if (bad_scans_ >= kWatchdogThreshold &&
              !last_good_ranking_.empty()) {
     snapshot.ranking = last_good_ranking_;
     snapshot.pinned = true;
@@ -318,8 +309,6 @@ void TmpDaemon::save_state(util::ckpt::Writer& w) const {
   w.put_u32(bad_scans_);
   save_ranking(w, last_good_ranking_);
   w.put_u64(tick_seq_);
-  w.put_bool(filter_ever_ran_);
-  w.put_u64(last_filter_eval_);
 }
 
 void TmpDaemon::load_state(util::ckpt::Reader& r) {
@@ -350,8 +339,6 @@ void TmpDaemon::load_state(util::ckpt::Reader& r) {
   bad_scans_ = r.get_u32();
   load_ranking(r, last_good_ranking_);
   tick_seq_ = r.get_u64();
-  filter_ever_ran_ = r.get_bool();
-  last_filter_eval_ = r.get_u64();
 }
 
 }  // namespace tmprof::core

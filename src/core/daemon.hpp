@@ -23,11 +23,9 @@ struct DaemonConfig {
   DriverConfig driver;
   bool gating_enabled = true;
   double gate_threshold = 0.2;
+  /// Re-evaluate the PID filter on every tick and scan only the processes
+  /// it keeps; off scans every process.
   bool pid_filter_enabled = true;
-  /// How often the PID filter re-evaluates (paper: once per second). 0
-  /// re-evaluates every tick. Between evaluations the previous tracked
-  /// set is reused, bounding filter overhead independent of tick rate.
-  util::SimNs pid_filter_period_ns = 0;
   FusionMode fusion = FusionMode::Sum;
   double trace_weight = 1.0;
   /// Weight of the device-counter signal under FusionMode::SumDev. The
@@ -47,10 +45,11 @@ struct DaemonConfig {
   /// Epochs losing at least this fraction abandon the trace source and fall
   /// back to A-bit-only fusion (the scan evidence is still trustworthy).
   double trace_fallback_threshold = 0.5;
-  /// Pin the last good ranking after this many consecutive bad scans
-  /// (aborted or empty). 0 disables the watchdog.
-  std::uint32_t watchdog_threshold = 3;
 };
+
+/// The watchdog pins the last good ranking after this many consecutive bad
+/// scans (aborted or empty).
+inline constexpr std::uint32_t kWatchdogThreshold = 3;
 
 /// Cumulative degradation tallies (how often each fallback engaged).
 struct DegradeStats {
@@ -157,8 +156,6 @@ class TmpDaemon {
   std::vector<PageRank> last_good_ranking_;
   RankingScratch ranking_scratch_;     ///< reused by every tick's fusion
   std::uint64_t tick_seq_ = 0;
-  bool filter_ever_ran_ = false;
-  util::SimNs last_filter_eval_ = 0;
   std::function<bool(mem::Pid)> qos_is_batch_;  ///< unset = no QoS rung
 
   telemetry::Telemetry* telemetry_ = nullptr;  ///< not owned; may be null

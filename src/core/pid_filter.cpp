@@ -14,8 +14,6 @@ constexpr double kCpuThreshold = 0.05;
 constexpr double kMemThreshold = 0.10;
 }  // namespace
 
-PidFilter::PidFilter(const PidFilterConfig& config) : config_(config) {}
-
 std::vector<mem::Pid> PidFilter::select(
     const std::vector<sim::Process*>& processes) {
   // Deltas of issued ops since last evaluation approximate CPU time.
@@ -33,13 +31,7 @@ std::vector<mem::Pid> PidFilter::select(
     total_rss += p->rss_pages();
   }
 
-  struct Candidate {
-    mem::Pid pid;
-    double combined;
-    bool pinned;
-  };
-  std::vector<Candidate> kept;
-  std::size_t n_pinned = 0;
+  std::vector<mem::Pid> pids;
   for (std::size_t i = 0; i < processes.size(); ++i) {
     const sim::Process* p = processes[i];
     const double cpu = total_delta == 0
@@ -50,30 +42,8 @@ std::vector<mem::Pid> PidFilter::select(
                            ? 0.0
                            : static_cast<double>(p->rss_pages()) /
                                  static_cast<double>(total_rss);
-    const bool pinned = is_pinned(p->pid());
-    if (pinned || cpu >= kCpuThreshold || mem >= kMemThreshold) {
-      kept.push_back(Candidate{p->pid(), cpu + mem, pinned});
-      if (pinned) ++n_pinned;
-    }
-  }
-  if (config_.restrict_top_n > 0 && kept.size() > config_.restrict_top_n) {
-    if (pinned_.empty()) {
-      std::sort(kept.begin(), kept.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  return a.combined > b.combined;
-                });
-      kept.resize(config_.restrict_top_n);
-    } else {
-      // Pinned pids survive the trim; the remaining slots go to the
-      // highest combined share. Total order (pid tiebreak) so the trimmed
-      // set is deterministic under share ties.
-      std::sort(kept.begin(), kept.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  if (a.pinned != b.pinned) return a.pinned;
-                  if (a.combined != b.combined) return a.combined > b.combined;
-                  return a.pid < b.pid;
-                });
-      kept.resize(std::max<std::size_t>(config_.restrict_top_n, n_pinned));
+    if (is_pinned(p->pid()) || cpu >= kCpuThreshold || mem >= kMemThreshold) {
+      pids.push_back(p->pid());
     }
   }
 
@@ -82,9 +52,6 @@ std::vector<mem::Pid> PidFilter::select(
     last_ops_.emplace_back(p->pid(), p->ops_issued());
   }
 
-  std::vector<mem::Pid> pids;
-  pids.reserve(kept.size());
-  for (const Candidate& c : kept) pids.push_back(c.pid);
   std::sort(pids.begin(), pids.end());
   return pids;
 }

@@ -104,17 +104,13 @@ void CacheLevel::flush() {
 
 CacheHierarchy::CacheHierarchy(std::uint64_t l1_bytes, std::uint32_t l1_ways,
                                std::uint64_t l2_bytes, std::uint32_t l2_ways,
-                               CacheLevel* llc, bool enable_prefetch)
-    : l1_(l1_bytes, l1_ways),
-      l2_(l2_bytes, l2_ways),
-      llc_(llc),
-      prefetch_(enable_prefetch) {
+                               CacheLevel* llc)
+    : l1_(l1_bytes, l1_ways), l2_(l2_bytes, l2_ways), llc_(llc) {
   TMPROF_EXPECTS(llc != nullptr);
 }
 
-CacheHierarchy CacheHierarchy::make_default(CacheLevel* llc,
-                                            bool enable_prefetch) {
-  return CacheHierarchy(32ULL << 10, 8, 512ULL << 10, 8, llc, enable_prefetch);
+CacheHierarchy CacheHierarchy::make_default(CacheLevel* llc) {
+  return CacheHierarchy(32ULL << 10, 8, 512ULL << 10, 8, llc);
 }
 
 CacheAccess CacheHierarchy::access(PhysAddr paddr, bool is_store) {
@@ -145,15 +141,13 @@ CacheAccess CacheHierarchy::access(PhysAddr paddr, bool is_store) {
   llc_->install(paddr, llc);
   l2_.install(paddr, l2);
   l1_.install(paddr, l1);
-  if (prefetch_) {
-    // Sequential next-line prefetch into the LLC. Only trigger on a
-    // different demand line than last time to avoid self-feeding on
-    // repeated misses to one line.
-    const std::uint64_t line = line_of(paddr);
-    if (line != last_demand_line_) {
-      last_demand_line_ = line;
-      result.prefetch_issued = llc_->fill_if_absent(paddr + kLineSize);
-    }
+  // Sequential next-line prefetch into the LLC. Only trigger on a
+  // different demand line than last time to avoid self-feeding on repeated
+  // misses to one line.
+  const std::uint64_t line = line_of(paddr);
+  if (line != last_demand_line_) {
+    last_demand_line_ = line;
+    result.prefetch_issued = llc_->fill_if_absent(paddr + kLineSize);
   }
   return result;
 }

@@ -122,16 +122,15 @@ class CacheHierarchy {
   /// \param llc                shared last-level cache (not owned)
   CacheHierarchy(std::uint64_t l1_bytes, std::uint32_t l1_ways,
                  std::uint64_t l2_bytes, std::uint32_t l2_ways,
-                 CacheLevel* llc, bool enable_prefetch);
+                 CacheLevel* llc);
 
   /// Zen-2-like geometry: 32 KiB/8w L1D, 512 KiB/8w L2.
-  static CacheHierarchy make_default(CacheLevel* llc,
-                                     bool enable_prefetch = true);
+  static CacheHierarchy make_default(CacheLevel* llc);
 
   /// Run one demand access through L1 → L2 → LLC. On an LLC miss the line is
-  /// filled into all levels and, if enabled, the next line is prefetched
-  /// into the LLC (so a subsequent demand access to it is an LLC *hit* —
-  /// this is why TMP deliberately profiles demand loads only).
+  /// filled into all levels and the next line is prefetched into the LLC
+  /// (so a subsequent demand access to it is an LLC *hit* — this is why
+  /// TMP deliberately profiles demand loads only).
   CacheAccess access(PhysAddr paddr, bool is_store);
 
   void flush();
@@ -145,7 +144,6 @@ class CacheHierarchy {
   CacheLevel l1_;
   CacheLevel l2_;
   CacheLevel* llc_;
-  bool prefetch_;
   std::uint64_t last_demand_line_ = ~0ULL;
 };
 

@@ -181,14 +181,12 @@ void DevMonitor::drain() {
       reported_ += report_.size();
       if (drain_) drain_(std::span<const DevMonReportEntry>(report_));
     }
-    if (config_.decay) {
-      for (CounterSlot& s : device.slots) {
-        if (!s.used) continue;
-        s.count >>= 1;
-        if (s.count == 0) s.used = false;
-      }
-      reindex(device);
+    for (CounterSlot& s : device.slots) {
+      if (!s.used) continue;
+      s.count >>= 1;
+      if (s.count == 0) s.used = false;
     }
+    reindex(device);
   }
 }
 
@@ -210,7 +208,6 @@ void DevMonitor::save_state(util::ckpt::Writer& w) const {
   w.put_u32(config_.slots);
   w.put_u32(config_.top_k);
   w.put_u32(config_.counter_max);
-  w.put_bool(config_.decay);
   w.put_u64(devices_.size());
   for (std::size_t t = 1; t < devices_.size(); ++t) {
     for (const CounterSlot& s : devices_[t].slots) {
@@ -239,9 +236,8 @@ void DevMonitor::load_state(util::ckpt::Reader& r) {
   const std::uint32_t slots = r.get_u32();
   const std::uint32_t top_k = r.get_u32();
   const std::uint32_t counter_max = r.get_u32();
-  const bool decay = r.get_bool();
   if (slots != config_.slots || top_k != config_.top_k ||
-      counter_max != config_.counter_max || decay != config_.decay) {
+      counter_max != config_.counter_max) {
     throw util::ckpt::CkptError("devmon", "device-monitor config mismatch");
   }
   if (r.get_u64() != devices_.size()) {

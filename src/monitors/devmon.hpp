@@ -33,7 +33,6 @@ struct DevMonConfig {
   std::uint32_t slots = 256;  ///< counter entries per tier device
   std::uint32_t top_k = 64;   ///< hottest frames reported per drain
   std::uint32_t counter_max = 65535;  ///< saturation (16-bit HW counters)
-  bool decay = true;          ///< halve counters after each report
 };
 
 /// One row of a device's top-K report.
@@ -68,7 +67,8 @@ class DevMonitor final : public AccessObserver {
 
   /// Fold outstanding lane tallies into the device arrays, then emit each
   /// device's top-K report (count descending, PFN ascending on ties) via
-  /// the drain callback and apply decay. Called at the epoch horizon.
+  /// the drain callback and halve every counter (a counter halved to 0
+  /// frees its slot). Called at the epoch horizon.
   void drain();
 
   /// Device accesses counted (line fills on non-fastest tiers).

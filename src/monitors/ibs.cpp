@@ -28,14 +28,13 @@ void IbsMonitor::shard_trigger() {
 }
 
 void IbsMonitor::reload(Tag& tag, util::Rng& rng) {
-  std::int64_t period = static_cast<std::int64_t>(config_.sample_period);
-  if (config_.randomize) {
-    // Randomize the low 1/16 of the period, like IbsOpCurCnt randomization.
-    const std::uint64_t jitter_span = config_.sample_period / 16 + 1;
-    period += static_cast<std::int64_t>(rng.below(jitter_span)) -
-              static_cast<std::int64_t>(jitter_span / 2);
-    if (period < 1) period = 1;
-  }
+  // Randomize the low 1/16 of the period, like IbsOpCurCnt randomization
+  // (hardware does this to avoid lock-step with loops).
+  const std::uint64_t jitter_span = config_.sample_period / 16 + 1;
+  std::int64_t period = static_cast<std::int64_t>(config_.sample_period) +
+                        static_cast<std::int64_t>(rng.below(jitter_span)) -
+                        static_cast<std::int64_t>(jitter_span / 2);
+  if (period < 1) period = 1;
   tag.countdown = period;
 }
 

@@ -21,9 +21,6 @@ namespace tmprof::monitors {
 struct IbsConfig {
   /// Tag one micro-op out of this many. Paper default: 262144.
   std::uint64_t sample_period = 262144;
-  /// Randomize the low bits of each countdown reload (hardware does this to
-  /// avoid lock-step with loops).
-  bool randomize = true;
   /// Ring-buffer capacity in records; a full buffer raises an interrupt.
   std::uint32_t buffer_capacity = 4096;
   /// Cost model: handler work per drained record and per interrupt. Defaults

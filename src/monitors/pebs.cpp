@@ -1,5 +1,6 @@
 #include "monitors/pebs.hpp"
 
+#include "mem/cache.hpp"
 #include "util/assert.hpp"
 #include "util/ckpt.hpp"
 
@@ -14,23 +15,8 @@ PebsMonitor::PebsMonitor(const PebsConfig& config, std::uint32_t cores)
   TMPROF_EXPECTS(config.sample_after >= 1);
 }
 
-bool PebsMonitor::qualifies(const MemOpEvent& event) const noexcept {
-  switch (config_.event) {
-    case PebsEvent::LlcMiss:
-      return mem::is_memory(event.source);
-    case PebsEvent::LlcAccess:
-      return event.source == mem::DataSource::LLC ||
-             mem::is_memory(event.source);
-    case PebsEvent::TlbWalk:
-      return event.tlb == mem::TlbHit::Miss;
-    case PebsEvent::AllLoads:
-      return !event.is_store;
-  }
-  return false;
-}
-
 void PebsMonitor::on_mem_op(const MemOpEvent& event) {
-  if (!qualifies(event)) return;
+  if (!mem::is_memory(event.source)) return;  // hit in the cache hierarchy
   TMPROF_ASSERT(event.core < counters_.size());
   Counter& counter = counters_[event.core];
   ++(sharded() ? counter.events : events_seen_);

@@ -8,22 +8,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "mem/cache.hpp"
 #include "monitors/trace.hpp"
 #include "util/time.hpp"
 
 namespace tmprof::monitors {
 
-/// Which event arms the PEBS counter.
-enum class PebsEvent : std::uint8_t {
-  LlcMiss,    ///< demand access left the LLC (TMP's choice)
-  LlcAccess,  ///< any LLC access
-  TlbWalk,    ///< hardware page walk performed
-  AllLoads,   ///< every retired load
-};
-
+/// The counter arms on TMP's event: a demand access that left the LLC.
 struct PebsConfig {
-  PebsEvent event = PebsEvent::LlcMiss;
   /// Record one out of this many qualifying events ("sample-after value").
   std::uint64_t sample_after = 1024;
   std::uint32_t buffer_capacity = 4096;
@@ -51,8 +42,6 @@ class PebsMonitor final : public TraceMonitor {
     std::uint64_t count = 0;   ///< qualifying events since the last sample
     std::uint64_t events = 0;  ///< sharded mode only
   };
-
-  [[nodiscard]] bool qualifies(const MemOpEvent& event) const noexcept;
 
   void save_trigger(util::ckpt::Writer& w, std::uint32_t lane) const override;
   void load_trigger(util::ckpt::Reader& r, std::uint32_t lane) override;

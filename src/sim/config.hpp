@@ -23,7 +23,6 @@ struct SimConfig {
   std::uint32_t l2_ways = 8;
   std::uint64_t llc_bytes = 32ULL << 20;
   std::uint32_t llc_ways = 16;
-  bool prefetch = true;
 
   // TLB geometry (see Tlb::make_default for the Zen-2-like shape).
   mem::TlbLevelConfig l1_tlb{16, 4, 8, 4};

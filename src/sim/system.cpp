@@ -75,7 +75,7 @@ System::System(const SimConfig& config)
     cores_.push_back(Core{
         mem::Tlb(config.l1_tlb, config.l2_tlb),
         mem::CacheHierarchy(config.l1_bytes, config.l1_ways, config.l2_bytes,
-                            config.l2_ways, llc, config.prefetch)});
+                            config.l2_ways, llc)});
   }
 }
 

@@ -1,7 +1,6 @@
 #include "tiering/mover.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "telemetry/telemetry.hpp"
 #include "tiering/tenant.hpp"
@@ -137,12 +136,6 @@ void PageMover::note_apply(const MoveStats& stats, util::SimNs begin_ns) {
     telemetry_->span("mover.apply", begin_ns, system_.now(),
                      telemetry::kTidMover);
   }
-}
-
-std::uint64_t PageMover::budget_for_apply() const noexcept {
-  return config_.retry_budget == 0
-             ? std::numeric_limits<std::uint64_t>::max()
-             : config_.retry_budget;
 }
 
 PageMover::MoveOutcome PageMover::try_move(const PageKey& key, mem::TierId dest,
@@ -299,11 +292,6 @@ void PageMover::drain_deferred(MoveStats& stats, std::uint64_t& budget) {
   if (deferred_.empty()) return;
   std::vector<DeferredMove> keep;
   for (const DeferredMove& d : deferred_) {
-    if (config_.max_promotions != 0 &&
-        stats.promoted >= config_.max_promotions) {
-      keep.push_back(d);
-      continue;
-    }
     sim::Process& proc = system_.process(d.key.pid);
     const mem::PteRef ref = proc.page_table().resolve(d.key.page_va);
     if (!ref) {  // page vanished while queued
@@ -416,7 +404,7 @@ MoveStats PageMover::reconcile(std::span<const PlacementSet* const> placed,
                                const std::vector<core::PageRank>& ranking) {
   MoveStats stats;
   const util::SimNs apply_begin = system_.now();
-  std::uint64_t budget = budget_for_apply();
+  std::uint64_t budget = config_.retry_budget;
   const auto rest = static_cast<mem::TierId>(placed.size());
   auto target_of = [&](const PageKey& key) {
     mem::TierId t = 0;
@@ -429,16 +417,16 @@ MoveStats PageMover::reconcile(std::span<const PlacementSet* const> placed,
   }
   // Every placed page with its target, in promote order: ranking order,
   // then each set's never-ranked pages (e.g., a sticky policy's carried-over
-  // residents) in set order. `visit` returns false to stop.
+  // residents) in set order.
   auto for_each_placed = [&](auto&& visit) {
     for (const core::PageRank& pr : ranking) {
       const mem::TierId target = target_of(pr.key);
-      if (target < rest && !visit(pr.key, target)) return;
+      if (target < rest) visit(pr.key, target);
     }
     for (mem::TierId t = 0; t < rest; ++t) {
       for (const PageKey& key : *placed[t]) {
         if (rank_of_.contains(key) || target_of(key) != t) continue;
-        if (!visit(key, t)) return;
+        visit(key, t);
       }
     }
   };
@@ -458,13 +446,12 @@ MoveStats PageMover::reconcile(std::span<const PlacementSet* const> placed,
   if (arbiter_ != nullptr) arbitrate_quotas(*placed[0], ranking);
   if (admission_.enabled()) {
     for_each_placed([&](const PageKey& key, mem::TierId target) {
-      if (quota_denied(key)) return true;
+      if (quota_denied(key)) return;
       sim::Process& proc = system_.process(key.pid);
       const mem::PteRef ref = proc.page_table().resolve(key.page_va);
-      if (!ref) return true;
-      if (system_.phys().tier_of(ref.pte->pfn()) <= target) return true;
+      if (!ref) return;
+      if (system_.phys().tier_of(ref.pte->pfn()) <= target) return;
       (void)admit_once(key, ref.size, stats);
-      return true;
     });
   }
 
@@ -540,21 +527,17 @@ MoveStats PageMover::reconcile(std::span<const PlacementSet* const> placed,
   // Promote the placed pages that still live below their target, hottest
   // first.
   for_each_placed([&](const PageKey& key, mem::TierId target) {
-    if (config_.max_promotions != 0 &&
-        stats.promoted >= config_.max_promotions) {
-      return false;
-    }
-    if (quota_denied(key)) return true;
-    if (admission_rejected(key)) return true;
+    if (quota_denied(key)) return;
+    if (admission_rejected(key)) return;
     sim::Process& proc = system_.process(key.pid);
     const mem::PteRef ref = proc.page_table().resolve(key.page_va);
-    if (!ref) return true;
+    if (!ref) return;
     const mem::TierId src = system_.phys().tier_of(ref.pte->pfn());
-    if (src <= target) return true;
+    if (src <= target) return;
     if (mem::pages_in(ref.size) > system_.phys().free_frames(target)) {
       ++stats.no_room;
       defer_promotion(key, target, stats);
-      return true;
+      return;
     }
     switch (try_move(key, target, stats, budget)) {
       case MoveOutcome::Moved:
@@ -568,7 +551,6 @@ MoveStats PageMover::reconcile(std::span<const PlacementSet* const> placed,
       case MoveOutcome::Aborted:
         break;  // retry budget exhausted: dropped for this epoch
     }
-    return true;
   });
 
   drain_deferred(stats, budget);

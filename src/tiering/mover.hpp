@@ -83,13 +83,10 @@ struct MoverConfig {
   /// Section IV). Rank 1 is the tie mass every touched page reaches via a
   /// single A-bit observation; demanding 2+ filters the noise floor.
   std::uint64_t min_rank = 2;
-  /// Upper bound on promotions per apply() (0 = unlimited); bounds the
-  /// per-epoch migration burst on noisy profiles.
-  std::uint64_t max_promotions = 0;
   /// Retries allowed per move after a transient (EBUSY) failure.
   std::uint32_t max_retries = 3;
-  /// Total retries allowed per apply call (0 = unlimited). When the budget
-  /// runs out, further transient failures abort instead of retrying.
+  /// Total retries allowed per apply call. When the budget runs out,
+  /// further transient failures abort instead of retrying.
   std::uint64_t retry_budget = 128;
   /// Bound on the deferred-promotion queue; overflow drops the coldest
   /// (newest) entries rather than growing without limit.
@@ -220,7 +217,6 @@ class PageMover {
   /// already hold this apply's ranking).
   void arbitrate_quotas(const PlacementSet& desired,
                         const std::vector<core::PageRank>& ranking);
-  [[nodiscard]] std::uint64_t budget_for_apply() const noexcept;
   /// Publish one apply batch's stats and span to the telemetry sink.
   void note_apply(const MoveStats& stats, util::SimNs begin_ns);
 

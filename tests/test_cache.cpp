@@ -56,7 +56,7 @@ class HierarchyTest : public ::testing::Test {
  protected:
   HierarchyTest()
       : llc_(1 << 20, 16),
-        hier_(CacheHierarchy::make_default(&llc_, /*enable_prefetch=*/false)) {}
+        hier_(CacheHierarchy::make_default(&llc_)) {}
 
   CacheLevel llc_;
   CacheHierarchy hier_;
@@ -80,7 +80,7 @@ TEST_F(HierarchyTest, LlcHitAfterPrivateFlush) {
 
 TEST(Hierarchy, PrefetchNextLineMakesItAnLlcHit) {
   CacheLevel llc(1 << 20, 16);
-  CacheHierarchy hier = CacheHierarchy::make_default(&llc, true);
+  CacheHierarchy hier = CacheHierarchy::make_default(&llc);
   auto first = hier.access(0x20000, false);
   EXPECT_TRUE(first.llc_miss);
   EXPECT_TRUE(first.prefetch_issued);
@@ -93,7 +93,7 @@ TEST(Hierarchy, PrefetchNextLineMakesItAnLlcHit) {
 
 TEST(Hierarchy, RepeatedMissSameLineDoesNotSelfFeedPrefetch) {
   CacheLevel llc(1 << 12, 1);  // tiny direct-mapped LLC to force misses
-  CacheHierarchy hier(64 * 2, 1, 64 * 2, 1, &llc, true);
+  CacheHierarchy hier(64 * 2, 1, 64 * 2, 1, &llc);
   EXPECT_TRUE(hier.access(0x0, false).prefetch_issued);
   // Conflicting line evicts, then re-access the first: new demand line each
   // time, prefetcher triggers at most once per distinct line.
@@ -237,11 +237,8 @@ class CacheHierarchy {
  public:
   CacheHierarchy(std::uint64_t l1_bytes, std::uint32_t l1_ways,
                  std::uint64_t l2_bytes, std::uint32_t l2_ways,
-                 CacheLevel* llc, bool enable_prefetch)
-      : l1_(l1_bytes, l1_ways),
-        l2_(l2_bytes, l2_ways),
-        llc_(llc),
-        prefetch_(enable_prefetch) {}
+                 CacheLevel* llc)
+      : l1_(l1_bytes, l1_ways), l2_(l2_bytes, l2_ways), llc_(llc) {}
 
   CacheAccess access(PhysAddr paddr, bool is_store) {
     CacheAccess result;
@@ -265,15 +262,13 @@ class CacheHierarchy {
     llc_->fill(paddr);
     l2_.fill(paddr);
     l1_.fill(paddr);
-    if (prefetch_) {
-      const std::uint64_t line = line_of(paddr);
-      if (line != last_demand_line_) {
-        last_demand_line_ = line;
-        const PhysAddr next = paddr + kLineSize;
-        if (!llc_->contains(next)) {
-          llc_->fill(next);
-          result.prefetch_issued = true;
-        }
+    const std::uint64_t line = line_of(paddr);
+    if (line != last_demand_line_) {
+      last_demand_line_ = line;
+      const PhysAddr next = paddr + kLineSize;
+      if (!llc_->contains(next)) {
+        llc_->fill(next);
+        result.prefetch_issued = true;
       }
     }
     return result;
@@ -300,7 +295,6 @@ class CacheHierarchy {
   CacheLevel l1_;
   CacheLevel l2_;
   CacheLevel* llc_;
-  bool prefetch_;
   std::uint64_t last_demand_line_ = ~0ULL;
 };
 
@@ -363,20 +357,20 @@ struct CacheDiffTally {
 /// Drives both hierarchies with one seeded stream and compares every
 /// result and (at intervals) the checkpoint bytes.
 void run_cache_differential(const Geometry& l1, const Geometry& l2,
-                            const Geometry& llc, bool prefetch, bool seeded,
+                            const Geometry& llc, bool seeded,
                             std::uint64_t seed, CacheDiffTally& tally) {
   SCOPED_TRACE(::testing::Message()
                << "l1=" << l1.sets << "x" << l1.ways << " l2=" << l2.sets
                << "x" << l2.ways << " llc=" << llc.sets << "x" << llc.ways
-               << " prefetch=" << prefetch << " seeded=" << seeded
+               << " seeded=" << seeded
                << " seed=" << seed);
   util::Rng rng(seed);
   CacheLevel llc_new(llc.bytes(), llc.ways);
   reference::CacheLevel llc_ref(llc.bytes(), llc.ways);
-  CacheHierarchy hier_new(l1.bytes(), l1.ways, l2.bytes(), l2.ways, &llc_new,
-                          prefetch);
+  CacheHierarchy hier_new(l1.bytes(), l1.ways, l2.bytes(), l2.ways,
+                          &llc_new);
   reference::CacheHierarchy hier_ref(l1.bytes(), l1.ways, l2.bytes(), l2.ways,
-                                     &llc_ref, prefetch);
+                                     &llc_ref);
   if (seeded) {
     util::ckpt::Writer w;
     w.begin_section("cache");
@@ -453,17 +447,13 @@ TEST(CacheDifferential, OnePassMatchesScanPerCallReference) {
   CacheDiffTally tally;
   std::uint64_t seed = 1;
   for (std::size_t g = 0; g < std::size(kGeometries); ++g) {
-    for (const bool prefetch : {false, true}) {
-      for (const bool seeded : {false, true}) {
-        for (int rep = 0; rep < 3; ++rep, ++seed) {
-          util::Rng pick(seed * 7919);
-          const Geometry& l2 = kGeometries[pick.below(std::size(kGeometries))];
-          const Geometry& llc =
-              kGeometries[(g + seed) % std::size(kGeometries)];
-          run_cache_differential(kGeometries[g], l2, llc, prefetch, seeded,
-                                 seed, tally);
-          if (::testing::Test::HasFatalFailure()) return;
-        }
+    for (const bool seeded : {false, true}) {
+      for (int rep = 0; rep < 3; ++rep, ++seed) {
+        util::Rng pick(seed * 7919);
+        const Geometry& l2 = kGeometries[pick.below(std::size(kGeometries))];
+        const Geometry& llc = kGeometries[(g + seed) % std::size(kGeometries)];
+        run_cache_differential(kGeometries[g], l2, llc, seeded, seed, tally);
+        if (::testing::Test::HasFatalFailure()) return;
       }
     }
   }

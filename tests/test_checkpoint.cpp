@@ -1631,6 +1631,13 @@ TEST(CkptResume, FormatV4ImageColdStarts) {
   expect_old_format_cold_starts(4);
 }
 
+TEST(CkptResume, FormatV5ImageColdStarts) {
+  // Format 5 carried the PID filter's cadence state (a has-run byte and the
+  // last evaluation time) at the end of "daemon", and DevMon's decay byte
+  // in "devmon".
+  expect_old_format_cold_starts(5);
+}
+
 TEST(CkptResume, MismatchedConfigRejected) {
   // A checkpoint from seed 42 must not be grafted onto a seed-43 run: the
   // meta section rejects it and the run cold-starts with its own seed.
@@ -1973,12 +1980,14 @@ TEST(CkptLayout, SectionBytesAreGolden) {
   // (2): daemon -17932, -3680, -3232; system -190, -174, -190. The
   // "stream" section lost the A-bit and DevMon lane seq cursors (8 bytes)
   // when those sources stopped riding the rings; its record tally now
-  // counts trace records only.
+  // counts trace records only. Format 6 dropped the PID filter's cadence
+  // state from "daemon" (a bool and a u64: 9 bytes in every run) and the
+  // decay byte from "devmon" (1 byte when DevMon is on).
   expect_frames(everything_runner_frames(),
                 {{"meta", 48, 0x41982e3d},
                  {"system", 534522, 0xd62fd3fa},
-                 {"daemon", 4051, 0x106587ea},
-                 {"devmon", 6758, 0xb16161e0},
+                 {"daemon", 4042, 0xc9f6f6b9},
+                 {"devmon", 6757, 0x99d8d915},
                  {"stream", 41, 0xfa828653},
                  {"mover", 181, 0xd65f58a5},
                  {"admission", 27784, 0x882db85c},
@@ -1992,7 +2001,7 @@ TEST(CkptLayout, SectionBytesAreGolden) {
   expect_frames(oracle_trap_runner_frames(),
                 {{"meta", 47, 0xe91cf81e},
                  {"system", 666558, 0x190c0746},
-                 {"daemon", 963, 0x6d389445},
+                 {"daemon", 954, 0x112aebc4},
                  {"devmon", 1, 0xd202ef8d},
                  {"stream", 1, 0xd202ef8d},
                  {"mover", 96, 0x7c9b6c29},
@@ -2006,7 +2015,7 @@ TEST(CkptLayout, SectionBytesAreGolden) {
   expect_frames(layered_collect_frames(false),
                 {{"meta", 36, 0xae48b0dc},
                  {"system", 667106, 0xb515d091},
-                 {"daemon", 1091, 0xa275dadf},
+                 {"daemon", 1082, 0xeb00be02},
                  {"truth", 514, 0x7d9111e2},
                  {"series", 2496, 0x27a8a92c},
                  {"telemetry", 2302, 0x0741cbc1}});

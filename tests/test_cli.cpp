@@ -573,6 +573,50 @@ TEST(StreamCli, StreamingNeedsExactHotness) {
                   "--hotness=exact");
 }
 
+TEST(ListCli, EntriesParseInOrderSkippingEmptyOnes) {
+  const ArgParser p = parse({"--threads-list=1,,8", "--rates=0,0.25",
+                             "--policies=oracle,history"});
+  EXPECT_EQ(bench::list_from_args(p, "threads-list", "", bench::u32_entry),
+            (std::vector<std::uint32_t>{1, 8}));
+  EXPECT_EQ(bench::list_from_args(p, "rates", "", bench::rate_entry),
+            (std::vector<double>{0.0, 0.25}));
+  EXPECT_EQ(bench::list_from_args(p, "policies", "", bench::policy_entry),
+            (std::vector<std::string>{"oracle", "history"}));
+  EXPECT_EQ(bench::list_from_args(parse({}), "threads-list", "2,4",
+                                  bench::u32_entry),
+            (std::vector<std::uint32_t>{2, 4}));
+}
+
+/// Expects list_from_args(--key=...) with `entry_rule` to throw a
+/// std::invalid_argument naming --key.
+template <class EntryRule>
+void expect_list_rejected(const char* flag, const std::string& key,
+                          EntryRule entry_rule) {
+  try {
+    (void)bench::list_from_args(parse({flag}), key, "", entry_rule);
+    FAIL() << flag << ": expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--" + key), std::string::npos)
+        << flag << ": " << e.what();
+  }
+}
+
+TEST(ListCli, BadEntriesNameTheListFlag) {
+  // Each entry follows its single-value getter's rules: a negative or
+  // oversized u32 is rejected, never wrapped into a thread count.
+  expect_list_rejected("--threads-list=abc", "threads-list", bench::u32_entry);
+  expect_list_rejected("--threads-list=1,-1", "threads-list",
+                       bench::u32_entry);
+  expect_list_rejected("--threads-list=4294967297", "threads-list",
+                       bench::u32_entry);
+  expect_list_rejected("--rates=abc", "rates", bench::rate_entry);
+  expect_list_rejected("--rates=0,1.5", "rates", bench::rate_entry);
+  expect_list_rejected("--rates=nan", "rates", bench::rate_entry);
+  expect_list_rejected("--policies=history,histroy", "policies",
+                       bench::policy_entry);
+  expect_list_rejected("--rates=,", "rates", bench::rate_entry);
+}
+
 TEST(GoldenSchema, TopologyCsvHeader) {
   // Golden schema for topology.csv (bench/topology). The CI topology smoke
   // job uploads this file; plotting scripts key on these names in order.

@@ -155,7 +155,7 @@ TEST(Daemon, FusionModeFlowsIntoRanking) {
 namespace tmprof::core {
 namespace {
 
-TEST(Daemon, PidFilterReevaluatesAtItsOwnCadence) {
+TEST(Daemon, PidFilterReevaluatesEveryTick) {
   sim::System sys(small_config());
   const mem::Pid a = sys.add_process(
       std::make_unique<workloads::UniformWorkload>(8 << 20, 0.0, 1), 50.0);
@@ -163,18 +163,16 @@ TEST(Daemon, PidFilterReevaluatesAtItsOwnCadence) {
       std::make_unique<workloads::UniformWorkload>(1 << 16, 0.0, 2), 1.0);
   DaemonConfig cfg = fast_daemon();
   cfg.gating_enabled = false;
-  cfg.pid_filter_period_ns = 10 * util::kSecond;  // effectively: once
   TmpDaemon daemon(sys, cfg);
   sys.step(100000);
   daemon.tick();
-  const auto first = daemon.tracked_pids();
-  ASSERT_EQ(first.size(), 1U);
-  EXPECT_EQ(first[0], a);
-  // Shift all CPU to b; within the filter period the set must not change.
+  ASSERT_EQ(daemon.tracked_pids(), std::vector<mem::Pid>{a});
+  // Shift the CPU to b: the very next tick re-evaluates the filter and
+  // tracks it (a stays for its memory share).
   sys.process(b).charge_ops(10'000'000);
   sys.step(1000);
   daemon.tick();
-  EXPECT_EQ(daemon.tracked_pids(), first);
+  EXPECT_EQ(daemon.tracked_pids(), (std::vector<mem::Pid>{a, b}));
 }
 
 }  // namespace

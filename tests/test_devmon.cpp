@@ -59,7 +59,6 @@ TEST(DevMon, CountsOnlySlowTierMemoryFills) {
   ASSERT_EQ(phys.tier_of(13), 2);
   DevMonConfig cfg;
   cfg.enabled = true;
-  cfg.decay = false;
   DevMonitor mon(cfg, phys, 1);
   mon.on_mem_op(fill(1));                            // fast tier: no device
   mon.on_mem_op(fill(5, 0, mem::DataSource::LLC));   // cache hit: not a fill
@@ -69,8 +68,10 @@ TEST(DevMon, CountsOnlySlowTierMemoryFills) {
   const auto report = drain_once(mon);
   EXPECT_EQ(mon.observed(), 3U);
   EXPECT_EQ(mon.occupied(0), 0U);
+  // The drain halved both counters: 2 -> 1 keeps pfn 5's slot, 1 -> 0
+  // frees pfn 13's.
   EXPECT_EQ(mon.occupied(1), 1U);
-  EXPECT_EQ(mon.occupied(2), 1U);
+  EXPECT_EQ(mon.occupied(2), 0U);
   ASSERT_EQ(report.size(), 2U);
   EXPECT_EQ(report[0].pfn, 5U);
   EXPECT_EQ(report[0].count, 2U);
@@ -85,7 +86,6 @@ TEST(DevMon, CounterSaturatesAtConfiguredMax) {
   DevMonConfig cfg;
   cfg.enabled = true;
   cfg.counter_max = 10;
-  cfg.decay = false;
   DevMonitor mon(cfg, phys, 1);
   for (int i = 0; i < 25; ++i) mon.on_mem_op(fill(5));
   const auto report = drain_once(mon);
@@ -99,7 +99,6 @@ TEST(DevMon, TopKTruncatesWithAscendingPfnTieBreak) {
   DevMonConfig cfg;
   cfg.enabled = true;
   cfg.top_k = 2;
-  cfg.decay = false;
   DevMonitor mon(cfg, phys, 1);
   for (const mem::Pfn pfn : {7U, 5U, 6U}) {  // arrival order must not matter
     for (int i = 0; i < 3; ++i) mon.on_mem_op(fill(pfn));
@@ -116,7 +115,6 @@ TEST(DevMon, SpaceSavingEvictionInheritsVictimCount) {
   DevMonConfig cfg;
   cfg.enabled = true;
   cfg.slots = 2;
-  cfg.decay = false;
   DevMonitor mon(cfg, phys, 1);
   // Folded in ascending-pfn order: 5 (count 5) and 6 (count 2) claim the
   // two slots; 7 (count 1) evicts the coldest (6) and inherits its count.
@@ -136,7 +134,6 @@ TEST(DevMon, DecayHalvesCountersAndFreesDeadSlots) {
   const mem::PhysMemory phys = three_tier_phys();
   DevMonConfig cfg;
   cfg.enabled = true;
-  cfg.decay = true;
   DevMonitor mon(cfg, phys, 1);
   for (int i = 0; i < 3; ++i) mon.on_mem_op(fill(5));
   auto report = drain_once(mon);
@@ -155,7 +152,6 @@ TEST(DevMon, LaneMergeIsCoreAssignmentInvariant) {
   const mem::PhysMemory phys = three_tier_phys();
   DevMonConfig cfg;
   cfg.enabled = true;
-  cfg.decay = false;
   DevMonitor spread(cfg, phys, 4);
   DevMonitor packed(cfg, phys, 4);
   // The same multiset of fills, tallied on 4 cores vs all on core 0, must
@@ -232,12 +228,10 @@ class ScanDevMon {
       if (report.size() > config_.top_k) report.resize(config_.top_k);
       reported_ += report.size();
       out.insert(out.end(), report.begin(), report.end());
-      if (config_.decay) {
-        for (Slot& s : devices_[t]) {
-          if (!s.used) continue;
-          s.count >>= 1;
-          if (s.count == 0) s.used = false;
-        }
+      for (Slot& s : devices_[t]) {
+        if (!s.used) continue;
+        s.count >>= 1;
+        if (s.count == 0) s.used = false;
       }
     }
     return out;
@@ -249,7 +243,6 @@ class ScanDevMon {
     w.put_u32(config_.slots);
     w.put_u32(config_.top_k);
     w.put_u32(config_.counter_max);
-    w.put_bool(config_.decay);
     w.put_u64(devices_.size());
     for (std::size_t t = 1; t < devices_.size(); ++t) {
       for (const Slot& s : devices_[t]) {
@@ -347,7 +340,6 @@ TEST(DevMonDifferential, IndexedFoldMatchesLinearScan) {
     // Small maxima saturate often, which makes dense count ties.
     const std::uint32_t maxima[] = {1, 2, 3, 7, 65535};
     cfg.counter_max = maxima[rng.below(5)];
-    cfg.decay = rng.below(4) != 0;
     const auto cores = 1 + static_cast<std::uint32_t>(rng.below(3));
     // A narrow pfn window keeps ties dense; a wide one forces evictions.
     const std::uint64_t window = 2 + rng.below(94);

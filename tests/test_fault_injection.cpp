@@ -447,7 +447,7 @@ TEST(FaultInjectionDaemon, WatchdogPinsLastGoodRankingOnEmptyScans) {
       std::make_unique<workloads::ZipfWorkload>(8 << 20, 4096, 0.99, 0.1, 1));
   DaemonConfig cfg = fast_daemon();
   cfg.gating_enabled = false;  // keep the scan running while idle
-  ASSERT_EQ(cfg.watchdog_threshold, 3U);
+  static_assert(kWatchdogThreshold == 3);
   TmpDaemon daemon(sys, cfg);
   sys.step(100000);
   const ProfileSnapshot good = daemon.tick();

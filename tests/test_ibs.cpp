@@ -20,7 +20,6 @@ MemOpEvent make_op(std::uint32_t core, mem::VirtAddr vaddr,
 
 TEST(Ibs, SampleRateApproximatesPeriod) {
   IbsConfig cfg = IbsConfig::with_period(1024);
-  cfg.randomize = true;
   IbsMonitor ibs(cfg, 1);
   const std::uint64_t ops = 200000;
   const std::uint64_t uops_per_op = 4;
@@ -53,7 +52,6 @@ TEST(Ibs, HigherRateMoreSamples) {
 
 TEST(Ibs, RecordsCarrySampleFields) {
   IbsConfig cfg = IbsConfig::with_period(16);
-  cfg.randomize = false;
   IbsMonitor ibs(cfg, 1);
   std::vector<TraceSample> got;
   ibs.set_drain([&](std::span<const TraceSample> s) {
@@ -79,7 +77,6 @@ TEST(Ibs, RecordsCarrySampleFields) {
 
 TEST(Ibs, BufferFullTriggersInterruptDrain) {
   IbsConfig cfg = IbsConfig::with_period(16);
-  cfg.randomize = false;
   cfg.buffer_capacity = 8;
   IbsMonitor ibs(cfg, 1);
   int drains = 0;
@@ -97,7 +94,6 @@ TEST(Ibs, BufferFullTriggersInterruptDrain) {
 
 TEST(Ibs, PerCoreCountdownsAreIndependent) {
   IbsConfig cfg = IbsConfig::with_period(64);
-  cfg.randomize = false;
   IbsMonitor ibs(cfg, 2);
   // Only core 0 retires ops; core 1 must never produce samples.
   for (std::uint64_t i = 0; i < 10000; ++i) {
@@ -112,7 +108,6 @@ TEST(Ibs, PerCoreCountdownsAreIndependent) {
 
 TEST(Ibs, OverheadGrowsWithSamples) {
   IbsConfig cfg = IbsConfig::with_period(16);
-  cfg.randomize = false;
   IbsMonitor ibs(cfg, 1);
   EXPECT_EQ(ibs.overhead_ns(), 0U);
   for (std::uint64_t i = 0; i < 1600; ++i) {

@@ -425,16 +425,10 @@ class ReferenceMover {
         defer(key, stats);
       }
     };
-    auto capped = [&] {
-      return config_.max_promotions != 0 &&
-             stats.promoted >= config_.max_promotions;
-    };
     for (const core::PageRank& pr : ranking) {
-      if (capped()) break;
       if (desired.count(pr.key) != 0) promote(pr.key);
     }
     for (const PageKey& key : desired) {
-      if (capped()) break;
       if (rank_of.count(key) == 0) promote(key);  // never-ranked pages only
     }
     drain_deferred(stats);
@@ -571,11 +565,6 @@ class ReferenceMover {
   void drain_deferred(MoveStats& stats) {
     std::vector<PageKey> keep;
     for (const PageKey& key : deferred_) {
-      if (config_.max_promotions != 0 &&
-          stats.promoted >= config_.max_promotions) {
-        keep.push_back(key);
-        continue;
-      }
       const mem::PteRef ref = resolve(key);
       if (!ref || system_.phys().tier_of(ref.pte->pfn()) == 0) {
         deferred_set_.erase(key);
@@ -692,7 +681,6 @@ MoveStats run_differential(std::uint64_t seed, bool with_arbiter,
   const std::uint32_t n_procs = 1 + static_cast<std::uint32_t>(rng.below(3));
 
   MoverConfig config;
-  config.max_promotions = rng.below(2) == 0 ? 0 : 1 + rng.below(8);
   if (with_admission) {
     config.admission.mode = AdmissionMode::Static;
     config.admission.min_history = 1 + static_cast<std::uint32_t>(rng.below(2));

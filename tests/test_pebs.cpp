@@ -22,7 +22,6 @@ MemOpEvent make_op(mem::DataSource src, bool is_store = false,
 
 TEST(Pebs, SamplesEveryNthQualifyingEvent) {
   PebsConfig cfg;
-  cfg.event = PebsEvent::LlcMiss;
   cfg.sample_after = 10;
   PebsMonitor pebs(cfg, 1);
   for (int i = 0; i < 100; ++i) pebs.on_mem_op(make_op(mem::DataSource::MemTier1));
@@ -32,7 +31,6 @@ TEST(Pebs, SamplesEveryNthQualifyingEvent) {
 
 TEST(Pebs, NonQualifyingEventsIgnored) {
   PebsConfig cfg;
-  cfg.event = PebsEvent::LlcMiss;
   cfg.sample_after = 1;
   PebsMonitor pebs(cfg, 1);
   pebs.on_mem_op(make_op(mem::DataSource::L1));
@@ -40,36 +38,6 @@ TEST(Pebs, NonQualifyingEventsIgnored) {
   EXPECT_EQ(pebs.samples_taken(), 0U);
   pebs.on_mem_op(make_op(mem::DataSource::MemTier2));
   EXPECT_EQ(pebs.samples_taken(), 1U);
-}
-
-TEST(Pebs, EventSelectionVariants) {
-  {
-    PebsConfig cfg;
-    cfg.event = PebsEvent::LlcAccess;
-    cfg.sample_after = 1;
-    PebsMonitor pebs(cfg, 1);
-    pebs.on_mem_op(make_op(mem::DataSource::LLC));
-    pebs.on_mem_op(make_op(mem::DataSource::MemTier1));
-    EXPECT_EQ(pebs.samples_taken(), 2U);
-  }
-  {
-    PebsConfig cfg;
-    cfg.event = PebsEvent::TlbWalk;
-    cfg.sample_after = 1;
-    PebsMonitor pebs(cfg, 1);
-    pebs.on_mem_op(make_op(mem::DataSource::L1, false, mem::TlbHit::Miss));
-    pebs.on_mem_op(make_op(mem::DataSource::L1, false, mem::TlbHit::L1));
-    EXPECT_EQ(pebs.samples_taken(), 1U);
-  }
-  {
-    PebsConfig cfg;
-    cfg.event = PebsEvent::AllLoads;
-    cfg.sample_after = 1;
-    PebsMonitor pebs(cfg, 1);
-    pebs.on_mem_op(make_op(mem::DataSource::L1, /*is_store=*/true));
-    pebs.on_mem_op(make_op(mem::DataSource::L1, /*is_store=*/false));
-    EXPECT_EQ(pebs.samples_taken(), 1U);
-  }
 }
 
 TEST(Pebs, BufferThresholdRaisesPmi) {

@@ -49,20 +49,6 @@ TEST(PidFilter, CpuShareUsesDeltasBetweenCalls) {
   EXPECT_EQ(kept[0], 2U);
 }
 
-TEST(PidFilter, RestrictiveModeBoundsTrackedPids) {
-  std::vector<std::unique_ptr<sim::Process>> procs;
-  std::vector<sim::Process*> raw;
-  for (mem::Pid pid = 1; pid <= 10; ++pid) {
-    procs.push_back(make_proc(pid));
-    procs.back()->charge_ops(100);  // all equal: every one passes 5%
-    raw.push_back(procs.back().get());
-  }
-  PidFilterConfig cfg;
-  cfg.restrict_top_n = 3;
-  PidFilter filter(cfg);
-  EXPECT_EQ(filter.select(raw).size(), 3U);
-}
-
 TEST(PidFilter, AllIdleKeepsNothing) {
   auto a = make_proc(1);
   auto b = make_proc(2);

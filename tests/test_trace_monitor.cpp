@@ -220,14 +220,12 @@ class RefIbsMonitor final : public AccessObserver {
   };
 
   void reload(std::uint32_t core) {
-    std::int64_t period = static_cast<std::int64_t>(config_.sample_period);
-    if (config_.randomize) {
-      util::Rng& rng = sharded_ ? lanes_[core].rng : rng_;
-      const std::uint64_t jitter_span = config_.sample_period / 16 + 1;
-      period += static_cast<std::int64_t>(rng.below(jitter_span)) -
-                static_cast<std::int64_t>(jitter_span / 2);
-      if (period < 1) period = 1;
-    }
+    util::Rng& rng = sharded_ ? lanes_[core].rng : rng_;
+    const std::uint64_t jitter_span = config_.sample_period / 16 + 1;
+    std::int64_t period = static_cast<std::int64_t>(config_.sample_period) +
+                          static_cast<std::int64_t>(rng.below(jitter_span)) -
+                          static_cast<std::int64_t>(jitter_span / 2);
+    if (period < 1) period = 1;
     countdown_[core] = period;
   }
 
@@ -275,7 +273,7 @@ class RefPebsMonitor final : public AccessObserver {
   }
 
   void on_mem_op(const MemOpEvent& event) override {
-    if (!qualifies(event)) return;
+    if (!mem::is_memory(event.source)) return;
     if (sharded_) {
       ++lanes_[event.core].events;
     } else {
@@ -401,21 +399,6 @@ class RefPebsMonitor final : public AccessObserver {
     std::uint32_t stream_seq = 0;
     std::uint32_t since_drain = 0;
   };
-
-  [[nodiscard]] bool qualifies(const MemOpEvent& event) const noexcept {
-    switch (config_.event) {
-      case PebsEvent::LlcMiss:
-        return mem::is_memory(event.source);
-      case PebsEvent::LlcAccess:
-        return event.source == mem::DataSource::LLC ||
-               mem::is_memory(event.source);
-      case PebsEvent::TlbWalk:
-        return event.tlb == mem::TlbHit::Miss;
-      case PebsEvent::AllLoads:
-        return !event.is_store;
-    }
-    return false;
-  }
 
   PebsConfig config_;
   DrainFn drain_;
@@ -579,7 +562,6 @@ IbsConfig ibs_config(std::uint32_t capacity) {
 
 PebsConfig pebs_config(std::uint32_t capacity) {
   PebsConfig cfg;
-  cfg.event = PebsEvent::LlcAccess;
   cfg.sample_after = 3;
   cfg.buffer_capacity = capacity;
   return cfg;
