@@ -27,6 +27,7 @@
 
 #include "common.hpp"
 #include "tiering/hitrate.hpp"
+#include "tiering/options.hpp"
 #include "tiering/policies.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -95,7 +96,7 @@ static int bench_main(int argc, char** argv) {
   // serial workload loop; --threads still shards each System's cores.
   const bool outer_parallel =
       threads > 1 && specs.size() > 1 && telemetry == nullptr;
-  const auto collect_one = [&](std::size_t i) {
+  const auto options_for = [&](std::size_t i) {
     tiering::CollectOptions collect;
     collect.n_epochs = epochs;
     collect.ops_per_epoch = ops_per_epoch;
@@ -111,15 +112,24 @@ static int bench_main(int argc, char** argv) {
       collect.daemon.driver.pebs.sample_after = 16;
     }
     collect.daemon.fault = fault;
-    collect.n_threads = outer_parallel ? 1 : threads;
+    collect.n_threads = threads;
     collect.checkpoint = checkpoint;
     collect.checkpoint.basename = specs[i].name + "-collect";
     collect.telemetry = telemetry.get();
     collect.telemetry_label = specs[i].name + "/collect";
+    return collect;
+  };
+  const auto collect_one = [&](std::size_t i) {
+    tiering::CollectOptions collect = options_for(i);
+    if (outer_parallel) collect.n_threads = 1;
     collected[i] = tiering::collect_series(
         specs[i], bench::testbed_config(specs[i].total_bytes), collect);
   };
   if (outer_parallel) {
+    // This pool starts `threads` workers itself, so the thread ceiling is
+    // checked before it exists.
+    tiering::check_options(bench::testbed_config(specs[0].total_bytes),
+                           options_for(0));
     util::ThreadPool pool(threads);
     pool.parallel_for(specs.size(), collect_one);
   } else {

@@ -48,6 +48,14 @@
 /// `rows` (engine "serial"); with `step_parallel` it stands in for the
 /// ledger metric `sim.step_ns_per_op` (docs/PERFORMANCE.md).
 ///
+/// An eighth section (`shard_scaling`, always on) times the sharded
+/// engine's `System::step_parallel` on data_caching at the same testbed
+/// geometry, with no observers: once with the shards inline on the calling
+/// thread (engine "inline") and once on 2 pool workers (engine "pool2").
+/// Its rows land in `rows`; the pair is the pool-vs-inline comparison for
+/// `sim.step_ns_per_op` on `caching_sharded_stream` (docs/PERFORMANCE.md
+/// §4, §13).
+///
 /// Usage: micro_hotpath [--epochs=N] [--touches-per-page=N]
 ///        [--step-ops=N] [--sketch-sweep=0|1]
 ///        [--ring-sweep=0|1] [--out=BENCH_hotpath.json]
@@ -74,6 +82,7 @@
 #include "util/ring.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 #include "util/zipf.hpp"
 #include "workloads/registry.hpp"
 #include "workloads/synthetic.hpp"
@@ -223,6 +232,35 @@ Row run_access_path(std::uint64_t step_ops) {
   system.step(step_ops);
   Row row{"access_path", spec.total_bytes >> mem::kPageShift, "serial",
           step_ops, 0.0, 0.0};
+  row.seconds = seconds_since(start);
+  row.ops_per_sec = static_cast<double>(row.ops) / row.seconds;
+  return row;
+}
+
+// ---------------------------------------------------------------------------
+// Section 8: the sharded engine, inline shards vs pool workers.
+
+Row run_shard_scaling(std::uint32_t workers, std::uint64_t step_ops) {
+  const workloads::WorkloadSpec spec = workloads::find_spec("data_caching");
+  sim::SimConfig cfg = bench::testbed_config(spec.total_bytes);
+  cfg.sharded_engine = true;
+  sim::System system(cfg);
+  for (std::uint32_t i = 0; i < spec.processes; ++i) {
+    system.add_process(workloads::make_workload(spec, i, 42));
+  }
+  std::unique_ptr<util::ThreadPool> pool;
+  if (workers > 0) pool = std::make_unique<util::ThreadPool>(workers);
+  // Epoch-sized steps, so the barrier is paid as often as in a run.
+  constexpr std::uint64_t kSteps = 8;
+  const std::uint64_t step = step_ops / kSteps;
+  system.step_parallel(step_ops / 2, pool.get());  // first touches fault
+  const auto start = Clock::now();
+  for (std::uint64_t i = 0; i < kSteps; ++i) {
+    system.step_parallel(step, pool.get());
+  }
+  Row row{"shard_scaling", spec.total_bytes >> mem::kPageShift,
+          workers == 0 ? "inline" : "pool" + std::to_string(workers),
+          kSteps * step, 0.0, 0.0};
   row.seconds = seconds_since(start);
   row.ops_per_sec = static_cast<double>(row.ops) / row.seconds;
   return row;
@@ -695,6 +733,10 @@ static int bench_main(int argc, char** argv) {
   // One end-to-end datapoint at the middle footprint.
   rows.push_back(run_step_parallel(16384, step_ops));
   rows.push_back(run_access_path(step_ops));
+  const Row inline_shards = run_shard_scaling(0, step_ops);
+  const Row pooled_shards = run_shard_scaling(2, step_ops);
+  rows.push_back(inline_shards);
+  rows.push_back(pooled_shards);
 
   util::TextTable table({"section", "pages", "engine", "ops", "Mops/s"});
   for (const Row& r : rows) {
@@ -703,6 +745,11 @@ static int bench_main(int argc, char** argv) {
                    std::to_string(r.ops_per_sec / 1e6)});
   }
   std::cout << table.to_string() << "\n";
+  std::cout << "shard_scaling: data_caching step_parallel "
+            << 1e9 / inline_shards.ops_per_sec << " ns/op inline, "
+            << 1e9 / pooled_shards.ops_per_sec << " ns/op on 2 workers ("
+            << pooled_shards.ops_per_sec / inline_shards.ops_per_sec
+            << "x)\n\n";
 
   std::vector<AccuracyRow> accuracy;
   if (sketch_sweep) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "mem/addr.hpp"
+#include "util/cache_line.hpp"
 
 namespace tmprof::util::ckpt {
 class Reader;
@@ -29,7 +30,10 @@ enum class DataSource : std::uint8_t { L1, L2, LLC, MemTier1, MemTier2 };
 ///
 /// Victim rule: a fill takes the first invalid way of the set, or else the
 /// first way with the strictly smallest LRU stamp.
-class CacheLevel {
+///
+/// Every probe writes the LRU clock, and sharded cores probe their own
+/// levels concurrently, so each level owns its host cache lines.
+class alignas(util::kCacheLine) CacheLevel {
  public:
   CacheLevel(std::uint64_t size_bytes, std::uint32_t ways);
 

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "mem/addr.hpp"
+#include "util/cache_line.hpp"
 #include "util/time.hpp"
 
 namespace tmprof::util::ckpt {
@@ -120,8 +121,10 @@ class PhysMemory {
   void load_state(util::ckpt::Reader& r);
 
  private:
-  /// One independently bump-allocated frame range within a tier.
-  struct ArenaState {
+  /// One independently bump-allocated frame range within a tier. Each
+  /// sharded core faults into its own arena from its own worker, so an
+  /// arena owns its host cache lines.
+  struct alignas(util::kCacheLine) ArenaState {
     Pfn base = 0;                ///< first frame of the arena
     Pfn top = 0;                 ///< one past the last frame
     Pfn low_bump = 0;            ///< next never-used 4 KiB frame

@@ -22,6 +22,7 @@
 
 #include "mem/tiers.hpp"
 #include "monitors/event.hpp"
+#include "util/cache_line.hpp"
 #include "util/flat_map.hpp"
 
 namespace tmprof::monitors {
@@ -113,8 +114,9 @@ class DevMonitor final : public AccessObserver {
     std::vector<std::uint32_t> heap_pos;  ///< slot → its position in heap
   };
 
-  /// Per-core tally a shard's worker thread owns exclusively.
-  struct CoreLane {
+  /// Per-core tally a shard's worker thread owns exclusively; updated on
+  /// every slower-tier access, so cache-line aligned.
+  struct alignas(util::kCacheLine) CoreLane {
     util::FlatHashMap<std::uint64_t, std::uint32_t, util::U64Hash> counts;
     std::uint64_t observed = 0;
   };

@@ -54,7 +54,7 @@ class IbsMonitor final : public TraceMonitor {
  private:
   /// Per-core tag state, written on every retire by the core's own thread
   /// in sharded mode; cache-line aligned so no two cores share a line.
-  struct alignas(64) Tag {
+  struct alignas(util::kCacheLine) Tag {
     std::int64_t countdown = 0;
     bool armed = false;         ///< tag waiting for this core's next op
     util::Rng rng{0};           ///< sharded mode only

@@ -38,7 +38,7 @@ class PebsMonitor final : public TraceMonitor {
   /// Per-core counter state, written on every qualifying op by the core's
   /// own thread in sharded mode; cache-line aligned so no two cores share
   /// a line.
-  struct alignas(64) Counter {
+  struct alignas(util::kCacheLine) Counter {
     std::uint64_t count = 0;   ///< qualifying events since the last sample
     std::uint64_t events = 0;  ///< sharded mode only
   };

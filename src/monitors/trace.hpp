@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "monitors/event.hpp"
+#include "util/cache_line.hpp"
 #include "util/ring.hpp"
 #include "util/time.hpp"
 
@@ -114,7 +115,7 @@ class TraceMonitor : public AccessObserver {
   /// Per-core transport state that a shard's worker thread owns
   /// exclusively in sharded mode; cache-line aligned so no two cores'
   /// lanes share a line.
-  struct alignas(64) Lane {
+  struct alignas(util::kCacheLine) Lane {
     std::vector<TraceSample> buffer;
     std::uint64_t samples = 0;
     std::uint64_t interrupts = 0;

@@ -11,6 +11,7 @@
 
 #include "pmu/events.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/cache_line.hpp"
 
 namespace tmprof::util::ckpt {
 class Reader;
@@ -22,7 +23,7 @@ namespace tmprof::pmu {
 /// One core's PMU. Cache-line aligned and allocation-free: the sharded
 /// engine's workers record into neighbouring cores' PMUs at once, so no two
 /// cores' counters may share a line.
-class alignas(64) PmuCore {
+class alignas(util::kCacheLine) PmuCore {
  public:
   /// Simultaneously countable events (6 on the paper's Zen 2 part).
   static constexpr std::size_t kRegisters = 6;

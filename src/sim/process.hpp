@@ -12,6 +12,7 @@
 #include "mem/addr.hpp"
 #include "mem/page_table.hpp"
 #include "mem/tiers.hpp"
+#include "util/cache_line.hpp"
 #include "workloads/workload.hpp"
 
 namespace tmprof::util::ckpt {
@@ -21,7 +22,9 @@ class Writer;
 
 namespace tmprof::sim {
 
-class Process {
+/// Cache-line aligned: the sharded engine charges ops and memory fills to
+/// each core's processes from that core's worker on every access.
+class alignas(util::kCacheLine) Process {
  public:
   /// \param weight  scheduling weight (relative share of issued ops);
   ///                lets experiments create low-CPU background processes

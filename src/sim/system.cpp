@@ -68,6 +68,7 @@ System::System(const SimConfig& config)
           std::make_unique<mem::CacheLevel>(slice_bytes, config.llc_ways));
     }
   }
+  static_assert(alignof(Core) >= util::kCacheLine);
   cores_.reserve(config.cores);
   for (std::uint32_t c = 0; c < config.cores; ++c) {
     mem::CacheLevel* llc =
@@ -215,10 +216,12 @@ util::SimNs System::step_parallel(std::uint64_t ops, util::ThreadPool* pool) {
     }
   }
 
-  struct Shard {
+  // `executed` is bumped on every op by the shard's worker.
+  struct alignas(util::kCacheLine) Shard {
     util::SimNs elapsed = 0;
     std::uint64_t executed = 0;
   };
+  static_assert(alignof(Shard) >= util::kCacheLine);
   std::vector<Shard> shards(n_cores);
 
   // Every shard executes its own processes' slots among the same `ops`

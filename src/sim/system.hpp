@@ -20,6 +20,7 @@
 #include "sim/process.hpp"
 #include "sim/schedule.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/cache_line.hpp"
 #include "util/time.hpp"
 
 namespace tmprof::util {
@@ -150,7 +151,9 @@ class System {
   static constexpr mem::VirtAddr kCodeBase = 0x400000;
 
  private:
-  struct Core {
+  /// Written on every access (TLB and cache LRU clocks) by the core's
+  /// shard, so no two cores share a host cache line.
+  struct alignas(util::kCacheLine) Core {
     mem::Tlb tlb;
     mem::CacheHierarchy caches;
   };

@@ -52,7 +52,7 @@ Counter MetricsRegistry::shard_counter(std::size_t shard,
   // Pre-create the global cell so merge order cannot depend on which
   // shards saw traffic.
   (void)counter(name);
-  return Counter(&shard_counters_[shard][std::string(name)]);
+  return Counter(&shard_counters_[shard][std::string(name)].value);
 }
 
 HistogramHandle MetricsRegistry::shard_histogram(std::size_t shard,
@@ -67,25 +67,26 @@ HistogramHandle MetricsRegistry::shard_histogram(std::size_t shard,
   auto it = shard_map.find(std::string(name));
   if (it == shard_map.end()) {
     it = shard_map
-             .emplace(std::string(name), util::Histogram(lo, hi, buckets))
+             .emplace(std::string(name),
+                      ShardHistogram{util::Histogram(lo, hi, buckets)})
              .first;
   }
-  return HistogramHandle(&it->second);
+  return HistogramHandle(&it->second.hist);
 }
 
 void MetricsRegistry::merge_shards() {
   for (auto& shard : shard_counters_) {
-    for (auto& [name, value] : shard) {
-      counters_[name] += value;
-      value = 0;
+    for (auto& [name, cell] : shard) {
+      counters_[name] += cell.value;
+      cell.value = 0;
     }
   }
   for (auto& shard : shard_histograms_) {
-    for (auto& [name, hist] : shard) {
+    for (auto& [name, cell] : shard) {
       const auto it = histograms_.find(name);
       TMPROF_ASSERT(it != histograms_.end());
-      it->second.merge(hist);
-      hist.reset();
+      it->second.merge(cell.hist);
+      cell.hist.reset();
     }
   }
 }
@@ -102,8 +103,8 @@ std::uint64_t MetricsRegistry::gauge_value(std::string_view name) const {
 
 void MetricsRegistry::save_state(util::ckpt::Writer& w) const {
   for (const auto& shard : shard_counters_) {
-    for (const auto& [name, value] : shard) {
-      TMPROF_EXPECTS(value == 0);  // shards must be merged before a save
+    for (const auto& [name, cell] : shard) {
+      TMPROF_EXPECTS(cell.value == 0);  // shards must be merged before a save
     }
   }
   w.put_u64(counters_.size());

@@ -20,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/cache_line.hpp"
 #include "util/histogram.hpp"
 
 namespace tmprof::util::ckpt {
@@ -135,11 +136,20 @@ class MetricsRegistry {
  private:
   static void check_name(std::string_view name);
 
+  /// Shard cells, written by their shard's worker on every access: each
+  /// map node owns its host cache lines.
+  struct alignas(util::kCacheLine) ShardCounter {
+    std::uint64_t value = 0;
+  };
+  struct alignas(util::kCacheLine) ShardHistogram {
+    util::Histogram hist;
+  };
+
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, std::uint64_t> gauges_;
   std::map<std::string, util::Histogram> histograms_;
-  std::vector<std::map<std::string, std::uint64_t>> shard_counters_;
-  std::vector<std::map<std::string, util::Histogram>> shard_histograms_;
+  std::vector<std::map<std::string, ShardCounter>> shard_counters_;
+  std::vector<std::map<std::string, ShardHistogram>> shard_histograms_;
 };
 
 }  // namespace tmprof::telemetry

@@ -316,7 +316,7 @@ EpochSeries collect_series(const WorkloadFactory& factory,
                            const sim::SimConfig& sim_config,
                            const CollectOptions& options,
                            const std::vector<double>& process_weights) {
-  check_options(loop_config(sim_config, options), options.daemon);
+  check_options(sim_config, options);
   EpochSeries series;
   run_resumable(options, "collect", [&](const std::string& resume_path) {
     series = collect_attempt(factory, sim_config, options, process_weights,

@@ -60,7 +60,9 @@ class TruthCollector final : public monitors::AccessObserver {
   void load_state(util::ckpt::Reader& r);
 
  private:
-  struct Shard final : monitors::AccessObserver {
+  /// One core's collector, written by that core's worker on every access,
+  /// so cache-line aligned.
+  struct alignas(util::kCacheLine) Shard final : monitors::AccessObserver {
     void on_mem_op(const monitors::MemOpEvent& event) override;
 
     core::HotnessTruth truth;

@@ -4,6 +4,7 @@
 
 #include "mem/tiers.hpp"
 #include "sim/system.hpp"
+#include "tiering/epoch.hpp"
 #include "tiering/loop.hpp"
 #include "tiering/runner.hpp"
 
@@ -12,6 +13,7 @@ namespace tmprof::tiering {
 namespace {
 
 enum Rule : std::size_t {
+  kThreads,
   kTierCount,
   kTierName,
   kTierFrames,
@@ -27,6 +29,8 @@ enum Rule : std::size_t {
 };
 
 constexpr std::array<OptionRule, kRuleCount> kRules{{
+    {"n_threads", "--threads",
+     "the engine runs at most tiering::kMaxThreads threads"},
     {"sim.tiers", "--tiers", "a chain has 2 to mem::kMaxTiers tiers"},
     {"sim.tiers", "--tiers", "every tier is named"},
     {"sim.tiers", "--tiers", "every tier holds at least one frame"},
@@ -78,6 +82,18 @@ void check_tiers(const sim::SimConfig& sim) {
   }
 }
 
+/// The engine rules of a loop driver: the thread ceiling, then the
+/// simulator and daemon rules on the engine `loop.n_threads` selects.
+void check_loop(const sim::SimConfig& sim, const LoopOptions& loop,
+                const core::DaemonConfig& daemon) {
+  if (loop.n_threads > kMaxThreads) {
+    fail(kThreads, "got " + std::to_string(loop.n_threads) +
+                       ", tiering::kMaxThreads is " +
+                       std::to_string(kMaxThreads));
+  }
+  check_options(loop_config(sim, loop), daemon);
+}
+
 }  // namespace
 
 std::span<const OptionRule> option_rules() { return kRules; }
@@ -112,9 +128,13 @@ void check_options(const sim::SimConfig& sim,
   }
 }
 
+void check_options(const sim::SimConfig& sim, const CollectOptions& options) {
+  check_loop(sim, options, options.daemon);
+}
+
 void check_options(const sim::SimConfig& sim, const RunnerOptions& options,
                    std::size_t processes) {
-  check_options(loop_config(sim, options), options.daemon);
+  check_loop(sim, options, options.daemon);
   if (options.mover.admission.cooldown_epochs == 0) fail(kCooldown, "got 0");
   if (options.tenants.size() > processes) {
     fail(kTenants, std::to_string(options.tenants.size()) + " tenants, " +

@@ -9,6 +9,7 @@
 /// option_rules().
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -19,7 +20,13 @@
 
 namespace tmprof::tiering {
 
+struct CollectOptions;
 struct RunnerOptions;
+
+/// The most engine threads a run may ask for (`n_threads`, --threads).
+/// Threads past the simulated core count only idle; the ceiling keeps a
+/// mistyped count from starting that many OS threads.
+inline constexpr std::uint32_t kMaxThreads = 64;
 
 /// One rule that a valid run configuration meets.
 struct OptionRule {
@@ -51,9 +58,13 @@ class ConfigError : public std::invalid_argument {
 void check_options(const sim::SimConfig& sim,
                    const core::DaemonConfig& daemon);
 
-/// The runner's form: the above on the engine `options.n_threads` selects,
-/// plus the admission and tenant rules. `processes` is the number of
-/// processes the run's workload factory yields.
+/// collect_series's form: the thread ceiling, then the above on the
+/// engine `options.n_threads` selects.
+void check_options(const sim::SimConfig& sim, const CollectOptions& options);
+
+/// The runner's form: the collector's rules, plus the admission and tenant
+/// rules. `processes` is the number of processes the run's workload
+/// factory yields.
 void check_options(const sim::SimConfig& sim, const RunnerOptions& options,
                    std::size_t processes);
 

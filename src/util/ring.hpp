@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/cache_line.hpp"
 
 namespace tmprof::util {
 
@@ -125,9 +126,11 @@ class SpscRing {
   std::uint64_t mask_;
   /// Cursors on separate cache lines so producer and consumer don't
   /// false-share; each grows monotonically and indexes via `mask_`.
-  alignas(64) std::atomic<std::uint64_t> head_{0};  ///< consumer cursor
-  alignas(64) std::atomic<std::uint64_t> tail_{0};  ///< producer cursor
-  alignas(64) std::atomic<std::uint64_t> drops_{0};
+  /// Consumer cursor.
+  alignas(kCacheLine) std::atomic<std::uint64_t> head_{0};
+  /// Producer cursor.
+  alignas(kCacheLine) std::atomic<std::uint64_t> tail_{0};
+  alignas(kCacheLine) std::atomic<std::uint64_t> drops_{0};
   std::atomic<std::uint64_t> high_water_{0};
 };
 

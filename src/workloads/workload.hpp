@@ -10,6 +10,7 @@
 #include <string_view>
 
 #include "mem/addr.hpp"
+#include "util/cache_line.hpp"
 #include "util/rng.hpp"
 
 namespace tmprof::util::ckpt {
@@ -26,8 +27,11 @@ struct MemRef {
   std::uint32_t ip = 0;       ///< synthetic code location (phase marker)
 };
 
-/// Base class for all generators.
-class Workload {
+/// Base class for all generators. Cache-line aligned, and so is every
+/// generator: next() advances the RNG state on every simulated access, and
+/// the sharded engine runs different cores' generators on different
+/// workers.
+class alignas(util::kCacheLine) Workload {
  public:
   Workload(const Workload&) = delete;
   Workload& operator=(const Workload&) = delete;

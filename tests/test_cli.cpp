@@ -573,6 +573,13 @@ TEST(StreamCli, StreamingNeedsExactHotness) {
                   "--hotness=exact");
 }
 
+TEST(EngineCli, ThreadCountHasACeiling) {
+  // check_options only: a broken ceiling here starts no thread.
+  EXPECT_NO_THROW(check_runner_flags({"--threads=64"}));
+  expect_rejected(check_runner_flags, {"--threads=65"}, "--threads");
+  expect_rejected(check_runner_flags, {"--threads=4294967295"}, "--threads");
+}
+
 TEST(ListCli, EntriesParseInOrderSkippingEmptyOnes) {
   const ArgParser p = parse({"--threads-list=1,,8", "--rates=0,0.25",
                              "--policies=oracle,history"});

@@ -150,6 +150,29 @@ TEST(CheckOptions, NoMoreTenantsThanProcesses) {
   EXPECT_NO_THROW(check_options(sim::SimConfig{}, options, 3));
 }
 
+TEST(CheckOptions, ThreadCountHasACeiling) {
+  CollectOptions collect;
+  collect.n_threads = kMaxThreads;
+  EXPECT_NO_THROW(check_options(sim::SimConfig{}, collect));
+  collect.n_threads = kMaxThreads + 1;
+  expect_rejected([&] { check_options(sim::SimConfig{}, collect); },
+                  "n_threads", "got 65, tiering::kMaxThreads is 64");
+  RunnerOptions options;
+  options.n_threads = 4294967295U;
+  expect_rejected([&] { check_options(sim::SimConfig{}, options, 1); },
+                  "n_threads", "got 4294967295");
+  // Both drivers reject it on entry. Only just above the ceiling, so that
+  // a broken check would start few threads.
+  const auto spec = workloads::find_spec("gups", 0.05);
+  expect_rejected(
+      [&] { (void)collect_series(spec, sim::SimConfig{}, collect); },
+      "n_threads", "got 65");
+  options.n_threads = kMaxThreads + 1;
+  expect_rejected(
+      [&] { (void)EndToEndRunner::run(spec, sim::SimConfig{}, options); },
+      "n_threads", "got 65");
+}
+
 /// The rows of DESIGN.md's "Run-configuration rules" table.
 std::vector<std::vector<std::string>> documented_rules() {
   std::ifstream in(std::string(TMPROF_SOURCE_DIR) + "/DESIGN.md");
