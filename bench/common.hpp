@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "core/hotness.hpp"
 #include "core/stream.hpp"
 #include "monitors/devmon.hpp"
 #include "monitors/ibs.hpp"
@@ -153,26 +152,6 @@ inline std::string policy_entry(const util::ArgParser& entry,
     throw std::invalid_argument("--" + key + ": " + e.what());
   }
   return name;
-}
-
-/// Hotness front-end selection shared by the benches (docs/SKETCH.md):
-///   --hotness=exact|sketch  counting front-end (default exact)
-///   --sketch-width=N        count-min cells per row (rounded to pow2)
-///   --sketch-depth=N        count-min rows
-///   --sketch-seed=N         hash-family seed
-///   --sketch-candidates=N   cap on exactly-tracked candidate keys
-///   --bloom-bits=N          Bloom filter size for new-page detection
-/// Rejects unknown mode names (core::parse_hotness_mode throws).
-inline core::HotnessConfig hotness_from_args(const util::ArgParser& args) {
-  core::HotnessConfig hotness;
-  hotness.mode = core::parse_hotness_mode(args.get("hotness", "exact"));
-  hotness.sketch.width = args.get_u32("sketch-width", hotness.sketch.width);
-  hotness.sketch.depth = args.get_u32("sketch-depth", hotness.sketch.depth);
-  hotness.sketch.seed = args.get_u64("sketch-seed", hotness.sketch.seed);
-  hotness.sketch.bloom_bits =
-      args.get_u64("bloom-bits", hotness.sketch.bloom_bits);
-  hotness.candidates = args.get_u32("sketch-candidates", hotness.candidates);
-  return hotness;
 }
 
 /// Streaming-transport selection shared by the benches (docs/STREAMING.md):

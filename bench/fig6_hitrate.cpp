@@ -17,8 +17,6 @@
 ///        [--fault-sites=a,b] [--checkpoint-every=N] [--checkpoint-dir=D]
 ///        [--resume-from=F] [--resume-latest=0|1] [--keep-last=K]
 ///        [--metrics-out=F] [--trace-out=F] [--telemetry-every=N]
-///        [--hotness=exact|sketch] [--sketch-width=N] [--sketch-depth=N]
-///        [--sketch-seed=N] [--sketch-candidates=N] [--bloom-bits=N]
 ///        [--stream=0|1] [--stream-ring=N]
 
 #include <array>
@@ -45,14 +43,13 @@ core::FusionMode combined_mode(const std::string& name) {
 
 double run_case(const tiering::EpochSeries& series, const std::string& policy,
                 core::FusionMode fusion, double trace_weight,
-                std::uint64_t capacity, bool oracle_observed,
-                const core::HotnessConfig& hotness) {
+                std::uint64_t capacity, bool oracle_observed) {
   tiering::HitrateOptions opt;
   opt.capacity_frames = capacity;
   opt.fusion = fusion;
   opt.trace_weight = trace_weight;
   opt.oracle_from_observed = oracle_observed;
-  const auto p = tiering::make_policy(policy, hotness);
+  const auto p = tiering::make_policy(policy);
   return tiering::evaluate_policy(*p, series, opt).overall;
 }
 
@@ -69,7 +66,6 @@ static int bench_main(int argc, char** argv) {
   const bool write_csv = args.get_bool("csv", true);
   const std::uint32_t threads = bench::selected_threads(args);
   const util::FaultConfig fault = bench::fault_from_args(args);
-  const core::HotnessConfig hotness = bench::hotness_from_args(args);
   const core::StreamConfig stream = bench::stream_from_args(args);
   const core::TraceBackend backend =
       core::parse_trace_backend(args.get("backend", "ibs"));
@@ -102,7 +98,6 @@ static int bench_main(int argc, char** argv) {
     collect.ops_per_epoch = ops_per_epoch;
     collect.seed = seed;
     collect.daemon.driver.ibs = bench::scaled_ibs(4);
-    collect.daemon.driver.hotness = hotness;
     collect.daemon.driver.stream = stream;
     if (backend == core::TraceBackend::Pebs) {
       // Intel testbeds use PEBS armed on LLC misses instead of IBS; the
@@ -176,8 +171,7 @@ static int bench_main(int argc, char** argv) {
       std::array<double, 8> rates{};
       for (std::size_t c = 0; c < cases.size(); ++c) {
         rates[c] = run_case(series, cases[c].policy, cases[c].fusion,
-                            trace_weight, capacity, cases[c].observed,
-                            hotness);
+                            trace_weight, capacity, cases[c].observed);
         row.push_back(util::TextTable::percent(rates[c]));
         if (write_csv) {
           csv << spec.name << ",1/" << div << ',' << cases[c].policy << ','

@@ -9,21 +9,13 @@
 ///    EpochObservation accumulation pattern),
 ///  * ranking_full — build the epoch's full ranking (flat merge + fuse +
 ///    sort), what the daemon runs at every barrier,
-///  * step_parallel — end-to-end simulator steps with a TruthCollector
+///  * step_serial — end-to-end serial `System::step` with a TruthCollector
 ///    attached.
 ///
 /// Results go to stdout (human table) and BENCH_hotpath.json (tracked
 /// schema: {section, pages, engine, ops, seconds, ops_per_sec} rows).
 ///
-/// A fourth section sweeps the sketch-mode hotness store (docs/SKETCH.md)
-/// over a memory-vs-accuracy grid: width/depth x footprint on a Zipf
-/// stream, reporting top-64 overlap against the exact store, Spearman rank
-/// correlation over the exact top-256, and bytes per tracked page. Rows go
-/// into the JSON as a separate `sketch_accuracy` array; the headline
-/// acceptance point is >= 95% top-64 overlap at <= 1/8 of the exact
-/// store's bytes.
-///
-/// A fifth section (`ring_transport`, docs/STREAMING.md) compares the
+/// A fourth section (`ring_transport`, docs/STREAMING.md) compares the
 /// barrier-critical-path merge time of the two sample handoffs, sweeping
 /// lanes x pages: `barrier` replays the swap-and-clear protocol (all lane
 /// buffers merge + top-K build inside the barrier), `stream` pushes the
@@ -34,21 +26,21 @@
 /// the JSON as a `ring_transport` array with `ring_speedups` ratios. The
 /// acceptance bar is >= 1.5x at 8 lanes.
 ///
-/// A sixth section (`ckpt_crc`, always on) measures the checkpoint write
+/// A fifth section (`ckpt_crc`, always on) measures the checkpoint write
 /// stage in MB/s on a ~2 MiB image, the size of one fleet checkpoint:
 /// `crc32` alone (slicing-by-8, util/ckpt.cpp), and `Writer` serialization
 /// plus `finish`, which includes a CRC per section. Rows land in the JSON
 /// as a `ckpt_crc` array; the ledger stage they stand in for is
 /// `util.ckpt.save_ms_per_epoch` (docs/PERFORMANCE.md).
 ///
-/// A seventh section (`access_path`, always on) times serial `System::step`
+/// A sixth section (`access_path`, always on) times serial `System::step`
 /// on web_serving at the `bench/e2e` testbed geometry (1 MiB 16-way LLC,
 /// 256 KiB L2, instruction fetch on) with no observers attached: the
 /// cache, TLB and PMU work every simulated access pays. Its row lands in
-/// `rows` (engine "serial"); with `step_parallel` it stands in for the
+/// `rows` (engine "serial"); with `step_serial` it stands in for the
 /// ledger metric `sim.step_ns_per_op` (docs/PERFORMANCE.md).
 ///
-/// An eighth section (`shard_scaling`, always on) times the sharded
+/// A seventh section (`shard_scaling`, always on) times the sharded
 /// engine's `System::step_parallel` on data_caching at the same testbed
 /// geometry, with no observers: once with the shards inline on the calling
 /// thread (engine "inline") and once on 2 pool workers (engine "pool2").
@@ -57,23 +49,18 @@
 /// §4, §13).
 ///
 /// Usage: micro_hotpath [--epochs=N] [--touches-per-page=N]
-///        [--step-ops=N] [--sketch-sweep=0|1]
-///        [--ring-sweep=0|1] [--out=BENCH_hotpath.json]
+///        [--step-ops=N] [--ring-sweep=0|1] [--out=BENCH_hotpath.json]
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <numeric>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common.hpp"
-#include "core/hotness.hpp"
 #include "core/ranking.hpp"
 #include "monitors/event.hpp"
 #include "sim/system.hpp"
@@ -83,7 +70,6 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
-#include "util/zipf.hpp"
 #include "workloads/registry.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -191,9 +177,9 @@ Row run_ranking_full(std::uint64_t pages, std::uint64_t epochs,
 }
 
 // ---------------------------------------------------------------------------
-// Section 3: end-to-end simulator steps with a live collector.
+// Section 3: end-to-end serial simulator steps with a live collector.
 
-Row run_step_parallel(std::uint64_t footprint_pages, std::uint64_t step_ops) {
+Row run_step_serial(std::uint64_t footprint_pages, std::uint64_t step_ops) {
   const std::uint64_t footprint = footprint_pages * mem::kPageSize;
   sim::System system(bench::testbed_config(footprint));
   system.add_process(
@@ -210,7 +196,7 @@ Row run_step_parallel(std::uint64_t footprint_pages, std::uint64_t step_ops) {
     system.step(step_ops / 4);
     collector.end_epoch(truth, new_pages);
   }
-  Row row{"step_parallel", footprint_pages, "flat", step_ops, 0.0, 0.0};
+  Row row{"step_serial", footprint_pages, "flat", step_ops, 0.0, 0.0};
   row.seconds = seconds_since(start);
   row.ops_per_sec = static_cast<double>(row.ops) / row.seconds;
   system.remove_observer(&collector);
@@ -218,7 +204,7 @@ Row run_step_parallel(std::uint64_t footprint_pages, std::uint64_t step_ops) {
 }
 
 // ---------------------------------------------------------------------------
-// Section 7: the serial access path, no observers.
+// Section 6: the serial access path, no observers.
 
 Row run_access_path(std::uint64_t step_ops) {
   const workloads::WorkloadSpec spec = workloads::find_spec("web_serving");
@@ -238,7 +224,7 @@ Row run_access_path(std::uint64_t step_ops) {
 }
 
 // ---------------------------------------------------------------------------
-// Section 8: the sharded engine, inline shards vs pool workers.
+// Section 7: the sharded engine, inline shards vs pool workers.
 
 Row run_shard_scaling(std::uint32_t workers, std::uint64_t step_ops) {
   const workloads::WorkloadSpec spec = workloads::find_spec("data_caching");
@@ -267,155 +253,7 @@ Row run_shard_scaling(std::uint32_t workers, std::uint64_t step_ops) {
 }
 
 // ---------------------------------------------------------------------------
-// Section 4: sketch-mode memory-vs-accuracy sweep.
-
-struct AccuracyRow {
-  std::uint64_t pages = 0;
-  std::uint32_t width = 0;
-  std::uint32_t depth = 0;
-  std::uint32_t candidates = 0;
-  std::uint64_t ops = 0;
-  double top64_overlap = 0.0;
-  double rank_corr_top256 = 0.0;
-  std::uint64_t exact_bytes = 0;
-  std::uint64_t sketch_bytes = 0;
-  double bytes_ratio = 0.0;      ///< sketch / exact
-  double bytes_per_page = 0.0;   ///< sketch bytes / distinct pages tracked
-};
-
-/// Average ranks (ties share their mean rank) — the Spearman prerequisite.
-std::vector<double> average_ranks(const std::vector<double>& values) {
-  const std::size_t n = values.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return values[a] < values[b];
-  });
-  std::vector<double> ranks(n, 0.0);
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j + 1 < n && values[order[j + 1]] == values[order[i]]) ++j;
-    const double mean_rank = (static_cast<double>(i + j) / 2.0) + 1.0;
-    for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = mean_rank;
-    i = j + 1;
-  }
-  return ranks;
-}
-
-double spearman(const std::vector<double>& a, const std::vector<double>& b) {
-  const std::vector<double> ra = average_ranks(a);
-  const std::vector<double> rb = average_ranks(b);
-  const double n = static_cast<double>(ra.size());
-  double sa = 0, sb = 0;
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    sa += ra[i];
-    sb += rb[i];
-  }
-  const double ma = sa / n, mb = sb / n;
-  double cov = 0, va = 0, vb = 0;
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    cov += (ra[i] - ma) * (rb[i] - mb);
-    va += (ra[i] - ma) * (ra[i] - ma);
-    vb += (rb[i] - mb) * (rb[i] - mb);
-  }
-  if (va == 0.0 || vb == 0.0) return 0.0;
-  return cov / std::sqrt(va * vb);
-}
-
-AccuracyRow run_sketch_accuracy(std::uint64_t pages, std::uint32_t width,
-                                std::uint32_t depth,
-                                std::uint32_t candidates) {
-  core::HotnessConfig config;
-  config.mode = core::HotnessMode::Sketch;
-  config.sketch.width = width;
-  config.sketch.depth = depth;
-  config.candidates = candidates;
-
-  core::HotnessCounts exact_store;
-  core::HotnessCounts sketch_store(config);
-  util::Rng rng(pages * 0x9e3779b9ULL + width + depth);
-  util::ZipfDistribution zipf(pages, 0.99);
-  const std::uint64_t ops = pages * 4;
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    const std::uint64_t page = zipf(rng);
-    const core::PageKey key{1 + static_cast<mem::Pid>(page % 4),
-                            page * mem::kPageSize};
-    exact_store.add(key);
-    sketch_store.add(key);
-  }
-
-  AccuracyRow row;
-  row.pages = pages;
-  row.width = width;
-  row.depth = depth;
-  row.candidates = candidates;
-  row.ops = ops;
-  row.exact_bytes = exact_store.memory_bytes();
-  row.sketch_bytes = sketch_store.memory_bytes();
-  row.bytes_ratio = static_cast<double>(row.sketch_bytes) /
-                    static_cast<double>(row.exact_bytes);
-
-  core::PageCountMap exact_counts;
-  core::PageCountMap sketch_counts;
-  (void)exact_store.end_epoch_into(exact_counts);
-  (void)sketch_store.end_epoch_into(sketch_counts);
-  row.bytes_per_page = static_cast<double>(row.sketch_bytes) /
-                       static_cast<double>(exact_counts.size());
-
-  // Exact ranking, (count desc, key asc) — the profiler's total order.
-  std::vector<std::pair<std::uint32_t, core::PageKey>> exact_order;
-  exact_order.reserve(exact_counts.size());
-  for (const auto& [key, count] : exact_counts) {
-    exact_order.emplace_back(count, key);
-  }
-  std::sort(exact_order.begin(), exact_order.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return b.second < a.second;
-            });
-  std::vector<std::pair<std::uint32_t, core::PageKey>> sketch_order;
-  sketch_order.reserve(sketch_counts.size());
-  for (const auto& [key, count] : sketch_counts) {
-    sketch_order.emplace_back(count, key);
-  }
-  std::sort(sketch_order.begin(), sketch_order.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return b.second < a.second;
-            });
-
-  const std::size_t k = std::min<std::size_t>(64, exact_order.size());
-  std::unordered_set<std::uint64_t> sketch_top;
-  for (std::size_t i = 0; i < k && i < sketch_order.size(); ++i) {
-    sketch_top.insert(sketch_order[i].second.page_va);
-  }
-  std::size_t overlap = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    overlap += sketch_top.count(exact_order[i].second.page_va);
-  }
-  row.top64_overlap =
-      k == 0 ? 0.0 : static_cast<double>(overlap) / static_cast<double>(k);
-
-  // Spearman over the exact top-256: exact count vs sketch estimate
-  // (absent candidates score 0, punishing dropped hot pages).
-  const std::size_t top = std::min<std::size_t>(256, exact_order.size());
-  std::vector<double> exact_vals;
-  std::vector<double> sketch_vals;
-  exact_vals.reserve(top);
-  sketch_vals.reserve(top);
-  for (std::size_t i = 0; i < top; ++i) {
-    exact_vals.push_back(static_cast<double>(exact_order[i].first));
-    const auto it = sketch_counts.find(exact_order[i].second);
-    sketch_vals.push_back(
-        it == sketch_counts.end() ? 0.0 : static_cast<double>(it->second));
-  }
-  row.rank_corr_top256 = spearman(exact_vals, sketch_vals);
-  return row;
-}
-
-// ---------------------------------------------------------------------------
-// Section 5: ring transport — barrier-critical-path merge time
+// Section 4: ring transport — barrier-critical-path merge time
 // (docs/STREAMING.md).
 
 struct RingRow {
@@ -574,7 +412,7 @@ RingRow run_ring_stream(std::uint64_t lanes, std::uint64_t pages,
 }
 
 // ---------------------------------------------------------------------------
-// Section 6: checkpoint write stage — CRC and serialization throughput.
+// Section 5: checkpoint write stage — CRC and serialization throughput.
 
 struct CkptRow {
   std::string stage;  ///< "crc32" | "writer_finish"
@@ -641,7 +479,6 @@ std::vector<CkptRow> run_ckpt_crc(std::uint64_t reps) {
 // ---------------------------------------------------------------------------
 
 void write_json(const std::string& path, const std::vector<Row>& rows,
-                const std::vector<AccuracyRow>& accuracy,
                 const std::vector<RingRow>& ring_rows,
                 const std::vector<CkptRow>& ckpt_rows) {
   std::ofstream os(path);
@@ -657,19 +494,6 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
        << ", \"seconds\": " << r.seconds
        << ", \"ops_per_sec\": " << r.ops_per_sec << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"sketch_accuracy\": [\n";
-  for (std::size_t i = 0; i < accuracy.size(); ++i) {
-    const AccuracyRow& a = accuracy[i];
-    os << "    {\"pages\": " << a.pages << ", \"width\": " << a.width
-       << ", \"depth\": " << a.depth << ", \"candidates\": " << a.candidates
-       << ", \"ops\": " << a.ops << ", \"top64_overlap\": " << a.top64_overlap
-       << ", \"rank_corr_top256\": " << a.rank_corr_top256
-       << ", \"exact_bytes\": " << a.exact_bytes
-       << ", \"sketch_bytes\": " << a.sketch_bytes
-       << ", \"bytes_ratio\": " << a.bytes_ratio
-       << ", \"bytes_per_page\": " << a.bytes_per_page << "}"
-       << (i + 1 < accuracy.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"ring_transport\": [\n";
   for (std::size_t i = 0; i < ring_rows.size(); ++i) {
@@ -714,7 +538,6 @@ static int bench_main(int argc, char** argv) {
   const std::uint64_t epochs = args.get_u64("epochs", 8);
   const std::uint64_t touches = args.get_u64("touches-per-page", 4);
   const std::uint64_t step_ops = args.get_u64("step-ops", 2'000'000);
-  const bool sketch_sweep = args.get_bool("sketch-sweep", true);
   const bool ring_sweep = args.get_bool("ring-sweep", true);
   const std::string out_path = args.get("out", "BENCH_hotpath.json");
   args.reject_unread();
@@ -731,7 +554,7 @@ static int bench_main(int argc, char** argv) {
     rows.push_back(run_ranking_full(pages, epochs, keys));
   }
   // One end-to-end datapoint at the middle footprint.
-  rows.push_back(run_step_parallel(16384, step_ops));
+  rows.push_back(run_step_serial(16384, step_ops));
   rows.push_back(run_access_path(step_ops));
   const Row inline_shards = run_shard_scaling(0, step_ops);
   const Row pooled_shards = run_shard_scaling(2, step_ops);
@@ -750,38 +573,6 @@ static int bench_main(int argc, char** argv) {
             << 1e9 / pooled_shards.ops_per_sec << " ns/op on 2 workers ("
             << pooled_shards.ops_per_sec / inline_shards.ops_per_sec
             << "x)\n\n";
-
-  std::vector<AccuracyRow> accuracy;
-  if (sketch_sweep) {
-    // Width/depth x footprint grid; candidate cap fixed at the driver's
-    // default. The last row is the headline acceptance point: >= 0.95
-    // top-64 overlap at <= 1/8 of the exact store's bytes.
-    const std::pair<std::uint32_t, std::uint32_t> grid[] = {
-        {1u << 12, 2}, {1u << 12, 4}, {1u << 14, 4}};
-    for (const std::uint64_t pages : {65536ULL, 262144ULL}) {
-      for (const auto& [width, depth] : grid) {
-        accuracy.push_back(
-            run_sketch_accuracy(pages, width, depth, 1u << 13));
-      }
-    }
-    util::TextTable acc_table({"pages", "width", "depth", "top64_overlap",
-                               "rank_corr", "bytes_ratio", "B/page"});
-    for (const AccuracyRow& a : accuracy) {
-      acc_table.add_row({std::to_string(a.pages), std::to_string(a.width),
-                         std::to_string(a.depth),
-                         std::to_string(a.top64_overlap),
-                         std::to_string(a.rank_corr_top256),
-                         std::to_string(a.bytes_ratio),
-                         std::to_string(a.bytes_per_page)});
-    }
-    std::cout << "sketch accuracy sweep (zipf 0.99, candidates="
-              << (1u << 13) << "):\n"
-              << acc_table.to_string() << "\n";
-    const AccuracyRow& headline = accuracy.back();
-    std::cout << "headline: top-64 overlap " << headline.top64_overlap
-              << " at " << headline.bytes_ratio
-              << "x exact bytes (accept: >= 0.95 at <= 0.125)\n";
-  }
 
   std::vector<RingRow> ring_rows;
   if (ring_sweep) {
@@ -844,7 +635,7 @@ static int bench_main(int argc, char** argv) {
   std::cout << "ckpt_crc: checkpoint write stage throughput:\n"
             << ckpt_table.to_string() << "\n";
 
-  write_json(out_path, rows, accuracy, ring_rows, ckpt_rows);
+  write_json(out_path, rows, ring_rows, ckpt_rows);
   std::cout << "\nwrote " << out_path << "\n";
   return 0;
 }

@@ -33,9 +33,7 @@ TmpDriver::TmpDriver(sim::System& system, const DriverConfig& config)
     : system_(system),
       config_(config),
       trace_(make_trace_monitor(config, system.config().cores)),
-      scanner_(config.abit),
-      cur_abit_(config.hotness),
-      cur_trace_(config.hotness) {
+      scanner_(config.abit) {
   trace_->set_drain([this](std::span<const monitors::TraceSample> samples) {
     for (const monitors::TraceSample& s : samples) {
       // Keyed on (epoch, page, occurrence): whether the k-th sample of a
@@ -68,9 +66,6 @@ TmpDriver::TmpDriver(sim::System& system, const DriverConfig& config)
     // The whole point is overlapping consumption with shard execution; the
     // per-lane record identity also leans on the monitors' per-core lanes.
     TMPROF_EXPECTS(system.config().sharded_engine);
-    // Conservative-update sketches are add-order sensitive; the pump's
-    // scheduling-dependent interleaving would break bitwise invariance.
-    TMPROF_EXPECTS(config_.hotness.mode == HotnessMode::Exact);
     stream_ = std::make_unique<StreamTransport>(config_.stream,
                                                 system.config().cores);
     std::vector<util::SpscRing<monitors::StreamRecord>*> rings;
@@ -176,7 +171,7 @@ void TmpDriver::count_trace(mem::PhysAddr paddr, bool is_store,
     t_dropped_.inc();
     return;
   }
-  cur_trace_.add(key);
+  ++cur_trace_[key];
   ++trace_samples_kept_;
   t_kept_.inc();
 }
@@ -222,7 +217,7 @@ monitors::AbitScanResult TmpDriver::scan_processes(
     sim::Process& proc = system_.process(pid);
     const monitors::AbitScanResult r = scanner_.scan_fn(
         pid, proc.page_table(), [&](const monitors::AbitSample& sample) {
-          cur_abit_.add(PageKey{pid, sample.page_va});
+          ++cur_abit_[PageKey{pid, sample.page_va}];
         });
     total.ptes_visited += r.ptes_visited;
     total.pages_accessed += r.pages_accessed;
@@ -286,10 +281,12 @@ void TmpDriver::end_epoch_into(EpochObservation& out) {
             .count()));
   }
   out.epoch = epoch_;
-  // Exact mode swaps the accumulator maps out, adopting out's previous
-  // buffers — the same two-buffer protocol the swap-based path used.
-  cur_abit_.end_epoch_into(out.abit);
-  cur_trace_.end_epoch_into(out.trace);
+  // Swap the accumulator maps out, adopting out's previous buffers (cleared,
+  // capacity retained) as the next epoch's accumulators.
+  out.abit.swap(cur_abit_);
+  cur_abit_.clear();
+  out.trace.swap(cur_trace_);
+  cur_trace_.clear();
   out.devmon.swap(cur_devmon_);
   cur_devmon_.clear();
   ++epoch_;
@@ -322,8 +319,8 @@ void TmpDriver::save_state(util::ckpt::Writer& w) const {
   w.put_u8(static_cast<std::uint8_t>(config_.backend));
   trace_->save_state(w);
   scanner_.save_state(w);
-  cur_abit_.save_state(w, "driver");
-  cur_trace_.save_state(w, "driver");
+  save_page_counts(w, cur_abit_);
+  save_page_counts(w, cur_trace_);
   w.put_u32(epoch_);
   w.put_bool(trace_enabled_);
   w.put_u64(trace_samples_kept_);
@@ -339,8 +336,8 @@ void TmpDriver::load_state(util::ckpt::Reader& r) {
   }
   trace_->load_state(r);
   scanner_.load_state(r);
-  cur_abit_.load_state(r, "driver");
-  cur_trace_.load_state(r, "driver");
+  load_page_counts(r, cur_abit_);
+  load_page_counts(r, cur_trace_);
   epoch_ = r.get_u32();
   // Routed through the setter so observer registration tracks the flag.
   set_trace_enabled(r.get_bool());

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "core/hotness.hpp"
 #include "core/ranking.hpp"
 #include "core/stream.hpp"
 #include "monitors/abit.hpp"
@@ -48,16 +47,10 @@ struct DriverConfig {
   /// controller (docs/TOPOLOGY.md). Off by default; `devmon.enabled`
   /// gates construction, so disabled runs are bitwise unchanged.
   monitors::DevMonConfig devmon;
-  /// Hotness front-end: exact FlatHashMap counters (default, historical
-  /// bit-exact behavior) or the count-min-sketch store (docs/SKETCH.md).
-  /// Selected per run through DaemonConfig::driver.
-  HotnessConfig hotness{};
   /// Streaming sample transport (docs/STREAMING.md).
   /// Off by default; `stream.enabled` gates construction, so disabled runs
-  /// are bitwise unchanged. Requires the sharded engine and the exact
-  /// hotness front-end (conservative-update sketches are add-order
-  /// sensitive, which the pump's scheduling-dependent interleaving would
-  /// expose); tiering::check_options enforces both.
+  /// are bitwise unchanged. Requires the sharded engine, which
+  /// tiering::check_options enforces.
   StreamConfig stream{};
 };
 
@@ -165,12 +158,12 @@ class TmpDriver {
   std::unique_ptr<monitors::TraceMonitor> trace_;
   std::unique_ptr<monitors::DevMonitor> devmon_;
   monitors::AbitScanner scanner_;
-  /// The open epoch's per-source accumulators (HotnessStore-backed; exact
-  /// mode reproduces the historical EpochObservation maps bit-for-bit).
-  HotnessCounts cur_abit_;
-  HotnessCounts cur_trace_;
+  /// The open epoch's per-source accumulators, swapped out at the epoch
+  /// close.
+  PageCountMap cur_abit_;
+  PageCountMap cur_trace_;
   /// Open epoch's device-counter evidence, translated to page identity at
-  /// each drain. Always exact: the reports are already top-K bounded.
+  /// each drain. The reports are already top-K bounded.
   PageCountMap cur_devmon_;
   std::uint32_t epoch_ = 0;
   bool trace_enabled_ = false;
@@ -193,7 +186,6 @@ class TmpDriver {
   std::uint64_t scans_aborted_ = 0;
   /// Per-epoch occurrence index per page, so overflow-drop decisions are a
   /// pure function of (epoch, page, occurrence) — invariant to drain order.
-  /// Always exact: fault bookkeeping must not inherit sketch error.
   PageCountMap overflow_seen_;
   /// Streaming transport (null unless DriverConfig::stream.enabled).
   std::unique_ptr<StreamTransport> stream_;

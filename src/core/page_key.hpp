@@ -9,6 +9,7 @@
 #include <functional>
 
 #include "mem/addr.hpp"
+#include "util/ckpt.hpp"
 
 namespace tmprof::core {
 
@@ -18,6 +19,21 @@ struct PageKey {
 
   friend bool operator==(const PageKey&, const PageKey&) = default;
   friend auto operator<=>(const PageKey&, const PageKey&) = default;
+};
+
+/// Checkpoint serialization of a page identity: pid then page VA, each a
+/// u64.
+struct PageKeyCodec {
+  static void save(util::ckpt::Writer& w, const PageKey& key) {
+    w.put_u64(key.pid);
+    w.put_u64(key.page_va);
+  }
+  [[nodiscard]] static PageKey load(util::ckpt::Reader& r) {
+    PageKey key;
+    key.pid = static_cast<mem::Pid>(r.get_u64());
+    key.page_va = r.get_u64();
+    return key;
+  }
 };
 
 struct PageKeyHash {

@@ -20,11 +20,6 @@
 #include "mem/addr.hpp"
 #include "util/flat_map.hpp"
 
-namespace tmprof::util::ckpt {
-class Reader;
-class Writer;
-}  // namespace tmprof::util::ckpt
-
 namespace tmprof::core {
 
 /// Flat map keyed by page identity. The default-initialized value of a
@@ -36,17 +31,10 @@ using PageMap = util::FlatHashMap<PageKey, V, PageKeyHash>;
 using PageCountMap = PageMap<std::uint32_t>;
 /// Per-page ground-truth access counts (can exceed 2^32 over long runs).
 using TruthMap = PageMap<std::uint64_t>;
+/// Flat set of page identities (the truth collector's first-touch sets).
+using PageSet = util::FlatHashSet<PageKey, PageKeyHash>;
 
 /// Per-page observations of one epoch, as collected by the TMP driver.
-///
-/// Under the sketch hotness front-end (DriverConfig::hotness) these maps
-/// hold the candidate pages' one-sided count-min estimates instead of
-/// exact tallies: a page's value is >= its true count, and pages below the
-/// candidate admission floor are absent. Every consumer in this header —
-/// ranking fusion and checkpoint serialization — is
-/// order/byte-stable over whatever counts it is given and makes no
-/// exactness assumption. The Fig. 5 CDFs, which need exact counts, tally
-/// the raw samples themselves (bench/fig5_cdf.cpp).
 struct EpochObservation {
   std::uint32_t epoch = 0;
   /// A-bit observations per page (head-keyed; 1 per scan that saw A set).
@@ -159,9 +147,7 @@ void build_ranking_into(const EpochObservation& obs,
                         std::vector<PageRank>& out);
 
 /// Checkpoint serialization helpers. Maps are written in ascending PageKey
-/// order so the byte stream is independent of in-memory slot order. These
-/// round-trip whatever counts the maps hold — exact tallies or sketch-mode
-/// estimates — without interpreting them.
+/// order so the byte stream is independent of in-memory slot order.
 void save_page_counts(util::ckpt::Writer& w, const PageCountMap& counts);
 void load_page_counts(util::ckpt::Reader& r, PageCountMap& counts);
 void save_observation(util::ckpt::Writer& w, const EpochObservation& obs);

@@ -39,6 +39,18 @@ void load_truth_map(util::ckpt::Reader& r, core::TruthMap& map) {
   }
 }
 
+void save_key_set(util::ckpt::Writer& w, const core::PageSet& set) {
+  w.put_u64(set.size());
+  set.fold_sorted([&w](const PageKey& key) { PageKeyCodec::save(w, key); });
+}
+
+void load_key_set(util::ckpt::Reader& r, core::PageSet& set) {
+  set.clear();
+  const std::uint64_t count = r.get_u64();
+  set.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) set.insert(PageKeyCodec::load(r));
+}
+
 void save_size_map(util::ckpt::Writer& w, const PageSizeMap& map) {
   std::vector<PageKey> keys;
   keys.reserve(map.size());
@@ -69,18 +81,8 @@ constexpr std::uint64_t core::DegradeStats::*kSeriesDegradeFields[] = {
 
 }  // namespace
 
-TruthCollector::TruthCollector(sim::System& system,
-                               const core::HotnessConfig& hotness)
-    : system_(system) {
-  truth_.configure(hotness);
-  seen_.configure(hotness);
-  if (system.config().sharded_engine) {
-    shards_.resize(system.config().cores);
-    for (Shard& shard : shards_) {
-      shard.truth.configure(hotness);
-      shard.seen.configure(hotness);
-    }
-  }
+TruthCollector::TruthCollector(sim::System& system) : system_(system) {
+  if (system.config().sharded_engine) shards_.resize(system.config().cores);
 }
 
 void TruthCollector::on_mem_op(const monitors::MemOpEvent& event) {
@@ -91,7 +93,8 @@ void TruthCollector::on_mem_op(const monitors::MemOpEvent& event) {
     page_sizes_[key] = event.page_size;
   }
   if (mem::is_memory(event.source)) {
-    truth_.add(key);
+    ++truth_[key];
+    ++total_;
   }
 }
 
@@ -101,9 +104,7 @@ void TruthCollector::Shard::on_mem_op(const monitors::MemOpEvent& event) {
   if (seen.insert(key)) {
     new_pages.emplace_back(key, event.page_size);
   }
-  if (mem::is_memory(event.source)) {
-    truth.add(key);
-  }
+  if (mem::is_memory(event.source)) ++truth[key];
 }
 
 monitors::AccessObserver* TruthCollector::shard_sink(std::uint32_t core) {
@@ -123,22 +124,25 @@ void TruthCollector::merge_shards() {
       page_sizes_[key] = size;
     }
     shard.new_pages.clear();
-    // Exact mode folds counts in the shard's slot order (the historical
-    // merge); sketch mode adds shard sketch cells saturating and re-admits
-    // the shard's candidates. Either way the fold clears the shard.
-    truth_.merge_from(shard.truth);
+    // Counts fold in the shard's slot order.
+    for (const auto& [key, count] : shard.truth) {
+      truth_[key] += count;
+      total_ += count;
+    }
+    shard.truth.clear();
   }
 }
 
 void TruthCollector::save_state(util::ckpt::Writer& w) const {
-  truth_.save_state(w, "truth");
-  seen_.save_state(w, "truth");
+  w.put_u64(total_);
+  save_truth_map(w, truth_);
+  save_key_set(w, seen_);
   save_keys(w, new_pages_);
   save_size_map(w, page_sizes_);
   w.put_u64(shards_.size());
   for (const Shard& shard : shards_) {
-    shard.truth.save_state(w, "truth");
-    shard.seen.save_state(w, "truth");
+    save_truth_map(w, shard.truth);
+    save_key_set(w, shard.seen);
     w.put_u64(shard.new_pages.size());
     for (const auto& [key, size] : shard.new_pages) {
       PageKeyCodec::save(w, key);
@@ -148,8 +152,9 @@ void TruthCollector::save_state(util::ckpt::Writer& w) const {
 }
 
 void TruthCollector::load_state(util::ckpt::Reader& r) {
-  truth_.load_state(r, "truth");
-  seen_.load_state(r, "truth");
+  total_ = r.get_u64();
+  load_truth_map(r, truth_);
+  load_key_set(r, seen_);
   load_keys(r, new_pages_);
   load_size_map(r, page_sizes_);
   const std::uint64_t n_shards = r.get_u64();
@@ -157,8 +162,8 @@ void TruthCollector::load_state(util::ckpt::Reader& r) {
     throw util::ckpt::CkptError("truth", "shard count mismatch");
   }
   for (Shard& shard : shards_) {
-    shard.truth.load_state(r, "truth");
-    shard.seen.load_state(r, "truth");
+    load_truth_map(r, shard.truth);
+    load_key_set(r, shard.seen);
     shard.new_pages.clear();
     const std::uint64_t n_shard_new = r.get_u64();
     shard.new_pages.reserve(n_shard_new);
@@ -171,10 +176,12 @@ void TruthCollector::load_state(util::ckpt::Reader& r) {
 
 std::uint64_t TruthCollector::end_epoch(core::TruthMap& truth_out,
                                         std::vector<PageKey>& new_pages_out) {
-  // Exact mode swaps rather than moves: the caller's previous buffers
-  // become next epoch's accumulators, keeping their slot arrays. Sketch
-  // mode materializes the candidates' estimates through reused scratch.
-  const std::uint64_t total = truth_.end_epoch_into(truth_out);
+  // Swaps rather than moves: the caller's previous buffers become next
+  // epoch's accumulators, keeping their slot arrays.
+  const std::uint64_t total = total_;
+  total_ = 0;
+  truth_out.swap(truth_);
+  truth_.clear();
   std::swap(new_pages_out, new_pages_);
   new_pages_.clear();
   return total;
@@ -258,7 +265,7 @@ EpochSeries collect_attempt(const WorkloadFactory& factory,
   EpochLoop loop(factory(options.seed), sim_config, options, process_weights,
                  "collect");
   sim::System& system = loop.system();
-  TruthCollector truth(system, options.daemon.driver.hotness);
+  TruthCollector truth(system);
   system.add_observer(&truth);
   core::TmpDaemon daemon(system, options.daemon);
   if (options.telemetry != nullptr) daemon.set_telemetry(options.telemetry);
@@ -295,8 +302,6 @@ EpochSeries collect_attempt(const WorkloadFactory& factory,
         daemon.tick_into(snapshot);
         EpochData data;
         data.epoch = e;
-        // The returned total is exact in both hotness modes (sketch-mode
-        // maps hold one-sided estimates; the hitrate denominator must not).
         data.truth_total = truth.end_epoch(data.truth, data.new_pages);
         data.observed = std::move(snapshot.observation);
         series.epochs.push_back(std::move(data));

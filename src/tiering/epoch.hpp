@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/daemon.hpp"
-#include "core/hotness.hpp"
 #include "monitors/event.hpp"
 #include "sim/system.hpp"
 #include "tiering/loop.hpp"
@@ -30,11 +29,7 @@ namespace tmprof::tiering {
 /// the epoch barrier in ascending core order.
 class TruthCollector final : public monitors::AccessObserver {
  public:
-  /// `hotness` selects the counting front-end: exact (default, historical
-  /// bit-exact behavior) or the count-min-sketch store with a Bloom
-  /// seen-set (docs/SKETCH.md).
-  explicit TruthCollector(sim::System& system,
-                          const core::HotnessConfig& hotness = {});
+  explicit TruthCollector(sim::System& system);
 
   void on_mem_op(const monitors::MemOpEvent& event) override;
 
@@ -44,9 +39,7 @@ class TruthCollector final : public monitors::AccessObserver {
   /// Swap out this epoch's truth counts and newly-seen pages. The swapped
   /// buffers come back (cleared, capacity retained) next call, so a caller
   /// that reuses one EpochData keeps the epoch loop allocation-free.
-  /// Returns the epoch's exact total of beyond-LLC accesses — in sketch
-  /// mode the materialized per-page counts are one-sided estimates, but
-  /// this total is always a plain accumulator, never a sum of estimates.
+  /// Returns the epoch's total of beyond-LLC accesses.
   std::uint64_t end_epoch(core::TruthMap& truth_out,
                           std::vector<PageKey>& new_pages_out);
 
@@ -54,8 +47,9 @@ class TruthCollector final : public monitors::AccessObserver {
     return page_sizes_;
   }
 
-  /// Checkpoint hooks: the cross-epoch `seen` sets (global and per-shard)
-  /// and the page-size map. Shard count must match on load.
+  /// Checkpoint hooks: the open epoch's counts and total, the cross-epoch
+  /// `seen` sets (global and per-shard) and the page-size map. Shard count
+  /// must match on load.
   void save_state(util::ckpt::Writer& w) const;
   void load_state(util::ckpt::Reader& r);
 
@@ -65,14 +59,15 @@ class TruthCollector final : public monitors::AccessObserver {
   struct alignas(util::kCacheLine) Shard final : monitors::AccessObserver {
     void on_mem_op(const monitors::MemOpEvent& event) override;
 
-    core::HotnessTruth truth;
-    core::PageHotnessSet seen;  ///< persists across epochs
+    core::TruthMap truth;
+    core::PageSet seen;  ///< persists across epochs
     std::vector<std::pair<PageKey, mem::PageSize>> new_pages;
   };
 
   sim::System& system_;
-  core::HotnessTruth truth_;
-  core::PageHotnessSet seen_;
+  core::TruthMap truth_;
+  std::uint64_t total_ = 0;  ///< sum of truth_'s counts
+  core::PageSet seen_;
   std::vector<PageKey> new_pages_;
   PageSizeMap page_sizes_;
   std::vector<Shard> shards_;  ///< one per core when the engine is sharded

@@ -20,7 +20,6 @@ enum Rule : std::size_t {
   kTierOrder,
   kStreamRing,
   kStreamEngine,
-  kStreamHotness,
   kDevMonSlots,
   kDevMonTopK,
   kCooldown,
@@ -40,9 +39,6 @@ constexpr std::array<OptionRule, kRuleCount> kRules{{
      "the ring capacity is a power of two >= 2"},
     {"daemon.driver.stream.enabled", "--stream",
      "streaming needs the sharded engine (n_threads >= 1, --threads=N)"},
-    {"daemon.driver.stream.enabled", "--stream",
-     "streaming needs exact hotness (daemon.driver.hotness.mode, "
-     "--hotness=exact)"},
     {"daemon.driver.devmon.slots", "--devmon-slots",
      "a device has at least 1 counter slot"},
     {"daemon.driver.devmon.top_k", "--devmon-topk",
@@ -115,10 +111,6 @@ void check_options(const sim::SimConfig& sim,
   }
   if (stream.enabled && !sim.sharded_engine) {
     fail(kStreamEngine, "the serial engine has no per-core lanes");
-  }
-  if (stream.enabled && daemon.driver.hotness.mode != core::HotnessMode::Exact) {
-    fail(kStreamHotness,
-         "conservative-update sketches are add-order sensitive");
   }
   const monitors::DevMonConfig& devmon = daemon.driver.devmon;
   if (devmon.slots == 0) fail(kDevMonSlots, "got 0");

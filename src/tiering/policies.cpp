@@ -69,11 +69,7 @@ PlacementSet OraclePolicy::choose(const PolicyContext& ctx) {
   return take_until_full(ordered, ctx);
 }
 
-FrequencyDecayPolicy::FrequencyDecayPolicy(double decay,
-                                           const core::HotnessConfig& hotness)
-    : decay_(decay),
-      score_cap_(hotness.mode == core::HotnessMode::Sketch ? hotness.candidates
-                                                           : 0) {
+FrequencyDecayPolicy::FrequencyDecayPolicy(double decay) : decay_(decay) {
   TMPROF_EXPECTS(decay > 0.0 && decay < 1.0);
 }
 
@@ -89,14 +85,6 @@ PlacementSet FrequencyDecayPolicy::choose(const PolicyContext& ctx) {
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;
   });
-  if (score_cap_ != 0 && pages.size() > score_cap_) {
-    // Sketch-mode bound: retain only the hottest score_cap_ pages. The
-    // sorted order above is a strict total order, so the cut is
-    // deterministic; pages dropped here re-enter on their next sample.
-    pages.resize(score_cap_);
-    score_.clear();
-    for (const auto& [key, score] : pages) score_[key] = score;
-  }
   std::vector<PageKey> ordered;
   ordered.reserve(pages.size());
   for (const auto& [key, score] : pages) ordered.push_back(key);
@@ -107,30 +95,29 @@ namespace {
 
 struct PolicyEntry {
   std::string_view name;
-  std::unique_ptr<Policy> (*make)(const core::HotnessConfig& hotness);
+  std::unique_ptr<Policy> (*make)();
 };
 
 constexpr std::array kPolicies{
     PolicyEntry{"first-touch",
-                [](const core::HotnessConfig&) -> std::unique_ptr<Policy> {
+                []() -> std::unique_ptr<Policy> {
                   return std::make_unique<FirstTouchPolicy>();
                 }},
     PolicyEntry{"history",
-                [](const core::HotnessConfig&) -> std::unique_ptr<Policy> {
+                []() -> std::unique_ptr<Policy> {
                   return std::make_unique<HistoryPolicy>();
                 }},
     PolicyEntry{"history-density",
-                [](const core::HotnessConfig&) -> std::unique_ptr<Policy> {
+                []() -> std::unique_ptr<Policy> {
                   return std::make_unique<HistoryPolicy>(/*density_rank=*/true);
                 }},
     PolicyEntry{"oracle",
-                [](const core::HotnessConfig&) -> std::unique_ptr<Policy> {
+                []() -> std::unique_ptr<Policy> {
                   return std::make_unique<OraclePolicy>();
                 }},
     PolicyEntry{"freq-decay",
-                [](const core::HotnessConfig& hotness)
-                    -> std::unique_ptr<Policy> {
-                  return std::make_unique<FrequencyDecayPolicy>(0.5, hotness);
+                []() -> std::unique_ptr<Policy> {
+                  return std::make_unique<FrequencyDecayPolicy>(0.5);
                 }},
 };
 
@@ -148,10 +135,9 @@ std::span<const std::string_view> policy_names() noexcept {
   return kPolicyNames;
 }
 
-std::unique_ptr<Policy> make_policy(const std::string& name,
-                                    const core::HotnessConfig& hotness) {
+std::unique_ptr<Policy> make_policy(const std::string& name) {
   for (const PolicyEntry& entry : kPolicies) {
-    if (entry.name == name) return entry.make(hotness);
+    if (entry.name == name) return entry.make();
   }
   std::string valid;
   for (const std::string_view known : kPolicyNames) {
@@ -167,10 +153,7 @@ void FirstTouchPolicy::save_state(util::ckpt::Writer& w) const {
   std::vector<PageKey> keys(placement_.begin(), placement_.end());
   std::sort(keys.begin(), keys.end());
   w.put_u64(keys.size());
-  for (const PageKey& key : keys) {
-    w.put_u64(key.pid);
-    w.put_u64(key.page_va);
-  }
+  for (const PageKey& key : keys) core::PageKeyCodec::save(w, key);
   w.put_u64(used_frames_);
 }
 
@@ -179,10 +162,7 @@ void FirstTouchPolicy::load_state(util::ckpt::Reader& r) {
   const std::uint64_t count = r.get_u64();
   placement_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    PageKey key;
-    key.pid = static_cast<mem::Pid>(r.get_u64());
-    key.page_va = r.get_u64();
-    placement_.insert(key);
+    placement_.insert(core::PageKeyCodec::load(r));
   }
   used_frames_ = r.get_u64();
 }
@@ -190,8 +170,7 @@ void FirstTouchPolicy::load_state(util::ckpt::Reader& r) {
 void FrequencyDecayPolicy::save_state(util::ckpt::Writer& w) const {
   w.put_u64(score_.size());
   score_.fold_sorted([&w](const PageKey& key, double score) {
-    w.put_u64(key.pid);
-    w.put_u64(key.page_va);
+    core::PageKeyCodec::save(w, key);
     w.put_f64(score);
   });
 }
@@ -201,9 +180,7 @@ void FrequencyDecayPolicy::load_state(util::ckpt::Reader& r) {
   const std::uint64_t count = r.get_u64();
   score_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    PageKey key;
-    key.pid = static_cast<mem::Pid>(r.get_u64());
-    key.page_va = r.get_u64();
+    const PageKey key = core::PageKeyCodec::load(r);
     score_[key] = r.get_f64();
   }
 }

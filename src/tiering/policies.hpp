@@ -9,7 +9,6 @@
 #include <string>
 #include <string_view>
 
-#include "core/hotness.hpp"
 #include "tiering/policy.hpp"
 
 namespace tmprof::tiering {
@@ -63,29 +62,18 @@ class OraclePolicy final : public Policy {
 
 /// Extension: exponentially-weighted moving average of observed hotness,
 /// smoothing History's reactivity on phase-changing workloads.
-///
-/// With a sketch-mode HotnessConfig the score table is bounded: after each
-/// epoch's fold only the `hotness.candidates` highest-scoring pages are
-/// retained (decayed float scores do not fit a count-min sketch, so this
-/// is a SpaceSaving-style cap rather than a sketch). Deterministic — the
-/// retained set is the top of the strict (score desc, key asc) order.
 class FrequencyDecayPolicy final : public Policy {
  public:
-  explicit FrequencyDecayPolicy(double decay = 0.5,
-                                const core::HotnessConfig& hotness = {});
+  explicit FrequencyDecayPolicy(double decay = 0.5);
 
   PlacementSet choose(const PolicyContext& ctx) override;
   [[nodiscard]] std::string_view name() const override { return "freq-decay"; }
-
-  /// Pages currently carrying a score (bounded in sketch mode).
-  [[nodiscard]] std::size_t tracked() const noexcept { return score_.size(); }
 
   void save_state(util::ckpt::Writer& w) const override;
   void load_state(util::ckpt::Reader& r) override;
 
  private:
   double decay_;
-  std::size_t score_cap_;  ///< 0 = unbounded (exact mode)
   core::PageMap<double> score_;
 };
 
@@ -94,10 +82,7 @@ class FrequencyDecayPolicy final : public Policy {
 [[nodiscard]] std::span<const std::string_view> policy_names() noexcept;
 
 /// Factory by name (one of policy_names()); throws std::invalid_argument
-/// listing the valid names otherwise. Policies with per-page state
-/// ("freq-decay") bound it under a sketch-mode `hotness`; the rest ignore
-/// it.
-[[nodiscard]] std::unique_ptr<Policy> make_policy(
-    const std::string& name, const core::HotnessConfig& hotness = {});
+/// listing the valid names otherwise.
+[[nodiscard]] std::unique_ptr<Policy> make_policy(const std::string& name);
 
 }  // namespace tmprof::tiering

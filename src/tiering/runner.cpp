@@ -131,7 +131,7 @@ RunnerResult run_attempt(const WorkloadFactory& factory,
   const bool oracle = options.policy == "oracle";
   std::unique_ptr<Policy> policy;
   if (migrate && !oracle) {
-    policy = make_policy(options.policy, options.daemon.driver.hotness);
+    policy = make_policy(options.policy);
   }
 
   std::vector<std::vector<core::PageRank>> oracle_rankings;

@@ -112,10 +112,6 @@ class FlatHashMap {
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   /// Number of slots currently allocated (power of two, or 0).
   [[nodiscard]] size_type capacity() const noexcept { return slots_.size(); }
-  /// Bytes of slot storage held (exact-vs-sketch memory accounting).
-  [[nodiscard]] size_type memory_bytes() const noexcept {
-    return slots_.size() * sizeof(Slot);
-  }
 
   /// Drop all entries but keep the slot array — the whole point of the
   /// swap-and-clear epoch protocol. O(capacity).
@@ -343,9 +339,6 @@ class FlatHashSet {
   [[nodiscard]] size_type size() const noexcept { return map_.size(); }
   [[nodiscard]] bool empty() const noexcept { return map_.empty(); }
   [[nodiscard]] size_type capacity() const noexcept { return map_.capacity(); }
-  [[nodiscard]] size_type memory_bytes() const noexcept {
-    return map_.memory_bytes();
-  }
   void clear() noexcept { map_.clear(); }
   void reserve(size_type n) { map_.reserve(n); }
   void swap(FlatHashSet& other) noexcept { map_.swap(other.map_); }

@@ -191,38 +191,6 @@ std::vector<std::uint8_t> sample_image() {
   return w.finish();
 }
 
-/// A checkpoint image holding real sketch-mode sections (count-min cells,
-/// Bloom words, a sketch-mode HotnessStore) so the corruption matrix below
-/// also covers the probabilistic state introduced by docs/SKETCH.md.
-std::vector<std::uint8_t> sketch_image() {
-  util::CountMinSketch cms(64, 3, 7);
-  util::BloomFilter bloom(256, 4, 7);
-  core::HotnessConfig cfg;
-  cfg.mode = core::HotnessMode::Sketch;
-  cfg.sketch.width = 64;
-  cfg.sketch.depth = 2;
-  cfg.candidates = 32;
-  tmprof::core::HotnessCounts store(cfg);
-  util::Rng rng(3);
-  for (int i = 0; i < 500; ++i) {
-    const std::uint64_t page = rng.below(64);
-    cms.add(page, 1);
-    bloom.insert(page);
-    store.add(core::PageKey{1, page << mem::kPageShift});
-  }
-  Writer w;
-  w.begin_section("cms");
-  cms.save_state(w);
-  w.end_section();
-  w.begin_section("bloom");
-  bloom.save_state(w);
-  w.end_section();
-  w.begin_section("store");
-  store.save_state(w, "store");
-  w.end_section();
-  return w.finish();
-}
-
 /// A checkpoint image holding a populated AdmissionController (per-page
 /// rank history, live cool-downs, a drained token bucket, retuned adaptive
 /// threshold and the internal registry) so the corruption matrix also
@@ -332,30 +300,6 @@ TEST(CkptCorruption, EverySingleBitFlipRejected) {
       std::vector<std::uint8_t> flipped = image;
       flipped[byte] = static_cast<std::uint8_t>(
           flipped[byte] ^ (1U << bit));
-      EXPECT_TRUE(rejected_or_degraded(flipped, names))
-          << "bit flip at byte " << byte << " bit " << bit << " accepted";
-    }
-  }
-}
-
-TEST(CkptCorruption, SketchSectionsTruncationAtEveryLengthRejected) {
-  const std::vector<std::uint8_t> image = sketch_image();
-  const std::vector<std::string> names = Reader(image).section_names();
-  for (std::size_t len = 0; len < image.size(); ++len) {
-    const std::vector<std::uint8_t> prefix(
-        image.begin(), image.begin() + static_cast<std::ptrdiff_t>(len));
-    EXPECT_TRUE(rejected_or_degraded(prefix, names))
-        << "truncation to " << len << " bytes was accepted";
-  }
-}
-
-TEST(CkptCorruption, SketchSectionsEverySingleBitFlipRejected) {
-  const std::vector<std::uint8_t> image = sketch_image();
-  const std::vector<std::string> names = Reader(image).section_names();
-  for (std::size_t byte = 0; byte < image.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::vector<std::uint8_t> flipped = image;
-      flipped[byte] = static_cast<std::uint8_t>(flipped[byte] ^ (1U << bit));
       EXPECT_TRUE(rejected_or_degraded(flipped, names))
           << "bit flip at byte " << byte << " bit " << bit << " accepted";
     }
@@ -1214,50 +1158,6 @@ TEST(CkptResume, ShardedCollectResumesIdentical) {
   EXPECT_EQ(series_image(resumed), series_image(reference));
 }
 
-TEST(CkptResume, SketchModeCollectResumesIdentical) {
-  // The sketch front-end's state (count-min cells, Bloom words, candidate
-  // sets, admission floors) rides in the checkpoint; a kill-and-resume run
-  // must be byte-identical to the uninterrupted one, exactly as in exact
-  // mode.
-  const auto spec = workloads::find_spec("gups", 0.05);
-  CollectOptions collect;
-  collect.n_epochs = 4;
-  collect.ops_per_epoch = 30000;
-  collect.daemon.driver.ibs = monitors::IbsConfig::with_period(256);
-  collect.daemon.driver.hotness.mode = core::HotnessMode::Sketch;
-  collect.daemon.driver.hotness.sketch.width = 1 << 12;
-  collect.daemon.driver.hotness.candidates = 1 << 13;
-  collect.n_threads = 1;  // sharded engine, inline
-  const EpochSeries reference = collect_series(spec, tiny_config(), collect);
-
-  const fs::path dir = fs::path(::testing::TempDir()) / "tmprof-collect-sketch";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  CollectOptions ck = collect;
-  ck.checkpoint.every = 2;
-  ck.checkpoint.dir = dir.string();
-  (void)collect_series(spec, tiny_config(), ck);
-
-  CollectOptions resume = collect;
-  resume.checkpoint.resume_from =
-      util::ckpt::checkpoint_path(dir.string(), "ckpt", 2);
-  ASSERT_TRUE(fs::exists(resume.checkpoint.resume_from));
-  const EpochSeries resumed = collect_series(spec, tiny_config(), resume);
-  EXPECT_EQ(series_image(resumed), series_image(reference));
-
-  // A checkpoint written in sketch mode must not graft onto an exact-mode
-  // run: the mode byte rejects it and the run cold-starts.
-  CollectOptions exact_resume = collect;
-  exact_resume.daemon.driver.hotness = core::HotnessConfig{};
-  const EpochSeries exact_reference =
-      collect_series(spec, tiny_config(), exact_resume);
-  exact_resume.checkpoint.resume_from =
-      util::ckpt::checkpoint_path(dir.string(), "ckpt", 2);
-  const EpochSeries exact_resumed =
-      collect_series(spec, tiny_config(), exact_resume);
-  EXPECT_EQ(series_image(exact_resumed), series_image(exact_reference));
-}
-
 /// Names of the files in `dir`, sorted.
 std::vector<std::string> listing(const fs::path& dir) {
   std::vector<std::string> names;
@@ -1638,6 +1538,14 @@ TEST(CkptResume, FormatV5ImageColdStarts) {
   expect_old_format_cold_starts(5);
 }
 
+TEST(CkptResume, FormatV6ImageColdStarts) {
+  // Format 6 carried a hotness-mode byte ahead of each open-epoch count
+  // store in "daemon" and "truth", a running total with each of the
+  // driver's two maps and each truth shard's map, and a mode byte ahead of
+  // each first-touch seen-set.
+  expect_old_format_cold_starts(6);
+}
+
 TEST(CkptResume, MismatchedConfigRejected) {
   // A checkpoint from seed 42 must not be grafted onto a seed-43 run: the
   // meta section rejects it and the run cold-starts with its own seed.
@@ -1982,11 +1890,16 @@ TEST(CkptLayout, SectionBytesAreGolden) {
   // when those sources stopped riding the rings; its record tally now
   // counts trace records only. Format 6 dropped the PID filter's cadence
   // state from "daemon" (a bool and a u64: 9 bytes in every run) and the
-  // decay byte from "devmon" (1 byte when DevMon is on).
+  // decay byte from "devmon" (1 byte when DevMon is on). Format 7 dropped
+  // the hotness-mode byte and running total (1 + 8) from each of the
+  // driver's two open-epoch count maps: "daemon" -18 in every run. From
+  // "truth" it dropped the mode byte of the global count map and of the
+  // global seen-set (2; the global total stays), and per shard the mode
+  // bytes of its map and set plus its total (10): 2 + 10 x 2 shards = -22.
   expect_frames(everything_runner_frames(),
                 {{"meta", 48, 0x41982e3d},
                  {"system", 534522, 0xd62fd3fa},
-                 {"daemon", 4042, 0xc9f6f6b9},
+                 {"daemon", 4024, 0xdd7c96ec},
                  {"devmon", 6757, 0x99d8d915},
                  {"stream", 41, 0xfa828653},
                  {"mover", 181, 0xd65f58a5},
@@ -2001,7 +1914,7 @@ TEST(CkptLayout, SectionBytesAreGolden) {
   expect_frames(oracle_trap_runner_frames(),
                 {{"meta", 47, 0xe91cf81e},
                  {"system", 666558, 0x190c0746},
-                 {"daemon", 954, 0x112aebc4},
+                 {"daemon", 936, 0x7724665c},
                  {"devmon", 1, 0xd202ef8d},
                  {"stream", 1, 0xd202ef8d},
                  {"mover", 96, 0x7c9b6c29},
@@ -2015,44 +1928,10 @@ TEST(CkptLayout, SectionBytesAreGolden) {
   expect_frames(layered_collect_frames(false),
                 {{"meta", 36, 0xae48b0dc},
                  {"system", 667106, 0xb515d091},
-                 {"daemon", 1082, 0xeb00be02},
-                 {"truth", 514, 0x7d9111e2},
+                 {"daemon", 1064, 0xe054e06c},
+                 {"truth", 492, 0xc740bbc1},
                  {"series", 2496, 0x27a8a92c},
                  {"telemetry", 2302, 0x0741cbc1}});
-}
-
-/// Scores in the "policy" section of a data_caching freq-decay run's final
-/// checkpoint under `hotness`.
-std::uint64_t freq_decay_scores(const core::HotnessConfig& hotness,
-                                const std::string& tag) {
-  RunnerOptions opt = tiny_runner("freq-decay");
-  opt.daemon.driver.hotness = hotness;
-  opt.mover.min_rank = 1;  // every ranked page reaches the policy
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / ("tmprof-freq-decay-" + tag);
-  fs::remove_all(dir);
-  opt.checkpoint.every = opt.n_epochs;
-  opt.checkpoint.dir = dir.string();
-  (void)EndToEndRunner::run(workloads::find_spec("data_caching", 0.05),
-                            tiny_config(), opt);
-  Reader r = Reader::from_file(
-      util::ckpt::checkpoint_path(dir.string(), "ckpt", opt.n_epochs));
-  r.enter_section("policy");
-  EXPECT_TRUE(r.get_bool());  // presence
-  return r.get_u64();
-}
-
-TEST(CkptLayout, SketchFreqDecayPolicyHoldsAtMostCandidateScores) {
-  // The runner builds its policy from the run's hotness config, so a
-  // sketch-mode freq-decay keeps only the candidate-capped score map.
-  core::HotnessConfig sketch;
-  sketch.mode = core::HotnessMode::Sketch;
-  sketch.candidates = 16;
-  const std::uint64_t exact = freq_decay_scores({}, "exact");
-  EXPECT_GT(exact, sketch.candidates);  // uncapped, the map outgrows it
-  const std::uint64_t capped = freq_decay_scores(sketch, "sketch");
-  EXPECT_GT(capped, 0U);
-  EXPECT_LE(capped, sketch.candidates);
 }
 
 }  // namespace

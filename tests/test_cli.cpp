@@ -301,13 +301,12 @@ TEST(AdmissionCli, NegativeBandwidthRejected) {
 }
 
 /// Runs tiering::check_options on a one-process run whose options the
-/// flags set the way the benches set them: the engine, hotness, stream
-/// and admission flags.
+/// flags set the way the benches set them: the engine, stream and
+/// admission flags.
 void check_runner_flags(std::initializer_list<const char*> flags) {
   const ArgParser p = parse(flags);
   tiering::RunnerOptions opt;
   opt.n_threads = bench::selected_threads(p);
-  opt.daemon.driver.hotness = bench::hotness_from_args(p);
   opt.daemon.driver.stream = bench::stream_from_args(p);
   opt.mover.admission = bench::admission_from_args(p);
   tiering::check_options(sim::SimConfig{}, opt, 1);
@@ -565,12 +564,6 @@ TEST(StreamCli, StreamingNeedsTheShardedEngine) {
   expect_rejected(check_runner_flags, {"--stream=1"}, "--stream");
   expect_rejected(check_runner_flags, {"--stream=1", "--threads=0"},
                   "--threads");
-}
-
-TEST(StreamCli, StreamingNeedsExactHotness) {
-  expect_rejected(check_runner_flags,
-                  {"--stream=1", "--hotness=sketch", "--threads=4"},
-                  "--hotness=exact");
 }
 
 TEST(EngineCli, ThreadCountHasACeiling) {

@@ -63,6 +63,28 @@ TEST(EpochCollect, NewPagesAppearExactlyOnce) {
   }
 }
 
+TEST(EpochCollect, ShardedFoldKeepsTotalsAndFirstTouches) {
+  // The sharded engine counts into per-core shards that fold at the epoch
+  // barrier; the folded epochs keep the serial engine's invariants.
+  const auto spec = workloads::find_spec("web_serving", 0.2);
+  CollectOptions opt = fast_options();
+  opt.n_threads = 1;
+  const EpochSeries series = collect_series(spec, small_config(), opt);
+  std::unordered_set<PageKey, PageKeyHash> seen;
+  for (const EpochData& data : series.epochs) {
+    std::uint64_t sum = 0;
+    for (const auto& [key, count] : data.truth) {
+      sum += count;
+      EXPECT_TRUE(series.page_sizes.count(key));
+    }
+    EXPECT_EQ(sum, data.truth_total);
+    for (const PageKey& key : data.new_pages) {
+      EXPECT_TRUE(seen.insert(key).second);
+    }
+  }
+  EXPECT_EQ(seen.size(), series.page_sizes.size());
+}
+
 TEST(EpochCollect, PageSizesMatchWorkloadClass) {
   const auto hpc = workloads::find_spec("gups", 0.1);
   const EpochSeries series =

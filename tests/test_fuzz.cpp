@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "core/hotness.hpp"
 #include "core/ranking.hpp"
 #include "mem/cache.hpp"
 #include "mem/page_table.hpp"
@@ -208,25 +207,17 @@ TEST(CacheFuzz, MatchesExactLruModel) {
   EXPECT_EQ(contained, resident);
 }
 
-/// Exact and sketch HotnessStores driven by one random op stream (adds of
-/// skewed keys, epoch closes, shard-merge interleavings), cross-checked
-/// against a std::unordered_map reference: the exact store must match the
-/// reference perfectly, the sketch store must never undercount any key the
-/// reference holds, and both must report the same exact running total.
-class SketchStoreFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+/// The counting protocol TmpDriver and TruthCollector run on their page
+/// maps, driven by one random op stream (adds of skewed keys, shard folds in
+/// the shard's slot order, swap-and-clear epoch closes) and cross-checked
+/// against a std::unordered_map reference and a running total.
+class PageCountFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(SketchStoreFuzz, ExactAndSketchAgreeWithReferenceModel) {
+TEST_P(PageCountFuzz, EpochCloseAndShardFoldMatchReferenceModel) {
   util::Rng rng(GetParam());
-  core::HotnessConfig sketch_cfg;
-  sketch_cfg.mode = core::HotnessMode::Sketch;
-  sketch_cfg.sketch.width = 1 << 12;
-  sketch_cfg.sketch.depth = 4;
-  // Cap above the key-space size: no eviction, so coverage is total and
-  // the no-undercount check can demand presence, not just magnitude.
-  sketch_cfg.candidates = 1 << 12;
-
-  core::HotnessCounts exact_store;
-  core::HotnessCounts sketch_store(sketch_cfg);
+  core::TruthMap current;
+  core::TruthMap closed;
+  std::uint64_t total = 0;
   std::unordered_map<std::uint64_t, std::uint64_t> reference;
   std::uint64_t reference_total = 0;
   auto key_of = [](std::uint64_t page) {
@@ -238,45 +229,41 @@ TEST_P(SketchStoreFuzz, ExactAndSketchAgreeWithReferenceModel) {
     const std::uint64_t action = rng.below(100);
     if (action < 96) {
       const std::uint64_t page = rng.below(2048);
-      const auto n = static_cast<std::uint32_t>(1 + rng.below(4));
-      exact_store.add(key_of(page), n);
-      sketch_store.add(key_of(page), n);
+      const std::uint64_t n = 1 + rng.below(4);
+      current[key_of(page)] += n;
+      total += n;
       reference[page] += n;
       reference_total += n;
     } else if (action < 98) {
-      // Shard-merge interleaving: accumulate a burst in a fresh shard of
-      // each mode, then fold it in mid-stream.
-      core::HotnessCounts exact_shard;
-      core::HotnessCounts sketch_shard(sketch_cfg);
+      // Shard fold: accumulate a burst in a fresh shard map, then fold it
+      // in mid-stream.
+      core::TruthMap shard;
       const std::uint64_t burst = rng.below(200);
       for (std::uint64_t i = 0; i < burst; ++i) {
         const std::uint64_t page = rng.below(2048);
-        exact_shard.add(key_of(page));
-        sketch_shard.add(key_of(page));
+        ++shard[key_of(page)];
         reference[page] += 1;
         reference_total += 1;
       }
-      exact_store.merge_from(exact_shard);
-      sketch_store.merge_from(sketch_shard);
-      ASSERT_EQ(exact_shard.total(), 0U);
-      ASSERT_EQ(sketch_shard.total(), 0U);
+      for (const auto& [key, count] : shard) {
+        current[key] += count;
+        total += count;
+      }
+      shard.clear();
+      ASSERT_TRUE(shard.empty());
     } else {
-      // Epoch close: totals exact in both modes, per-key exact == ref and
-      // sketch >= ref.
-      ASSERT_EQ(exact_store.total(), reference_total);
-      ASSERT_EQ(sketch_store.total(), reference_total);
-      core::PageCountMap exact_out;
-      core::PageCountMap sketch_out;
-      ASSERT_EQ(exact_store.end_epoch_into(exact_out), reference_total);
-      ASSERT_EQ(sketch_store.end_epoch_into(sketch_out), reference_total);
-      ASSERT_EQ(exact_out.size(), reference.size());
+      // Epoch close: the swapped-out map and the total match the reference,
+      // and the recycled accumulator starts empty.
+      ASSERT_EQ(total, reference_total);
+      closed.swap(current);
+      current.clear();
+      total = 0;
+      ASSERT_TRUE(current.empty());
+      ASSERT_EQ(closed.size(), reference.size());
       for (const auto& [page, count] : reference) {
-        const auto exact_it = exact_out.find(key_of(page));
-        ASSERT_NE(exact_it, exact_out.end());
-        ASSERT_EQ(exact_it->second, count);
-        const auto sketch_it = sketch_out.find(key_of(page));
-        ASSERT_NE(sketch_it, sketch_out.end());
-        ASSERT_GE(sketch_it->second, count);
+        const auto it = closed.find(key_of(page));
+        ASSERT_NE(it, closed.end());
+        ASSERT_EQ(it->second, count);
       }
       reference.clear();
       reference_total = 0;
@@ -284,23 +271,17 @@ TEST_P(SketchStoreFuzz, ExactAndSketchAgreeWithReferenceModel) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SketchStoreFuzz,
+INSTANTIATE_TEST_SUITE_P(Seeds, PageCountFuzz,
                          ::testing::Values(11ULL, 4096ULL, 20260807ULL));
 
-/// Exact and Bloom-backed HotnessSets driven by one random insert stream,
-/// cross-checked against std::unordered_set: the exact set matches the
-/// reference, and the Bloom set's "definitely new" verdicts imply truly
-/// new while membership queries never miss a seen key.
-class SketchSetFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+/// The first-touch seen-set (a core::PageSet) driven by one random
+/// insert/query stream, cross-checked against std::unordered_set: insert
+/// reports exactly the truly new keys and membership never errs.
+class PageSetFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(SketchSetFuzz, MembershipConsistentWithReferenceModel) {
+TEST_P(PageSetFuzz, MembershipMatchesReferenceModel) {
   util::Rng rng(GetParam());
-  core::HotnessConfig sketch_cfg;
-  sketch_cfg.mode = core::HotnessMode::Sketch;
-  sketch_cfg.sketch.bloom_bits = 1 << 16;
-
-  core::PageHotnessSet exact_set;
-  core::PageHotnessSet sketch_set(sketch_cfg);
+  core::PageSet set;
   std::unordered_set<std::uint64_t> reference;
   auto key_of = [](std::uint64_t page) {
     return core::PageKey{static_cast<mem::Pid>(1 + page % 5),
@@ -311,25 +292,15 @@ TEST_P(SketchSetFuzz, MembershipConsistentWithReferenceModel) {
     const std::uint64_t page = rng.below(4000);
     if (rng.chance(0.7)) {
       const bool truly_new = reference.insert(page).second;
-      ASSERT_EQ(exact_set.insert(key_of(page)), truly_new);
-      const bool bloom_new = sketch_set.insert(key_of(page));
-      if (bloom_new) {
-        ASSERT_TRUE(truly_new);
-      }
+      ASSERT_EQ(set.insert(key_of(page)), truly_new);
     } else {
-      const bool present = reference.count(page) != 0;
-      ASSERT_EQ(exact_set.maybe_contains(key_of(page)), present);
-      // Bloom has no false negatives: a seen key always reads as seen.
-      if (present) {
-        ASSERT_TRUE(sketch_set.maybe_contains(key_of(page)));
-      }
+      ASSERT_EQ(set.contains(key_of(page)), reference.count(page) != 0);
     }
   }
-  ASSERT_EQ(exact_set.size(), reference.size());
-  ASSERT_LE(sketch_set.size(), reference.size());
+  ASSERT_EQ(set.size(), reference.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SketchSetFuzz,
+INSTANTIATE_TEST_SUITE_P(Seeds, PageSetFuzz,
                          ::testing::Values(21ULL, 555ULL));
 
 /// Whole-system determinism: identical configs and seeds give bit-equal

@@ -110,14 +110,6 @@ TEST(CheckOptions, StreamingNeedsTheShardedEngine) {
   EXPECT_NO_THROW(check_options(sim::SimConfig{}, options, 1));
 }
 
-TEST(CheckOptions, StreamingNeedsExactHotness) {
-  core::DaemonConfig daemon;
-  daemon.driver.stream.enabled = true;
-  daemon.driver.hotness.mode = core::HotnessMode::Sketch;
-  expect_daemon_rejected(daemon, "daemon.driver.stream.enabled",
-                         "exact hotness");
-}
-
 TEST(CheckOptions, DevMonHasASlot) {
   core::DaemonConfig daemon;
   daemon.driver.devmon.slots = 0;

@@ -131,7 +131,7 @@ TEST(Runner, OraclePrePassUsesProcessWeights) {
   for (workloads::WorkloadPtr& generator : two_services()(opt.seed)) {
     system.add_process(std::move(generator), weights[i++]);
   }
-  TruthCollector truth(system, opt.daemon.driver.hotness);
+  TruthCollector truth(system);
   system.add_observer(&truth);
   core::DaemonConfig daemon_config = opt.daemon;
   daemon_config.fault = opt.fault;

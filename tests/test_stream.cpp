@@ -156,15 +156,10 @@ void expect_stream_rejected(const tiering::RunnerOptions& options,
   }
 }
 
-TEST(StreamDeterminism, RequiresShardedEngineAndExactHotness) {
+TEST(StreamDeterminism, RequiresShardedEngine) {
   // Serial engine (n_threads = 0) has no per-core lanes to stream from.
   expect_stream_rejected(stream_options("history", 0, true),
                          "sharded engine");
-  // Conservative-update sketches are add-order sensitive; the pump's
-  // scheduling-dependent interleaving would break bitwise invariance.
-  tiering::RunnerOptions sketch = stream_options("history", 1, true);
-  sketch.daemon.driver.hotness.mode = core::HotnessMode::Sketch;
-  expect_stream_rejected(sketch, "exact hotness");
 }
 
 TEST(StreamResume, KillResumeIsBitwiseConsistent) {
