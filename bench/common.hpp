@@ -8,6 +8,7 @@
 /// results is preserved. See DESIGN.md §2 for the substitution table.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <iostream>
@@ -61,6 +62,11 @@ inline constexpr std::uint64_t kScaledDefaultPeriod = 512;
 inline monitors::IbsConfig scaled_ibs(std::uint64_t rate_multiplier) {
   return monitors::IbsConfig::with_period(kScaledDefaultPeriod /
                                           rate_multiplier);
+}
+
+/// Table IV's and Fig. 5's three rates, in order: default, 4x, 8x.
+inline std::array<monitors::IbsConfig, 3> paper_rates() {
+  return {scaled_ibs(1), scaled_ibs(4), scaled_ibs(8)};
 }
 
 /// --scale (default `fallback`) for a run of the `names` workloads. A scale

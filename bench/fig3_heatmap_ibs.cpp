@@ -15,10 +15,9 @@
 #include <vector>
 
 #include "common.hpp"
-#include "monitors/ibs.hpp"
 #include "sim/system.hpp"
 #include "tiering/epoch.hpp"
-#include "util/histogram.hpp"
+#include "tiering/profile.hpp"
 
 static int bench_main(int argc, char** argv) {
   using namespace tmprof;
@@ -37,32 +36,16 @@ static int bench_main(int argc, char** argv) {
     sim::System system(bench::testbed_config(spec.total_bytes));
     tiering::add_spec_processes(system, spec, seed);
 
-    monitors::IbsMonitor ibs(bench::scaled_ibs(4), system.config().cores,
-                             seed);
-    std::vector<std::pair<util::SimNs, mem::PhysAddr>> samples;
-    ibs.set_drain([&](std::span<const monitors::TraceSample> batch) {
-      for (const auto& s : batch) {
-        if (s.is_store || !mem::is_memory(s.source)) continue;
-        samples.emplace_back(s.time, s.paddr);
-      }
-    });
-    system.add_observer(&ibs);
-    system.step(ops);
-    ibs.drain();
+    const tiering::AccessHeatmap heatmap = tiering::trace_heatmap(
+        system, bench::scaled_ibs(4), seed, ops, time_bins, addr_bins);
 
-    const util::SimNs duration = system.now() + 1;
-    const std::uint64_t addr_hi =
-        system.phys().total_frames() << mem::kPageShift;
-    util::Heatmap heatmap(duration, time_bins, addr_hi, addr_bins);
-    for (const auto& [time, paddr] : samples) heatmap.add(time, paddr);
-
-    std::cout << "== " << spec.name << " (" << samples.size()
+    std::cout << "== " << spec.name << " (" << heatmap.observations
               << " beyond-LLC demand-load samples, "
-              << duration / util::kMillisecond << " sim-ms) ==\n"
-              << heatmap.render_ascii() << '\n';
+              << (system.now() + 1) / util::kMillisecond << " sim-ms) ==\n"
+              << heatmap.grid.render_ascii() << '\n';
     if (write_csv) {
       std::ofstream csv("fig3_" + spec.name + ".csv");
-      heatmap.write_csv(csv);
+      heatmap.grid.write_csv(csv);
     }
   }
   if (write_csv) std::cout << "Full grids written to fig3_<workload>.csv\n";

@@ -14,10 +14,9 @@
 #include <vector>
 
 #include "common.hpp"
-#include "monitors/abit.hpp"
 #include "sim/system.hpp"
 #include "tiering/epoch.hpp"
-#include "util/histogram.hpp"
+#include "tiering/profile.hpp"
 
 static int bench_main(int argc, char** argv) {
   using namespace tmprof;
@@ -36,32 +35,14 @@ static int bench_main(int argc, char** argv) {
   for (const auto& spec : specs) {
     sim::System system(bench::testbed_config(spec.total_bytes));
     tiering::add_spec_processes(system, spec, seed);
-    monitors::AbitScanner scanner{monitors::AbitConfig{}};
-
-    // One heatmap column per scan interval.
-    const std::uint64_t addr_hi =
-        system.phys().total_frames() << mem::kPageShift;
-    util::Heatmap heatmap(epochs, epochs, addr_hi, addr_bins);
-    std::uint64_t observations = 0;
-    for (std::uint32_t e = 0; e < epochs; ++e) {
-      system.step(ops_per_epoch);
-      for (sim::Process* proc : system.processes()) {
-        scanner.scan(proc->pid(), proc->page_table(),
-                     [&](const monitors::AbitSample& sample) {
-                       // Weight huge pages by their 4 KiB span so the two
-                       // figures share a color scale.
-                       heatmap.add(e, sample.pfn << mem::kPageShift,
-                                   mem::pages_in(sample.size));
-                       ++observations;
-                     });
-      }
-    }
-    std::cout << "== " << spec.name << " (" << observations
+    const tiering::AccessHeatmap heatmap =
+        tiering::abit_heatmap(system, epochs, ops_per_epoch, addr_bins);
+    std::cout << "== " << spec.name << " (" << heatmap.observations
               << " page observations over " << epochs << " scans) ==\n"
-              << heatmap.render_ascii() << '\n';
+              << heatmap.grid.render_ascii() << '\n';
     if (write_csv) {
       std::ofstream csv("fig4_" + spec.name + ".csv");
-      heatmap.write_csv(csv);
+      heatmap.grid.write_csv(csv);
     }
   }
   if (write_csv) std::cout << "Full grids written to fig4_<workload>.csv\n";

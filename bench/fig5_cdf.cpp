@@ -14,14 +14,12 @@
 #include <array>
 #include <fstream>
 #include <iostream>
-#include <unordered_map>
 #include <vector>
 
 #include "common.hpp"
-#include "monitors/abit.hpp"
-#include "monitors/ibs.hpp"
 #include "sim/system.hpp"
 #include "tiering/epoch.hpp"
+#include "tiering/profile.hpp"
 #include "util/cdf.hpp"
 #include "util/table.hpp"
 
@@ -29,8 +27,7 @@ namespace {
 
 using namespace tmprof;
 
-util::EmpiricalCdf to_cdf(
-    const std::unordered_map<std::uint64_t, std::uint32_t>& counts) {
+util::EmpiricalCdf to_cdf(const tiering::FrameCounts& counts) {
   std::vector<std::uint64_t> values;
   values.reserve(counts.size());
   for (const auto& [page, count] : counts) values.push_back(count);
@@ -71,49 +68,19 @@ static int bench_main(int argc, char** argv) {
     sim::System system(bench::testbed_config(spec.total_bytes));
     tiering::add_spec_processes(system, spec, seed);
 
-    const std::array<std::uint64_t, 3> multipliers{1, 4, 8};
-    const std::array<std::string, 3> rate_names{"ibs-default", "ibs-4x",
-                                                "ibs-8x"};
-    std::vector<std::unique_ptr<monitors::IbsMonitor>> ibs;
-    std::array<std::unordered_map<std::uint64_t, std::uint32_t>, 3>
-        trace_counts;
-    for (std::size_t r = 0; r < multipliers.size(); ++r) {
-      ibs.push_back(std::make_unique<monitors::IbsMonitor>(
-          bench::scaled_ibs(multipliers[r]), system.config().cores,
-          seed + r));
-      auto& counts = trace_counts[r];
-      ibs.back()->set_drain(
-          [&counts](std::span<const monitors::TraceSample> batch) {
-            for (const auto& s : batch) {
-              if (s.is_store || !mem::is_memory(s.source)) continue;
-              counts[mem::pfn_of(s.paddr)] += 1;
-            }
-          });
-      system.add_observer(ibs.back().get());
-    }
-    monitors::AbitScanner scanner{monitors::AbitConfig{}};
-    std::unordered_map<std::uint64_t, std::uint32_t> abit_counts;
-
-    for (std::uint32_t e = 0; e < epochs; ++e) {
-      system.step(ops_per_epoch);
-      for (auto& monitor : ibs) monitor->drain();
-      for (sim::Process* proc : system.processes()) {
-        scanner.scan(proc->pid(), proc->page_table(),
-                     [&](const monitors::AbitSample& sample) {
-                       abit_counts[sample.pfn] += 1;
-                     });
-      }
-    }
+    const tiering::DetectedPages pages = tiering::detect_pages(
+        system, bench::paper_rates(), seed, epochs, ops_per_epoch);
+    const std::array<std::pair<std::string, util::EmpiricalCdf>, 4> curves{{
+        {"abit", to_cdf(pages.abit)},
+        {"ibs-default", to_cdf(pages.trace[0])},
+        {"ibs-4x", to_cdf(pages.trace[1])},
+        {"ibs-8x", to_cdf(pages.trace[2])},
+    }};
 
     util::TextTable table(
         {"curve", "pages", "p25", "p50", "p90", "p99", "max"});
-    const util::EmpiricalCdf abit_cdf = to_cdf(abit_counts);
-    table.add_row(quantile_row("abit", abit_cdf));
-    std::array<util::EmpiricalCdf, 3> trace_cdfs{
-        to_cdf(trace_counts[0]), to_cdf(trace_counts[1]),
-        to_cdf(trace_counts[2])};
-    for (std::size_t r = 0; r < 3; ++r) {
-      table.add_row(quantile_row(rate_names[r], trace_cdfs[r]));
+    for (const auto& [label, cdf] : curves) {
+      table.add_row(quantile_row(label, cdf));
     }
     std::cout << "== " << spec.name << " ==\n";
     table.print(std::cout);
@@ -122,15 +89,11 @@ static int bench_main(int argc, char** argv) {
     if (write_csv) {
       std::ofstream csv("fig5_" + spec.name + ".csv");
       csv << "curve,value,cum_fraction\n";
-      auto dump = [&csv](const std::string& label,
-                         const util::EmpiricalCdf& cdf) {
-        if (cdf.empty()) return;
+      for (const auto& [label, cdf] : curves) {
         for (const auto& [v, f] : cdf.curve(64)) {
           csv << label << ',' << v << ',' << f << '\n';
         }
-      };
-      dump("abit", abit_cdf);
-      for (std::size_t r = 0; r < 3; ++r) dump(rate_names[r], trace_cdfs[r]);
+      }
     }
   }
   if (write_csv) std::cout << "Full curves written to fig5_<workload>.csv\n";

@@ -148,7 +148,7 @@ static int bench_main(int argc, char** argv) {
       core::EpochObservation obs;
       lwp.set_drain([&](mem::Pid, std::span<const monitors::TraceSample> s) {
         for (const auto& sample : s) {
-          if (sample.is_store || !mem::is_memory(sample.source)) continue;
+          if (!monitors::keeps_trace_sample(sample)) continue;
           const mem::FrameInfo& frame =
               ctx.system.phys().frame(mem::pfn_of(sample.paddr));
           if (!frame.allocated) continue;

@@ -16,88 +16,16 @@
 /// Usage: table4_detected_pages [--workload=<name>] [--scale=F]
 ///        [--epochs=N] [--ops-per-epoch=N] [--seed=N]
 
-#include <array>
 #include <iostream>
 
 #include "common.hpp"
-#include "core/page_stats.hpp"
-#include "monitors/abit.hpp"
-#include "monitors/ibs.hpp"
 #include "sim/system.hpp"
 #include "tiering/epoch.hpp"
+#include "tiering/profile.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-using namespace tmprof;
-
-struct RateResult {
-  std::uint64_t abit = 0;
-  std::uint64_t ibs = 0;
-  std::uint64_t both = 0;
-};
-
-/// One run measures all three rates simultaneously: three independent IBS
-/// monitors observe the same execution (statistically equivalent to the
-/// paper's three runs, and 3x cheaper).
-std::array<RateResult, 3> run_workload(const workloads::WorkloadSpec& spec,
-                                       std::uint32_t epochs,
-                                       std::uint64_t ops_per_epoch,
-                                       std::uint64_t seed) {
-  sim::System system(bench::testbed_config(spec.total_bytes));
-  tiering::add_spec_processes(system, spec, seed);
-  const std::uint64_t total_frames = system.phys().total_frames();
-
-  const std::array<std::uint64_t, 3> multipliers{1, 4, 8};
-  std::vector<std::unique_ptr<monitors::IbsMonitor>> monitors_;
-  std::vector<core::PageStatsStore> stores;
-  for (std::size_t r = 0; r < multipliers.size(); ++r) {
-    monitors_.push_back(std::make_unique<monitors::IbsMonitor>(
-        bench::scaled_ibs(multipliers[r]), system.config().cores, seed + r));
-    stores.emplace_back(total_frames);
-    system.add_observer(monitors_[r].get());
-  }
-  monitors::AbitScanner scanner{monitors::AbitConfig{}};
-
-  // Install drains up front so buffer-full interrupts during execution also
-  // land in the correct epoch. TMP's filter applies: demand loads whose
-  // data source is beyond the LLC.
-  std::uint32_t e = 0;
-  for (std::size_t r = 0; r < multipliers.size(); ++r) {
-    core::PageStatsStore& store = stores[r];
-    monitors_[r]->set_drain(
-        [&store, &e](std::span<const monitors::TraceSample> samples) {
-          for (const auto& s : samples) {
-            if (s.is_store || !mem::is_memory(s.source)) continue;
-            store.record_trace(mem::pfn_of(s.paddr), e);
-          }
-        });
-  }
-
-  for (e = 0; e < epochs; ++e) {
-    system.step(ops_per_epoch);
-    for (auto& monitor : monitors_) monitor->drain();
-    for (sim::Process* proc : system.processes()) {
-      scanner.scan(proc->pid(), proc->page_table(),
-                   [&](const monitors::AbitSample& sample) {
-                     for (auto& store : stores) {
-                       store.record_abit(sample.pfn, e);
-                     }
-                   });
-    }
-  }
-  std::array<RateResult, 3> results;
-  for (std::size_t r = 0; r < 3; ++r) {
-    results[r].abit = stores[r].frames_with_abit();
-    results[r].ibs = stores[r].frames_with_trace();
-    results[r].both = stores[r].frames_with_both();
-  }
-  return results;
-}
-
-}  // namespace
-
 static int bench_main(int argc, char** argv) {
+  using namespace tmprof;
   const util::ArgParser args(argc, argv);
   const std::uint32_t epochs = args.get_u32("epochs", 8);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 1'000'000);
@@ -117,21 +45,26 @@ static int bench_main(int argc, char** argv) {
   double sum_4x_gain = 0.0, sum_8x_gain = 0.0;
   int counted = 0;
   for (const auto& spec : specs) {
-    const auto r = run_workload(spec, epochs, ops_per_epoch, seed);
-    table.add_row({spec.name, util::TextTable::num(r[0].abit),
-                   util::TextTable::num(r[0].ibs),
-                   util::TextTable::num(r[0].both),
-                   util::TextTable::num(r[1].abit),
-                   util::TextTable::num(r[1].ibs),
-                   util::TextTable::num(r[1].both),
-                   util::TextTable::num(r[2].abit),
-                   util::TextTable::num(r[2].ibs),
-                   util::TextTable::num(r[2].both)});
-    if (r[0].ibs > 0 && r[1].ibs > 0) {
-      sum_4x_gain += static_cast<double>(r[1].ibs) /
-                     static_cast<double>(r[0].ibs);
-      sum_8x_gain += static_cast<double>(r[2].ibs) /
-                     static_cast<double>(r[1].ibs);
+    // One run measures all three rates: three independent IBS monitors
+    // observe the same execution (statistically equivalent to the paper's
+    // three runs, and 3x cheaper).
+    sim::System system(bench::testbed_config(spec.total_bytes));
+    tiering::add_spec_processes(system, spec, seed);
+    const tiering::DetectedPages pages = tiering::detect_pages(
+        system, bench::paper_rates(), seed, epochs, ops_per_epoch);
+    std::vector<std::string> row{spec.name};
+    for (std::size_t r = 0; r < 3; ++r) {
+      row.push_back(util::TextTable::num(pages.abit.size()));
+      row.push_back(util::TextTable::num(pages.trace[r].size()));
+      row.push_back(util::TextTable::num(pages.both[r]));
+    }
+    table.add_row(row);
+    const auto ibs = [&](std::size_t r) {
+      return static_cast<double>(pages.trace[r].size());
+    };
+    if (ibs(0) > 0 && ibs(1) > 0) {
+      sum_4x_gain += ibs(1) / ibs(0);
+      sum_8x_gain += ibs(2) / ibs(1);
       ++counted;
     }
   }

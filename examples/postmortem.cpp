@@ -59,7 +59,7 @@ int main() {
     std::unordered_set<mem::Pfn> pages;
     ibs.set_drain([&](std::span<const monitors::TraceSample> samples) {
       for (const auto& s : samples) {
-        if (!s.is_store && mem::is_memory(s.source)) {
+        if (monitors::keeps_trace_sample(s)) {
           pages.insert(mem::pfn_of(s.paddr));
         }
       }

@@ -160,7 +160,7 @@ void TmpDriver::set_trace_enabled(bool enabled) {
 template <class FaultKey>
 void TmpDriver::count_trace(mem::PhysAddr paddr, bool is_store,
                             mem::DataSource source, FaultKey&& fault_key) {
-  if (is_store || !mem::is_memory(source)) return;
+  if (!monitors::keeps_trace_sample(is_store, source)) return;
   const mem::FrameInfo& frame = system_.phys().frame(mem::pfn_of(paddr));
   if (!frame.allocated) return;  // raced with a free; drop
   // phys_to_page(): aggregate under the mapping's (pid, page VA).
@@ -215,7 +215,7 @@ monitors::AbitScanResult TmpDriver::scan_processes(
       break;
     }
     sim::Process& proc = system_.process(pid);
-    const monitors::AbitScanResult r = scanner_.scan_fn(
+    const monitors::AbitScanResult r = scanner_.scan(
         pid, proc.page_table(), [&](const monitors::AbitSample& sample) {
           ++cur_abit_[PageKey{pid, sample.page_va}];
         });

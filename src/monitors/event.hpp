@@ -79,6 +79,18 @@ struct TraceSample {
   bool tlb_miss = false;
 };
 
+/// TMP's trace filter: a sample counts only if it is a demand load served
+/// beyond the LLC. The driver and every Section V figure apply this one
+/// predicate, so the figures measure the profiler the policies rank.
+[[nodiscard]] constexpr bool keeps_trace_sample(
+    bool is_store, mem::DataSource source) noexcept {
+  return !is_store && mem::is_memory(source);
+}
+[[nodiscard]] constexpr bool keeps_trace_sample(
+    const TraceSample& sample) noexcept {
+  return keeps_trace_sample(sample.is_store, sample.source);
+}
+
 // ---------------------------------------------------------------------------
 // Streaming sample transport (docs/STREAMING.md)
 

@@ -32,7 +32,7 @@ void PageMover::collect_residents(mem::TierId tier,
   out.clear();
   for (sim::Process* proc : system_.processes()) {
     const mem::Pid pid = proc->pid();
-    proc->page_table().walk_fn(
+    proc->page_table().walk(
         [&](mem::VirtAddr page_va, mem::PageSize size, mem::Pte& pte) {
           if (system_.phys().tier_of(pte.pfn()) == tier) {
             out.emplace_back(PageKey{pid, page_va}, size);

@@ -24,7 +24,7 @@ void sync_poison(sim::System& system, monitors::BadgerTrap& trap,
   for (sim::Process* proc : system.processes()) {
     const mem::Pid pid = proc->pid();
     const std::uint32_t core = pid % system.config().cores;
-    proc->page_table().walk_fn(
+    proc->page_table().walk(
         [&](mem::VirtAddr page_va, mem::PageSize size, mem::Pte& pte) {
           (void)size;
           const bool in_t2 = system.phys().tier_of(pte.pfn()) != 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tiering/profile.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace tmprof::core {
@@ -57,6 +58,7 @@ struct FilterRun {
   std::uint64_t memory_loads = 0;  ///< twin samples: loads served by memory
   std::uint64_t stores = 0;        ///< twin samples: stores
   std::uint64_t cache_hits = 0;    ///< twin samples: loads served by a cache
+  std::uint64_t pass_kept = 0;     ///< samples tiering::profile_pass kept
 };
 
 FilterRun run_filter(std::uint64_t footprint, double store_fraction) {
@@ -75,7 +77,11 @@ FilterRun run_filter(std::uint64_t footprint, double store_fraction) {
     }
   });
   sys.add_observer(&twin);
-  sys.step(100000);
+  // The Section V figures' pass steps the run, its own monitor at the
+  // driver's IBS config and seed (IbsMonitor's default).
+  tiering::profile_pass(
+      sys, std::span(&cfg.ibs, 1), 0x1b5, 1, 100000,
+      [&run](auto&&...) { ++run.pass_kept; }, [](auto&&...) {});
   driver.end_epoch();
   twin.drain();
   sys.remove_observer(&twin);
@@ -103,6 +109,14 @@ TEST(Driver, MemoryOnlyFilterDropsCacheHits) {
   EXPECT_GT(large.memory_loads, 0U);
   EXPECT_GT(large.cache_hits, 0U);
   EXPECT_EQ(large.kept, large.memory_loads);
+}
+
+// The figures measure the profiler the policies rank: on a workload that
+// frees no page, the pass keeps exactly the samples the driver counts.
+TEST(ProfilePass, KeepsTheSamplesTheDriverCounts) {
+  const FilterRun run = run_filter(8 << 20, 0.3);
+  EXPECT_GT(run.kept, 0U);
+  EXPECT_EQ(run.pass_kept, run.kept);
 }
 
 TEST(Driver, TraceDisableStopsCollection) {

@@ -619,7 +619,7 @@ std::vector<std::tuple<mem::Pid, mem::VirtAddr, mem::TierId>> placement(
     sim::System& sys) {
   std::vector<std::tuple<mem::Pid, mem::VirtAddr, mem::TierId>> out;
   for (sim::Process* proc : sys.processes()) {
-    proc->page_table().walk_fn(
+    proc->page_table().walk(
         [&](mem::VirtAddr va, mem::PageSize, mem::Pte& pte) {
           out.emplace_back(proc->pid(), va, sys.phys().tier_of(pte.pfn()));
         });
