@@ -114,6 +114,18 @@ inline std::uint32_t selected_threads(const util::ArgParser& args) {
   return args.get_u32("threads", 0);
 }
 
+/// A count flag that must be at least 1, such as a heatmap's bin or epoch
+/// count: 0 is a usage error naming the flag.
+inline std::uint32_t count_from_args(const util::ArgParser& args,
+                                     const std::string& key,
+                                     std::uint32_t fallback) {
+  const std::uint32_t count = args.get_u32(key, fallback);
+  if (count == 0) {
+    throw std::invalid_argument("--" + key + ": the count must be at least 1");
+  }
+  return count;
+}
+
 /// A comma-separated list flag, --key=a,b,... (default `fallback`). Each
 /// entry is read by `parse(entry, key)` from `entry`, a parser that holds
 /// only --key=<that entry>, so an entry obeys the rules of the getter that

@@ -25,8 +25,8 @@ static int bench_main(int argc, char** argv) {
   const std::uint64_t ops = args.get_u64("ops", 4'000'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const bool write_csv = args.get_bool("csv", true);
-  const std::size_t time_bins = args.get_u64("time-bins", 64);
-  const std::size_t addr_bins = args.get_u64("addr-bins", 24);
+  const std::size_t time_bins = bench::count_from_args(args, "time-bins", 64);
+  const std::size_t addr_bins = bench::count_from_args(args, "addr-bins", 24);
   const std::vector<workloads::WorkloadSpec> specs =
       bench::selected_specs(args);
   args.reject_unread();

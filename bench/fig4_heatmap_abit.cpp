@@ -21,11 +21,11 @@
 static int bench_main(int argc, char** argv) {
   using namespace tmprof;
   const util::ArgParser args(argc, argv);
-  const std::uint32_t epochs = args.get_u32("epochs", 48);
+  const std::uint32_t epochs = bench::count_from_args(args, "epochs", 48);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 100'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const bool write_csv = args.get_bool("csv", true);
-  const std::size_t addr_bins = args.get_u64("addr-bins", 24);
+  const std::size_t addr_bins = bench::count_from_args(args, "addr-bins", 24);
   const std::vector<workloads::WorkloadSpec> specs =
       bench::selected_specs(args);
   args.reject_unread();

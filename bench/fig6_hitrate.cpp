@@ -11,13 +11,15 @@
 /// Oracle >= History per source; the truth-Oracle column bounds everything.
 ///
 /// Usage: fig6_hitrate [--workload=<name>] [--scale=F] [--epochs=N]
-///        [--ops-per-epoch=N] [--seed=N] [--fusion=sum|max|weighted]
-///        [--trace-weight=F] [--backend=ibs|pebs] [--threads=N]
-///        [--csv=0|1] [--fault-rate=F] [--fault-seed=N]
+///        [--ops-per-epoch=N] [--seed=N] [--backend=ibs|pebs]
+///        [--threads=N] [--csv=0|1] [--fault-rate=F] [--fault-seed=N]
 ///        [--fault-sites=a,b] [--checkpoint-every=N] [--checkpoint-dir=D]
 ///        [--resume-from=F] [--resume-latest=0|1] [--keep-last=K]
 ///        [--metrics-out=F] [--trace-out=F] [--telemetry-every=N]
 ///        [--stream=0|1] [--stream-ring=N]
+///
+/// The combined ranking is TMP's plain sum; bench/ablation_fusion sweeps
+/// the other fusion rules.
 
 #include <array>
 #include <fstream>
@@ -34,20 +36,14 @@ namespace {
 
 using namespace tmprof;
 
-core::FusionMode combined_mode(const std::string& name) {
-  if (name == "sum") return core::FusionMode::Sum;
-  if (name == "max") return core::FusionMode::Max;
-  if (name == "weighted") return core::FusionMode::Weighted;
-  throw std::invalid_argument("unknown --fusion: " + name);
-}
+constexpr core::FusionMode kCombined = core::FusionMode::Sum;
 
 double run_case(const tiering::EpochSeries& series, const std::string& policy,
-                core::FusionMode fusion, double trace_weight,
-                std::uint64_t capacity, bool oracle_observed) {
+                core::FusionMode fusion, std::uint64_t capacity,
+                bool oracle_observed) {
   tiering::HitrateOptions opt;
   opt.capacity_frames = capacity;
   opt.fusion = fusion;
-  opt.trace_weight = trace_weight;
   opt.oracle_from_observed = oracle_observed;
   const auto p = tiering::make_policy(policy);
   return tiering::evaluate_policy(*p, series, opt).overall;
@@ -60,9 +56,6 @@ static int bench_main(int argc, char** argv) {
   const std::uint32_t epochs = args.get_u32("epochs", 10);
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 800'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
-  const core::FusionMode combined =
-      combined_mode(args.get("fusion", "sum"));
-  const double trace_weight = args.get_double("trace-weight", 1.0);
   const bool write_csv = args.get_bool("csv", true);
   const std::uint32_t threads = bench::selected_threads(args);
   const util::FaultConfig fault = bench::fault_from_args(args);
@@ -78,7 +71,7 @@ static int bench_main(int argc, char** argv) {
 
   std::cout << "Fig. 6: tier-1 hitrate, Oracle & History x profiling source\n"
             << "(epoch = " << ops_per_epoch << " ops, " << epochs
-            << " epochs; combined fusion = " << core::to_string(combined)
+            << " epochs; combined fusion = " << core::to_string(kCombined)
             << ")\n\n";
 
   // Collection dominates the wall clock; the replay below is cheap. With
@@ -160,18 +153,18 @@ static int bench_main(int argc, char** argv) {
       const std::array<Case, 8> cases{{
           {"oracle", "abit", core::FusionMode::AbitOnly, true},
           {"oracle", "ibs", core::FusionMode::TraceOnly, true},
-          {"oracle", "tmp", combined, true},
+          {"oracle", "tmp", kCombined, true},
           {"history", "abit", core::FusionMode::AbitOnly, false},
           {"history", "ibs", core::FusionMode::TraceOnly, false},
-          {"history", "tmp", combined, false},
-          {"oracle", "truth", combined, false},
-          {"first-touch", "-", combined, false},
+          {"history", "tmp", kCombined, false},
+          {"oracle", "truth", kCombined, false},
+          {"first-touch", "-", kCombined, false},
       }};
       std::vector<std::string> row{"1/" + std::to_string(div)};
       std::array<double, 8> rates{};
       for (std::size_t c = 0; c < cases.size(); ++c) {
         rates[c] = run_case(series, cases[c].policy, cases[c].fusion,
-                            trace_weight, capacity, cases[c].observed);
+                            capacity, cases[c].observed);
         row.push_back(util::TextTable::percent(rates[c]));
         if (write_csv) {
           csv << spec.name << ",1/" << div << ',' << cases[c].policy << ','

@@ -190,7 +190,7 @@ static int bench_main(int argc, char** argv) {
       finish(ctx, r, epochs);
       // Hint-fault latency was injected inline; count it as overhead too.
       r.overhead_ns = autonuma.overhead_ns() +
-                      autonuma.faults_taken() * an_cfg.fault_cost_ns;
+                      autonuma.faults_taken() * core::kAutoNumaFaultCostNs;
       auto row = evaluate(r, core::FusionMode::AbitOnly);
       row.insert(row.begin(), "autonuma");
       table.add_row(row);
@@ -213,7 +213,7 @@ static int bench_main(int argc, char** argv) {
       }
       finish(ctx, r, epochs);
       r.overhead_ns =
-          thermostat.faults_taken() * th_cfg.fault_cost_ns;
+          thermostat.faults_taken() * core::kThermostatFaultCostNs;
       auto row = evaluate(r, core::FusionMode::AbitOnly);
       row.insert(row.begin(), "thermostat(10%)");
       table.add_row(row);

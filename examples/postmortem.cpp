@@ -66,7 +66,7 @@ int main() {
     });
     sim::TraceReplayer replayer(trace_path);
     replayer.add_observer(&ibs);
-    replayer.replay(0, config.uops_per_op);
+    replayer.replay();
     ibs.drain();
     table.add_row({util::TextTable::num(period),
                    util::TextTable::num(ibs.samples_taken()),

@@ -15,11 +15,11 @@ constexpr util::SimNs kProtectCostPerPageNs = 30;
 AutoNumaProfiler::AutoNumaProfiler(sim::System& system,
                                    const AutoNumaConfig& config)
     : system_(system), config_(config),
-      trap_([&config] {
+      trap_([] {
         monitors::BadgerTrapConfig trap_config;
         trap_config.unpoison_on_fault = true;
         // AutoNUMA's fault is pure overhead, not an emulated slow access.
-        trap_config.fault_latency_ns = config.fault_cost_ns;
+        trap_config.fault_latency_ns = kAutoNumaFaultCostNs;
         trap_config.hot_extra_latency_ns = 0;
         trap_config.handler_cost_ns = 0;
         return trap_config;

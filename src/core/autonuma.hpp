@@ -21,13 +21,14 @@
 
 namespace tmprof::core {
 
+/// Hint-fault handler cost (full fault + task accounting; this is the
+/// overhead the paper contrasts with TMP's monitors).
+inline constexpr util::SimNs kAutoNumaFaultCostNs = 2 * util::kMicrosecond;
+
 struct AutoNumaConfig {
   /// Pages protected per process per pass (a "page portion"; Linux uses
   /// 256 MB ≈ 65536 pages — scale with footprints).
   std::uint64_t window_pages = 4096;
-  /// Hint-fault handler cost (full fault + task accounting; this is the
-  /// overhead the paper contrasts with TMP's monitors).
-  util::SimNs fault_cost_ns = 2 * util::kMicrosecond;
 };
 
 /// Periodic profiler: each pass protects the next window of each tracked

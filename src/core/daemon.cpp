@@ -11,14 +11,6 @@
 
 namespace tmprof::core {
 
-namespace {
-/// QoS-aware rung (docs/CONSOLIDATION.md): with a QoS lookup attached,
-/// losses in [trace_fallback_threshold, this) degrade only *batch* tenants
-/// to A-bit-only ranking while latency tenants keep the rescaled mixed
-/// ranking; at or above this fraction everyone falls back.
-constexpr double kQosFullFallbackThreshold = 0.9;
-}  // namespace
-
 TmpDaemon::TmpDaemon(sim::System& system, const DaemonConfig& config)
     : system_(system),
       config_(config),
@@ -177,16 +169,15 @@ void TmpDaemon::tick_into(ProfileSnapshot& snapshot) {
     snapshot.trace_dropped = dropped_delta;
 
     FusionMode fusion = config_.fusion;
-    double weight = config_.trace_weight;
-    if (loss >= config_.trace_fallback_threshold &&
-        fusion != FusionMode::AbitOnly) {
+    double weight = 1.0;  // the trace signal's weight in the ranking
+    if (loss >= kTraceFallbackThreshold && fusion != FusionMode::AbitOnly) {
       if (qos_is_batch_ && loss < kQosFullFallbackThreshold &&
           (fusion == FusionMode::Sum || fusion == FusionMode::Weighted)) {
         // QoS-selective rung (docs/CONSOLIDATION.md): batch tenants shed
         // their trace signal first — their pages get re-ranked on A bits
         // alone below — while latency tenants keep the rescaled mixed
         // ranking until loss reaches kQosFullFallbackThreshold.
-        weight = (fusion == FusionMode::Sum ? 1.0 : weight) / (1.0 - loss);
+        weight = 1.0 / (1.0 - loss);
         fusion = FusionMode::Weighted;
         snapshot.qos_fallback = true;
         ++degrade_.qos_fallback_epochs;
@@ -204,12 +195,12 @@ void TmpDaemon::tick_into(ProfileSnapshot& snapshot) {
                         << dropped_delta << "/" << total
                         << " trace samples; falling back to abit-only fusion";
       }
-    } else if (loss > config_.trace_rescale_threshold &&
+    } else if (loss > kTraceRescaleThreshold &&
                (fusion == FusionMode::Sum || fusion == FusionMode::Weighted)) {
       // Rescaling only changes a *mixed* ranking; Max and TraceOnly orders
       // are invariant under a constant trace factor, so they either ride
       // out the loss or (above) fall back.
-      weight = (fusion == FusionMode::Sum ? 1.0 : weight) / (1.0 - loss);
+      weight = 1.0 / (1.0 - loss);
       fusion = FusionMode::Weighted;
       ++degrade_.rescaled_epochs;
       t_rescaled_.inc();
@@ -262,7 +253,7 @@ void TmpDaemon::tick_into(ProfileSnapshot& snapshot) {
     if (snapshot.pinned) ladder = 3;
     else if (snapshot.trace_fallback) ladder = 2;
     else if (snapshot.qos_fallback) ladder = 2;
-    else if (snapshot.trace_loss > config_.trace_rescale_threshold) ladder = 1;
+    else if (snapshot.trace_loss > kTraceRescaleThreshold) ladder = 1;
     t_ladder_state_.set(ladder);
     telemetry_->span("daemon.tick", tick_begin, system_.now(),
                      telemetry::kTidDaemon);

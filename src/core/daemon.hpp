@@ -27,7 +27,6 @@ struct DaemonConfig {
   /// it keeps; off scans every process.
   bool pid_filter_enabled = true;
   FusionMode fusion = FusionMode::Sum;
-  double trace_weight = 1.0;
   /// Weight of the device-counter signal under FusionMode::SumDev. The
   /// device sees every fill its tier serves while sampling sees a sparse
   /// subset, so a fractional weight keeps the signals comparable
@@ -39,13 +38,19 @@ struct DaemonConfig {
   /// Deterministic fault injection for the daemon-side sites (trace-buffer
   /// overflow, A-bit scan abort, HWPC counter wrap). Disabled by default.
   util::FaultConfig fault{};
-  /// Trace-loss ladder (docs/ROBUSTNESS.md): epochs losing more than this
-  /// fraction of trace samples rescale the surviving samples' weight.
-  double trace_rescale_threshold = 0.02;
-  /// Epochs losing at least this fraction abandon the trace source and fall
-  /// back to A-bit-only fusion (the scan evidence is still trustworthy).
-  double trace_fallback_threshold = 0.5;
 };
+
+/// Trace-loss ladder (docs/ROBUSTNESS.md): epochs losing more than this
+/// fraction of trace samples rescale the surviving samples' weight.
+inline constexpr double kTraceRescaleThreshold = 0.02;
+/// Epochs losing at least this fraction abandon the trace source and fall
+/// back to A-bit-only fusion (the scan evidence is still trustworthy).
+inline constexpr double kTraceFallbackThreshold = 0.5;
+/// QoS-aware rung (docs/CONSOLIDATION.md): with a QoS lookup attached,
+/// losses in [kTraceFallbackThreshold, this) degrade only *batch* tenants
+/// to A-bit-only ranking while latency tenants keep the rescaled mixed
+/// ranking; at or above this fraction everyone falls back.
+inline constexpr double kQosFullFallbackThreshold = 0.9;
 
 /// The watchdog pins the last good ranking after this many consecutive bad
 /// scans (aborted or empty).

@@ -8,9 +8,9 @@ ThermostatClassifier::ThermostatClassifier(sim::System& system,
                                            const ThermostatConfig& config,
                                            std::uint64_t seed)
     : system_(system), config_(config),
-      trap_([&config] {
+      trap_([] {
         monitors::BadgerTrapConfig trap_config;
-        trap_config.fault_latency_ns = config.fault_cost_ns;
+        trap_config.fault_latency_ns = kThermostatFaultCostNs;
         trap_config.hot_extra_latency_ns = 0;
         trap_config.handler_cost_ns = 0;
         return trap_config;
@@ -68,7 +68,7 @@ EpochObservation ThermostatClassifier::end_interval() {
       // Fault-count evidence is translation-path data, like A-bit samples.
       obs.abit[key] = count;
     }
-    if (count >= config_.hot_threshold_faults) {
+    if (count >= kThermostatHotThresholdFaults) {
       hot_pages_.push_back(key);
     }
     sim::Process& proc = system_.process(key.pid);

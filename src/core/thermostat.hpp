@@ -22,13 +22,14 @@
 
 namespace tmprof::core {
 
+/// Faults per interval at which a *sampled* page counts as hot.
+inline constexpr std::uint32_t kThermostatHotThresholdFaults = 2;
+/// Fault handler cost (pure accounting; no slow-memory emulation).
+inline constexpr util::SimNs kThermostatFaultCostNs = 1 * util::kMicrosecond;
+
 struct ThermostatConfig {
   /// Fraction of each process's pages poisoned per interval.
   double sample_fraction = 0.05;
-  /// Faults per interval at which a *sampled* page counts as hot.
-  std::uint32_t hot_threshold_faults = 2;
-  /// Fault handler cost (pure accounting; no slow-memory emulation).
-  util::SimNs fault_cost_ns = 1 * util::kMicrosecond;
 };
 
 /// Interval-based sampling classifier.

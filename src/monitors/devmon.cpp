@@ -24,7 +24,6 @@ DevMonitor::DevMonitor(const DevMonConfig& config, const mem::PhysMemory& phys,
   TMPROF_EXPECTS(cores >= 1);
   TMPROF_EXPECTS(config.slots >= 1);
   TMPROF_EXPECTS(config.top_k >= 1);
-  TMPROF_EXPECTS(config.counter_max >= 1);
   lanes_.resize(cores);
   devices_.resize(phys.tier_count());
   for (std::size_t t = 1; t < devices_.size(); ++t) {
@@ -61,7 +60,7 @@ void DevMonitor::merge_lanes() {
 void DevMonitor::fold(Device& device, mem::Pfn pfn, std::uint32_t add) {
   auto saturated = [this](std::uint32_t count, std::uint32_t more) {
     return static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        std::uint64_t{count} + more, config_.counter_max));
+        std::uint64_t{count} + more, kDevMonCounterMax));
   };
   if (const auto it = device.where.find(pfn); it != device.where.end()) {
     const std::uint32_t i = it->second;
@@ -79,7 +78,7 @@ void DevMonitor::fold(Device& device, mem::Pfn pfn, std::uint32_t add) {
     CounterSlot& s = device.slots[i];
     s.used = true;
     s.pfn = pfn;
-    s.count = std::min(add, config_.counter_max);
+    s.count = std::min(add, kDevMonCounterMax);
     device.heap_pos[i] = static_cast<std::uint32_t>(device.heap.size());
     device.heap.push_back(i);
     sift_up(device, device.heap.size() - 1);
@@ -207,7 +206,6 @@ std::uint32_t DevMonitor::occupied(mem::TierId tier) const {
 void DevMonitor::save_state(util::ckpt::Writer& w) const {
   w.put_u32(config_.slots);
   w.put_u32(config_.top_k);
-  w.put_u32(config_.counter_max);
   w.put_u64(devices_.size());
   for (std::size_t t = 1; t < devices_.size(); ++t) {
     for (const CounterSlot& s : devices_[t].slots) {
@@ -235,9 +233,7 @@ void DevMonitor::save_state(util::ckpt::Writer& w) const {
 void DevMonitor::load_state(util::ckpt::Reader& r) {
   const std::uint32_t slots = r.get_u32();
   const std::uint32_t top_k = r.get_u32();
-  const std::uint32_t counter_max = r.get_u32();
-  if (slots != config_.slots || top_k != config_.top_k ||
-      counter_max != config_.counter_max) {
+  if (slots != config_.slots || top_k != config_.top_k) {
     throw util::ckpt::CkptError("devmon", "device-monitor config mismatch");
   }
   if (r.get_u64() != devices_.size()) {

@@ -27,13 +27,15 @@
 
 namespace tmprof::monitors {
 
+/// Saturation value of every device counter (16-bit HW counters).
+inline constexpr std::uint32_t kDevMonCounterMax = 65535;
+
 /// Geometry of every per-tier device counter array.
 struct DevMonConfig {
   bool enabled = false;       ///< DriverConfig gate; the monitor itself
                               ///< only exists when enabled
   std::uint32_t slots = 256;  ///< counter entries per tier device
   std::uint32_t top_k = 64;   ///< hottest frames reported per drain
-  std::uint32_t counter_max = 65535;  ///< saturation (16-bit HW counters)
 };
 
 /// One row of a device's top-K report.

@@ -33,9 +33,6 @@ struct IbsConfig {
     cfg.sample_period = period;
     return cfg;
   }
-  [[nodiscard]] static IbsConfig paper_default() { return with_period(262144); }
-  [[nodiscard]] static IbsConfig paper_4x() { return with_period(262144 / 4); }
-  [[nodiscard]] static IbsConfig paper_8x() { return with_period(262144 / 8); }
 };
 
 /// Per-system IBS monitor: one tagging countdown per core in front of the

@@ -4,12 +4,14 @@
 
 namespace tmprof::monitors {
 
+/// Records in a ring when the process is signalled to drain it.
+constexpr auto kInterruptRecords = static_cast<std::size_t>(
+    kLwpInterruptFillFraction * static_cast<double>(kLwpRingCapacity));
+static_assert(kInterruptRecords >= 1 && kInterruptRecords <= kLwpRingCapacity);
+
 LwpMonitor::LwpMonitor(const LwpConfig& config, std::uint64_t seed)
     : config_(config), rng_(seed) {
   TMPROF_EXPECTS(config.sample_period >= 1);
-  TMPROF_EXPECTS(config.ring_capacity >= 2);
-  TMPROF_EXPECTS(config.interrupt_fill_fraction > 0.0 &&
-                 config.interrupt_fill_fraction <= 1.0);
 }
 
 void LwpMonitor::reload(Ring& ring) {
@@ -22,7 +24,7 @@ void LwpMonitor::reload(Ring& ring) {
 
 void LwpMonitor::enable_process(mem::Pid pid) {
   Ring& ring = rings_[pid];
-  ring.records.reserve(config_.ring_capacity);
+  ring.records.reserve(kInterruptRecords);
   reload(ring);
 }
 
@@ -32,12 +34,6 @@ void LwpMonitor::on_mem_op(const MemOpEvent& event) {
   Ring& ring = it->second;
   if (--ring.countdown > 0) return;
   reload(ring);
-  if (ring.records.size() >= config_.ring_capacity) {
-    // Hardware cannot grow the user buffer; the record is lost until the
-    // process services its signal.
-    ++records_dropped_;
-    return;
-  }
   TraceSample sample;
   sample.time = event.time;
   sample.core = event.core;
@@ -50,10 +46,7 @@ void LwpMonitor::on_mem_op(const MemOpEvent& event) {
   sample.tlb_miss = event.tlb == mem::TlbHit::Miss;
   ring.records.push_back(sample);
   ++records_taken_;
-  const auto threshold = static_cast<std::size_t>(
-      config_.interrupt_fill_fraction *
-      static_cast<double>(config_.ring_capacity));
-  if (ring.records.size() >= threshold) {
+  if (ring.records.size() >= kInterruptRecords) {
     ++signals_;
     drain(event.pid);
   }
@@ -77,8 +70,8 @@ void LwpMonitor::drain_all() {
 }
 
 util::SimNs LwpMonitor::overhead_ns() const noexcept {
-  return records_drained_ * config_.cost_per_drained_record_ns +
-         signals_ * config_.cost_per_signal_ns;
+  return records_drained_ * kLwpCostPerDrainedRecordNs +
+         signals_ * kLwpCostPerSignalNs;
 }
 
 }  // namespace tmprof::monitors

@@ -20,18 +20,20 @@
 
 namespace tmprof::monitors {
 
+/// Ring-buffer capacity per process, in records.
+inline constexpr std::uint32_t kLwpRingCapacity = 8192;
+/// Interrupt threshold as a fraction of the ring (the "user-specified
+/// threshold" of the spec). Below 1, so the ring is drained before it fills
+/// and no record is lost.
+inline constexpr double kLwpInterruptFillFraction = 0.75;
+/// Cost model: hardware insert is nearly free; the signal + user-mode drain
+/// loop costs per record drained plus a fixed signal cost.
+inline constexpr util::SimNs kLwpCostPerDrainedRecordNs = 60;
+inline constexpr util::SimNs kLwpCostPerSignalNs = 6000;
+
 struct LwpConfig {
   /// Record one out of this many retired events (LWPVAL-like interval).
   std::uint64_t sample_period = 4096;
-  /// Ring-buffer capacity per process, in records.
-  std::uint32_t ring_capacity = 8192;
-  /// Interrupt threshold as a fraction of the ring (the "user-specified
-  /// threshold" of the spec).
-  double interrupt_fill_fraction = 0.75;
-  /// Cost model: hardware insert is nearly free; the signal + user-mode
-  /// drain loop costs per record drained plus a fixed signal cost.
-  util::SimNs cost_per_drained_record_ns = 60;
-  util::SimNs cost_per_signal_ns = 6000;
 };
 
 /// Per-process LWP: one ring buffer per PID, as the hardware extension
@@ -62,9 +64,6 @@ class LwpMonitor final : public AccessObserver {
   [[nodiscard]] std::uint64_t records_taken() const noexcept {
     return records_taken_;
   }
-  [[nodiscard]] std::uint64_t records_dropped() const noexcept {
-    return records_dropped_;
-  }
   [[nodiscard]] std::uint64_t signals() const noexcept { return signals_; }
   [[nodiscard]] util::SimNs overhead_ns() const noexcept;
 
@@ -81,7 +80,6 @@ class LwpMonitor final : public AccessObserver {
   util::Rng rng_;
   std::unordered_map<mem::Pid, Ring> rings_;
   std::uint64_t records_taken_ = 0;
-  std::uint64_t records_dropped_ = 0;  ///< ring full, record lost
   std::uint64_t records_drained_ = 0;
   std::uint64_t signals_ = 0;
 };

@@ -13,19 +13,39 @@
 
 namespace tmprof::sim {
 
+// Per-core cache ways, L1 size and L1 TLB of the modeled Zen-2 core.
+inline constexpr std::uint64_t kL1Bytes = 32ULL << 10;
+inline constexpr std::uint32_t kL1Ways = 8;
+inline constexpr std::uint32_t kL2Ways = 8;
+inline constexpr mem::TlbLevelConfig kL1Tlb{16, 4, 8, 4};
+
+// Access-latency model for cache hits.
+inline constexpr util::SimNs kL1HitNs = 1;
+inline constexpr util::SimNs kL2HitNs = 3;
+inline constexpr util::SimNs kLlcHitNs = 10;
+/// Per-level cost of a hardware page walk (each level is a walker access).
+inline constexpr util::SimNs kWalkLevelNs = 15;
+/// Kernel cost of a first-touch (not-present) page fault.
+inline constexpr util::SimNs kPageFaultNs = 1500;
+/// Fixed pipeline cost per retired op.
+inline constexpr util::SimNs kBaseOpNs = 1;
+/// Micro-ops retired per simulated memory op (the surrounding non-memory
+/// instructions); affects IBS tag-to-sample conversion.
+inline constexpr std::uint64_t kUopsPerOp = 4;
+
+/// Size of each process's code region under SimConfig::instruction_fetch.
+inline constexpr std::uint64_t kCodeBytesPerProcess = 64ULL << 10;
+
 struct SimConfig {
   std::uint32_t cores = 6;
 
-  // Cache geometry (per core L1/L2, shared LLC).
-  std::uint64_t l1_bytes = 32ULL << 10;
-  std::uint32_t l1_ways = 8;
+  // Cache geometry (per core L2, shared LLC; the L1 is kL1Bytes/kL1Ways).
   std::uint64_t l2_bytes = 512ULL << 10;
-  std::uint32_t l2_ways = 8;
   std::uint64_t llc_bytes = 32ULL << 20;
   std::uint32_t llc_ways = 16;
 
-  // TLB geometry (see Tlb::make_default for the Zen-2-like shape).
-  mem::TlbLevelConfig l1_tlb{16, 4, 8, 4};
+  // L2 TLB geometry (the L1 TLB is kL1Tlb; see Tlb::make_default for the
+  // Zen-2-like shape).
   mem::TlbLevelConfig l2_tlb{256, 8, 32, 4};
 
   // Tiered memory, two-tier shorthand. Frame counts are set per experiment
@@ -43,28 +63,12 @@ struct SimConfig {
   /// See sim::tier_specs() and docs/TOPOLOGY.md.
   std::vector<mem::TierSpec> tiers;
 
-  // Access-latency model for cache hits.
-  util::SimNs l1_hit_ns = 1;
-  util::SimNs l2_hit_ns = 3;
-  util::SimNs llc_hit_ns = 10;
-  /// Per-level cost of a hardware page walk (each level is a memory/cache
-  /// access by the walker).
-  util::SimNs walk_level_ns = 15;
-  /// Kernel cost of a first-touch (not-present) page fault.
-  util::SimNs page_fault_ns = 1500;
-  /// Fixed pipeline cost per retired op.
-  util::SimNs base_op_ns = 1;
-
-  /// Micro-ops retired per simulated memory op (the surrounding non-memory
-  /// instructions); affects IBS tag-to-sample conversion.
-  std::uint64_t uops_per_op = 4;
-
   /// Model the instruction-fetch translation path: each op fetches from a
-  /// per-process code region through the (shared) TLB, so code pages set
-  /// A bits and ITLB walks are counted — the "instruction TLB events" side
-  /// of the paper's Fig. 2. Off by default (profiling-of-data studies).
+  /// per-process code region (kCodeBytesPerProcess) through the (shared)
+  /// TLB, so code pages set A bits and ITLB walks are counted — the
+  /// "instruction TLB events" side of the paper's Fig. 2. Off by default
+  /// (profiling-of-data studies).
   bool instruction_fetch = false;
-  std::uint64_t code_bytes_per_process = 64ULL << 10;
 
   /// Build the deterministic *sharded* access engine: per-core LLC slices,
   /// per-core physical-memory arenas, and System::step_parallel() support.

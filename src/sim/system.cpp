@@ -74,9 +74,9 @@ System::System(const SimConfig& config)
     mem::CacheLevel* llc =
         config.sharded_engine ? llc_slices_[c].get() : &llc_;
     cores_.push_back(Core{
-        mem::Tlb(config.l1_tlb, config.l2_tlb),
-        mem::CacheHierarchy(config.l1_bytes, config.l1_ways, config.l2_bytes,
-                            config.l2_ways, llc)});
+        mem::Tlb(kL1Tlb, config.l2_tlb),
+        mem::CacheHierarchy(kL1Bytes, kL1Ways, config.l2_bytes, kL2Ways,
+                            llc)});
   }
 }
 
@@ -295,7 +295,7 @@ util::SimNs System::instruction_fetch(Process& proc, std::uint32_t ip,
   // the process's code region; distinct phases land on distinct pages.
   std::uint64_t mix = ip;
   const mem::VirtAddr code_va =
-      kCodeBase + (util::splitmix64(mix) % config_.code_bytes_per_process);
+      kCodeBase + (util::splitmix64(mix) % kCodeBytesPerProcess);
   if (ctx.core->tlb.lookup(proc.pid(), code_va).level != mem::TlbHit::Miss) {
     return 0;  // fetch translation cached: free
   }
@@ -312,7 +312,7 @@ util::SimNs System::instruction_fetch(Process& proc, std::uint32_t ip,
     proc.page_table().map(page_va, *pfn, mem::PageSize::k4K);
     proc.note_mapped_page(mem::PageSize::k4K);
     ctx.pmu->record(Event::PageFault);
-    latency += config_.page_fault_ns;
+    latency += kPageFaultNs;
     walk = mem::PageTableWalker::walk(proc.page_table(), code_va, false);
   } else if (walk.status == mem::WalkResult::Status::Poisoned) {
     // Code pages can be poisoned too (AutoNUMA-style protection covers
@@ -332,7 +332,7 @@ util::SimNs System::instruction_fetch(Process& proc, std::uint32_t ip,
   if (walk.set_accessed) ctx.pmu->record(Event::PtwAbitSet);
   ctx.core->tlb.fill(proc.pid(), walk.page_va, walk.size, walk.pte,
                      walk.pte->dirty());
-  latency += walk.levels * config_.walk_level_ns;
+  latency += walk.levels * kWalkLevelNs;
   return latency;
 }
 
@@ -374,11 +374,11 @@ AccessResult System::access_impl(Process& proc, mem::VirtAddr vaddr,
   Core& core = *ctx.core;
   pmu::PmuCore& pmu_core = *ctx.pmu;
   AccessResult result;
-  util::SimNs latency = config_.base_op_ns;
+  util::SimNs latency = kBaseOpNs;
 
   proc.charge_ops(1);
   ++*ctx.total_ops;
-  pmu_core.record(Event::RetiredUops, config_.uops_per_op);
+  pmu_core.record(Event::RetiredUops, kUopsPerOp);
   pmu_core.record(is_store ? Event::RetiredStores : Event::RetiredLoads);
 
   if (config_.instruction_fetch) {
@@ -418,7 +418,7 @@ AccessResult System::access_impl(Process& proc, mem::VirtAddr vaddr,
       // First touch: allocate and map, then redo the walk.
       result.page_fault = true;
       pmu_core.record(Event::PageFault);
-      latency += config_.page_fault_ns;
+      latency += kPageFaultNs;
       handle_page_fault(proc, vaddr, ctx.arena);
       walk = mem::PageTableWalker::walk(proc.page_table(), vaddr, is_store);
       TMPROF_ASSERT(walk.status == mem::WalkResult::Status::Ok);
@@ -438,7 +438,7 @@ AccessResult System::access_impl(Process& proc, mem::VirtAddr vaddr,
                                         /*honor_poison=*/false);
       TMPROF_ASSERT(walk.status == mem::WalkResult::Status::Ok);
     }
-    latency += walk.levels * config_.walk_level_ns;
+    latency += walk.levels * kWalkLevelNs;
     if (walk.set_accessed) pmu_core.record(Event::PtwAbitSet);
     if (walk.set_dirty) pmu_core.record(Event::PtwDbitSet);
     pte = walk.pte;
@@ -457,14 +457,14 @@ AccessResult System::access_impl(Process& proc, mem::VirtAddr vaddr,
   result.source = cache.source;
   switch (cache.source) {
     case mem::DataSource::L1:
-      latency += config_.l1_hit_ns;
+      latency += kL1HitNs;
       break;
     case mem::DataSource::L2:
-      latency += config_.l2_hit_ns;
+      latency += kL2HitNs;
       pmu_core.record(Event::L1DMiss);
       break;
     case mem::DataSource::LLC:
-      latency += config_.llc_hit_ns;
+      latency += kLlcHitNs;
       pmu_core.record(Event::L1DMiss);
       pmu_core.record(Event::L2Miss);
       pmu_core.record(Event::LlcAccess);
@@ -508,7 +508,7 @@ AccessResult System::access_impl(Process& proc, mem::VirtAddr vaddr,
   event.tlb = result.tlb;
   event.page_size = page_size;
   for (monitors::AccessObserver* obs : *ctx.direct) {
-    obs->on_retire(ctx.core_idx, config_.uops_per_op, ctx.now);
+    obs->on_retire(ctx.core_idx, kUopsPerOp, ctx.now);
     obs->on_mem_op(event);
   }
   return result;

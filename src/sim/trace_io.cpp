@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/config.hpp"
+
 namespace tmprof::sim {
 
 namespace {
@@ -60,8 +62,7 @@ void TraceReplayer::add_observer(monitors::AccessObserver* observer) {
   observers_.push_back(observer);
 }
 
-std::uint64_t TraceReplayer::replay(std::uint64_t max_records,
-                                    std::uint64_t uops_per_op) {
+std::uint64_t TraceReplayer::replay(std::uint64_t max_records) {
   std::uint64_t replayed = 0;
   TraceRecord rec;
   while (max_records == 0 || replayed < max_records) {
@@ -82,7 +83,7 @@ std::uint64_t TraceReplayer::replay(std::uint64_t max_records,
     event.tlb = static_cast<mem::TlbHit>(rec.tlb);
     event.page_size = static_cast<mem::PageSize>(rec.page_size);
     for (monitors::AccessObserver* obs : observers_) {
-      obs->on_retire(event.core, uops_per_op, event.time);
+      obs->on_retire(event.core, kUopsPerOp, event.time);
       obs->on_mem_op(event);
     }
     ++replayed;

@@ -61,10 +61,9 @@ class TraceReplayer {
   void add_observer(monitors::AccessObserver* observer);
 
   /// Replay up to `max_records` ops (0 = all). Returns ops replayed.
-  /// on_retire is synthesized with `uops_per_op` per op so IBS-style
-  /// monitors tag correctly.
-  std::uint64_t replay(std::uint64_t max_records = 0,
-                       std::uint64_t uops_per_op = 4);
+  /// on_retire is synthesized with kUopsPerOp per op so IBS-style monitors
+  /// tag as they do live.
+  std::uint64_t replay(std::uint64_t max_records = 0);
 
  private:
   std::ifstream in_;

@@ -12,7 +12,7 @@ namespace tmprof::telemetry {
 
 Telemetry::Telemetry(TelemetryConfig config)
     : config_(std::move(config)),
-      tracer_(config_.span_capacity),
+      tracer_(kSpanCapacity),
       spans_dropped_(registry_.counter("telemetry_spans_dropped_total")),
       exports_(registry_.counter("telemetry_exports_total")) {}
 

@@ -40,9 +40,11 @@ struct TelemetryConfig {
   /// replaces the output files whole (written to `<path>.tmp`, then
   /// renamed into place), so a reader never sees a torn file.
   std::uint32_t export_every = 0;
-  /// Span ring capacity; overflow overwrites the oldest span (counted).
-  std::size_t span_capacity = 1 << 16;
 };
+
+/// Span ring capacity of a Telemetry sink; overflow overwrites the oldest
+/// span (counted).
+inline constexpr std::size_t kSpanCapacity = 1 << 16;
 
 class Telemetry {
  public:

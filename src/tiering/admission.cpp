@@ -21,13 +21,10 @@ AdmissionMode parse_admission_mode(const std::string& text) {
 
 AdmissionController::AdmissionController(const AdmissionConfig& config)
     : config_(config) {
-  config_.history_epochs =
-      std::clamp<std::uint32_t>(config_.history_epochs, 1, kMaxHistory);
-  config_.min_history =
-      std::clamp<std::uint32_t>(config_.min_history, 1, config_.history_epochs);
-  TMPROF_EXPECTS(config_.cooldown_epochs >= 1);
-  config_.max_cooldown_epochs =
-      std::max(config_.max_cooldown_epochs, config_.cooldown_epochs);
+  TMPROF_EXPECTS(config_.min_history >= 1 &&
+                 config_.min_history <= kHistoryEpochs);
+  TMPROF_EXPECTS(config_.cooldown_epochs >= 1 &&
+                 config_.cooldown_epochs <= kMaxCooldownEpochs);
   tokens_ = config_.burst_bytes;
   threshold_ = config_.min_benefit;
   if (enabled()) {
@@ -119,9 +116,9 @@ void AdmissionController::record(const PageKey& key, std::uint64_t rank) {
 std::uint64_t AdmissionController::benefit_of(const PageHistory& h) const {
   if (h.len == 0) return 0;
   const std::uint32_t age = epoch_ - h.last_epoch;
-  if (age >= config_.history_epochs) return 0;
+  if (age >= kHistoryEpochs) return 0;
   std::uint64_t sum = 0;
-  for (std::uint32_t i = 0; i < h.len && i + age < config_.history_epochs;
+  for (std::uint32_t i = 0; i < h.len && i + age < kHistoryEpochs;
        ++i) {
     sum += h.ranks[i] >> (i + age);
   }
@@ -131,9 +128,9 @@ std::uint64_t AdmissionController::benefit_of(const PageHistory& h) const {
 std::uint32_t AdmissionController::evidence_of(const PageHistory& h) const {
   if (h.len == 0) return 0;
   const std::uint32_t age = epoch_ - h.last_epoch;
-  if (age >= config_.history_epochs) return 0;
+  if (age >= kHistoryEpochs) return 0;
   std::uint32_t n = 0;
-  for (std::uint32_t i = 0; i < h.len && i + age < config_.history_epochs;
+  for (std::uint32_t i = 0; i < h.len && i + age < kHistoryEpochs;
        ++i) {
     if (h.ranks[i] != 0) ++n;
   }
@@ -151,7 +148,7 @@ std::uint32_t AdmissionController::evidence(const PageKey& key) const {
 }
 
 void AdmissionController::compact() {
-  if (history_.size() <= config_.max_history_pages) return;
+  if (history_.size() <= kMaxHistoryPages) return;
   // Keep entries that still carry signal: a sighting inside the benefit
   // window, a live cool-down, or a demotion recent enough to ping-pong.
   // Pure value predicate, so the surviving set is independent of slot
@@ -159,7 +156,7 @@ void AdmissionController::compact() {
   compact_scratch_.clear();
   for (const auto& [key, h] : history_) {
     const bool recent =
-        h.len > 0 && epoch_ - h.last_epoch < config_.history_epochs;
+        h.len > 0 && epoch_ - h.last_epoch < kHistoryEpochs;
     const bool cooling = h.cooldown_until != 0 && h.cooldown_until >= epoch_;
     const bool pingpong_armed =
         h.demote_epoch != 0 &&
@@ -245,7 +242,7 @@ AdmissionDecision AdmissionController::decide(const PageKey& key,
       const std::uint64_t span = std::min<std::uint64_t>(
           static_cast<std::uint64_t>(config_.cooldown_epochs)
               << (h->strikes - 1),
-          config_.max_cooldown_epochs);
+          kMaxCooldownEpochs);
       h->cooldown_until = epoch_ + static_cast<std::uint32_t>(span);
       c_cooled_.inc();
       x_cooled_.inc();

@@ -69,14 +69,21 @@ enum class AdmissionMode : std::uint8_t {
 /// the valid mode names on anything unrecognized.
 [[nodiscard]] AdmissionMode parse_admission_mode(const std::string& text);
 
+/// Epochs of per-page rank history kept for benefit prediction.
+inline constexpr std::uint32_t kHistoryEpochs = 4;
+/// Cap on the escalating ping-pong cool-down span, in epochs.
+inline constexpr std::uint32_t kMaxCooldownEpochs = 64;
+/// History-map compaction bound: past it, entries with no recent sighting,
+/// live cool-down or recent demotion are dropped (by value predicate).
+inline constexpr std::size_t kMaxHistoryPages = std::size_t{1} << 16;
+
 struct AdmissionConfig {
   AdmissionMode mode = AdmissionMode::Off;
-  /// Epochs of per-page rank history kept for benefit prediction (1..8).
-  std::uint32_t history_epochs = 4;
   /// Distinct recent epochs a candidate must appear in the ranking before
-  /// a promotion is admitted. 2 (default) filters one-epoch wonders: a page
-  /// whose heat does not survive a single epoch boundary is exactly the
-  /// page whose migration pays cost for no future hits.
+  /// a promotion is admitted, in [1, kHistoryEpochs]. 2 (default) filters
+  /// one-epoch wonders: a page whose heat does not survive a single epoch
+  /// boundary is exactly the page whose migration pays cost for no future
+  /// hits.
   std::uint32_t min_history = 2;
   /// Benefit floor: Static rejects candidates scoring below it; Adaptive
   /// uses it as the floor the retuned threshold decays back to.
@@ -87,16 +94,11 @@ struct AdmissionConfig {
   /// Token-bucket depth in bytes: the largest burst admitted at once.
   std::uint64_t burst_bytes = 4u << 20;
   /// Ping-pong window K: a page demoted then re-requested within K epochs
-  /// earns a cool-down of K << (strikes - 1) epochs. Must be >= 1.
+  /// earns a cool-down of min(K << (strikes - 1), kMaxCooldownEpochs)
+  /// epochs. In [1, kMaxCooldownEpochs].
   std::uint32_t cooldown_epochs = 4;
-  /// Cap on the escalating cool-down span.
-  std::uint32_t max_cooldown_epochs = 64;
   /// Storm brake: admitted promotions per epoch (0 = unlimited).
   std::uint64_t max_moves_per_epoch = 0;
-  /// History-map compaction bound: when more pages than this carry
-  /// history, entries with no recent sighting, no live cool-down and no
-  /// recent demotion are dropped (deterministically, by value predicate).
-  std::size_t max_history_pages = std::size_t{1} << 16;
 };
 
 /// Per-candidate verdict, in pipeline order. Stable numeric values: the
@@ -187,8 +189,9 @@ class AdmissionController {
   void load_state(util::ckpt::Reader& r);
 
  private:
-  /// Ring capacity for per-page rank history (config.history_epochs <= 8).
+  /// Ring capacity for per-page rank history.
   static constexpr std::uint32_t kMaxHistory = 8;
+  static_assert(kHistoryEpochs <= kMaxHistory);
 
   struct PageHistory {
     std::uint64_t ranks[kMaxHistory] = {};  ///< [0] = most recent sighting

@@ -165,7 +165,7 @@ PageMover::MoveOutcome PageMover::try_move(const PageKey& key, mem::TierId dest,
         // Transient -EBUSY: the page was pinned or its mapcount raced.
         // Back off (exponentially, in simulated time) and retry while the
         // per-move and per-epoch budgets allow.
-        if (attempt >= config_.max_retries || budget == 0) {
+        if (attempt >= kMaxRetries || budget == 0) {
           ++stats.aborted;
           return MoveOutcome::Aborted;
         }
@@ -282,7 +282,7 @@ void PageMover::arbitrate_quotas(const PlacementSet& desired,
 
 void PageMover::defer_promotion(const PageKey& key, mem::TierId dest,
                                 MoveStats& stats) {
-  if (deferred_.size() >= config_.max_deferred) return;  // queue full: drop
+  if (deferred_.size() >= kMaxDeferred) return;  // queue full: drop
   if (!deferred_set_.insert(key).second) return;         // already queued
   deferred_.push_back(DeferredMove{key, dest});
   ++stats.deferred;
@@ -404,7 +404,7 @@ MoveStats PageMover::reconcile(std::span<const PlacementSet* const> placed,
                                const std::vector<core::PageRank>& ranking) {
   MoveStats stats;
   const util::SimNs apply_begin = system_.now();
-  std::uint64_t budget = config_.retry_budget;
+  std::uint64_t budget = kRetryBudget;
   const auto rest = static_cast<mem::TierId>(placed.size());
   auto target_of = [&](const PageKey& key) {
     mem::TierId t = 0;

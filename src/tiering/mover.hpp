@@ -72,6 +72,15 @@ struct MoveStats {
   }
 };
 
+/// Retries allowed per move after a transient (EBUSY) failure.
+inline constexpr std::uint32_t kMaxRetries = 3;
+/// Total retries allowed per apply call. When the budget runs out, further
+/// transient failures abort instead of retrying.
+inline constexpr std::uint64_t kRetryBudget = 128;
+/// Bound on the deferred-promotion queue; overflow drops the coldest
+/// (newest) entries rather than growing without limit.
+inline constexpr std::size_t kMaxDeferred = 4096;
+
 struct MoverConfig {
   /// Cost charged per migrated page *per hop* (the paper's emulation uses
   /// 50 µs). A move between adjacent tiers is one hop; over an N-tier
@@ -83,14 +92,6 @@ struct MoverConfig {
   /// Section IV). Rank 1 is the tie mass every touched page reaches via a
   /// single A-bit observation; demanding 2+ filters the noise floor.
   std::uint64_t min_rank = 2;
-  /// Retries allowed per move after a transient (EBUSY) failure.
-  std::uint32_t max_retries = 3;
-  /// Total retries allowed per apply call. When the budget runs out,
-  /// further transient failures abort instead of retrying.
-  std::uint64_t retry_budget = 128;
-  /// Bound on the deferred-promotion queue; overflow drops the coldest
-  /// (newest) entries rather than growing without limit.
-  std::size_t max_deferred = 4096;
   /// Deterministic fault injection (disabled by default: rate 0).
   util::FaultConfig fault{};
   /// Migration admission control (docs/ADMISSION.md). Off by default: the

@@ -23,6 +23,7 @@ enum Rule : std::size_t {
   kDevMonSlots,
   kDevMonTopK,
   kCooldown,
+  kMinHistory,
   kTenants,
   kRuleCount
 };
@@ -44,7 +45,9 @@ constexpr std::array<OptionRule, kRuleCount> kRules{{
     {"daemon.driver.devmon.top_k", "--devmon-topk",
      "the per-epoch report size lies in [1, slots]"},
     {"mover.admission.cooldown_epochs", "--cooldown-epochs",
-     "the ping-pong window is at least 1 epoch"},
+     "the ping-pong window lies in [1, tiering::kMaxCooldownEpochs]"},
+    {"mover.admission.min_history", "--min-history",
+     "the evidence requirement lies in [1, tiering::kHistoryEpochs]"},
     {"tenants", "--tenants", "no more tenants than the run has processes"},
 }};
 
@@ -127,7 +130,16 @@ void check_options(const sim::SimConfig& sim, const CollectOptions& options) {
 void check_options(const sim::SimConfig& sim, const RunnerOptions& options,
                    std::size_t processes) {
   check_loop(sim, options, options.daemon);
-  if (options.mover.admission.cooldown_epochs == 0) fail(kCooldown, "got 0");
+  const AdmissionConfig& admission = options.mover.admission;
+  if (admission.cooldown_epochs == 0 ||
+      admission.cooldown_epochs > kMaxCooldownEpochs) {
+    fail(kCooldown, "got " + std::to_string(admission.cooldown_epochs) +
+                        ", the cap is " + std::to_string(kMaxCooldownEpochs));
+  }
+  if (admission.min_history == 0 || admission.min_history > kHistoryEpochs) {
+    fail(kMinHistory, "got " + std::to_string(admission.min_history) +
+                          ", the window is " + std::to_string(kHistoryEpochs));
+  }
   if (options.tenants.size() > processes) {
     fail(kTenants, std::to_string(options.tenants.size()) + " tenants, " +
                        std::to_string(processes) + " processes");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 
 #include "util/assert.hpp"
 
@@ -53,11 +52,6 @@ std::vector<std::pair<std::uint64_t, double>> EmpiricalCdf::curve(
   }
   rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
   return rows;
-}
-
-void EmpiricalCdf::write_csv(std::ostream& os, std::size_t points) const {
-  os << "value,cum_fraction\n";
-  for (const auto& [v, f] : curve(points)) os << v << ',' << f << '\n';
 }
 
 }  // namespace tmprof::util

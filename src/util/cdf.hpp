@@ -3,7 +3,6 @@
 /// Empirical CDFs over per-page access counts (paper Fig. 5).
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -29,9 +28,6 @@ class EmpiricalCdf {
   /// rows spanning quantiles (0, 1].
   [[nodiscard]] std::vector<std::pair<std::uint64_t, double>> curve(
       std::size_t points) const;
-
-  /// CSV rows: value,cum_fraction.
-  void write_csv(std::ostream& os, std::size_t points) const;
 
  private:
   std::vector<std::uint64_t> sorted_;

@@ -30,7 +30,7 @@
 namespace tmprof::util::ckpt {
 
 inline constexpr char kMagic[8] = {'T', 'M', 'P', 'R', 'O', 'F', 'C', 'K'};
-inline constexpr std::uint32_t kFormatVersion = 7;
+inline constexpr std::uint32_t kFormatVersion = 8;
 /// Bytes before the first section frame: magic, then the format version.
 inline constexpr std::size_t kHeaderSize =
     sizeof(kMagic) + sizeof(kFormatVersion);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -117,7 +118,6 @@ TEST(AdmissionUnit, ZeroBandwidthMeansUnlimited) {
 TEST(AdmissionUnit, BenefitDecaysGeometricallyAndIsDeterministic) {
   AdmissionConfig cfg;
   cfg.mode = AdmissionMode::Static;
-  cfg.history_epochs = 4;
   AdmissionController a(cfg);
   AdmissionController b(cfg);
   for (AdmissionController* adm : {&a, &b}) {
@@ -139,13 +139,16 @@ TEST(AdmissionUnit, BenefitDecaysGeometricallyAndIsDeterministic) {
 TEST(AdmissionUnit, EvidenceWindowForgetsOldSightings) {
   AdmissionConfig cfg;
   cfg.mode = AdmissionMode::Static;
-  cfg.history_epochs = 2;
   AdmissionController adm(cfg);
   adm.begin_epoch(1, ranking_of({{1, 9}}));
   EXPECT_EQ(adm.evidence(page(1)), 1U);
-  adm.begin_epoch(2, ranking_of({}));
-  EXPECT_EQ(adm.evidence(page(1)), 1U);  // age 1, still inside the window
-  adm.begin_epoch(3, ranking_of({}));
+  for (std::uint32_t age = 1; age < kHistoryEpochs; ++age) {
+    adm.begin_epoch(1 + age, ranking_of({}));
+    // Still inside the window.
+    EXPECT_EQ(adm.evidence(page(1)), 1U) << age;
+    EXPECT_EQ(adm.benefit(page(1)), 9U >> age) << age;
+  }
+  adm.begin_epoch(1 + kHistoryEpochs, ranking_of({}));
   EXPECT_EQ(adm.evidence(page(1)), 0U);  // aged out
   EXPECT_EQ(adm.benefit(page(1)), 0U);
 }
@@ -179,7 +182,6 @@ TEST(AdmissionUnit, PingPongCooldownEscalatesAndExpires) {
   cfg.mode = AdmissionMode::Static;
   cfg.min_history = 1;
   cfg.cooldown_epochs = 2;
-  cfg.max_cooldown_epochs = 8;
   AdmissionController adm(cfg);
   const auto hot = ranking_of({{1, 40}});
 
@@ -217,8 +219,7 @@ TEST(AdmissionUnit, CooldownSpanIsCapped) {
   AdmissionConfig cfg;
   cfg.mode = AdmissionMode::Static;
   cfg.min_history = 1;
-  cfg.cooldown_epochs = 4;
-  cfg.max_cooldown_epochs = 4;  // escalation must clamp immediately
+  cfg.cooldown_epochs = kMaxCooldownEpochs;  // escalation must clamp at once
   AdmissionController adm(cfg);
   const auto hot = ranking_of({{1, 40}});
   std::uint32_t epoch = 1;
@@ -230,8 +231,8 @@ TEST(AdmissionUnit, CooldownSpanIsCapped) {
     adm.begin_epoch(epoch++, hot);
     ASSERT_EQ(adm.decide(page(1), kPageBytes), AdmissionDecision::Cooled)
         << offence;
-    // Capped at 4 epochs regardless of the strike count.
-    for (int cool = 0; cool < 4; ++cool) {
+    // Capped at 64 epochs regardless of the strike count.
+    for (std::uint32_t cool = 0; cool < kMaxCooldownEpochs; ++cool) {
       adm.begin_epoch(epoch++, hot);
       ASSERT_EQ(adm.decide(page(1), kPageBytes), AdmissionDecision::Cooled);
     }
@@ -307,10 +308,7 @@ TEST(AdmissionUnit, HistoryCompactionKeepsCooledAndRecentPages) {
   AdmissionConfig cfg;
   cfg.mode = AdmissionMode::Static;
   cfg.min_history = 1;
-  cfg.history_epochs = 2;
-  cfg.cooldown_epochs = 16;  // long enough to outlive the flood below
-  cfg.max_cooldown_epochs = 64;
-  cfg.max_history_pages = 8;
+  cfg.cooldown_epochs = 32;  // long enough to outlive the flood below
   AdmissionController adm(cfg);
   // Cool page 0 so compaction must preserve it even when it goes unseen.
   adm.begin_epoch(1, ranking_of({{0, 90}}));
@@ -318,22 +316,28 @@ TEST(AdmissionUnit, HistoryCompactionKeepsCooledAndRecentPages) {
   adm.note_demoted(page(0));
   adm.begin_epoch(2, ranking_of({{0, 90}}));
   ASSERT_EQ(adm.decide(page(0), kPageBytes), AdmissionDecision::Cooled);
-  // Flood the history with one-epoch wonders over several epochs; entries
-  // whose sightings age out of the window must be dropped at the cap.
-  for (std::uint32_t e = 3; e < 10; ++e) {
+  // Flood the history with one-epoch wonders over several epochs, 3.3
+  // times the cap in all; entries whose sightings age out of the window
+  // must be dropped at the cap. A window holds 4 x 12,000 pages, fewer
+  // than the cap, so each compaction brings the history back under it.
+  constexpr std::uint64_t kFlood = 12000;
+  std::size_t most = 0;
+  for (std::uint32_t e = 3; e < 21; ++e) {
     std::vector<core::PageRank> flood;
-    for (std::uint64_t i = 0; i < 6; ++i) {
+    for (std::uint64_t i = 0; i < kFlood; ++i) {
       core::PageRank pr;
-      pr.key = page(100 + (e * 6) + i);
+      pr.key = page(100 + (e * kFlood) + i);
       pr.rank = 5;
       flood.push_back(pr);
     }
     adm.begin_epoch(e, flood);
+    most = std::max(most, adm.history_pages());
   }
-  EXPECT_LE(adm.history_pages(), 32U);  // bounded near the cap, not growing
+  EXPECT_GT(most, kMaxHistoryPages - kFlood);  // the cap was reached
+  EXPECT_LE(most, kMaxHistoryPages);  // bounded by the cap, not growing
   // The cooled page survived compaction despite ageing out of the ranking
-  // window: its live cool-down still holds at epoch 10.
-  adm.begin_epoch(10, ranking_of({}));
+  // window: its live cool-down still holds at epoch 21.
+  adm.begin_epoch(21, ranking_of({}));
   EXPECT_EQ(adm.decide(page(0), kPageBytes), AdmissionDecision::Cooled);
 }
 
@@ -426,15 +430,23 @@ TEST(AdmissionUnit, IncrementalSaveOrderMatchesFullSort) {
     AdmissionConfig cfg;
     cfg.mode = AdmissionMode::Adaptive;
     cfg.min_history = 1;
-    cfg.history_epochs = 1 + static_cast<std::uint32_t>(rng.below(4));
     cfg.cooldown_epochs = 1 + static_cast<std::uint32_t>(rng.below(3));
-    // A small bound makes compact() run often.
-    cfg.max_history_pages = 8 + rng.below(40);
     auto a = std::make_unique<AdmissionController>(cfg);
     util::SimNs now = 0;
     for (int step = 0; step < 120; ++step) {
       const std::uint64_t roll = rng.below(10);
-      if (roll < 4) {
+      if (trial % 8 == 0 && step == 40) {
+        // One epoch sights more fresh pages than the history holds, so
+        // compact() runs at every barrier until they age out.
+        std::vector<core::PageRank> flood(kMaxHistoryPages + 1);
+        for (std::size_t i = 0; i < flood.size(); ++i) {
+          flood[i].key = PageKey{4, (std::uint64_t{1000} + i)
+                                        << mem::kPageShift};
+          flood[i].rank = 1 + i % 50;
+        }
+        now += util::kMillisecond;
+        a->begin_epoch(now, flood);
+      } else if (roll < 4) {
         std::vector<core::PageRank> ranking;
         for (std::uint64_t i = rng.below(12); i > 0; --i) {
           core::PageRank pr;

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "util/assert.hpp"
 
 namespace tmprof::util {
@@ -50,15 +48,6 @@ TEST(Cdf, CurveIsMonotone) {
     EXPECT_GE(rows[i].second, rows[i - 1].second);
   }
   EXPECT_DOUBLE_EQ(rows.back().second, 1.0);
-}
-
-TEST(Cdf, CsvHasHeaderAndRows) {
-  EmpiricalCdf cdf({1, 2, 3});
-  std::ostringstream os;
-  cdf.write_csv(os, 3);
-  const std::string text = os.str();
-  EXPECT_EQ(text.rfind("value,cum_fraction\n", 0), 0U);
-  EXPECT_NE(text.find("3,1"), std::string::npos);
 }
 
 }  // namespace

@@ -1546,6 +1546,12 @@ TEST(CkptResume, FormatV6ImageColdStarts) {
   expect_old_format_cold_starts(6);
 }
 
+TEST(CkptResume, FormatV7ImageColdStarts) {
+  // Format 7 echoed DevMon's counter maximum (a u32) after its slot and
+  // top-K geometry in "devmon".
+  expect_old_format_cold_starts(7);
+}
+
 TEST(CkptResume, MismatchedConfigRejected) {
   // A checkpoint from seed 42 must not be grafted onto a seed-43 run: the
   // meta section rejects it and the run cold-starts with its own seed.
@@ -1896,11 +1902,14 @@ TEST(CkptLayout, SectionBytesAreGolden) {
   // "truth" it dropped the mode byte of the global count map and of the
   // global seen-set (2; the global total stays), and per shard the mode
   // bytes of its map and set plus its total (10): 2 + 10 x 2 shards = -22.
+  // Format 8 dropped the u32 counter-maximum echo from "devmon" (-4 when
+  // DevMon is on: 6757 -> 6753; the DevMon-off section is its 1-byte
+  // presence flag either way).
   expect_frames(everything_runner_frames(),
                 {{"meta", 48, 0x41982e3d},
                  {"system", 534522, 0xd62fd3fa},
                  {"daemon", 4024, 0xdd7c96ec},
-                 {"devmon", 6757, 0x99d8d915},
+                 {"devmon", 6753, 0xea164388},
                  {"stream", 41, 0xfa828653},
                  {"mover", 181, 0xd65f58a5},
                  {"admission", 27784, 0x882db85c},

@@ -85,13 +85,12 @@ TEST(DevMon, CounterSaturatesAtConfiguredMax) {
   const mem::PhysMemory phys = three_tier_phys();
   DevMonConfig cfg;
   cfg.enabled = true;
-  cfg.counter_max = 10;
   DevMonitor mon(cfg, phys, 1);
-  for (int i = 0; i < 25; ++i) mon.on_mem_op(fill(5));
+  for (int i = 0; i < 70000; ++i) mon.on_mem_op(fill(5));
   const auto report = drain_once(mon);
   ASSERT_EQ(report.size(), 1U);
-  EXPECT_EQ(report[0].count, 10U);
-  EXPECT_EQ(mon.observed(), 25U);  // the stat counts raw fills
+  EXPECT_EQ(report[0].count, 65535U);  // a 16-bit hardware counter
+  EXPECT_EQ(mon.observed(), 70000U);   // the stat counts raw fills
 }
 
 TEST(DevMon, TopKTruncatesWithAscendingPfnTieBreak) {
@@ -242,7 +241,6 @@ class ScanDevMon {
     w.begin_section("devmon");
     w.put_u32(config_.slots);
     w.put_u32(config_.top_k);
-    w.put_u32(config_.counter_max);
     w.put_u64(devices_.size());
     for (std::size_t t = 1; t < devices_.size(); ++t) {
       for (const Slot& s : devices_[t]) {
@@ -288,7 +286,7 @@ class ScanDevMon {
       if (s.used) {
         if (s.pfn == pfn) {
           s.count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-              std::uint64_t{s.count} + add, config_.counter_max));
+              std::uint64_t{s.count} + add, kDevMonCounterMax));
           return;
         }
         if (min_slot == nullptr || s.count < min_slot->count) min_slot = &s;
@@ -299,13 +297,13 @@ class ScanDevMon {
     if (free_slot != nullptr) {
       free_slot->used = true;
       free_slot->pfn = pfn;
-      free_slot->count = std::min(add, config_.counter_max);
+      free_slot->count = std::min(add, kDevMonCounterMax);
       return;
     }
     ++evictions_;
     min_slot->pfn = pfn;
     min_slot->count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        std::uint64_t{min_slot->count} + add, config_.counter_max));
+        std::uint64_t{min_slot->count} + add, kDevMonCounterMax));
   }
 
   DevMonConfig config_;
@@ -337,12 +335,12 @@ TEST(DevMonDifferential, IndexedFoldMatchesLinearScan) {
     cfg.enabled = true;
     cfg.slots = 1 + static_cast<std::uint32_t>(rng.below(12));
     cfg.top_k = 1 + static_cast<std::uint32_t>(rng.below(cfg.slots + 2));
-    // Small maxima saturate often, which makes dense count ties.
-    const std::uint32_t maxima[] = {1, 2, 3, 7, 65535};
-    cfg.counter_max = maxima[rng.below(5)];
     const auto cores = 1 + static_cast<std::uint32_t>(rng.below(3));
     // A narrow pfn window keeps ties dense; a wide one forces evictions.
     const std::uint64_t window = 2 + rng.below(94);
+    // Every fourth trial drives counters to kDevMonCounterMax: saturated,
+    // tied slots then go through eviction, lane merges and resume.
+    const bool saturating = trial % 4 == 0;
     auto mon = std::make_unique<DevMonitor>(cfg, phys, cores);
     ScanDevMon ref(cfg, phys, cores);
     std::vector<DevMonReportEntry> got;
@@ -350,26 +348,51 @@ TEST(DevMonDifferential, IndexedFoldMatchesLinearScan) {
       got.insert(got.end(), report.begin(), report.end());
     });
     const std::string label = "trial " + std::to_string(trial);
+    bool saw_saturated = false;
+    const auto send = [&](mem::Pfn pfn, std::uint32_t core) {
+      mon->on_mem_op(fill(pfn, core));
+      ref.on_mem_op(fill(pfn, core));
+    };
+    // More fills than the counter holds, on one device pfn and one core.
+    const auto burst = [&] {
+      const mem::Pfn pfn = 4 + rng.below(window);
+      const auto core = static_cast<std::uint32_t>(rng.below(cores));
+      const std::uint64_t fills = kDevMonCounterMax + 1 + rng.below(3);
+      for (std::uint64_t i = 0; i < fills; ++i) send(pfn, core);
+    };
+    const auto check_drain = [&](int step) {
+      got.clear();
+      mon->drain();
+      const std::vector<DevMonReportEntry> want = ref.drain();
+      ASSERT_EQ(got.size(), want.size()) << label << " step " << step;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].pfn, want[i].pfn) << label << " entry " << i;
+        EXPECT_EQ(got[i].count, want[i].count) << label << " entry " << i;
+        EXPECT_EQ(got[i].tier, want[i].tier) << label << " entry " << i;
+        saw_saturated |= got[i].count == kDevMonCounterMax;
+      }
+    };
+    if (saturating) {
+      // Up to slots + 2 saturated pfns, so saturated victims get evicted.
+      const std::uint64_t pfns = 1 + rng.below(cfg.slots + 2);
+      for (std::uint64_t i = 0; i < pfns; ++i) burst();
+      ASSERT_EQ(mon->evictions(), ref.evictions()) << label;
+      ASSERT_EQ(image_of(*mon), ref.image()) << label;
+      check_drain(-1);
+      ASSERT_TRUE(saw_saturated) << label;
+    }
     for (int step = 0; step < 400; ++step) {
       const std::uint64_t roll = rng.below(100);
-      if (roll < 88) {
+      if (saturating && roll < 2) {
+        burst();
+      } else if (roll < 88) {
         const mem::Pfn pfn = rng.below(window + 4);  // some on the fast tier
-        const auto core = static_cast<std::uint32_t>(rng.below(cores));
-        mon->on_mem_op(fill(pfn, core));
-        ref.on_mem_op(fill(pfn, core));
+        send(pfn, static_cast<std::uint32_t>(rng.below(cores)));
       } else if (roll < 92) {
         mon->merge_shards();  // the sharded engine's barrier fold
         ref.merge_lanes();
       } else if (roll < 98) {
-        got.clear();
-        mon->drain();
-        const std::vector<DevMonReportEntry> want = ref.drain();
-        ASSERT_EQ(got.size(), want.size()) << label << " step " << step;
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].pfn, want[i].pfn) << label << " entry " << i;
-          EXPECT_EQ(got[i].count, want[i].count) << label << " entry " << i;
-          EXPECT_EQ(got[i].tier, want[i].tier) << label << " entry " << i;
-        }
+        check_drain(step);
       } else {
         // Resume mid-stream: the indexes are rebuilt from the image.
         const std::vector<std::uint8_t> image = image_of(*mon);

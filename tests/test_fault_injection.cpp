@@ -181,11 +181,11 @@ TEST(FaultInjectionMover, BusyFaultsRetryWithBackoffThenAbort) {
   const util::SimNs before = sys.now();
   const auto ranking = rank_pages(sys, pid, {6, 7, 8, 9});
   const MoveStats stats = mover.apply(ranking, {4});
-  // Every demotion retried max_retries times then aborted; with no room
+  // Every demotion retried kMaxRetries times then aborted; with no room
   // freed, every promotion parked on the deferred queue.
   EXPECT_EQ(stats.promoted, 0U);
   EXPECT_EQ(stats.demoted, 0U);
-  EXPECT_EQ(stats.retried, 4U * mcfg.max_retries);
+  EXPECT_EQ(stats.retried, 4U * kMaxRetries);
   EXPECT_EQ(stats.aborted, 4U);
   EXPECT_EQ(stats.deferred, 4U);
   EXPECT_GT(stats.backoff_ns, 0U);
@@ -195,19 +195,31 @@ TEST(FaultInjectionMover, BusyFaultsRetryWithBackoffThenAbort) {
 }
 
 TEST(FaultInjectionMover, RetryBudgetBoundsRetriesPerApply) {
-  sim::System sys(small_config(4));
+  // 64 pages in t1, 64 in t2. Promoting the 64 t2 pages needs 64
+  // demotions, whose 64 x kMaxRetries = 192 busy retries exceed the
+  // 128-retry budget.
+  sim::System sys(small_config(64));
   const mem::Pid pid = sys.add_process(
       std::make_unique<workloads::UniformWorkload>(1 << 20, 0.0, 1));
-  touch_pages(sys, pid, 10);
+  touch_pages(sys, pid, 128);
   MoverConfig mcfg;
   mcfg.fault.rate = 1.0;
   mcfg.fault.restrict_to({util::FaultSite::MigrationBusy});
-  mcfg.retry_budget = 5;
   PageMover mover(sys, mcfg);
-  const auto ranking = rank_pages(sys, pid, {6, 7, 8, 9});
-  const MoveStats stats = mover.apply(ranking, {4});
-  EXPECT_EQ(stats.retried, 5U);  // budget exhausted mid-epoch
-  EXPECT_GT(stats.aborted, 0U);
+  sim::Process& proc = sys.process(pid);
+  std::vector<core::PageRank> ranking;
+  for (std::uint64_t i = 64; i < 128; ++i) {
+    core::PageRank pr;
+    pr.key = PageKey{pid, proc.vaddr_of(i * mem::kPageSize)};
+    pr.rank = 1000 - i;
+    ranking.push_back(pr);
+  }
+  const MoveStats stats = mover.apply(ranking, {64});
+  EXPECT_EQ(stats.retried, kRetryBudget);  // budget exhausted mid-epoch
+  // Every move still fails; once the budget is spent a failure aborts at
+  // once instead of retrying.
+  EXPECT_EQ(stats.aborted, 64U);
+  EXPECT_EQ(stats.demoted, 0U);
 }
 
 TEST(FaultInjectionMover, AbortedPromotionIsDroppedForTheEpoch) {
@@ -226,7 +238,7 @@ TEST(FaultInjectionMover, AbortedPromotionIsDroppedForTheEpoch) {
   const MoveStats stats = mover.apply(rank_pages(sys, pid, {8}), {8});
   // One attempt, its retries, one abort: the move is not tried again.
   EXPECT_EQ(stats.promoted, 0U);
-  EXPECT_EQ(stats.retried, mcfg.max_retries);
+  EXPECT_EQ(stats.retried, kMaxRetries);
   EXPECT_EQ(stats.aborted, 1U);
   EXPECT_EQ(stats.deferred, 0U);
   EXPECT_EQ(mover.deferred_pending(), 0U);
@@ -410,7 +422,7 @@ TEST(FaultInjectionDaemon, HeavyTraceLossFallsBackToAbitOnly) {
   sys.step(100000);
   const ProfileSnapshot snap = daemon.tick();
   EXPECT_GT(snap.trace_dropped, 0U);
-  EXPECT_GE(snap.trace_loss, cfg.trace_fallback_threshold);
+  EXPECT_GE(snap.trace_loss, kTraceFallbackThreshold);
   EXPECT_TRUE(snap.trace_fallback);
   EXPECT_GE(daemon.degrade_stats().fallback_epochs, 1U);
   // The published ranking is exactly what A-bit-only fusion would give.
@@ -428,8 +440,8 @@ TEST(FaultInjectionDaemon, ModerateTraceLossRescalesWeight) {
   TmpDaemon daemon(sys, cfg);
   sys.step(100000);
   const ProfileSnapshot snap = daemon.tick();
-  EXPECT_GT(snap.trace_loss, cfg.trace_rescale_threshold);
-  EXPECT_LT(snap.trace_loss, cfg.trace_fallback_threshold);
+  EXPECT_GT(snap.trace_loss, kTraceRescaleThreshold);
+  EXPECT_LT(snap.trace_loss, kTraceFallbackThreshold);
   EXPECT_FALSE(snap.trace_fallback);
   EXPECT_GE(daemon.degrade_stats().rescaled_epochs, 1U);
   // Rescaled = Weighted fusion at weight 1/(1-loss).

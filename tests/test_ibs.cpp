@@ -22,9 +22,9 @@ TEST(Ibs, SampleRateApproximatesPeriod) {
   IbsConfig cfg = IbsConfig::with_period(1024);
   IbsMonitor ibs(cfg, 1);
   const std::uint64_t ops = 200000;
-  const std::uint64_t uops_per_op = 4;
+  const std::uint64_t uops = 4;
   for (std::uint64_t i = 0; i < ops; ++i) {
-    ibs.on_retire(0, uops_per_op, 0);
+    ibs.on_retire(0, uops, 0);
     ibs.on_mem_op(make_op(0, i * 64));
   }
   // Expected samples = total_uops / period * P(tag lands on the mem uop)
@@ -115,12 +115,6 @@ TEST(Ibs, OverheadGrowsWithSamples) {
     ibs.on_mem_op(make_op(0, i));
   }
   EXPECT_GE(ibs.overhead_ns(), ibs.samples_taken() * cfg.cost_per_record_ns);
-}
-
-TEST(Ibs, PaperRates) {
-  EXPECT_EQ(IbsConfig::paper_default().sample_period, 262144U);
-  EXPECT_EQ(IbsConfig::paper_4x().sample_period, 65536U);
-  EXPECT_EQ(IbsConfig::paper_8x().sample_period, 32768U);
 }
 
 }  // namespace

@@ -54,47 +54,33 @@ TEST(Lwp, RecordsLandInPerProcessRings) {
 TEST(Lwp, ThresholdSignalsBeforeRingFull) {
   LwpConfig cfg;
   cfg.sample_period = 1;
-  cfg.ring_capacity = 100;
-  cfg.interrupt_fill_fraction = 0.5;
   LwpMonitor lwp(cfg);
   lwp.enable_process(1);
   std::size_t largest_batch = 0;
+  std::uint64_t delivered = 0;
   lwp.set_drain([&](mem::Pid, std::span<const TraceSample> samples) {
     largest_batch = std::max(largest_batch, samples.size());
+    delivered += samples.size();
   });
-  for (int i = 0; i < 500; ++i) lwp.on_mem_op(make_op(1, 0x1000));
-  EXPECT_GT(lwp.signals(), 0U);
-  EXPECT_EQ(largest_batch, 50U);  // drained exactly at the threshold
-  EXPECT_EQ(lwp.records_dropped(), 0U);
-}
-
-TEST(Lwp, FullRingDropsRecords) {
-  LwpConfig cfg;
-  cfg.sample_period = 1;
-  cfg.ring_capacity = 16;
-  cfg.interrupt_fill_fraction = 1.0;  // never signals early
-  LwpMonitor lwp(cfg);
-  lwp.enable_process(1);
-  lwp.set_drain(nullptr);
-  // No drain installed: after 16 records the ring is full...
-  for (int i = 0; i < 100; ++i) lwp.on_mem_op(make_op(1, 0x1000));
-  // ...but at threshold 1.0 the signal fires exactly at capacity and the
-  // internal drain empties the ring even without a callback.
-  EXPECT_EQ(lwp.records_dropped(), 0U);
-  EXPECT_GT(lwp.signals(), 0U);
+  for (int i = 0; i < 20000; ++i) lwp.on_mem_op(make_op(1, 0x1000));
+  EXPECT_EQ(lwp.signals(), 3U);
+  // Drained exactly at the threshold, 0.75 of the 8192-record ring.
+  EXPECT_EQ(largest_batch, 6144U);
+  // The ring never fills, so every record taken reaches the process.
+  lwp.drain_all();
+  EXPECT_EQ(delivered, lwp.records_taken());
+  EXPECT_EQ(delivered, 20000U);
 }
 
 TEST(Lwp, OverheadScalesWithDrains) {
   LwpConfig cfg;
   cfg.sample_period = 1;
-  cfg.ring_capacity = 8;
-  cfg.interrupt_fill_fraction = 0.5;
   LwpMonitor lwp(cfg);
   lwp.enable_process(1);
-  for (int i = 0; i < 64; ++i) lwp.on_mem_op(make_op(1, 0x1000));
-  const util::SimNs expected = lwp.signals() * cfg.cost_per_signal_ns +
-                               lwp.records_taken() *
-                                   cfg.cost_per_drained_record_ns;
+  for (int i = 0; i < 3 * 6144; ++i) lwp.on_mem_op(make_op(1, 0x1000));
+  const util::SimNs expected = lwp.signals() * kLwpCostPerSignalNs +
+                               lwp.records_taken() * kLwpCostPerDrainedRecordNs;
+  EXPECT_EQ(lwp.signals(), 3U);
   EXPECT_EQ(lwp.overhead_ns(), expected);
 }
 

@@ -556,7 +556,7 @@ class ReferenceMover {
   }
 
   void defer(const PageKey& key, MoveStats& stats) {
-    if (deferred_.size() >= config_.max_deferred) return;
+    if (deferred_.size() >= kMaxDeferred) return;
     if (!deferred_set_.insert(key).second) return;
     deferred_.push_back(key);
     ++stats.deferred;

@@ -131,7 +131,36 @@ TEST(CheckOptions, CooldownWindowIsAtLeastOneEpoch) {
   RunnerOptions options;
   options.mover.admission.cooldown_epochs = 0;
   expect_rejected([&] { check_options(sim::SimConfig{}, options, 1); },
-                  "mover.admission.cooldown_epochs", "got 0");
+                  "mover.admission.cooldown_epochs", "got 0, the cap is 64");
+}
+
+TEST(CheckOptions, CooldownWindowIsAtMostTheCap) {
+  RunnerOptions options;
+  options.mover.admission.cooldown_epochs = kMaxCooldownEpochs;
+  EXPECT_NO_THROW(check_options(sim::SimConfig{}, options, 1));
+  options.mover.admission.cooldown_epochs = kMaxCooldownEpochs + 1;
+  expect_rejected([&] { check_options(sim::SimConfig{}, options, 1); },
+                  "mover.admission.cooldown_epochs",
+                  "got 65, the cap is 64");
+}
+
+TEST(CheckOptions, MinHistoryLiesInTheWindow) {
+  RunnerOptions options;
+  for (std::uint32_t ok = 1; ok <= kHistoryEpochs; ++ok) {
+    options.mover.admission.min_history = ok;
+    EXPECT_NO_THROW(check_options(sim::SimConfig{}, options, 1)) << ok;
+  }
+  // Checked whether admission is on or off.
+  for (const AdmissionMode mode :
+       {AdmissionMode::Off, AdmissionMode::Static, AdmissionMode::Adaptive}) {
+    options.mover.admission.mode = mode;
+    for (const std::uint32_t bad : {0U, kHistoryEpochs + 1, 9U}) {
+      options.mover.admission.min_history = bad;
+      expect_rejected([&] { check_options(sim::SimConfig{}, options, 1); },
+                      "mover.admission.min_history",
+                      "got " + std::to_string(bad) + ", the window is 4");
+    }
+  }
 }
 
 TEST(CheckOptions, NoMoreTenantsThanProcesses) {
@@ -219,10 +248,13 @@ TEST(CheckOptions, RunnerRejectsBeforeBuildingTheSystem) {
   options.checkpoint.resume_latest = true;
   const auto spec = workloads::find_spec("gups", 0.05);
   for (const std::string_view field :
-       {"mover.admission.cooldown_epochs", "tenants"}) {
+       {"mover.admission.cooldown_epochs", "mover.admission.min_history",
+        "tenants"}) {
     RunnerOptions bad = options;
     if (field == "tenants") {
       bad.tenants.resize(spec.processes + 1);
+    } else if (field == "mover.admission.min_history") {
+      bad.mover.admission.min_history = kHistoryEpochs + 1;
     } else {
       bad.mover.admission.cooldown_epochs = 0;
     }

@@ -107,11 +107,10 @@ TEST(Telemetry, ShardMergeIsPartitionInvariant) {
 // Span tracer.
 
 TEST(Telemetry, TracerOverflowIsCounted) {
-  TelemetryConfig cfg;
-  cfg.span_capacity = 4;
-  Telemetry t(cfg);
+  Telemetry t(TelemetryConfig{});
   t.begin_run("overflow");
-  for (int i = 0; i < 6; ++i) {
+  const int spans = static_cast<int>(kSpanCapacity) + 2;
+  for (int i = 0; i < spans; ++i) {
     // libstdc++'s operator+ trips a -Wrestrict false positive once inlined
     // (char_traits.h memcpy); the concatenation itself is well-defined.
 #pragma GCC diagnostic push
@@ -120,14 +119,14 @@ TEST(Telemetry, TracerOverflowIsCounted) {
            static_cast<util::SimNs>(i * 10 + 5));
 #pragma GCC diagnostic pop
   }
-  EXPECT_EQ(t.tracer().size(), 4U);
+  EXPECT_EQ(t.tracer().size(), 65536U);
   EXPECT_EQ(t.tracer().overwritten(), 2U);
   EXPECT_EQ(t.metrics().counter_value("telemetry_spans_dropped_total"), 2U);
   // The ring keeps the most recent spans, oldest-first.
-  const std::vector<Span> spans = t.tracer().spans_in_order();
-  ASSERT_EQ(spans.size(), 4U);
-  EXPECT_EQ(spans.front().name, "s2");
-  EXPECT_EQ(spans.back().name, "s5");
+  const std::vector<Span> kept = t.tracer().spans_in_order();
+  ASSERT_EQ(kept.size(), 65536U);
+  EXPECT_EQ(kept.front().name, "s2");
+  EXPECT_EQ(kept.back().name, "s65537");
 }
 
 // ---------------------------------------------------------------------------
@@ -472,14 +471,14 @@ TEST(Telemetry, ResumePresenceMismatchFallsBackToColdStart) {
 }
 
 TEST(Telemetry, StateRoundTripsThroughCheckpoint) {
-  TelemetryConfig cfg;
-  cfg.span_capacity = 8;
+  const TelemetryConfig cfg;
   Telemetry t(cfg);
   t.begin_run("alpha");
   t.metrics().counter("ops_total").add(11);
   t.metrics().gauge("depth").set(3);
   t.metrics().histogram("lat", 0, 100, 10).observe(42, 2);
-  for (int i = 0; i < 12; ++i) {  // overflow the ring so drops round-trip
+  // Overflow the ring so drops round-trip.
+  for (int i = 0; i < static_cast<int>(kSpanCapacity) + 4; ++i) {
     t.span("s", static_cast<util::SimNs>(i), static_cast<util::SimNs>(i + 1),
            kTidMover);
   }

@@ -37,7 +37,6 @@ TEST(Thermostat, HotPagesExceedThreshold) {
   sys.step(30000);
   ThermostatConfig cfg;
   cfg.sample_fraction = 1.0;  // classify everything for the test
-  cfg.hot_threshold_faults = 3;
   ThermostatClassifier thermostat(sys, cfg);
   thermostat.begin_interval();
   // Poll-and-re-arm several times so hot pages can accumulate faults.

@@ -103,7 +103,7 @@ TEST(TraceIo, IbsOverReplayMatchesLiveStatistically) {
   monitors::IbsMonitor replayed(ibs_cfg, sys.config().cores, 1);
   TraceReplayer replayer(path);
   replayer.add_observer(&replayed);
-  replayer.replay(0, sys.config().uops_per_op);
+  replayer.replay();
   // Same seed, same retire stream => identical sample counts.
   EXPECT_EQ(replayed.samples_taken(), live.samples_taken());
 }
